@@ -324,7 +324,7 @@ def _cmd_blockade_scan(config: dict[str, Any]):
     rows = [{"xi": q.xi, "omega_d": q.omega_d, "re_a": q.a_sum.real, "im_a": q.a_sum.imag,
              "abs_a": q.abs_a, "t_norm": q.t_norm, "n_photon": q.n_photon, "g2": q.g2}
             for q in points]
-    conv = {"steady_state_method": "nullspace", "points": len(rows)}
+    conv = {"steady_state_method": "preconditioned_gmres", "points": len(rows)}
     if config["cutoff_check"]:
         mid = grid[len(grid) // 2]
         xi0 = config["drive_amplitudes"][0]
@@ -516,8 +516,8 @@ COMMANDS: dict[str, Callable[[dict[str, Any]], tuple[list[str], list[dict], dict
 # output plumbing
 
 def _format_cell(value: Any) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))       # a plain float literal, never np.float64(...)
     return str(value)
 
 

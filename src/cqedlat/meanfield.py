@@ -76,6 +76,7 @@ __all__ = [
 PSI_FLOOR = 1e-5          # |ψ*| above this counts as superfluid
 PSI_SEARCH_TOL = 1e-7     # golden-section window width
 ZJ_RESOLUTION = 1e-4      # lobe-boundary bisection resolution (units of the scan)
+CYCLE_SAMPLES = 40        # ψ samples a limit-cycle verdict needs
 
 
 class CutoffWindowError(RuntimeError):
@@ -345,8 +346,10 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
     amplitude equal to the seed value) until the order parameter ψ = tr(aρ)
     changes by less than ``psi_tol`` per control interval.  Fixed points from
     different seeds that differ by more than ``distinct_tol`` are reported as
-    distinct branches (multistability).  A non-decaying ψ oscillation is
-    classified as a limit cycle and returned with a sampled orbit.
+    distinct branches (multistability).  A non-decaying ψ oscillation over the
+    last ``CYCLE_SAMPLES`` control intervals is classified as a limit cycle and
+    returned with a sampled orbit; a run that neither settles nor has that
+    many samples raises :class:`MeanFieldConvergenceError`.
     """
     if not rates.any_nonzero():
         raise ValueError("driven mean field requires dissipative rates > 0")
@@ -383,6 +386,7 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
         psi_now = psi_prev
         rho_m = rho.rho
         history: list[complex] = [psi_prev]
+        last_step = float("inf")
         converged = False
         cycle = False
         while t < horizon:
@@ -398,22 +402,27 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
             t += t_chunk
             psi_now = complex(a_trace @ y)
             history.append(psi_now)
-            if abs(psi_now - psi_prev) < psi_tol:
+            last_step = abs(psi_now - psi_prev)
+            if last_step < psi_tol:
                 converged = True
                 break
             psi_prev = psi_now
         if not converged:
             # limit-cycle test: the ψ samples keep moving but stay bounded and
-            # their swing is not shrinking over the last stretch
-            tail = np.array(history[-40:])
-            swing_late = np.ptp(np.abs(tail[-20:]))
-            swing_early = np.ptp(np.abs(tail[:20]))
-            if swing_late > 100 * psi_tol and swing_late > 0.5 * swing_early:
+            # their swing is not shrinking from the early to the late half of
+            # the last CYCLE_SAMPLES; fewer samples cannot tell a cycle apart
+            # from a slow approach to a fixed point
+            tail = np.array(history[-CYCLE_SAMPLES:])
+            half = CYCLE_SAMPLES // 2
+            swing_late = np.ptp(np.abs(tail[-half:]))
+            swing_early = np.ptp(np.abs(tail[:half]))
+            if (len(tail) == CYCLE_SAMPLES and swing_late > 100 * psi_tol
+                    and swing_late > 0.5 * swing_early):
                 cycle = True
             else:
                 raise MeanFieldConvergenceError(
                     f"no fixed point or cycle within horizon {horizon:.3g} "
-                    f"(last |Δψ| = {abs(psi_now - psi_prev):.3e})")
+                    f"({len(history)} ψ samples, last |Δψ| = {last_step:.3e})")
         state = DensityMatrix(rho_m)
         try:
             g2 = g2_zero(state, 0, lattice_space)
@@ -422,7 +431,7 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
         results.append(DrivenFixedPoint(
             psi=complex(a_trace @ y), rho=state, g2=g2, seed=complex(seed),
             converged=converged, limit_cycle=cycle, t_elapsed=t,
-            orbit=tuple(history[-40:]) if cycle else None))
+            orbit=tuple(history[-CYCLE_SAMPLES:]) if cycle else None))
 
     branches: list[DrivenFixedPoint] = []
     for r in results:

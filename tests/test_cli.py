@@ -1,0 +1,58 @@
+import csv
+import json
+
+import jsonschema
+import numpy as np
+import pytest
+
+from cqedlat import cli
+
+
+def run(tmp_path, command, config):
+    config_path = tmp_path / f"{command}.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    csv_path = tmp_path / f"{command}.csv"
+    summary_path = tmp_path / f"{command}_summary.json"
+    assert cli.run_command(command, cli.load_config(command, str(config_path), {}),
+                           str(csv_path), str(summary_path)) == 0
+    with open(csv_path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    jsonschema.validate(summary, cli.summary_schema())
+    return rows, summary
+
+
+class TestCsvCells:
+    def test_numpy_floats_are_written_as_plain_literals(self, tmp_path):
+        rows, _ = run(tmp_path, "sector-nonlinearity",
+                      {"omega_r": 50.0, "g": 1.0, "J": -0.5, "n_sites_list": [1, 2],
+                       "n_max": 2, "cutoff_check": False})
+        assert rows
+        for row in rows:
+            for key in ("u_measured", "u_closed_form", "rel_deviation"):
+                assert not row[key].startswith("np."), row[key]
+                float(row[key])
+
+    def test_format_cell_round_trips_numpy_scalars(self):
+        for value in (np.float64(0.1), np.float32(0.5), 1e-300, float("nan")):
+            text = cli._format_cell(value)
+            assert "np" not in text
+            assert repr(float(text)) == repr(float(value))
+
+
+class TestDimerG2:
+    def test_cutoff_check_runs_at_dimension_144(self, tmp_path):
+        # n_max = 3 checked at n_max = 5: a d = 144 steady state, d² = 20736
+        rows, summary = run(tmp_path, "dimer-g2",
+                            {"omega_r": 50.0, "g": 1.0, "j_values": [0.5], "xi": 0.01,
+                             "gamma1": 0.01, "gamma_kappa": 0.01, "n_max": 3,
+                             "cutoff_check": True})
+        assert len(rows) == 1
+        g2 = float(rows[0]["g2"])
+        assert 0 < g2 < 1                       # antibunched below the band bottom
+        # the two-photon populations behind g2 are ~1e-11 of the trace; the
+        # reference value comes from a solve refined with long-double residuals
+        assert g2 == pytest.approx(0.00452453367, rel=1e-6)
+        check = summary["convergence"]["cutoff_check"]
+        assert check["rel_shift"] < 1e-5        # truncation shift, not solver noise
+        assert summary["convergence"]["points"] == 1

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 from cqedlat.hilbert import (
     DensityMatrix,
@@ -46,6 +48,107 @@ def photon_number_op(space, site=0):
     return a.dagger() @ a
 
 
+def random_state(d, rng):
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = m @ m.conj().T
+    return rho / np.trace(rho)
+
+
+def dense_nullspace_steady(liouv):
+    """Oracle: dense LU of the superoperator with the ρ₀₀ row replaced by the trace."""
+    d = liouv.dim
+    m = liouv.matrix.toarray()
+    m[0, :] = np.eye(d).reshape(-1)
+    b = np.zeros(d * d, dtype=complex)
+    b[0] = 1.0
+    rho = np.linalg.solve(m, b).reshape(d, d)
+    return 0.5 * (rho + rho.conj().T)
+
+
+def single_site_liouvillian(jc, n_max, rates, drive):
+    space = LatticeSpace.uniform(1, n_max)
+    return build_liouvillian(build_jchm(LatticeParams.single_site(jc), space), rates, drive, space)
+
+
+def dimer_liouvillian(n_max):
+    params = chain(JCParams(50.0, 50.0, 1.0), 2, 0.5, boundary="periodic")
+    space = LatticeSpace.uniform(2, n_max)
+    return build_liouvillian(build_jchm(params, space),
+                             DissipationRates(gamma1=0.01, gamma_kappa=0.01),
+                             DriveSpec(xi=0.01, omega_d=48.5, driven_sites=(0, 1)), space)
+
+
+# the systems whose steady states the tests in this repository solve
+STEADY_SYSTEMS = {
+    "undriven_jc": lambda: single_site_liouvillian(
+        JCParams(1.0, 0.98, 0.05), 3, DissipationRates(gamma1=0.05, gamma_kappa=0.1), None),
+    **{f"driven_cavity_{xi}_{wd}": (lambda xi=xi, wd=wd: single_site_liouvillian(
+        JCParams(1.0, 0.5, 0.0), 8,
+        DissipationRates(gamma1=0.01, gamma_kappa=0.02, kappa_ports={0: 0.03}),
+        DriveSpec(xi=xi, omega_d=wd)))
+       for xi, wd in [(0.003, 0.98), (0.005, 1.0), (0.002, 1.03)]},
+    "detuned_jc": lambda: single_site_liouvillian(
+        JCParams(1.0, 1.0, 0.08), 4, DissipationRates(gamma1=0.02, gamma_kappa=0.03),
+        DriveSpec(xi=0.01, omega_d=0.93)),
+    "coherent_cavity": lambda: single_site_liouvillian(
+        JCParams(1.0, 0.5, 0.0), 8, DissipationRates(gamma1=0.01, gamma_kappa=0.05),
+        DriveSpec(xi=0.004, omega_d=1.0)),
+    "blockade_peak": lambda: single_site_liouvillian(
+        JCParams(50.0, 50.0, 1.0), 6, DissipationRates(gamma1=0.01, kappa_ports={0: 0.01}),
+        DriveSpec(xi=0.01, omega_d=49.0)),
+    "blockade_center": lambda: single_site_liouvillian(
+        JCParams(50.0, 50.0, 1.0), 5, DissipationRates(gamma1=0.01, gamma_kappa=0.01),
+        DriveSpec(xi=0.005, omega_d=50.0)),
+    "bright_linear_cavity": lambda: single_site_liouvillian(
+        JCParams(1.0, 0.5, 0.0), 6, DissipationRates(gamma1=0.01, kappa_ports={0: 0.04}),
+        DriveSpec(xi=0.02, omega_d=1.0)),
+    "meanfield_zero_hopping": lambda: single_site_liouvillian(
+        JCParams(20.0, 20.0, 1.0), 7, DissipationRates(gamma1=0.01, kappa_ports={0: 0.01}),
+        DriveSpec(xi=0.01, omega_d=19.0)),
+    "dimer": lambda: dimer_liouvillian(2),
+    # g = κ/4 on resonance: H_eff is defective in the one-excitation sector
+    # (an exceptional point), so an eigenbasis of H_eff is singular
+    "exceptional_point_jc": lambda: single_site_liouvillian(
+        JCParams(1.0, 1.0, 0.01), 3, DissipationRates(kappa_ports={0: 0.04}), None),
+}
+
+
+@st.composite
+def open_lattices(draw):
+    """Random 1-3 site chains (Hilbert dimension <= 216) with random rates and drive."""
+    n_sites = draw(st.integers(1, 3))
+    n_max = draw(st.integers(1, 3 if n_sites < 3 else 2))
+    freq, coupling, rate = st.floats(0.5, 1.5), st.floats(0.0, 0.3), st.floats(0.0, 0.3)
+    sites = tuple(JCParams(draw(freq), draw(freq), draw(coupling)) for _ in range(n_sites))
+    edges = tuple((i, i + 1, draw(st.floats(-0.3, 0.3))) for i in range(n_sites - 1))
+    ports = draw(st.dictionaries(st.integers(0, n_sites - 1), rate, max_size=n_sites))
+    rates = DissipationRates(gamma1=draw(rate), gamma_phi=draw(rate),
+                             gamma_kappa=draw(rate), kappa_ports=ports)
+    drive = draw(st.none() | st.builds(
+        DriveSpec, xi=st.floats(0.0, 0.2), omega_d=freq,
+        driven_sites=st.lists(st.integers(0, n_sites - 1), min_size=1, unique=True).map(tuple)))
+    space = LatticeSpace.uniform(n_sites, n_max)
+    h = build_jchm(LatticeParams(sites, edges), space)
+    return build_liouvillian(h, rates, drive, space), draw(st.integers(0, 2**32 - 1))
+
+
+class TestMatrixFreeGenerator:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(open_lattices())
+    def test_apply_matches_matrix_and_preserves_trace_and_hermiticity(self, case):
+        liouv, seed = case
+        rng = np.random.default_rng(seed)
+        d = liouv.dim
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        lx = liouv.apply(x)
+        assert np.max(np.abs(lx.reshape(-1) - liouv.matrix @ x.reshape(-1))) <= 1e-12
+        assert abs(np.trace(lx)) <= 1e-12
+        rho = random_state(d, rng)
+        lrho = liouv.apply(rho)
+        assert np.max(np.abs(lrho - lrho.conj().T)) <= 1e-12
+        assert abs(np.trace(lrho)) <= 1e-12
+
+
 class TestLiouvillianStructure:
     def test_trace_preservation_defect(self):
         params, space, h = empty_cavity(4)
@@ -80,13 +183,6 @@ class TestLiouvillianStructure:
         with pytest.raises(ValueError, match="conserve"):
             build_liouvillian(h, DissipationRates(gamma_kappa=0.1),
                               DriveSpec(xi=0.01, omega_d=1.0), space)
-
-    def test_dense_guard(self):
-        params, space, h = empty_cavity(8)
-        liouv = build_liouvillian(h, DissipationRates(gamma_kappa=0.1), None, space,
-                                  dense_threshold=8)
-        with pytest.raises(ValueError, match="dense materialization"):
-            liouv.to_dense()
 
 
 class TestEvolve:
@@ -164,10 +260,35 @@ class TestSteadyState:
         h = build_jchm(params, space)
         rates = DissipationRates(gamma1=0.02, gamma_kappa=0.03)
         liouv = build_liouvillian(h, rates, DriveSpec(xi=0.01, omega_d=0.93), space)
-        r1 = steady_state(liouv, method="nullspace")
-        r2 = steady_state(liouv, method="evolve")
+        r1 = steady_state(liouv)
+        # slowest decay rate 0.01: e^{-0.01 t} < 1e-8 well before t = 2000
+        r2 = evolve(liouv, DensityMatrix.vacuum(space), t_final=2000.0).final
         a = photon_op_on(space, 0, annihilation(space.sites[0]))
         assert abs(expectation(a, r1) - expectation(a, r2)) < 1e-6
+
+    @pytest.mark.parametrize("name", sorted(STEADY_SYSTEMS))
+    def test_matches_dense_nullspace_oracle(self, name):
+        liouv = STEADY_SYSTEMS[name]()
+        rho = steady_state(liouv)
+        assert np.linalg.norm(rho.rho - dense_nullspace_steady(liouv)) <= 1e-10
+
+    @pytest.mark.parametrize("name", sorted(STEADY_SYSTEMS))
+    def test_residual_scale_is_below_infinity_norm(self, name):
+        liouv = STEADY_SYSTEMS[name]()
+        # a lower bound in exact arithmetic; the margin covers roundoff when a
+        # row holds its diagonal entry alone
+        assert 0 < liouv.scale() <= spla.norm(liouv.matrix, np.inf) * (1 + 1e-12)
+
+    def test_undriven_dark_vacuum_keeps_preconditioner_finite(self):
+        # the vacuum has H_eff eigenvalue 0, so the no-jump inverse has a zero
+        # denominator that must be regularized, not divided by
+        params = chain(JCParams(1.0, 1.0, 0.1), 2, 0.2)
+        space = LatticeSpace.uniform(2, 1)
+        liouv = build_liouvillian(build_jchm(params, space),
+                                  DissipationRates(gamma1=0.1, gamma_kappa=0.05), None, space)
+        assert np.any(np.abs(np.linalg.eigvals(liouv.h_eff)) < 1e-12)
+        rho = steady_state(liouv)
+        assert np.linalg.norm(rho.rho - DensityMatrix.vacuum(space).rho) < 1e-12
 
     def test_degenerate_steady_space_reported(self):
         # g = 0 with no qubit dissipation: qubit populations are conserved,

@@ -8,6 +8,7 @@ from cqedlat.lindblad import DissipationRates, DriveSpec, build_liouvillian, g2_
 from cqedlat.meanfield import (
     CutoffWindowError,
     GrandCanonicalParams,
+    MeanFieldConvergenceError,
     driven_mf_steady,
     lobe_boundary,
     local_mf_hamiltonian,
@@ -211,6 +212,27 @@ class TestDrivenMeanField:
         assert len(res.branches) == 2
         psis = sorted(abs(b.psi) for b in res.branches)
         assert psis[1] - psis[0] > 1e-2
+
+    @pytest.mark.parametrize("chunks", [1, 5])
+    def test_short_unconverged_run_is_not_a_limit_cycle(self, chunks):
+        # fewer than 40 ψ samples cannot show a sustained oscillation; the
+        # bistable parameters below are far from settled after 5/γ
+        jc = JCParams(20.0, 19.0, 1.0)
+        rates = DissipationRates(gamma1=0.06, kappa_ports={0: 0.06})
+        drive = DriveSpec(xi=0.12, omega_d=18.3)
+        with pytest.raises(MeanFieldConvergenceError, match=f"{chunks + 1} ψ samples"):
+            driven_mf_steady(jc, rates, drive, 1.0, seeds=(0.0,), space=SiteSpace(6),
+                             t_max=chunks / 0.06)
+
+    def test_convergence_error_reports_the_last_step(self):
+        jc = JCParams(20.0, 19.0, 1.0)
+        rates = DissipationRates(gamma1=0.06, kappa_ports={0: 0.06})
+        drive = DriveSpec(xi=0.12, omega_d=18.3)
+        with pytest.raises(MeanFieldConvergenceError) as info:
+            driven_mf_steady(jc, rates, drive, 1.0, seeds=(0.0,), space=SiteSpace(6),
+                             t_max=5 / 0.06)
+        last_step = float(str(info.value).split("last |Δψ| = ")[1].rstrip(")"))
+        assert last_step > 1e-8
 
     def test_requires_dissipation(self):
         jc = JCParams(WR, WR, G)

@@ -1,10 +1,11 @@
 """cqedlat: desk-scale simulations of circuit QED lattices.
 
-Subpackages map onto the physics layers: ``hilbert`` (tensor-product operator
-algebra), ``jc`` (single-site Jaynes-Cummings), ``lattice`` (JCHM assembly and
-sector diagonalization), ``lindblad`` (open-system engine), ``meanfield``
+Subpackages map onto the physics layers: ``hilbert`` (spaces, states and site
+operators), ``jc`` (single-site Jaynes-Cummings), ``lattice`` (JCHM assembly
+and sector diagonalization), ``lindblad`` (open-system engine), ``meanfield``
 (equilibrium lobes and driven fixed points), ``resonator`` (transmission-line
 modes), ``circuits`` (netlist quantization) and ``cli`` (reproducible runs).
+Operators are plain complex ``scipy.sparse`` CSR matrices.
 """
 
 __version__ = "0.1.0"
@@ -12,7 +13,6 @@ __version__ = "0.1.0"
 from .hilbert import (  # noqa: F401
     DensityMatrix,
     LatticeSpace,
-    Operator,
     SiteSpace,
     cutoff_convergence,
     expectation,

@@ -18,7 +18,11 @@ summary validates against the schema shipped in ``cqedlat/schemas``.  Runs are
 deterministic: identical configs produce byte-identical CSV at workers = 1
 (and scan points are order-stable under parallelism).
 
-Exit codes: 0 success, 1 input error, 2 numerical non-convergence.
+Exit codes: 0 success, 1 input error, 2 numerical non-convergence.  A run
+whose summary reports a failed check (``passed`` or
+``analytic_matches_numeric`` false anywhere under ``convergence``) still writes
+its CSV and summary, with ``status: "unconverged"``, names the check on stderr
+and exits with 2.
 """
 
 from __future__ import annotations
@@ -36,11 +40,19 @@ import numpy as np
 
 from . import __version__
 from .circuits import NetlistError, build_lagrangian, parse_netlist, quantize
-from .hilbert import LatticeSpace, SiteSpace, cutoff_convergence
+from .hilbert import (
+    LatticeSpace,
+    SiteSpace,
+    annihilation,
+    cutoff_convergence,
+    expectation,
+    photon_op_on,
+)
 from .jc import JCParams, jc_hamiltonian, mixing_angle, polariton_energy, chi as chi_n
 from .lattice import (
     LatticeParams,
     band_resonant_chain,
+    build_jchm,
     measured_nonlinearity,
     nonlinearity_closed_form,
     photon_band_minimum,
@@ -57,8 +69,10 @@ from .lindblad import (
     transmission_scan,
 )
 from .meanfield import (
+    GrandCanonicalParams,
     MeanFieldConvergenceError,
     driven_mf_steady,
+    minimize_order_parameter,
     mott_window_analytic,
     phase_diagram,
 )
@@ -67,6 +81,8 @@ from .resonator import ResonatorSpec, solve_modes
 __all__ = ["main", "run_command", "load_config", "ConfigError"]
 
 REQUIRED = object()
+# convergence flags whose False value makes a run "unconverged" (exit code 2)
+CHECK_FLAGS = ("passed", "analytic_matches_numeric")
 
 
 class ConfigError(ValueError):
@@ -289,7 +305,7 @@ def _cmd_jc_spectrum(config: dict[str, Any]):
     p = JCParams(config["omega_r"], config["omega_q"], config["g"])
     space = SiteSpace(config["n_max"])
     h = jc_hamiltonian(p, space, rwa=config["rwa"])
-    numeric = np.linalg.eigvalsh(h.to_dense())
+    numeric = np.linalg.eigvalsh(h.toarray())
     rows = []
     max_err = 0.0
     rows.append({"n": 0, "branch": "0", "energy": 0.0, "chi": 0.0, "theta": 0.0,
@@ -353,14 +369,12 @@ def _cmd_dimer_g2(config: dict[str, Any]):
                                  gamma_kappa=config["gamma_kappa"])
         if not rates.any_nonzero():
             raise ConfigError([("gamma_kappa", "at least one dissipation rate must be positive")])
-        from .lattice import build_jchm
         h = build_jchm(params, space)
         liouv = build_liouvillian(h, rates, DriveSpec(xi=config["xi"], omega_d=omega_d,
                                                       driven_sites=(0, 1)), space)
         rho = steady_state(liouv, check_unique=False)
-        from .hilbert import annihilation, expectation, photon_op_on
         a0 = photon_op_on(space, 0, annihilation(space.sites[0]))
-        n0 = expectation(a0.dagger() @ a0, rho).real
+        n0 = expectation(a0.getH() @ a0, rho).real
         return {"J": j_val, "omega_d": omega_d, "g2": g2_zero(rho, 0, space),
                 "abs_a": abs(expectation(a0, rho)), "n_photon": n0}
 
@@ -411,7 +425,6 @@ def _cmd_meanfield_lobes(config: dict[str, Any]):
     windows = {f"N={n}": mott_window_analytic(jc, n) for n in (1, 2, 3)}
     conv: dict[str, Any] = {"j0_mott_windows": {k: list(v) for k, v in windows.items()}}
     if config["cutoff_check"]:
-        from .meanfield import GrandCanonicalParams, minimize_order_parameter
         probe_mu = float(mu[len(mu) // 2])
         probe_zj = float(zj[len(zj) // 2])
 
@@ -534,6 +547,23 @@ def summary_schema() -> dict:
         return json.load(fh)
 
 
+def _failed_checks(convergence: Any, path: str = "convergence") -> list[str]:
+    """Key path of every ``passed: false`` and ``analytic_matches_numeric: false``."""
+    if isinstance(convergence, dict):
+        items = convergence.items()
+    elif isinstance(convergence, (list, tuple)):
+        items = enumerate(convergence)
+    else:
+        return []
+    failed = []
+    for key, value in items:
+        if key in CHECK_FLAGS and not value:
+            failed.append(f"{path}.{key}")
+        else:
+            failed += _failed_checks(value, f"{path}.{key}")
+    return failed
+
+
 def build_summary(command: str, config: dict[str, Any], csv_path: str,
                   n_rows: int, convergence: dict) -> dict:
     def jsonable(v: Any) -> Any:
@@ -560,7 +590,7 @@ def build_summary(command: str, config: dict[str, Any], csv_path: str,
         },
         "convergence": jsonable(convergence),
         "output": {"csv": csv_path, "rows": n_rows},
-        "status": "ok",
+        "status": "unconverged" if _failed_checks(convergence) else "ok",
     }
 
 
@@ -576,6 +606,10 @@ def run_command(command: str, config: dict[str, Any], csv_path: str,
         with open(summary_path, "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
+    failed = _failed_checks(convergence)
+    if failed:
+        print(f"unconverged: {', '.join(failed)} is false", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -11,8 +11,11 @@ test vectors are portable:
   configuration ``(s_0, s_1, ..., s_{N-1})`` is
   ``((s_0 * d_1 + s_1) * d_2 + ...)``.
 
-Hamiltonians are kept sparse (CSR), density matrices dense.  All objects are
-immutable after construction and safe to share between threads.
+Operators are plain complex ``scipy.sparse`` CSR matrices; a Hamiltonian's
+Hermiticity is checked once, where it enters the open-system engine (the
+trace-preservation check of :class:`cqedlat.lindblad.Liouvillian`).  Density
+matrices are dense.  Spaces and states are immutable after construction and
+safe to share between threads.
 """
 
 from __future__ import annotations
@@ -26,18 +29,13 @@ import scipy.sparse as sp
 __all__ = [
     "SiteSpace",
     "LatticeSpace",
-    "Operator",
     "DensityMatrix",
     "ConvergenceCheck",
     "annihilation",
-    "creation",
     "number",
     "qubit_lower",
-    "qubit_raise",
     "qubit_number",
     "sigma_z",
-    "identity",
-    "site_kron",
     "embed",
     "photon_op_on",
     "qubit_op_on",
@@ -46,8 +44,7 @@ __all__ = [
     "cutoff_convergence",
 ]
 
-# Construction-time consistency tolerances for the two matrix wrappers.
-HERMITIAN_HINT_RTOL = 1e-12
+# Construction-time consistency tolerances of DensityMatrix.
 RHO_HERMITIAN_ATOL = 1e-10
 RHO_TRACE_ATOL = 1e-8
 RHO_EIGENVALUE_FLOOR = -1e-8
@@ -120,65 +117,6 @@ class LatticeSpace:
         return idx
 
 
-class Operator:
-    """Square sparse operator with an optional Hermiticity promise.
-
-    The ``hermitian_hint`` flag is checked at construction: a hinted operator
-    must satisfy max|A - A†| <= 1e-12 * max|A|.
-    """
-
-    __slots__ = ("matrix", "dim", "hermitian_hint")
-
-    def __init__(self, matrix, hermitian_hint: bool = False):
-        m = sp.csr_matrix(matrix, dtype=np.complex128)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"operator must be square, got shape {m.shape}")
-        if hermitian_hint:
-            scale = abs(m).max() if m.nnz else 0.0
-            defect = abs(m - m.getH()).max() if m.nnz else 0.0
-            if defect > HERMITIAN_HINT_RTOL * max(scale, 1e-300):
-                raise ValueError(
-                    f"hermitian_hint set but max|A - A†| = {defect:.3e} "
-                    f"exceeds {HERMITIAN_HINT_RTOL:.0e} * max|A| = {HERMITIAN_HINT_RTOL * scale:.3e}"
-                )
-        self.matrix = m
-        self.dim = m.shape[0]
-        self.hermitian_hint = hermitian_hint
-
-    def dagger(self) -> "Operator":
-        return Operator(self.matrix.getH(), hermitian_hint=self.hermitian_hint)
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    def __add__(self, other: "Operator") -> "Operator":
-        self._check_dim(other)
-        return Operator(self.matrix + other.matrix,
-                        hermitian_hint=self.hermitian_hint and other.hermitian_hint)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._check_dim(other)
-        return Operator(self.matrix - other.matrix,
-                        hermitian_hint=self.hermitian_hint and other.hermitian_hint)
-
-    def __mul__(self, scalar: complex) -> "Operator":
-        herm = self.hermitian_hint and (np.imag(scalar) == 0)
-        return Operator(self.matrix * scalar, hermitian_hint=bool(herm))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        self._check_dim(other)
-        return Operator(self.matrix @ other.matrix)
-
-    def _check_dim(self, other: "Operator") -> None:
-        if self.dim != other.dim:
-            raise ValueError(f"operator dimension mismatch: {self.dim} vs {other.dim}")
-
-    def __repr__(self) -> str:
-        return f"Operator(dim={self.dim}, nnz={self.matrix.nnz}, hermitian_hint={self.hermitian_hint})"
-
-
 class DensityMatrix:
     """Dense density matrix, validated at construction.
 
@@ -236,102 +174,87 @@ class DensityMatrix:
 # ---------------------------------------------------------------------------
 # elementary operators
 
-def annihilation(space: SiteSpace) -> Operator:
+def _csr(m) -> sp.csr_matrix:
+    return sp.csr_matrix(m, dtype=np.complex128)
+
+
+def annihilation(space: SiteSpace) -> sp.csr_matrix:
     """Photon annihilation on the truncated Fock factor: a[k-1, k] = sqrt(k)."""
     n = space.photon_cutoff + 1
-    return Operator(sp.diags(np.sqrt(np.arange(1, n)), offsets=1, shape=(n, n)))
+    return _csr(sp.diags(np.sqrt(np.arange(1, n)), offsets=1, shape=(n, n)))
 
 
-def creation(space: SiteSpace) -> Operator:
-    return annihilation(space).dagger()
-
-
-def number(space: SiteSpace) -> Operator:
+def number(space: SiteSpace) -> sp.csr_matrix:
+    """a†a on the Fock factor, as the exact diagonal 0, 1, ..., n_max."""
     n = space.photon_cutoff + 1
-    return Operator(sp.diags(np.arange(n, dtype=float)), hermitian_hint=True)
+    return _csr(sp.diags(np.arange(n, dtype=float)))
 
 
-def qubit_lower() -> Operator:
+def qubit_lower() -> sp.csr_matrix:
     """σ⁻ = |g⟩⟨e| in the (g, e) ordering used throughout."""
-    return Operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    return _csr(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def qubit_raise() -> Operator:
-    return qubit_lower().dagger()
-
-
-def qubit_number() -> Operator:
+def qubit_number() -> sp.csr_matrix:
     """Excited-state projector σ⁺σ⁻."""
-    return Operator(np.diag([0.0, 1.0]), hermitian_hint=True)
+    return _csr(np.diag([0.0, 1.0]))
 
 
-def sigma_z() -> Operator:
+def sigma_z() -> sp.csr_matrix:
     """σ_z = σ⁺σ⁻ - σ⁻σ⁺ with eigenvalue +1 on |e⟩."""
-    return Operator(np.diag([-1.0, 1.0]), hermitian_hint=True)
+    return _csr(np.diag([-1.0, 1.0]))
 
 
-def identity(dim: int) -> Operator:
-    return Operator(sp.identity(dim, dtype=np.complex128, format="csr"), hermitian_hint=True)
-
-
-def site_kron(space: SiteSpace, photon_op: Operator, qubit_op: Operator) -> Operator:
-    """Combine a photon-factor and a qubit-factor operator into a site operator."""
-    if photon_op.dim != space.photon_cutoff + 1:
-        raise ValueError(f"photon operator dim {photon_op.dim} does not match cutoff {space.photon_cutoff}")
-    if qubit_op.dim != space.qubit_dim:
-        raise ValueError(f"qubit operator dim {qubit_op.dim} does not match qubit_dim {space.qubit_dim}")
-    return Operator(sp.kron(photon_op.matrix, qubit_op.matrix, format="csr"),
-                    hermitian_hint=photon_op.hermitian_hint and qubit_op.hermitian_hint)
-
-
-def embed(op: Operator, site_index: int, space: LatticeSpace) -> Operator:
+def embed(op: sp.spmatrix, site_index: int, space: LatticeSpace) -> sp.csr_matrix:
     """Extend a site operator by identity on every other site.
 
-    ``op`` must act on the full site space (dimension (n_max+1)*2); combine
-    photon- and qubit-factor operators with :func:`site_kron` first.
+    ``op`` must act on the full site space (dimension (n_max+1)*2); lift
+    photon- and qubit-factor operators with :func:`photon_op_on` and
+    :func:`qubit_op_on` instead.
     """
     if not 0 <= site_index < space.n_sites:
         raise ValueError(f"site index {site_index} out of range for {space.n_sites} sites")
     site = space.sites[site_index]
-    if op.dim != site.dim:
-        raise ValueError(f"operator dim {op.dim} does not match site dim {site.dim}")
+    if op.shape[0] != site.dim:
+        raise ValueError(f"operator dim {op.shape[0]} does not match site dim {site.dim}")
     left = int(np.prod(space.site_dims[:site_index], initial=1))
     right = int(np.prod(space.site_dims[site_index + 1:], initial=1))
-    m = op.matrix
+    m = _csr(op)
     if left > 1:
         m = sp.kron(sp.identity(left, format="csr"), m, format="csr")
     if right > 1:
         m = sp.kron(m, sp.identity(right, format="csr"), format="csr")
-    return Operator(m, hermitian_hint=op.hermitian_hint)
+    return m
 
 
-def photon_op_on(space: LatticeSpace, site_index: int, photon_op: Operator) -> Operator:
+def photon_op_on(space: LatticeSpace, site_index: int, photon_op: sp.spmatrix) -> sp.csr_matrix:
     """Embed a photon-factor operator (identity on the local qubit)."""
     site = space.sites[site_index]
-    return embed(site_kron(site, photon_op, identity(site.qubit_dim)), site_index, space)
+    return embed(sp.kron(photon_op, sp.identity(site.qubit_dim), format="csr"), site_index, space)
 
 
-def qubit_op_on(space: LatticeSpace, site_index: int, qubit_op: Operator) -> Operator:
+def qubit_op_on(space: LatticeSpace, site_index: int, qubit_op: sp.spmatrix) -> sp.csr_matrix:
     """Embed a qubit-factor operator (identity on the local photon mode)."""
     site = space.sites[site_index]
-    return embed(site_kron(site, identity(site.photon_cutoff + 1), qubit_op), site_index, space)
+    return embed(sp.kron(sp.identity(site.photon_cutoff + 1), qubit_op, format="csr"),
+                 site_index, space)
 
 
-def total_excitation(space: LatticeSpace) -> Operator:
+def total_excitation(space: LatticeSpace) -> sp.csr_matrix:
     """Σ_n (a†a + σ⁺σ⁻)_n, the conserved polariton number of the RWA models."""
     total = sp.csr_matrix((space.total_dim, space.total_dim), dtype=np.complex128)
     for i, site in enumerate(space.sites):
-        total = total + photon_op_on(space, i, number(site)).matrix
-        total = total + qubit_op_on(space, i, qubit_number()).matrix
-    return Operator(total, hermitian_hint=True)
+        total = total + photon_op_on(space, i, number(site))
+        total = total + qubit_op_on(space, i, qubit_number())
+    return total
 
 
-def expectation(op: Operator, state: DensityMatrix) -> complex:
+def expectation(op: sp.spmatrix, state: DensityMatrix) -> complex:
     """tr(op ρ); real to 1e-10 when op is Hermitian and ρ is valid."""
-    if op.dim != state.dim:
-        raise ValueError(f"dimension mismatch: operator {op.dim}, state {state.dim}")
+    if op.shape != (state.dim, state.dim):
+        raise ValueError(f"dimension mismatch: operator {op.shape}, state {state.dim}")
     # tr(Aρ) = Σ_ij A_ij ρ_ji; sparse row sweep avoids a dense product
-    return complex((op.matrix.multiply(state.rho.T)).sum())
+    return complex((op.multiply(state.rho.T)).sum())
 
 
 # ---------------------------------------------------------------------------

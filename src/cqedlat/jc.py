@@ -19,16 +19,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .hilbert import (
-    Operator,
+    LatticeSpace,
     SiteSpace,
     annihilation,
-    identity,
     number,
+    photon_op_on,
     qubit_lower,
     qubit_number,
-    site_kron,
+    qubit_op_on,
 )
 
 __all__ = [
@@ -122,26 +123,24 @@ def polariton_level(p: JCParams, n: int, branch: str) -> PolaritonLevel:
                           theta=mixing_angle(p, n), chi=chi(p, n))
 
 
-def jc_hamiltonian(p: JCParams, space: SiteSpace, rwa: bool = True) -> Operator:
+def jc_hamiltonian(p: JCParams, space: SiteSpace, rwa: bool = True) -> sp.csr_matrix:
     """Jaynes-Cummings Hamiltonian on one site.
 
     With ``rwa=True`` the excitation-conserving form
     ω_r a†a + ω_q σ⁺σ⁻ + g(a†σ⁻ + aσ⁺); with ``rwa=False`` the
     counter-rotating terms g(a†σ⁺ + aσ⁻) are added (Rabi form).
     """
-    a = annihilation(space)
-    adag = a.dagger()
-    idq = identity(space.qubit_dim)
-    idp = identity(space.photon_cutoff + 1)
-    sm = qubit_lower()
-    sp_ = sm.dagger()
+    site = LatticeSpace((space,))
+    a = photon_op_on(site, 0, annihilation(space))
+    sm = qubit_op_on(site, 0, qubit_lower())
+    adag, sp_ = a.getH(), sm.getH()
 
-    h = (p.omega_r * site_kron(space, number(space), idq)
-         + p.omega_q * site_kron(space, idp, qubit_number())
-         + p.g * (site_kron(space, adag, sm) + site_kron(space, a, sp_)))
+    h = (p.omega_r * photon_op_on(site, 0, number(space))
+         + p.omega_q * qubit_op_on(site, 0, qubit_number())
+         + p.g * (adag @ sm + a @ sp_))
     if not rwa:
-        h = h + p.g * (site_kron(space, adag, sp_) + site_kron(space, a, sm))
-    return Operator(h.matrix, hermitian_hint=True)
+        h = h + p.g * (adag @ sp_ + a @ sm)
+    return h
 
 
 def dressed_state(p: JCParams, n: int, branch: str, space: SiteSpace) -> np.ndarray:

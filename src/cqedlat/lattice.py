@@ -21,13 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .hilbert import (
-    LatticeSpace,
-    Operator,
-    annihilation,
-    embed,
-    photon_op_on,
-)
+from .hilbert import LatticeSpace, annihilation, embed, photon_op_on
 from .jc import JCParams, jc_hamiltonian
 
 __all__ = [
@@ -127,20 +121,20 @@ def chain(p: JCParams, n_sites: int, J: float, boundary: str = "open") -> Lattic
                          edges=tuple(edges), boundary=boundary)
 
 
-def build_jchm(params: LatticeParams, space: LatticeSpace, rwa: bool = True) -> Operator:
+def build_jchm(params: LatticeParams, space: LatticeSpace, rwa: bool = True) -> sp.csr_matrix:
     """Assemble the lattice Hamiltonian on the full tensor-product space."""
     if params.n_sites != space.n_sites:
         raise ValueError(f"parameter set has {params.n_sites} sites, space has {space.n_sites}")
     d = space.total_dim
     h = sp.csr_matrix((d, d), dtype=np.complex128)
     for i, p in enumerate(params.site_params):
-        h = h + embed(jc_hamiltonian(p, space.sites[i], rwa=rwa), i, space).matrix
+        h = h + embed(jc_hamiltonian(p, space.sites[i], rwa=rwa), i, space)
     for (i, j, J) in params.edges:
         ai = photon_op_on(space, i, annihilation(space.sites[i]))
         aj = photon_op_on(space, j, annihilation(space.sites[j]))
-        hop = J * (ai.dagger().matrix @ aj.matrix)
+        hop = J * (ai.getH() @ aj)
         h = h + hop + hop.getH()
-    return Operator(h, hermitian_hint=True)
+    return h
 
 
 def sector_basis(space: LatticeSpace, N: int) -> ExcitationSector:

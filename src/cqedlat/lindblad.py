@@ -28,7 +28,7 @@ oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -43,7 +43,6 @@ from scipy.optimize import curve_fit
 from .hilbert import (
     DensityMatrix,
     LatticeSpace,
-    Operator,
     annihilation,
     expectation,
     photon_op_on,
@@ -109,12 +108,17 @@ class VacuumStateError(ValueError):
 @dataclass(frozen=True)
 class DissipationRates:
     """Qubit relaxation γ₁, pure dephasing γ_φ, uniform photon loss γ_κ and
-    per-site port rates κ."""
+    per-site port rates κ.
+
+    ``kappa_ports`` is given as a mapping site → κ (or as (site, κ) pairs) and
+    stored as a tuple of (site, κ) pairs sorted by site, so that a rate set is
+    immutable and hashable.
+    """
 
     gamma1: float = 0.0
     gamma_phi: float = 0.0
     gamma_kappa: float = 0.0
-    kappa_ports: Mapping[int, float] = field(default_factory=dict)
+    kappa_ports: Mapping[int, float] | tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self) -> None:
         if self.gamma1 < 0 or self.gamma_phi < 0 or self.gamma_kappa < 0:
@@ -123,15 +127,15 @@ class DissipationRates:
         for site, kappa in ports.items():
             if kappa < 0:
                 raise ValueError(f"port rate on site {site} must be non-negative")
-        object.__setattr__(self, "kappa_ports", ports)
+        object.__setattr__(self, "kappa_ports", tuple(sorted(ports.items())))
 
     def any_nonzero(self) -> bool:
         return (self.gamma1 > 0 or self.gamma_phi > 0 or self.gamma_kappa > 0
-                or any(k > 0 for k in self.kappa_ports.values()))
+                or any(k > 0 for _, k in self.kappa_ports))
 
     def total_photon_loss(self, site: int) -> float:
         """γ_κ plus the port rate; the two channels add on port sites."""
-        return self.gamma_kappa + self.kappa_ports.get(site, 0.0)
+        return self.gamma_kappa + dict(self.kappa_ports).get(site, 0.0)
 
 
 @dataclass(frozen=True)
@@ -223,28 +227,28 @@ def collapse_operators(rates: DissipationRates, space: LatticeSpace) -> list[sp.
     ops: list[sp.csr_matrix] = []
     for n in range(space.n_sites):
         if rates.gamma1 > 0:
-            ops.append(math.sqrt(rates.gamma1) * qubit_op_on(space, n, qubit_lower()).matrix)
+            ops.append(math.sqrt(rates.gamma1) * qubit_op_on(space, n, qubit_lower()))
         if rates.gamma_phi > 0:
-            ops.append(math.sqrt(rates.gamma_phi) * qubit_op_on(space, n, sigma_z()).matrix)
+            ops.append(math.sqrt(rates.gamma_phi) * qubit_op_on(space, n, sigma_z()))
         if rates.gamma_kappa > 0:
-            ops.append(math.sqrt(rates.gamma_kappa) * photon_op_on(space, n, annihilation(space.sites[n])).matrix)
-    for site, kappa in sorted(rates.kappa_ports.items()):
+            ops.append(math.sqrt(rates.gamma_kappa) * photon_op_on(space, n, annihilation(space.sites[n])))
+    for site, kappa in rates.kappa_ports:
         if not 0 <= site < space.n_sites:
             raise ValueError(f"port site {site} outside lattice of {space.n_sites} sites")
         if kappa > 0:
-            ops.append(math.sqrt(kappa) * photon_op_on(space, site, annihilation(space.sites[site])).matrix)
+            ops.append(math.sqrt(kappa) * photon_op_on(space, site, annihilation(space.sites[site])))
     return ops
 
 
-def _rotating_frame_terms(h: Operator, space: LatticeSpace,
+def _rotating_frame_terms(h: sp.csr_matrix, space: LatticeSpace,
                           driven_sites: Sequence[int]) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """N and X = Σ_m (a_m + a†_m), so that H_rot = H - ω_d N + ξ X.
 
     Raises ``ValueError`` unless [H, N] = 0, which the frame change presumes.
     """
-    n_tot = total_excitation(space).matrix
-    comm = h.matrix @ n_tot - n_tot @ h.matrix
-    scale = max(abs(h.matrix).max(), 1e-300)
+    n_tot = total_excitation(space)
+    comm = h @ n_tot - n_tot @ h
+    scale = max(abs(h).max(), 1e-300)
     if comm.nnz and abs(comm).max() > 1e-10 * scale:
         raise ValueError(
             "Hamiltonian does not conserve the total excitation number; "
@@ -253,23 +257,25 @@ def _rotating_frame_terms(h: Operator, space: LatticeSpace,
     for m in driven_sites:
         if not 0 <= m < space.n_sites:
             raise ValueError(f"driven site {m} outside lattice of {space.n_sites} sites")
-        a_m = photon_op_on(space, m, annihilation(space.sites[m])).matrix
+        a_m = photon_op_on(space, m, annihilation(space.sites[m]))
         x_drive = x_drive + a_m + a_m.getH()
     return n_tot, x_drive
 
 
-def build_liouvillian(h: Operator, rates: DissipationRates, drive: DriveSpec | None,
+def build_liouvillian(h: sp.csr_matrix, rates: DissipationRates, drive: DriveSpec | None,
                       space: LatticeSpace) -> Liouvillian:
     """The master-equation generator.
 
     ``h`` is the lab-frame lattice Hamiltonian without the drive.  When a
     drive is given the generator is built in the rotating frame:
     H_rot = H - ω_d N + ξ Σ_m (a_m + a†_m), which presumes [H, N] = 0 (checked).
+    A non-Hermitian ``h`` is refused by the trace-preservation check of
+    :class:`Liouvillian`.
     """
     d = space.total_dim
-    if h.dim != d:
-        raise ValueError(f"Hamiltonian dim {h.dim} does not match space dim {d}")
-    h_rot = h.matrix
+    if h.shape != (d, d):
+        raise ValueError(f"Hamiltonian shape {h.shape} does not match space dim {d}")
+    h_rot = h
     if drive is not None:
         n_tot, x_drive = _rotating_frame_terms(h, space, drive.driven_sites)
         h_rot = h_rot - drive.omega_d * n_tot + drive.xi * x_drive
@@ -523,9 +529,9 @@ def _g2_ratio(n_val: float, num: float, site: int) -> float:
 def g2_zero(state: DensityMatrix, site: int, space: LatticeSpace) -> float:
     """Zero-delay second-order coherence g²(0) = ⟨a†a†aa⟩ / ⟨a†a⟩² on one site."""
     a = photon_op_on(space, site, annihilation(space.sites[site]))
-    n_op = a.dagger() @ a
-    n_val = expectation(n_op, state).real
-    num = expectation(a.dagger() @ a.dagger() @ a @ a, state).real
+    adag = a.getH()
+    n_val = expectation(adag @ a, state).real
+    num = expectation(adag @ adag @ a @ a, state).real
     return _g2_ratio(n_val, num, site)
 
 
@@ -553,11 +559,11 @@ class _ScanModel:
                  driven_sites: tuple[int, ...], port_sites: tuple[int, ...]):
         h = build_jchm(params, space)
         n_tot, x_drive = _rotating_frame_terms(h, space, driven_sites)
-        self.h, self.n_tot, self.x_drive = h.to_dense(), n_tot.toarray(), x_drive.toarray()
+        self.h, self.n_tot, self.x_drive = h.toarray(), n_tot.toarray(), x_drive.toarray()
         self.jumps = collapse_operators(rates, space)
         self.space, self.rates, self.driven_sites = space, rates, driven_sites
         # tr(Aρ) = Σ_ij (Aᵀ)_ij ρ_ij for a, a†a on every port and a†²a² on the first
-        ports = [photon_op_on(space, s, annihilation(space.sites[s])).matrix for s in port_sites]
+        ports = [photon_op_on(space, s, annihilation(space.sites[s])) for s in port_sites]
         self.a_t = np.stack([a.T.toarray() for a in ports])
         self.n_t = np.stack([(a.getH() @ a).T.toarray() for a in ports])
         a0 = ports[0]
@@ -593,7 +599,7 @@ def transmission_scan(params: LatticeParams, space: LatticeSpace,
     independent, so the scan may run on a process pool; results keep the
     deterministic grid order.
     """
-    port_sites = tuple(sorted(s for s, k in rates.kappa_ports.items() if k > 0))
+    port_sites = tuple(s for s, k in rates.kappa_ports if k > 0)
     if not port_sites:
         port_sites = tuple(range(space.n_sites))
     model = _ScanModel(params, space, rates, tuple(driven_sites), port_sites)

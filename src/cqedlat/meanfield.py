@@ -36,14 +36,10 @@ from scipy.integrate import RK45
 from .hilbert import (
     DensityMatrix,
     LatticeSpace,
-    Operator,
     SiteSpace,
     annihilation,
-    identity,
-    number,
     photon_op_on,
-    qubit_number,
-    site_kron,
+    total_excitation,
 )
 from .jc import JCParams, jc_hamiltonian, polariton_energy
 from .lattice import LatticeParams, build_jchm
@@ -129,29 +125,28 @@ class PhaseDiagramCell:
     phase: str
 
 
-def local_mf_hamiltonian(p: GrandCanonicalParams, psi: complex, space: SiteSpace) -> Operator:
+def _site_terms(jc: JCParams, space: SiteSpace) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+    """H_JC (RWA), N = a†a + σ⁺σ⁻ and a on one site: every H(ψ) is built from these."""
+    site = LatticeSpace((space,))
+    return (jc_hamiltonian(jc, space), total_excitation(site),
+            photon_op_on(site, 0, annihilation(space)))
+
+
+def local_mf_hamiltonian(p: GrandCanonicalParams, psi: complex, space: SiteSpace) -> sp.csr_matrix:
     """H_JC - μN - zJ(a†ψ + aψ* - |ψ|²) on one site."""
-    h = jc_hamiltonian(p.jc, space, rwa=True)
-    idq = identity(space.qubit_dim)
-    idp = identity(space.photon_cutoff + 1)
-    n_tot = site_kron(space, number(space), idq) + site_kron(space, idp, qubit_number())
-    a = site_kron(space, annihilation(space), idq)
-    m = (h.matrix - p.mu * n_tot.matrix
-         - p.zj * (psi * a.dagger().matrix + np.conj(psi) * a.matrix)
-         + p.zj * abs(psi) ** 2 * sp.identity(space.dim, format="csr"))
-    return Operator(m, hermitian_hint=True)
+    h, n_tot, a = _site_terms(p.jc, space)
+    return (h - p.mu * n_tot
+            - p.zj * (psi * a.getH() + np.conj(psi) * a)
+            + p.zj * abs(psi) ** 2 * sp.identity(space.dim, format="csr"))
 
 
 class _MFCore:
     """Cached dense pieces of H(ψ) so the ψ search costs one eigvalsh per point."""
 
     def __init__(self, p: GrandCanonicalParams, space: SiteSpace):
-        idq = identity(space.qubit_dim)
-        idp = identity(space.photon_cutoff + 1)
-        self.n_tot = (site_kron(space, number(space), idq)
-                      + site_kron(space, idp, qubit_number())).to_dense()
-        a = site_kron(space, annihilation(space), idq).to_dense()
-        self.h0 = jc_hamiltonian(p.jc, space).to_dense() - p.mu * self.n_tot
+        h, n_tot, a = (m.toarray() for m in _site_terms(p.jc, space))
+        self.n_tot = n_tot
+        self.h0 = h - p.mu * n_tot
         self.a_plus_adag = a + a.conj().T
         self.zj = p.zj
         self.eye = np.eye(space.dim)
@@ -238,10 +233,7 @@ def mott_window_numeric(jc: JCParams, N: int, space: SiteSpace) -> tuple[float, 
     """
     if N + 1 > space.photon_cutoff:
         raise ValueError("photon cutoff too small to resolve the N+1 sector")
-    h = jc_hamiltonian(jc, space).to_dense()
-    idq = identity(space.qubit_dim)
-    idp = identity(space.photon_cutoff + 1)
-    n_tot = (site_kron(space, number(space), idq) + site_kron(space, idp, qubit_number())).to_dense()
+    h, n_tot = (m.toarray() for m in _site_terms(jc, space)[:2])
     vals, vecs = np.linalg.eigh(h)
     labels = np.rint(np.real(np.einsum("ij,jk,ki->i", vecs.conj().T, n_tot, vecs))).astype(int)
     e_sector: dict[int, float] = {}
@@ -361,7 +353,7 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
     liouv0 = build_liouvillian(h0, rates, drive, lattice_space)
 
     d = space.dim
-    a_mat = photon_op_on(lattice_space, 0, annihilation(space)).matrix
+    a_mat = photon_op_on(lattice_space, 0, annihilation(space))
     eye = sp.identity(d, format="csr", dtype=np.complex128)
     s_adag = sp.kron(a_mat.getH(), eye, format="csr") - sp.kron(eye, a_mat.conj(), format="csr")
     s_a = sp.kron(a_mat, eye, format="csr") - sp.kron(eye, a_mat.T, format="csr")
@@ -373,7 +365,7 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
         return l0 @ y + (1j * zj) * (psi * (s_adag @ y) + np.conj(psi) * (s_a @ y))
 
     slowest = min(r for r in (rates.gamma1, rates.gamma_phi, rates.gamma_kappa,
-                              *rates.kappa_ports.values()) if r > 0)
+                              *(k for _, k in rates.kappa_ports)) if r > 0)
     t_chunk = control_interval if control_interval is not None else 1.0 / slowest
     horizon = t_max if t_max is not None else 600.0 / slowest
 

@@ -8,13 +8,13 @@ import pytest
 from cqedlat import cli
 
 
-def run(tmp_path, command, config):
+def run(tmp_path, command, config, exit_code=0):
     config_path = tmp_path / f"{command}.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
     csv_path = tmp_path / f"{command}.csv"
     summary_path = tmp_path / f"{command}_summary.json"
     assert cli.run_command(command, cli.load_config(command, str(config_path), {}),
-                           str(csv_path), str(summary_path)) == 0
+                           str(csv_path), str(summary_path)) == exit_code
     with open(csv_path, encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
     summary = json.loads(summary_path.read_text(encoding="utf-8"))
@@ -41,12 +41,16 @@ class TestCsvCells:
 
 
 class TestDimerG2:
-    def test_cutoff_check_runs_at_dimension_144(self, tmp_path):
-        # n_max = 3 checked at n_max = 5: a d = 144 steady state, d² = 20736
+    def test_cutoff_check_runs_at_dimension_144(self, tmp_path, capsys):
+        # n_max = 3 checked at n_max = 5: a d = 144 steady state, d² = 20736.
+        # The truncation shift, 3.5e-6, fails the check's 1e-6 rtol, so the
+        # run is reported unconverged and exits with 2
         rows, summary = run(tmp_path, "dimer-g2",
                             {"omega_r": 50.0, "g": 1.0, "j_values": [0.5], "xi": 0.01,
                              "gamma1": 0.01, "gamma_kappa": 0.01, "n_max": 3,
-                             "cutoff_check": True})
+                             "cutoff_check": True}, exit_code=2)
+        assert summary["status"] == "unconverged"
+        assert "convergence.cutoff_check.passed" in capsys.readouterr().err
         assert len(rows) == 1
         g2 = float(rows[0]["g2"])
         assert 0 < g2 < 1                       # antibunched below the band bottom
@@ -56,3 +60,22 @@ class TestDimerG2:
         check = summary["convergence"]["cutoff_check"]
         assert check["rel_shift"] < 1e-5        # truncation shift, not solver noise
         assert summary["convergence"]["points"] == 1
+
+
+class TestRunStatus:
+    def test_passing_checks_give_ok_and_exit_zero(self, tmp_path, capsys):
+        _, summary = run(tmp_path, "jc-spectrum",
+                         {"omega_r": 1.0, "omega_q": 0.9, "g": 0.05, "n_max": 4})
+        assert summary["convergence"]["analytic_matches_numeric"] is True
+        assert summary["status"] == "ok"
+        assert capsys.readouterr().err == ""
+
+    def test_failed_check_is_named_and_exits_two(self, tmp_path, capsys):
+        # the superfluid probe cell (zJ = 0.4) has ψ = 0.73 at n_max = 2 and 1.33 at 4
+        _, summary = run(tmp_path, "meanfield-lobes",
+                         {"omega_r": 10.0, "omega_q": 10.0, "g": 1.0, "mu_min": 9.3,
+                          "mu_max": 9.5, "mu_points": 2, "zj_min": 0.0, "zj_max": 0.4,
+                          "zj_points": 3, "n_max": 2}, exit_code=2)
+        assert summary["convergence"]["cutoff_check"]["passed"] is False
+        assert summary["status"] == "unconverged"
+        assert "convergence.cutoff_check.passed" in capsys.readouterr().err

@@ -1,25 +1,21 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cqedlat.hilbert import (
     DensityMatrix,
     LatticeSpace,
-    Operator,
     SiteSpace,
     annihilation,
-    creation,
     cutoff_convergence,
     embed,
     expectation,
-    identity,
     number,
     photon_op_on,
     qubit_lower,
     qubit_number,
     qubit_op_on,
-    qubit_raise,
     sigma_z,
-    site_kron,
     total_excitation,
 )
 
@@ -57,11 +53,11 @@ class TestSiteAndLatticeSpaces:
 
 class TestElementaryOperators:
     def test_annihilation_nmax1(self):
-        a = annihilation(SiteSpace(1)).to_dense()
+        a = annihilation(SiteSpace(1)).toarray()
         assert np.array_equal(a, np.array([[0, 1], [0, 0]], dtype=complex))
 
     def test_annihilation_nmax3_superdiagonal(self):
-        a = annihilation(SiteSpace(3)).to_dense()
+        a = annihilation(SiteSpace(3)).toarray()
         expected = np.zeros((4, 4), dtype=complex)
         for k in (1, 2, 3):
             expected[k - 1, k] = np.sqrt(k)
@@ -69,63 +65,65 @@ class TestElementaryOperators:
 
     def test_number_operator_eigenvalues(self):
         s = SiteSpace(3)
-        n = (creation(s) @ annihilation(s)).to_dense()
+        n = (annihilation(s).getH() @ annihilation(s)).toarray()
         assert np.allclose(np.linalg.eigvalsh(n), [0, 1, 2, 3])
 
     def test_qubit_lower_action(self):
-        sm = qubit_lower().to_dense()
+        sm = qubit_lower().toarray()
         e = np.array([0, 1], dtype=complex)
         g = np.array([1, 0], dtype=complex)
         assert np.array_equal(sm @ e, g)
         assert np.array_equal(sm @ g, np.zeros(2))
 
     def test_two_level_algebra(self):
-        sm, sp = qubit_lower(), qubit_raise()
-        anti = (sp @ sm + sm @ sp).to_dense()
+        sm = qubit_lower()
+        sp_ = sm.getH()
+        anti = (sp_ @ sm + sm @ sp_).toarray()
         assert np.array_equal(anti, np.eye(2))
-        assert np.allclose(np.linalg.eigvalsh(sigma_z().to_dense()), [-1, 1])
+        assert np.allclose(np.linalg.eigvalsh(sigma_z().toarray()), [-1, 1])
 
     def test_sigma_z_from_projectors(self):
-        sm, sp = qubit_lower(), qubit_raise()
-        sz = (sp @ sm - sm @ sp).to_dense()
-        assert np.array_equal(sz, sigma_z().to_dense())
+        sm = qubit_lower()
+        sp_ = sm.getH()
+        sz = (sp_ @ sm - sm @ sp_).toarray()
+        assert np.array_equal(sz, sigma_z().toarray())
 
 
 class TestEmbed:
     def test_embed_identity_is_identity(self):
         space = LatticeSpace.uniform(3, 1)
-        op = embed(identity(4), 1, space)
-        assert np.array_equal(op.to_dense(), np.eye(space.total_dim))
+        op = embed(sp.identity(4), 1, space)
+        assert np.array_equal(op.toarray(), np.eye(space.total_dim))
 
     def test_distinct_site_operators_commute(self):
         space = LatticeSpace.uniform(2, 2)
         a0 = photon_op_on(space, 0, annihilation(space.sites[0]))
-        adag1 = photon_op_on(space, 1, creation(space.sites[1]))
+        adag1 = photon_op_on(space, 1, annihilation(space.sites[1]).getH())
         comm = a0 @ adag1 - adag1 @ a0
-        assert comm.matrix.nnz == 0
+        assert comm.nnz == 0
 
     def test_embed_dimension(self):
         space = LatticeSpace.uniform(3, 2)
-        op = embed(identity(space.sites[0].dim), 2, space)
-        assert op.dim == space.total_dim
+        op = embed(sp.identity(space.sites[0].dim), 2, space)
+        assert op.shape == (space.total_dim, space.total_dim)
 
     def test_embed_rejects_wrong_dimension(self):
         space = LatticeSpace.uniform(2, 2)
         with pytest.raises(ValueError, match="does not match site dim"):
-            embed(identity(3), 0, space)
+            embed(sp.identity(3), 0, space)
 
     def test_embed_rejects_bad_site_index(self):
         space = LatticeSpace.uniform(2, 2)
         with pytest.raises(ValueError, match="out of range"):
-            embed(identity(space.sites[0].dim), 2, space)
+            embed(sp.identity(space.sites[0].dim), 2, space)
 
     def test_embed_is_homomorphism(self):
         space = LatticeSpace.uniform(2, 2)
         s = space.sites[0]
-        a = site_kron(s, annihilation(s), qubit_lower())
-        b = site_kron(s, creation(s), qubit_raise())
-        lhs = embed(a @ b, 0, space).to_dense()
-        rhs = (embed(a, 0, space) @ embed(b, 0, space)).to_dense()
+        a = sp.kron(annihilation(s), qubit_lower())
+        b = sp.kron(annihilation(s).getH(), qubit_lower().getH())
+        lhs = embed(a @ b, 0, space).toarray()
+        rhs = (embed(a, 0, space) @ embed(b, 0, space)).toarray()
         assert np.allclose(lhs, rhs, atol=1e-14)
 
 
@@ -133,7 +131,7 @@ class TestExpectation:
     def test_identity_expectation_is_one(self):
         space = LatticeSpace.uniform(1, 3)
         rho = random_density(space.total_dim, seed=4)
-        assert expectation(identity(space.total_dim), rho) == pytest.approx(1.0, abs=1e-12)
+        assert expectation(sp.identity(space.total_dim), rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_vacuum_photon_number(self):
         space = LatticeSpace.uniform(1, 3)
@@ -151,7 +149,7 @@ class TestExpectation:
     def test_dimension_mismatch_raises(self):
         space = LatticeSpace.uniform(1, 2)
         with pytest.raises(ValueError, match="mismatch"):
-            expectation(identity(3), DensityMatrix.vacuum(space))
+            expectation(sp.identity(3), DensityMatrix.vacuum(space))
 
     def test_hermitian_conjugation_identity(self):
         # expectation(op, ρ) = conj(expectation(op†, ρ)) for any operator
@@ -159,8 +157,8 @@ class TestExpectation:
         rho = random_density(space.total_dim, seed=11)
         rng = np.random.default_rng(3)
         m = rng.standard_normal((space.total_dim,) * 2) + 1j * rng.standard_normal((space.total_dim,) * 2)
-        op = Operator(m)
-        assert expectation(op, rho) == pytest.approx(np.conj(expectation(op.dagger(), rho)), abs=1e-12)
+        op = sp.csr_matrix(m)
+        assert expectation(op, rho) == pytest.approx(np.conj(expectation(op.getH(), rho)), abs=1e-12)
 
 
 class TestInvariants:
@@ -168,7 +166,7 @@ class TestInvariants:
         # ⟨ψ|[a,a†]|ψ⟩ = 1 exactly for support on Fock levels 0..n_max-1
         s = SiteSpace(4)
         a = annihilation(s)
-        comm = (a @ a.dagger() - a.dagger() @ a).to_dense()
+        comm = (a @ a.getH() - a.getH() @ a).toarray()
         rng = np.random.default_rng(0)
         for _ in range(5):
             psi = np.zeros(s.photon_cutoff + 1, dtype=complex)
@@ -176,26 +174,13 @@ class TestInvariants:
             psi /= np.linalg.norm(psi)
             assert psi.conj() @ comm @ psi == pytest.approx(1.0, abs=1e-14)
 
-    def test_dagger_involutive(self):
-        s = SiteSpace(3)
-        a = annihilation(s)
-        assert (a.dagger().dagger().matrix - a.matrix).nnz == 0
-
     def test_total_excitation_diagonal(self):
         space = LatticeSpace.uniform(2, 2)
-        n = total_excitation(space).to_dense()
+        n = total_excitation(space).toarray()
         assert np.allclose(n, np.diag(np.diag(n)))
 
 
 class TestValidation:
-    def test_hermitian_hint_rejects_nonhermitian(self):
-        with pytest.raises(ValueError, match="hermitian_hint"):
-            Operator(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian_hint=True)
-
-    def test_operator_must_be_square(self):
-        with pytest.raises(ValueError, match="square"):
-            Operator(np.zeros((2, 3)))
-
     def test_density_matrix_trace_check(self):
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(np.diag([0.6, 0.6]).astype(complex))

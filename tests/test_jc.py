@@ -34,13 +34,13 @@ class TestHamiltonian:
     def test_uncoupled_spectrum_is_additive(self):
         p = JCParams(1.0, 0.7, 0.0)
         space = SiteSpace(3)
-        evals = np.linalg.eigvalsh(jc_hamiltonian(p, space).to_dense())
+        evals = np.linalg.eigvalsh(jc_hamiltonian(p, space).toarray())
         expected = sorted(1.0 * n + 0.7 * m for n in range(4) for m in (0, 1))
         assert np.allclose(evals, expected, atol=1e-14)
 
     def test_resonant_doublet_at_pm_g(self):
         p = JCParams(1.0, 1.0, 0.05)
-        evals = np.linalg.eigvalsh(jc_hamiltonian(p, SiteSpace(4)).to_dense())
+        evals = np.linalg.eigvalsh(jc_hamiltonian(p, SiteSpace(4)).toarray())
         nonzero = evals[np.abs(evals) > 1e-12]
         assert nonzero[0] == pytest.approx(1.0 - 0.05, abs=1e-12)
         assert nonzero[1] == pytest.approx(1.0 + 0.05, abs=1e-12)
@@ -52,7 +52,7 @@ class TestHamiltonian:
         g = g_rel
         p = JCParams(1.0, 1.0 - delta_over_g * g, g)
         space = SiteSpace(6)
-        evals = np.linalg.eigvalsh(jc_hamiltonian(p, space).to_dense())
+        evals = np.linalg.eigvalsh(jc_hamiltonian(p, space).toarray())
         for n in range(1, space.photon_cutoff):
             for branch in ("+", "-"):
                 e = polariton_energy(p, n, branch)
@@ -63,14 +63,14 @@ class TestHamiltonian:
         space = SiteSpace(4)
         h = jc_hamiltonian(p, space, rwa=True)
         n = total_excitation(LatticeSpace((space,)))
-        assert (h.matrix @ n.matrix - n.matrix @ h.matrix).nnz == 0
+        assert (h @ n - n @ h).nnz == 0
 
     def test_counter_rotating_terms_break_conservation(self):
         p = JCParams(1.0, 0.9, 0.08)
         space = SiteSpace(4)
         h = jc_hamiltonian(p, space, rwa=False)
         n = total_excitation(LatticeSpace((space,)))
-        comm = h.matrix @ n.matrix - n.matrix @ h.matrix
+        comm = h @ n - n @ h
         assert abs(comm).max() > 1e-3
 
 
@@ -138,7 +138,7 @@ class TestDressedStates:
         # numeric eigenvectors at g = 1e-6 are the arbiter
         p = JCParams(1.0, 1.0 - delta, 1e-6)
         space = SiteSpace(4)
-        evals, evecs = np.linalg.eigh(jc_hamiltonian(p, space).to_dense())
+        evals, evecs = np.linalg.eigh(jc_hamiltonian(p, space).toarray())
         for n in (1, 2):
             e = polariton_energy(p, n, branch)
             k = int(np.argmin(np.abs(evals - e)))
@@ -186,7 +186,7 @@ class TestHubbardU:
     def test_closed_form_equals_numeric_spectrum(self):
         p = JCParams(1.0, 0.97, 0.06)
         space = SiteSpace(6)
-        evals = np.linalg.eigvalsh(jc_hamiltonian(p, space).to_dense())
+        evals = np.linalg.eigvalsh(jc_hamiltonian(p, space).toarray())
         for branch in ("+", "-"):
             e1 = polariton_energy(p, 1, branch)
             e2 = polariton_energy(p, 2, branch)

@@ -2,8 +2,9 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cqedlat.hilbert import LatticeSpace, total_excitation
+from cqedlat.hilbert import LatticeSpace, SiteSpace, total_excitation
 from cqedlat.jc import JCParams, jc_hamiltonian
 from cqedlat.lattice import (
     LatticeFileError,
@@ -67,8 +68,8 @@ class TestBuildJchm:
         p = JCParams(1.0, 0.92, 0.07)
         space = LatticeSpace.uniform(2, 2)
         h = build_jchm(chain(p, 2, 0.0), space)
-        evals = np.sort(np.linalg.eigvalsh(h.to_dense()))
-        single = np.linalg.eigvalsh(jc_hamiltonian(p, space.sites[0]).to_dense())
+        evals = np.sort(np.linalg.eigvalsh(h.toarray()))
+        single = np.linalg.eigvalsh(jc_hamiltonian(p, space.sites[0]).toarray())
         expected = np.sort((single[:, None] + single[None, :]).ravel())
         assert np.allclose(evals, expected, atol=1e-12)
 
@@ -106,7 +107,7 @@ class TestBuildJchm:
         space = LatticeSpace.uniform(3, 2)
         h = build_jchm(params, space)
         n = total_excitation(space)
-        assert (h.matrix @ n.matrix - n.matrix @ h.matrix).nnz == 0
+        assert (h @ n - n @ h).nnz == 0
 
     def test_spectrum_invariant_under_ring_relabeling(self):
         p = JCParams(1.0, 0.9, 0.05)
@@ -114,8 +115,8 @@ class TestBuildJchm:
         ring = chain(p, 4, 0.03, "periodic")
         rotated_edges = tuple(((i + 1) % 4, (j + 1) % 4, J) for (i, j, J) in ring.edges)
         rotated = LatticeParams(site_params=ring.site_params, edges=rotated_edges)
-        e1 = np.linalg.eigvalsh(build_jchm(ring, space).to_dense())
-        e2 = np.linalg.eigvalsh(build_jchm(rotated, space).to_dense())
+        e1 = np.linalg.eigvalsh(build_jchm(ring, space).toarray())
+        e2 = np.linalg.eigvalsh(build_jchm(rotated, space).toarray())
         assert np.allclose(e1, e2, atol=1e-11)
 
 
@@ -155,13 +156,44 @@ class TestSectorVersusFullSpace:
     def test_common_eigenvalues_agree(self, n_sites, n_max):
         params = chain(JCParams(1.0, 0.95, 0.04), n_sites, 0.017, "periodic")
         space = LatticeSpace.uniform(n_sites, n_max)
-        full = np.sort(np.linalg.eigvalsh(build_jchm(params, space).to_dense()))
+        full = np.sort(np.linalg.eigvalsh(build_jchm(params, space).toarray()))
         collected = []
         max_n = sum(s.photon_cutoff + 1 for s in space.sites)
         for N in range(max_n + 1):
             h, _ = sector_hamiltonian(params, space, N)
             collected.extend(np.linalg.eigvalsh(h.toarray()))
         assert np.allclose(np.sort(collected), full, atol=1e-9)
+
+
+@st.composite
+def random_lattices(draw):
+    """Random 1-3 site graphs: per-site cutoffs 1-3, any edge subset, J of either sign."""
+    n_sites = draw(st.integers(1, 3))
+    freq, coupling = st.floats(0.5, 1.5), st.floats(0.0, 0.3)
+    sites = tuple(JCParams(draw(freq), draw(freq), draw(coupling)) for _ in range(n_sites))
+    pairs = [(i, j) for i in range(n_sites) for j in range(i + 1, n_sites)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    edges = tuple((i, j, draw(st.floats(-0.3, 0.3))) for i, j in chosen)
+    space = LatticeSpace(tuple(SiteSpace(draw(st.integers(1, 3))) for _ in range(n_sites)))
+    return LatticeParams(sites, edges), space
+
+
+class TestJchmProperties:
+    @settings(max_examples=30)
+    @given(random_lattices())
+    def test_hermitian_conserving_and_equal_to_sector_union(self, case):
+        params, space = case
+        h = build_jchm(params, space)
+        assert (h - h.getH()).nnz == 0
+        n = total_excitation(space)
+        assert (h @ n - n @ h).nnz == 0
+        collected = []
+        for N in range(sum(s.photon_cutoff + 1 for s in space.sites) + 1):
+            block, _ = sector_hamiltonian(params, space, N)
+            collected.extend(np.linalg.eigvalsh(block.toarray()))
+        full = np.linalg.eigvalsh(h.toarray())
+        assert len(collected) == len(full)
+        assert np.max(np.abs(np.sort(collected) - full)) <= 1e-10 * abs(h).max()
 
 
 class TestFiniteSizeNonlinearity:

@@ -45,7 +45,7 @@ def driven_cavity_closed_form(xi, delta, kappa_t):
 
 def photon_number_op(space, site=0):
     a = photon_op_on(space, site, annihilation(space.sites[site]))
-    return a.dagger() @ a
+    return a.getH() @ a
 
 
 def random_state(d, rng):
@@ -133,7 +133,7 @@ def open_lattices(draw):
 
 
 class TestMatrixFreeGenerator:
-    @settings(max_examples=40, deadline=None, database=None)
+    @settings(max_examples=40)
     @given(open_lattices())
     def test_apply_matches_matrix_and_preserves_trace_and_hermiticity(self, case):
         liouv, seed = case
@@ -175,6 +175,28 @@ class TestLiouvillianStructure:
         rates = DissipationRates(gamma_kappa=0.02, kappa_ports={0: 0.03})
         assert rates.total_photon_loss(0) == pytest.approx(0.05)
         assert rates.total_photon_loss(1) == pytest.approx(0.02)
+
+    def test_rates_are_hashable(self):
+        assert hash(DissipationRates()) == hash(DissipationRates(kappa_ports={}))
+        a = DissipationRates(gamma1=0.01, kappa_ports={2: 0.04, 0: 0.03})
+        b = DissipationRates(gamma1=0.01, kappa_ports=((0, 0.03), (2, 0.04)))
+        assert a == b and hash(a) == hash(b)
+        assert a.kappa_ports == ((0, 0.03), (2, 0.04))
+
+    def test_port_rates_cannot_be_changed_after_validation(self):
+        rates = DissipationRates(kappa_ports={0: 0.03})
+        with pytest.raises(TypeError):
+            rates.kappa_ports[0] = -1.0
+        assert rates.kappa_ports == ((0, 0.03),)
+
+    def test_nonhermitian_hamiltonian_rejected(self):
+        # the one Hermiticity check on a Hamiltonian: K = i(H† - H) breaks the trace
+        params, space, h = empty_cavity(3)
+        a = photon_op_on(space, 0, annihilation(space.sites[0]))
+        for drive in (None, DriveSpec(xi=0.01, omega_d=1.0)):
+            with pytest.raises(ValueError, match="trace"):
+                build_liouvillian(h + 0.1j * a.getH() @ a, DissipationRates(gamma_kappa=0.1),
+                                  drive, space)
 
     def test_rotating_frame_requires_rwa(self):
         p = JCParams(1.0, 1.0, 0.05)

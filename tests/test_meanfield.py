@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from cqedlat.hilbert import LatticeSpace, SiteSpace, annihilation, expectation, photon_op_on
+from cqedlat.hilbert import (
+    LatticeSpace,
+    SiteSpace,
+    annihilation,
+    expectation,
+    photon_op_on,
+    total_excitation,
+)
 from cqedlat.jc import JCParams
 from cqedlat.lattice import LatticeParams, build_jchm
 from cqedlat.lindblad import DissipationRates, DriveSpec, build_liouvillian, g2_zero, steady_state
@@ -22,34 +29,27 @@ G, WR = 1.0, 20.0
 JC0 = JCParams(WR, WR, G)  # resonant site, energies in units of g
 
 
-def total_excitation_site(space):
-    from cqedlat.hilbert import identity, number, qubit_number, site_kron
-    idq = identity(space.qubit_dim)
-    idp = identity(space.photon_cutoff + 1)
-    return (site_kron(space, number(space), idq) + site_kron(space, idp, qubit_number())).to_dense()
-
-
 class TestLocalHamiltonian:
     def test_block_diagonal_at_zero_psi(self):
         space = SiteSpace(4)
         p = GrandCanonicalParams(jc=JC0, mu=WR - 0.5, z=1, J=0.1)
-        h = local_mf_hamiltonian(p, 0.0, space).to_dense()
-        n = total_excitation_site(space)
+        h = local_mf_hamiltonian(p, 0.0, space).toarray()
+        n = total_excitation(LatticeSpace((space,))).toarray()
         assert np.allclose(h @ n - n @ h, 0.0, atol=1e-12)
 
     def test_psi_independent_at_zero_hopping(self):
         space = SiteSpace(3)
         p = GrandCanonicalParams(jc=JC0, mu=WR - 0.5, z=1, J=0.0)
-        h0 = local_mf_hamiltonian(p, 0.0, space).to_dense()
-        h1 = local_mf_hamiltonian(p, 0.7, space).to_dense()
+        h0 = local_mf_hamiltonian(p, 0.0, space).toarray()
+        h1 = local_mf_hamiltonian(p, 0.7, space).toarray()
         assert np.allclose(h0, h1, atol=1e-14)
 
     def test_energy_even_in_real_psi(self):
         space = SiteSpace(5)
         p = GrandCanonicalParams(jc=JC0, mu=WR - 0.6, z=1, J=0.08)
         for psi in (0.2, 0.9):
-            e_plus = np.linalg.eigvalsh(local_mf_hamiltonian(p, psi, space).to_dense())[0]
-            e_minus = np.linalg.eigvalsh(local_mf_hamiltonian(p, -psi, space).to_dense())[0]
+            e_plus = np.linalg.eigvalsh(local_mf_hamiltonian(p, psi, space).toarray())[0]
+            e_minus = np.linalg.eigvalsh(local_mf_hamiltonian(p, -psi, space).toarray())[0]
             assert e_plus == pytest.approx(e_minus, abs=1e-12)
 
     def test_gauge_invariance_of_spectrum(self):
@@ -61,9 +61,9 @@ class TestLocalHamiltonian:
             zj = G * rng.uniform(0.02, 0.3)
             p = GrandCanonicalParams(jc=JC0, mu=mu, z=1, J=zj)
             psi_mag = rng.uniform(0.1, 0.8)
-            base = np.linalg.eigvalsh(local_mf_hamiltonian(p, psi_mag, space).to_dense())[0]
+            base = np.linalg.eigvalsh(local_mf_hamiltonian(p, psi_mag, space).toarray())[0]
             for phi in np.linspace(0, 2 * np.pi, 7):
-                h = local_mf_hamiltonian(p, psi_mag * np.exp(1j * phi), space).to_dense()
+                h = local_mf_hamiltonian(p, psi_mag * np.exp(1j * phi), space).toarray()
                 assert np.linalg.eigvalsh(h)[0] == pytest.approx(base, abs=1e-11)
 
 
@@ -78,8 +78,8 @@ class TestMinimization:
         # energy-comparison oracle: some sampled psi beats psi = 0
         space = SiteSpace(8)
         p = GrandCanonicalParams(jc=JC0, mu=WR - 0.7 * G, z=1, J=0.5 * G)
-        e0 = np.linalg.eigvalsh(local_mf_hamiltonian(p, 0.0, space).to_dense())[0]
-        sampled = min(np.linalg.eigvalsh(local_mf_hamiltonian(p, s, space).to_dense())[0]
+        e0 = np.linalg.eigvalsh(local_mf_hamiltonian(p, 0.0, space).toarray())[0]
+        sampled = min(np.linalg.eigvalsh(local_mf_hamiltonian(p, s, space).toarray())[0]
                       for s in np.linspace(0.05, 2.5, 40))
         assert sampled < e0 - 1e-6
         res = minimize_order_parameter(p, space)

@@ -172,7 +172,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "drive_offset": Field("float", 0.0, "drive detuning from the lower-polariton band bottom"),
         "seeds": Field("seeds", [0.0], "initial order-parameter seeds (re or [re, im])"),
         "n_max": Field("posint", 7, "photon cutoff"),
-        "psi_tol": Field("pos", 1e-8, "fixed-point tolerance"),
+        "psi_tol": Field("pos", 1e-8, "bound on the fixed-point residual |tr(a rho) - psi|"),
     },
     "modes": {
         "ell": Field("pos", REQUIRED, "inductance per unit length [H/m]"),
@@ -342,15 +342,16 @@ def _cmd_blockade_scan(config: dict[str, Any]):
             for q in points]
     conv = {"steady_state_method": "preconditioned_gmres", "points": len(rows)}
     if config["cutoff_check"]:
-        mid = grid[len(grid) // 2]
+        # the grid midpoint at the first drive amplitude, repeated at n_max + 2
+        k = len(grid) // 2
         xi0 = config["drive_amplitudes"][0]
 
         def observable(n_max: int) -> complex:
             sp_ = LatticeSpace.uniform(1, n_max)
-            pt = transmission_scan(params, sp_, rates, [xi0], [mid])[0]
+            pt = transmission_scan(params, sp_, rates, [xi0], [grid[k]])[0]
             return pt.abs_a
 
-        check = cutoff_convergence(observable, config["n_max"])
+        check = cutoff_convergence(observable, config["n_max"], rows[k]["abs_a"])
         conv["cutoff_check"] = {"rel_shift": check.rel_shift, "passed": check.passed,
                                 "n_max": check.n_max, "n_max_ref": check.n_max_ref}
     header = ["xi", "omega_d", "re_a", "im_a", "abs_a", "t_norm", "n_photon", "g2"]
@@ -383,7 +384,7 @@ def _cmd_dimer_g2(config: dict[str, Any]):
     conv = {"points": len(rows)}
     if config["cutoff_check"]:
         check = cutoff_convergence(lambda nm: point(float(config["j_values"][0]), nm)["g2"],
-                                   config["n_max"])
+                                   config["n_max"], rows[0]["g2"])
         conv["cutoff_check"] = {"rel_shift": check.rel_shift, "passed": check.passed}
     header = ["J", "omega_d", "g2", "abs_a", "n_photon"]
     return header, rows, conv
@@ -407,7 +408,7 @@ def _cmd_sector_nonlinearity(config: dict[str, Any]):
         params = band_resonant_chain(config["omega_r"], config["g"], config["J"], ns, "periodic")
         check = cutoff_convergence(
             lambda nm: measured_nonlinearity(params, LatticeSpace.uniform(ns, nm)),
-            config["n_max"])
+            config["n_max"], rows[-1]["u_measured"])
         conv["cutoff_check"] = {"rel_shift": check.rel_shift, "passed": check.passed}
     header = ["n_sites", "u_measured", "u_closed_form", "rel_deviation"]
     return header, rows, conv
@@ -425,15 +426,16 @@ def _cmd_meanfield_lobes(config: dict[str, Any]):
     windows = {f"N={n}": mott_window_analytic(jc, n) for n in (1, 2, 3)}
     conv: dict[str, Any] = {"j0_mott_windows": {k: list(v) for k, v in windows.items()}}
     if config["cutoff_check"]:
-        probe_mu = float(mu[len(mu) // 2])
-        probe_zj = float(zj[len(zj) // 2])
+        i_mu, i_zj = len(mu) // 2, len(zj) // 2
+        probe_mu, probe_zj = float(mu[i_mu]), float(zj[i_zj])
 
         def observable(nm: int) -> float:
             pp = GrandCanonicalParams(jc=jc, mu=probe_mu, z=config["z"],
                                       J=probe_zj / config["z"])
             return minimize_order_parameter(pp, SiteSpace(nm), psi_max=config["psi_max"]).psi
 
-        check = cutoff_convergence(observable, config["n_max"], rtol=1e-4)
+        check = cutoff_convergence(observable, config["n_max"], cells[i_mu * len(zj) + i_zj].psi,
+                                   rtol=1e-4)
         conv["cutoff_check"] = {"rel_shift": check.rel_shift, "passed": check.passed}
     header = ["mu", "zJ", "psi", "energy", "n_polariton", "phase"]
     return header, rows, conv
@@ -463,8 +465,14 @@ def _cmd_driven_mf(config: dict[str, Any]):
                          "re_psi": fp.psi.real, "im_psi": fp.psi.imag, "g2": fp.g2,
                          "multistable_flag": int(result.multistable),
                          "limit_cycle_flag": int(fp.limit_cycle)})
+        residuals = [b.residual for b in result.branches]
+        margins = [b.stability_margin for b in result.branches]
         fixed_points.append({"zJ": zj,
                              "branches": [[b.psi.real, b.psi.imag] for b in result.branches],
+                             "residuals": residuals,
+                             "stability_margins": margins,
+                             "passed": (all(r <= config["psi_tol"] for r in residuals)
+                                        and all(m < 0 for m in margins)),
                              "multistable": result.multistable,
                              "limit_cycle": result.limit_cycle})
     conv = {"fixed_points": fixed_points, "limit_cycle_seen": any_cycle}

@@ -273,16 +273,16 @@ class ConvergenceCheck:
     n_max_ref: int
 
 
-def cutoff_convergence(observable: Callable[[int], complex], n_max: int,
+def cutoff_convergence(observable: Callable[[int], complex], n_max: int, value: complex,
                        step: int = 2, rtol: float = 1e-6) -> ConvergenceCheck:
-    """Evaluate ``observable(n_max)`` and ``observable(n_max + step)`` and compare.
+    """Compare ``value``, the observable already computed at ``n_max``, with
+    ``observable(n_max + step)``.
 
     The relative shift is |v(n_max+step) - v(n_max)| / max(|v(n_max+step)|, 1e-300);
     ``passed`` is True when it does not exceed ``rtol``.  Physics modules expose
     this check so truncation error is always measurable.
     """
-    v0 = observable(n_max)
-    v1 = observable(n_max + step)
-    shift = abs(v1 - v0) / max(abs(v1), 1e-300)
-    return ConvergenceCheck(value=v0, reference=v1, rel_shift=float(shift), rtol=rtol,
+    reference = observable(n_max + step)
+    shift = abs(reference - value) / max(abs(reference), 1e-300)
+    return ConvergenceCheck(value=value, reference=reference, rel_shift=float(shift), rtol=rtol,
                             passed=bool(shift <= rtol), n_max=n_max, n_max_ref=n_max + step)

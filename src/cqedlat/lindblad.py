@@ -170,7 +170,8 @@ class Liouvillian:
         self.loss = np.zeros((d, d), dtype=np.complex128)     # Σ_c C_c†C_c
         for c in self.jumps:
             self.loss += (c.getH() @ c).toarray()
-        self.h_eff = h.astype(np.complex128) - 0.5j * self.loss
+        self.h_rot = h.astype(np.complex128)
+        self.h_eff = self.h_rot - 0.5j * self.loss
         self.space = space
         self.rotating_frame = rotating_frame
         self.rates = rates

@@ -17,11 +17,17 @@ gives a closed nonlinear master equation in the drive rotating frame,
 
     ∂_t ρ = L₀ρ - i[-zJ(ψ(t) a† + ψ(t)* a), ρ],   ψ(t) = tr(aρ),
 
-integrated with ψ refreshed at every right-hand-side evaluation.  Fixed
-points are found by following the dynamics (dynamically stable branches only,
-which are the observable ones); distinct fixed points reached from different
-seeds signal bistability, and persistent oscillations are reported as limit
-cycles rather than errors.
+whose fixed points are the roots of F(ψ) = tr(a ρ_ss(ψ)) - ψ, with ρ_ss(ψ)
+the steady state of the linear Liouvillian at frozen ψ.  Each seed follows
+the dynamics (RK45) only until it is captured: after every control interval
+Newton runs on F from the current ψ, its Jacobian from a linear-response
+solve, and the run stops once the root it reaches is linearly stable and the
+state has moved closer to that same root over consecutive intervals.  The
+stability margin is the largest real part in the spectrum of the linearized
+nonlinear generator at the root, the trace mode excluded.  So only stable
+branches are reported, each with its residual |F(ψ*)| and its margin;
+distinct fixed points reached from different seeds signal bistability, and
+runs that are never captured are reported as limit cycles or raise.
 """
 
 from __future__ import annotations
@@ -46,10 +52,12 @@ from .lattice import LatticeParams, build_jchm
 from .lindblad import (
     DissipationRates,
     DriveSpec,
+    Liouvillian,
     StiffnessError,
     VacuumStateError,
     build_liouvillian,
     g2_zero,
+    steady_state,
 )
 
 __all__ = [
@@ -73,6 +81,8 @@ PSI_FLOOR = 1e-5          # |ψ*| above this counts as superfluid
 PSI_SEARCH_TOL = 1e-7     # golden-section window width
 ZJ_RESOLUTION = 1e-4      # lobe-boundary bisection resolution (units of the scan)
 CYCLE_SAMPLES = 40        # ψ samples a limit-cycle verdict needs
+NEWTON_MAX_ITER = 8       # F evaluations of one Newton run before it counts as failed
+CAPTURE_CONTRACTIONS = 2  # consecutive intervals over which ‖ρ(t) - ρ_ss(ψ*)‖ must shrink
 
 
 class CutoffWindowError(RuntimeError):
@@ -303,6 +313,8 @@ class DrivenFixedPoint:
     limit_cycle: bool
     t_elapsed: float
     orbit: tuple[complex, ...] | None = None
+    residual: float = math.nan           # |tr(aρ) - ψ| of the reported fixed point
+    stability_margin: float = math.nan   # max Re λ of its linearization, trace mode excluded
 
 
 @dataclass(frozen=True)
@@ -326,6 +338,134 @@ def _coherent_site_state(space: SiteSpace, alpha: complex) -> DensityMatrix:
     return DensityMatrix.pure(vec)
 
 
+@dataclass(frozen=True)
+class _Root:
+    """A self-consistent ψ: its frozen-ψ steady state, |F(ψ)| and stability margin."""
+
+    psi: complex
+    rho: DensityMatrix
+    residual: float
+    margin: float
+
+
+class _DrivenSite:
+    """One driven site under the mean field ψ.
+
+    The generator with ψ frozen is L(ψ) = L₀ + i zJ(ψ S_{a†} + ψ* S_a), with
+    S_X ρ = [X, ρ].  Superoperators act on the row-major vec(ρ); matrices on
+    the traceless subspace use the coordinates of vec(ρ) without ρ_{d-1,d-1},
+    which the other diagonal entries fix.
+    """
+
+    def __init__(self, jc: JCParams, rates: DissipationRates, drive: DriveSpec,
+                 zj: float, space: SiteSpace):
+        self.space = LatticeSpace((space,))
+        self.liouv0 = build_liouvillian(build_jchm(LatticeParams.single_site(jc), self.space),
+                                        rates, drive, self.space)
+        self.zj = zj
+        self.psi_bound = math.sqrt(space.photon_cutoff)   # |tr(aρ)|² ≤ tr(a†aρ) ≤ n_max
+        d = space.dim
+        a = photon_op_on(self.space, 0, annihilation(space))
+        self.a = a.toarray()
+        eye = sp.identity(d, format="csr", dtype=np.complex128)
+        self.s_adag = sp.kron(a.getH(), eye, format="csr") - sp.kron(eye, a.conj(), format="csr")
+        self.s_a = sp.kron(a, eye, format="csr") - sp.kron(eye, a.T, format="csr")
+        self.a_trace = self.a.T.reshape(-1)          # tr(aρ) = vec(aᵀ)·vec(ρ)
+        self.adag_trace = self.a.conj().reshape(-1)  # tr(a†ρ)
+        self.diag = np.zeros(d * d)
+        self.diag[np.arange(d) * (d + 1)] = 1.0      # tr ρ = diag·vec(ρ)
+        self.l0 = self.liouv0.matrix
+        self.rhs_terms = sp.vstack([self.l0, self.s_adag, self.s_a], format="csr")
+
+    def rhs(self, _t: float, y: np.ndarray) -> np.ndarray:
+        """The nonlinear master equation, ψ = tr(aρ) refreshed at every call."""
+        psi = self.a_trace @ y
+        l0_y, s_adag_y, s_a_y = (self.rhs_terms @ y).reshape(3, -1)   # one sparse product
+        return l0_y + (1j * self.zj) * (psi * s_adag_y + np.conj(psi) * s_a_y)
+
+    def steady(self, psi: complex) -> DensityMatrix:
+        """ρ_ss(ψ): the steady state of H_rot - zJ(ψa† + ψ*a) with the same jumps."""
+        base = self.liouv0
+        h = base.h_rot - self.zj * (psi * self.a.conj().T + np.conj(psi) * self.a)
+        return steady_state(Liouvillian(h, base.jumps, self.space, rotating_frame=True,
+                                        rates=base.rates, drive=base.drive), check_unique=False)
+
+    def _traceless(self, m: np.ndarray) -> np.ndarray:
+        """A superoperator that maps into traceless matrices, on traceless matrices."""
+        return m[:-1, :-1] - np.outer(m[:-1, -1], self.diag[:-1])
+
+    def _lift(self, x: np.ndarray) -> np.ndarray:
+        """Traceless coordinates back to vec(ρ), column by column."""
+        return np.vstack([x, -(self.diag[:-1] @ x)])
+
+    def linearization(self, psi: complex, rho: DensityMatrix | None = None) -> np.ndarray:
+        """Dense L(ψ) on traceless matrices; with ρ, the linearization of the
+        nonlinear generator at (ψ, ρ).
+
+        For Hermitian δρ, δψ* = tr(a†δρ), so the linearization
+        δρ ↦ L(ψ)δρ + i zJ[tr(aδρ) S_{a†} + tr(a†δρ) S_a]ρ is complex-linear
+        and has the spectrum of the real-linear map on Hermitian matrices.
+        """
+        m = (self.l0 + (1j * self.zj) * (psi * self.s_adag + np.conj(psi) * self.s_a)).toarray()
+        if rho is not None:
+            r = rho.rho.reshape(-1)
+            m += (1j * self.zj) * (np.outer(self.s_adag @ r, self.a_trace)
+                                   + np.outer(self.s_a @ r, self.adag_trace))
+        return self._traceless(m)
+
+    def newton_step(self, psi: complex, rho: DensityMatrix, f: complex) -> complex | None:
+        """Newton step on F(ψ) = tr(aρ_ss(ψ)) - ψ, or None at a singular Jacobian.
+
+        Linear response gives the Wirtinger derivatives: L(ψ)X = -i zJ[a†, ρ]
+        for X = ∂ρ_ss/∂ψ and L(ψ)X = -i zJ[a, ρ] for ∂ρ_ss/∂ψ*, both traceless.
+        """
+        r = rho.rho.reshape(-1)
+        source = (-1j * self.zj) * np.stack([self.s_adag @ r, self.s_a @ r], axis=1)
+        try:
+            x = self._lift(np.linalg.solve(self.linearization(psi), source[:-1]))
+        except np.linalg.LinAlgError:
+            return None
+        da, db = self.a_trace @ x                 # ∂F/∂ψ = da - 1, ∂F/∂ψ* = db
+        da -= 1.0
+        det = abs(da) ** 2 - abs(db) ** 2
+        if det == 0:
+            return None
+        return (db * np.conj(f) - np.conj(da) * f) / det
+
+    def newton(self, psi: complex, psi_tol: float, distinct_tol: float,
+               known: list[_Root]) -> _Root | None:
+        """Newton on F(ψ) from ψ.
+
+        Returns a root of ``known`` as soon as an iterate comes within
+        ``distinct_tol`` of it; otherwise the new root once |F| ≤ ``psi_tol``,
+        with its stability margin, added to ``known``.  Returns None when
+        ``NEWTON_MAX_ITER`` evaluations do not converge, an iterate leaves
+        |ψ| ≤ √n_max, where every tr(aρ) lies, or the Jacobian is singular.
+        """
+        for _ in range(NEWTON_MAX_ITER):
+            for root in known:
+                if abs(psi - root.psi) <= distinct_tol:
+                    return root
+            if not abs(psi) <= self.psi_bound:
+                return None
+            rho = self.steady(psi)
+            f = complex(self.a_trace @ rho.rho.reshape(-1)) - psi
+            if abs(f) <= psi_tol:
+                root = _Root(psi=complex(psi), rho=rho, residual=abs(f),
+                             margin=self.stability_margin(psi, rho))
+                known.append(root)
+                return root
+            step = self.newton_step(psi, rho, f)
+            if step is None:
+                return None
+            psi = psi + step
+        return None
+
+    def stability_margin(self, psi: complex, rho: DensityMatrix) -> float:
+        """max Re λ of the linearization at (ψ, ρ), the trace mode excluded."""
+        return float(np.max(np.linalg.eigvals(self.linearization(psi, rho)).real))
+
+
 def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
                      zj: float, seeds: tuple[complex, ...] = (0.0,),
                      space: SiteSpace | None = None, psi_tol: float = 1e-8,
@@ -335,71 +475,72 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
     """Self-consistent driven-dissipative mean field on one site.
 
     Runs the nonlinear master equation from every seed (a coherent state of
-    amplitude equal to the seed value) until the order parameter ψ = tr(aρ)
-    changes by less than ``psi_tol`` per control interval.  Fixed points from
-    different seeds that differ by more than ``distinct_tol`` are reported as
-    distinct branches (multistability).  A non-decaying ψ oscillation over the
-    last ``CYCLE_SAMPLES`` control intervals is classified as a limit cycle and
-    returned with a sampled orbit; a run that neither settles nor has that
-    many samples raises :class:`MeanFieldConvergenceError`.
+    amplitude equal to the seed value) in control intervals.  After each
+    interval, Newton runs on F(ψ) = tr(aρ_ss(ψ)) - ψ from the current ψ.  The
+    run is captured, and stops, when that Newton reaches a linearly stable
+    root (stability margin < 0) and ‖ρ(t) - ρ_ss(ψ*)‖ has shrunk toward that
+    same root over ``CAPTURE_CONTRACTIONS`` consecutive intervals.  The seed
+    then reports ψ*, ρ_ss(ψ*), the residual |F(ψ*)| ≤ ``psi_tol`` and the
+    margin.  Fixed points from different seeds that differ by more than
+    ``distinct_tol`` are reported as distinct branches (multistability).  A run
+    that is never captured within the horizon is classified as a limit cycle
+    when its ψ swing over the last ``CYCLE_SAMPLES`` control intervals is not
+    decaying, and returned with a sampled orbit; otherwise it raises
+    :class:`MeanFieldConvergenceError`.
     """
     if not rates.any_nonzero():
         raise ValueError("driven mean field requires dissipative rates > 0")
     if space is None:
         space = SiteSpace(photon_cutoff=10)
-    lattice_space = LatticeSpace((space,))
-    params = LatticeParams.single_site(jc)
-    h0 = build_jchm(params, lattice_space)
-    liouv0 = build_liouvillian(h0, rates, drive, lattice_space)
-
+    site = _DrivenSite(jc, rates, drive, zj, space)
     d = space.dim
-    a_mat = photon_op_on(lattice_space, 0, annihilation(space))
-    eye = sp.identity(d, format="csr", dtype=np.complex128)
-    s_adag = sp.kron(a_mat.getH(), eye, format="csr") - sp.kron(eye, a_mat.conj(), format="csr")
-    s_a = sp.kron(a_mat, eye, format="csr") - sp.kron(eye, a_mat.T, format="csr")
-    a_trace = np.asarray(a_mat.T.todense()).reshape(-1)   # tr(aρ) = vec(aᵀ)·vec(ρ)
-    l0 = liouv0.matrix
-
-    def rhs(_t: float, y: np.ndarray) -> np.ndarray:
-        psi = a_trace @ y
-        return l0 @ y + (1j * zj) * (psi * (s_adag @ y) + np.conj(psi) * (s_a @ y))
 
     slowest = min(r for r in (rates.gamma1, rates.gamma_phi, rates.gamma_kappa,
                               *(k for _, k in rates.kappa_ports)) if r > 0)
     t_chunk = control_interval if control_interval is not None else 1.0 / slowest
     horizon = t_max if t_max is not None else 600.0 / slowest
 
+    roots: list[_Root] = []     # every root Newton has found, from any seed
     results: list[DrivenFixedPoint] = []
     for seed in seeds:
-        rho = _coherent_site_state(space, seed)
-        y = rho.rho.reshape(-1).copy()
+        y = _coherent_site_state(space, seed).rho.reshape(-1).copy()
         t = 0.0
-        psi_prev = complex(a_trace @ y)
-        psi_now = psi_prev
-        rho_m = rho.rho
+        psi_prev = complex(site.a_trace @ y)
         history: list[complex] = [psi_prev]
         last_step = float("inf")
-        converged = False
-        cycle = False
+        root: _Root | None = None
+        distances: list[float] = []     # ‖ρ(t) - ρ_ss(ψ*)‖ while it keeps shrinking
         while t < horizon:
-            solver = RK45(rhs, 0.0, y, t_chunk, rtol=rtol, atol=atol)
+            solver = RK45(site.rhs, 0.0, y, t_chunk, rtol=rtol, atol=atol)
             while solver.status == "running":
                 msg = solver.step()
                 if solver.status == "failed":
                     raise StiffnessError(f"driven mean-field step failed at t = {t + solver.t:.4g}: {msg}")
-            y = solver.y
-            rho_m = y.reshape(d, d)
+            rho_m = solver.y.reshape(d, d)
             rho_m = 0.5 * (rho_m + rho_m.conj().T)
             y = rho_m.reshape(-1)
             t += t_chunk
-            psi_now = complex(a_trace @ y)
+            psi_now = complex(site.a_trace @ y)
             history.append(psi_now)
             last_step = abs(psi_now - psi_prev)
-            if last_step < psi_tol:
-                converged = True
-                break
             psi_prev = psi_now
-        if not converged:
+
+            found = site.newton(psi_now, psi_tol, distinct_tol, roots)
+            if found is None or not found.margin < 0:
+                root, distances = None, []
+                continue
+            if found is not root:
+                root, distances = found, []
+            distances.append(float(np.linalg.norm(rho_m - root.rho.rho)))
+            if len(distances) > 1 and distances[-1] >= distances[-2]:
+                distances = distances[-1:]
+            if len(distances) > CAPTURE_CONTRACTIONS:
+                break
+        captured = len(distances) > CAPTURE_CONTRACTIONS
+        if captured:
+            state = root.rho
+            psi, residual, margin = root.psi, root.residual, root.margin
+        else:
             # limit-cycle test: the ψ samples keep moving but stay bounded and
             # their swing is not shrinking from the early to the late half of
             # the last CYCLE_SAMPLES; fewer samples cannot tell a cycle apart
@@ -408,22 +549,22 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
             half = CYCLE_SAMPLES // 2
             swing_late = np.ptp(np.abs(tail[-half:]))
             swing_early = np.ptp(np.abs(tail[:half]))
-            if (len(tail) == CYCLE_SAMPLES and swing_late > 100 * psi_tol
+            if not (len(tail) == CYCLE_SAMPLES and swing_late > 100 * psi_tol
                     and swing_late > 0.5 * swing_early):
-                cycle = True
-            else:
                 raise MeanFieldConvergenceError(
                     f"no fixed point or cycle within horizon {horizon:.3g} "
                     f"({len(history)} ψ samples, last |Δψ| = {last_step:.3e})")
-        state = DensityMatrix(rho_m)
+            state = DensityMatrix(rho_m)
+            psi, residual, margin = history[-1], math.nan, math.nan
         try:
-            g2 = g2_zero(state, 0, lattice_space)
+            g2 = g2_zero(state, 0, site.space)
         except VacuumStateError:
             g2 = float("nan")
         results.append(DrivenFixedPoint(
-            psi=complex(a_trace @ y), rho=state, g2=g2, seed=complex(seed),
-            converged=converged, limit_cycle=cycle, t_elapsed=t,
-            orbit=tuple(history[-CYCLE_SAMPLES:]) if cycle else None))
+            psi=psi, rho=state, g2=g2, seed=complex(seed),
+            converged=captured, limit_cycle=not captured, t_elapsed=t,
+            orbit=None if captured else tuple(history[-CYCLE_SAMPLES:]),
+            residual=residual, stability_margin=margin))
 
     branches: list[DrivenFixedPoint] = []
     for r in results:

@@ -79,3 +79,23 @@ class TestRunStatus:
         assert summary["convergence"]["cutoff_check"]["passed"] is False
         assert summary["status"] == "unconverged"
         assert "convergence.cutoff_check.passed" in capsys.readouterr().err
+
+
+class TestDrivenMF:
+    def test_repeat_runs_are_identical_and_verified(self, tmp_path):
+        config = {"omega_r": 20.0, "g": 1.0, "zj_values": [1.0], "xi": 0.12, "gamma1": 0.06,
+                  "kappa": 0.06, "drive_offset": 0.3, "seeds": [0.0, 1.5], "n_max": 4}
+        runs = []
+        for name in ("first", "second"):
+            (tmp_path / name).mkdir()
+            runs.append(run(tmp_path / name, "driven-mf", config))
+        csv_bytes = [(tmp_path / name / "driven-mf.csv").read_bytes() for name in ("first", "second")]
+        assert csv_bytes[0] == csv_bytes[1]
+        rows, summary = runs[0]
+        assert len(rows) == 2
+        assert summary["status"] == "ok"
+        for fp in summary["convergence"]["fixed_points"]:
+            assert fp["passed"] is True
+            assert len(fp["residuals"]) == len(fp["stability_margins"]) == len(fp["branches"]) >= 1
+            assert all(r <= summary["config"]["psi_tol"] for r in fp["residuals"])
+            assert all(m < 0 for m in fp["stability_margins"])

@@ -198,10 +198,10 @@ class TestValidation:
 
 class TestCutoffConvergence:
     def test_converged_observable(self):
-        check = cutoff_convergence(lambda n: 1.0 + 2.0 ** (-n), 40)
+        check = cutoff_convergence(lambda n: 1.0 + 2.0 ** (-n), 40, 1.0 + 2.0 ** (-40))
         assert check.passed
 
     def test_unconverged_observable(self):
-        check = cutoff_convergence(lambda n: float(n), 4)
+        check = cutoff_convergence(lambda n: float(n), 4, 4.0)
         assert not check.passed
         assert check.n_max_ref == 6

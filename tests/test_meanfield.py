@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.integrate import RK45
 
 from cqedlat.hilbert import (
     LatticeSpace,
@@ -16,6 +18,8 @@ from cqedlat.meanfield import (
     CutoffWindowError,
     GrandCanonicalParams,
     MeanFieldConvergenceError,
+    _coherent_site_state,
+    _DrivenSite,
     driven_mf_steady,
     lobe_boundary,
     local_mf_hamiltonian,
@@ -239,3 +243,116 @@ class TestDrivenMeanField:
         with pytest.raises(ValueError, match="dissipative"):
             driven_mf_steady(jc, DissipationRates(), DriveSpec(xi=0.01, omega_d=WR),
                              0.1, space=SiteSpace(4))
+
+
+# bistable points: the driven-mf CLI workload (|ψ| ≈ 0.18 and 0.50) and the
+# point of test_bistability_from_seed_dependence (|ψ| ≈ 0.045 and 0.42)
+DRIVEN_POINT = dict(jc=JCParams(20.0, 19.0, 1.0),
+                    rates=DissipationRates(gamma1=0.06, kappa_ports={0: 0.06}),
+                    drive=DriveSpec(xi=0.12, omega_d=18.3), zj=1.0, space=SiteSpace(6))
+BISTABLE_POINT = dict(jc=JCParams(WR, WR - G, G),
+                      rates=DissipationRates(gamma1=0.01 * G, kappa_ports={0: 0.01 * G}),
+                      drive=DriveSpec(xi=0.02 * G, omega_d=WR - 2 * G + 0.2 * G), zj=G,
+                      space=SiteSpace(7))
+
+
+def _nonlinear_rhs(jc, rates, drive, zj, space):
+    """∂_t vec(ρ) = L₀ vec(ρ) + i zJ(ψ[a†, ρ] + ψ*[a, ρ]) with ψ = tr(aρ); also returns vec(aᵀ)."""
+    lat = LatticeSpace((space,))
+    liouv = build_liouvillian(build_jchm(LatticeParams.single_site(jc), lat), rates, drive, lat)
+    a = photon_op_on(lat, 0, annihilation(space))
+    eye = sp.identity(space.dim, format="csr")
+    terms = sp.vstack([liouv.matrix, sp.kron(a.getH(), eye) - sp.kron(eye, a.conj()),
+                       sp.kron(a, eye) - sp.kron(eye, a.T)], format="csr")
+    a_trace = a.T.toarray().reshape(-1)
+
+    def rhs(_t, y):
+        psi = a_trace @ y
+        l0_y, adag_y, a_y = (terms @ y).reshape(3, -1)
+        return l0_y + 1j * zj * (psi * adag_y + np.conj(psi) * a_y)
+
+    return rhs, a_trace
+
+
+def _settle_by_integration(point, seed, psi_tol=1e-8):
+    """Oracle: RK45 in control intervals of 1/γ_min until ψ moves by less than
+    psi_tol over one interval, the fixed-point loop before root finding."""
+    rhs, a_trace = _nonlinear_rhs(**point)
+    d = point["space"].dim
+    rates = point["rates"]
+    interval = 1.0 / min(r for r in (rates.gamma1, *(k for _, k in rates.kappa_ports)) if r > 0)
+    y = _coherent_site_state(point["space"], seed).rho.reshape(-1)
+    psi_prev = a_trace @ y
+    for _ in range(600):
+        solver = RK45(rhs, 0.0, y, interval, rtol=1e-9, atol=1e-12)
+        while solver.status == "running":
+            solver.step()
+        rho = solver.y.reshape(d, d)
+        y = (0.5 * (rho + rho.conj().T)).reshape(-1)
+        psi = a_trace @ y
+        if abs(psi - psi_prev) < psi_tol:
+            return complex(psi)
+        psi_prev = psi
+    raise AssertionError(f"seed {seed} did not settle")
+
+
+def _finite_difference_margin(point, rho, h=1e-6):
+    """max Re λ of a central-difference Jacobian of the nonlinear right-hand side
+    at ρ, on traceless Hermitian perturbations (the trace mode excluded).
+
+    Real coordinates: Re ρ_ii for i < d-1, then Re ρ_ij and Im ρ_ij for i < j.
+    The right-hand side is quadratic in ρ, so central differences are exact up
+    to roundoff.
+    """
+    rhs, _ = _nonlinear_rhs(**point)
+    d = point["space"].dim
+    upper = np.triu_indices(d, 1)
+    basis = []
+    for i in range(d - 1):
+        b = np.zeros((d, d), dtype=complex)
+        b[i, i], b[-1, -1] = 1.0, -1.0
+        basis.append(b)
+    for i, j in zip(*upper):
+        for re, im in ((1.0, 0.0), (0.0, 1.0)):
+            b = np.zeros((d, d), dtype=complex)
+            b[i, j], b[j, i] = re + 1j * im, re - 1j * im
+            basis.append(b)
+
+    def coords(x):
+        return np.concatenate([x.diagonal()[:-1].real,
+                               np.stack([x[upper].real, x[upper].imag], axis=1).reshape(-1)])
+
+    columns = [coords((rhs(0.0, (rho + h * b).reshape(-1))
+                       - rhs(0.0, (rho - h * b).reshape(-1))).reshape(d, d) / (2 * h))
+               for b in basis]
+    return float(np.max(np.linalg.eigvals(np.array(columns).T).real))
+
+
+class TestDrivenRootFinding:
+    @pytest.mark.parametrize("point, seeds", [
+        (DRIVEN_POINT, (0.0, 0.4, 0.8, 1.5)),
+        (BISTABLE_POINT, (0.0, 0.6, 1.0, 1.5)),
+    ], ids=["driven_mf", "bistable"])
+    def test_per_seed_matches_integration_oracle(self, point, seeds):
+        # seeds on both sides of the separatrix: 0.4 and 0.6 end on the low
+        # branch, 0.8 and 1.0 on the high one
+        res = driven_mf_steady(**point, seeds=seeds)
+        assert res.multistable
+        for seed, fp in zip(seeds, res.per_seed):
+            assert fp.converged and not fp.limit_cycle
+            assert abs(fp.psi - _settle_by_integration(point, seed)) <= 1e-7
+            assert fp.residual <= 1e-8
+            assert fp.stability_margin < 0
+
+    def test_stability_margins_match_finite_differences(self):
+        site = _DrivenSite(**BISTABLE_POINT)
+        roots = []
+        low, middle, high = (site.newton(psi, 1e-10, 1e-4, roots)
+                             for psi in (0.05, 0.37 - 0.1j, -0.4 - 0.13j))
+        assert len(roots) == 3
+        assert abs(low.psi) < 0.05 and 0.37 < abs(middle.psi) < 0.39 < abs(high.psi)
+        assert low.margin < 0 and high.margin < 0
+        assert middle.margin > 0
+        for root in (low, middle, high):
+            assert root.margin == pytest.approx(
+                _finite_difference_margin(BISTABLE_POINT, root.rho.rho), abs=1e-8)

@@ -16,6 +16,12 @@ harmonic-oscillator levels for coordinates touching an inductor (junction
 cosines are then built by exponentiating the flux operator).  Offset charges
 are fixed at zero.
 
+H is assembled as a sparse (CSR) sum of Kronecker products of per-coordinate
+operators, never as a dense dim×dim array, and its lowest levels come from
+shift-invert Lanczos.  A basis of more than ``MAX_BASIS_DIM`` states, or one
+whose terms would store more than ``MAX_TERM_ENTRIES`` entries, is refused
+with a ValueError before anything is assembled.
+
 All quantities are SI: farad, henry, joule, weber.  Spectra come out in
 joules.
 """
@@ -26,6 +32,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.linalg import expm
 
 __all__ = [
@@ -361,51 +369,102 @@ class CoordinateBasis:
     phi_zpf: float = 0.0
 
 
+# Limits quantize enforces before it assembles anything.  Measured on a 2-core
+# x86_64 VM with one BLAS thread (assembly plus the six lowest levels), the
+# largest accepted inputs take at most 12 s and 424 MiB peak:
+# - MAX_BASIS_DIM bounds the product of the per-coordinate basis sizes.  Two
+#   transmons at charge_cutoff 157 (dim 99225) take 3.9 s and 257 MiB.
+# - MAX_TERM_ENTRIES bounds the stored entries of the Kronecker terms summed
+#   into H.  A junction on an oscillator coordinate is dense in its basis: an
+#   rf SQUID at 1575 levels takes 12 s and 413 MiB, mostly in the matrix
+#   exponential; a junction oscillator coupled to a second oscillator (133
+#   levels each) 8.4 s and 424 MiB; two oscillators joined by a junction (39
+#   levels each, H dense) 0.9 s and 279 MiB.
+MAX_BASIS_DIM = 100_000
+MAX_TERM_ENTRIES = 5_000_000
+
+# levels solved for beyond the ones asked for, so that a degenerate multiplet
+# straddling the last requested level is resolved in full
+_GUARD_LEVELS = 4
+
+
 @dataclass
 class QuantizedCircuit:
     lagrangian: CircuitLagrangian
     c_inverse: np.ndarray
     bases: tuple[CoordinateBasis, ...]
-    hamiltonian: np.ndarray            # dense, joules
+    hamiltonian: sp.csr_matrix         # Hermitian, joules
 
     def eigenvalues(self, count: int = 6) -> np.ndarray:
-        vals = np.linalg.eigvalsh(self.hamiltonian)
-        return vals[:count]
+        """The lowest ``count`` eigenvalues in joules, ascending.
+
+        Shift-invert Lanczos (ARPACK) on H scaled to unit ∞-norm, with the
+        shift below a Gershgorin lower bound of the spectrum so that H - σ is
+        positive definite.  A fixed start vector makes repeat solves identical.
+        """
+        h = self.hamiltonian
+        k = count + _GUARD_LEVELS
+        if k >= self.dim - 1:
+            # ARPACK needs k < dim - 1 (complex Hermitian); this is a property
+            # of the input, so such small bases take the full dense spectrum
+            return np.linalg.eigvalsh(h.toarray())[:count]
+        if not h.data.imag.any():
+            h = h.real                      # real symmetric: ARPACK's Lanczos driver
+        row_sums = np.asarray(abs(h).sum(axis=1)).ravel()
+        scale = float(row_sums.max())
+        diag = h.diagonal().real
+        # the bound touches the lowest level when H is (nearly) diagonal, as
+        # for a lone LC oscillator, so σ keeps a margin below it.  The margin
+        # scales with the bound, not with the norm: the norm grows with the
+        # basis (4E_C n² in the charge basis), and a shift far below the low
+        # levels slows Lanczos by an order of magnitude
+        bound = float((diag - (row_sums - np.abs(diag))).min()) / scale
+        sigma = bound - 1e-3 * abs(bound) - 1e-8
+        v0 = np.random.default_rng(0).standard_normal(self.dim).astype(h.dtype)
+        vals = spla.eigsh(h / scale, k=k, sigma=sigma, which="LM", v0=v0, tol=0,
+                          return_eigenvectors=False)
+        return np.sort(vals.real)[:count] * scale
 
     @property
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
 
 
-def _charge_ops(n_q: int) -> tuple[np.ndarray, np.ndarray]:
+def _charge_ops(n_q: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Charge operator (Cooper pairs × 2e) and e^{iθ} in the ±n_q basis."""
     size = 2 * n_q + 1
-    q = 2.0 * E_CHARGE * np.diag(np.arange(-n_q, n_q + 1, dtype=float))
-    e_itheta = np.diag(np.ones(size - 1), k=-1)   # e^{iθ}|n⟩ = |n+1⟩
+    q = sp.diags(2.0 * E_CHARGE * np.arange(-n_q, n_q + 1, dtype=float), format="csr")
+    e_itheta = sp.diags(np.ones(size - 1), -1, format="csr")   # e^{iθ}|n⟩ = |n+1⟩
     return q, e_itheta
 
 
-def _oscillator_ops(phi_zpf: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+def _oscillator_ops(phi_zpf: float, size: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Flux and charge operators in a harmonic basis with the given zero-point
     flux; [φ, q] = iħ."""
-    a = np.diag(np.sqrt(np.arange(1, size)), k=1)
-    phi = phi_zpf * (a + a.conj().T)
+    a = sp.diags(np.sqrt(np.arange(1, size, dtype=float)), 1, shape=(size, size), format="csr")
+    phi = phi_zpf * (a + a.T)
     q_zpf = HBAR / (2.0 * phi_zpf)
-    q = 1j * q_zpf * (a.conj().T - a)
-    return phi, q
+    q = 1j * q_zpf * (a.T - a)
+    return phi.tocsr(), q.tocsr()
 
 
 def quantize(lagr: CircuitLagrangian, charge_cutoff: int = 20,
              oscillator_levels: int = 30, max_diag_coordinates: int = 2) -> QuantizedCircuit:
-    """Numeric Hamiltonian H = q†C⁻¹q/2 + V(φ) in a per-coordinate basis.
+    """Sparse Hamiltonian H = q†C⁻¹q/2 + V(φ) in a per-coordinate basis.
 
     Coordinates touching an inductor get a harmonic-oscillator basis (the
-    junction cosine is then exp(iφ·2π/Φ₀) via a matrix exponential); junction-
-    only coordinates get the 2·charge_cutoff+1 Cooper-pair charge basis, where
-    the cosine is exact.  Purely capacitive coordinates have a continuous
-    spectrum and are rejected.  Diagonalization is limited to
-    ``max_diag_coordinates`` coordinates; the matrix grows exponentially
-    beyond that and iterative solvers belong upstream.
+    junction cosine is then exp(iφ·2π/Φ₀), a matrix exponential taken at
+    single-coordinate size); junction-only coordinates get the
+    2·charge_cutoff+1 Cooper-pair charge basis, where the cosine is exact.
+    Purely capacitive coordinates have a continuous spectrum and are rejected.
+    Every operator is a CSR matrix lifted to the product basis by sparse
+    Kronecker products with identities, so H is assembled without a dense
+    dim×dim array; :meth:`QuantizedCircuit.eigenvalues` takes the lowest
+    levels by shift-invert Lanczos.  Refused with a ValueError before anything
+    is assembled: more than ``max_diag_coordinates`` coordinates, a basis of
+    more than :data:`MAX_BASIS_DIM` states, and terms that would store more
+    than :data:`MAX_TERM_ENTRIES` entries; the message names the cutoffs to
+    lower.
     """
     n = lagr.n_coordinates
     if n == 0:
@@ -413,7 +472,6 @@ def quantize(lagr: CircuitLagrangian, charge_cutoff: int = 20,
     if n > max_diag_coordinates:
         raise ValueError(
             f"{n} coordinates exceed the diagonalization limit {max_diag_coordinates}")
-    c_inv = np.linalg.inv(lagr.c_matrix)
 
     touches_l = [False] * n
     touches_jj = [False] * n
@@ -424,6 +482,21 @@ def quantize(lagr: CircuitLagrangian, charge_cutoff: int = 20,
                     touches_l[idx] = True
                 else:
                     touches_jj[idx] = True
+    for k, node in enumerate(lagr.coordinates):
+        if not (touches_l[k] or touches_jj[k]):
+            raise ValueError(
+                f"coordinate {node!r} has no inductive or junction potential; "
+                "its spectrum is continuous and cannot be diagonalized")
+
+    sizes = [oscillator_levels if touches_l[k] else 2 * charge_cutoff + 1 for k in range(n)]
+    dim = math.prod(sizes)
+    cutoffs = " or ".join(name for name, used in (("charge_cutoff", not all(touches_l)),
+                                                  ("oscillator_levels", any(touches_l))) if used)
+    if dim > MAX_BASIS_DIM:
+        raise ValueError(
+            f"basis dimension {dim} ({' x '.join(map(str, sizes))}) exceeds the limit "
+            f"{MAX_BASIS_DIM}; lower {cutoffs}")
+    c_inv = np.linalg.inv(lagr.c_matrix)
 
     # inductive Hessian diagonal fixes each oscillator's zero-point flux
     hess = np.zeros(n)
@@ -433,10 +506,10 @@ def quantize(lagr: CircuitLagrangian, charge_cutoff: int = 20,
                 if idx >= 0:
                     hess[idx] += 1.0 / t.value
 
+    # per-coordinate operators by name: "q", "q2" (q²), "phi", "phi2" (φ²), and
+    # the junction shift "u" = e^{iθ} or e^{i2πφ/Φ₀} with its adjoint "u+"
     bases: list[CoordinateBasis] = []
-    phi_ops: list[np.ndarray | None] = []
-    q_ops: list[np.ndarray] = []
-    shift_ops: list[np.ndarray | None] = []   # e^{i 2π φ̂ / Φ₀}
+    ops: list[dict[str, sp.csr_matrix]] = []
     for k, node in enumerate(lagr.coordinates):
         if touches_l[k]:
             l_eff = 1.0 / hess[k]
@@ -446,57 +519,77 @@ def quantize(lagr: CircuitLagrangian, charge_cutoff: int = 20,
             phi, q = _oscillator_ops(phi_zpf, oscillator_levels)
             bases.append(CoordinateBasis(node=node, kind="oscillator",
                                          size=oscillator_levels, phi_zpf=phi_zpf))
-            phi_ops.append(phi)
-            q_ops.append(q)
-            shift_ops.append(expm(1j * (2.0 * math.pi / PHI0) * phi) if touches_jj[k] else None)
-        elif touches_jj[k]:
+            ops.append({"q": q, "phi": phi, "phi2": phi @ phi})
+        else:
             q, e_itheta = _charge_ops(charge_cutoff)
             bases.append(CoordinateBasis(node=node, kind="charge", size=2 * charge_cutoff + 1))
-            phi_ops.append(None)
-            q_ops.append(q)
-            shift_ops.append(e_itheta)
-        else:
-            raise ValueError(
-                f"coordinate {node!r} has no inductive or junction potential; "
-                "its spectrum is continuous and cannot be diagonalized")
+            ops.append({"q": q, "u": e_itheta, "u+": e_itheta.T.tocsr()})
+        ops[k]["q2"] = q @ q
 
-    sizes = [b.size for b in bases]
-    dim = int(np.prod(sizes))
-
-    def lift(op: np.ndarray, k: int) -> np.ndarray:
-        full = np.array([[1.0 + 0.0j]])
-        for j in range(n):
-            factor = op if j == k else np.eye(sizes[j], dtype=complex)
-            full = np.kron(full, factor)
-        return full
-
-    h = np.zeros((dim, dim), dtype=complex)
+    # H as a sum of Kronecker products: (coefficient, {coordinate: operator
+    # name}), with the identity on every coordinate a term does not name
+    terms: list[tuple[complex, dict[int, str]]] = []
     for i in range(n):
-        h += 0.5 * c_inv[i, i] * lift(q_ops[i] @ q_ops[i], i)
+        terms.append((0.5 * c_inv[i, i], {i: "q2"}))
         for j in range(i + 1, n):
             if c_inv[i, j] != 0.0:
-                h += c_inv[i, j] * (lift(q_ops[i], i) @ lift(q_ops[j], j))
-
+                terms.append((c_inv[i, j], {i: "q", j: "q"}))
     for t in lagr.potentials:
+        ends = [(sign, idx) for sign, idx in ((1.0, t.index_a), (-1.0, t.index_b)) if idx >= 0]
         if t.kind == "L":
-            dphi = np.zeros((dim, dim), dtype=complex)
-            if t.index_a >= 0:
-                dphi += lift(phi_ops[t.index_a], t.index_a)
-            if t.index_b >= 0:
-                dphi -= lift(phi_ops[t.index_b], t.index_b)
+            # (φ_a - φ_b - Φ)²/2L, expanded; a grounded end has φ = 0
+            for sign, idx in ends:
+                terms.append((0.5 / t.value, {idx: "phi2"}))
+                if t.shift:
+                    terms.append((-sign * t.shift / t.value, {idx: "phi"}))
+            if len(ends) == 2:
+                terms.append((-1.0 / t.value, {t.index_a: "phi", t.index_b: "phi"}))
             if t.shift:
-                dphi -= t.shift * np.eye(dim)
-            h += (0.5 / t.value) * (dphi @ dphi)
+                terms.append((0.5 * t.shift ** 2 / t.value, {}))
         else:
-            u = np.eye(dim, dtype=complex)
-            if t.index_a >= 0:
-                u = u @ lift(shift_ops[t.index_a], t.index_a)
-            if t.index_b >= 0:
-                u = u @ lift(shift_ops[t.index_b], t.index_b).conj().T
-            u = u * np.exp(-1j * 2.0 * math.pi * t.shift / PHI0)
-            h += -t.value * 0.5 * (u + u.conj().T)
+            # -E_J cos(θ_a - θ_b - 2πΦ/Φ₀) = -(E_J/2)(u + u†),
+            # u = e^{iθ_a} e^{-iθ_b} e^{-i2πΦ/Φ₀}
+            phase = np.exp(-1j * 2.0 * math.pi * t.shift / PHI0)
+            terms.append((-0.5 * t.value * phase,
+                          {idx: "u" if sign > 0 else "u+" for sign, idx in ends}))
+            terms.append((-0.5 * t.value * np.conj(phase),
+                          {idx: "u+" if sign > 0 else "u" for sign, idx in ends}))
 
-    h = 0.5 * (h + h.conj().T)
+    def entries(factors: dict[int, str]) -> int:
+        count = 1
+        for k in range(n):
+            name = factors.get(k)
+            if name is None:
+                count *= sizes[k]                   # identity
+            elif name in ops[k]:
+                count *= ops[k][name].nnz
+            else:
+                count *= sizes[k] ** 2              # an oscillator's junction shift, dense
+        return count
+
+    total = sum(entries(factors) for _, factors in terms)
+    if total > MAX_TERM_ENTRIES:
+        raise ValueError(
+            f"the terms of H hold {total} entries at basis dimension {dim}, above the "
+            f"limit {MAX_TERM_ENTRIES}; lower {cutoffs}")
+    for k in range(n):
+        if touches_l[k] and touches_jj[k]:
+            u = expm(1j * (2.0 * math.pi / PHI0) * ops[k]["phi"].toarray())
+            ops[k]["u"] = sp.csr_matrix(u)
+            ops[k]["u+"] = sp.csr_matrix(u.conj().T)
+
+    def lift(factors: dict[int, str]) -> sp.csr_matrix:
+        out = sp.identity(1, dtype=complex, format="csr")
+        for k in range(n):
+            op = ops[k][factors[k]] if k in factors else sp.identity(sizes[k], format="csr")
+            out = sp.kron(out, op, format="csr")
+        return out
+
+    h = sp.csr_matrix((dim, dim), dtype=complex)
+    for coefficient, factors in terms:
+        term = lift(factors)
+        term.data *= coefficient
+        h = h + term
     return QuantizedCircuit(lagrangian=lagr, c_inverse=c_inv, bases=tuple(bases),
                             hamiltonian=h)
 

@@ -510,13 +510,14 @@ def _cmd_quantize(config: dict[str, Any]):
     evals = qc.eigenvalues(config["levels"])
     rows = [{"level": i, "energy_joule": float(e)} for i, e in enumerate(evals)]
     conv: dict[str, Any] = {"bases": [{"node": b.node, "kind": b.kind, "size": b.size}
-                                      for b in qc.bases]}
+                                      for b in qc.bases],
+                            "dim": qc.dim, "nnz": qc.hamiltonian.nnz}
     if config["cutoff_check"]:
         qc2 = quantize(lagr, charge_cutoff=config["charge_cutoff"] + 10,
                        oscillator_levels=config["oscillator_levels"] + 10)
         e2 = qc2.eigenvalues(config["levels"])
         shift = float(np.max(np.abs(evals - e2)) / max(np.max(np.abs(e2)), 1e-300))
-        conv["basis_check"] = {"rel_shift": shift, "passed": shift < 1e-9}
+        conv["basis_check"] = {"rel_shift": shift, "passed": shift < 1e-9, "dim": qc2.dim}
     header = ["level", "energy_joule"]
     return header, rows, conv
 

@@ -3,11 +3,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
+from cqedlat import cli
 from cqedlat.circuits import (
     E_CHARGE,
     HBAR,
+    MAX_BASIS_DIM,
+    MAX_TERM_ENTRIES,
     PHI0,
+    Capacitor,
+    CircuitNetlist,
+    Inductor,
+    Junction,
     NetlistError,
     SingularCapacitanceError,
     build_lagrangian,
@@ -34,6 +43,105 @@ NODE n
 C g n {C_TRANSMON!r}
 JJ g n {EJ!r}
 """
+
+# two identical transmons with no coupling capacitor
+TRANSMON_TWINS_TEXT = f"""GROUND g
+NODE a
+NODE b
+C g a {C_TRANSMON!r}
+C g b {C_TRANSMON!r}
+JJ g a {EJ!r}
+JJ g b {EJ!r}
+"""
+
+# two oscillators joined by a junction: H is dense in the product basis
+JUNCTION_COUPLED_OSCILLATORS_TEXT = """GROUND g
+NODE a
+NODE b
+C g a 1e-13
+C g b 1.1e-13
+L g a 3e-10
+L g b 3.3e-10
+JJ a b 6.62607e-24
+"""
+
+
+def dense_levels(qc, count):
+    """The lowest levels of ``qc``'s circuit by dense assembly: ``np.kron``
+    lifts, dense products and a full ``eigvalsh``, in ``qc``'s bases."""
+    sizes = [b.size for b in qc.bases]
+    q_ops, phi_ops, shift_ops = [], [], []
+    for b in qc.bases:
+        if b.kind == "charge":
+            n_q = (b.size - 1) // 2
+            q_ops.append(2.0 * E_CHARGE * np.diag(np.arange(-n_q, n_q + 1.0)))
+            phi_ops.append(None)
+            shift_ops.append(np.eye(b.size, k=-1))
+        else:
+            a = np.diag(np.sqrt(np.arange(1.0, b.size)), k=1)
+            phi = b.phi_zpf * (a + a.T)
+            q_ops.append(1j * HBAR / (2.0 * b.phi_zpf) * (a.T - a))
+            phi_ops.append(phi)
+            shift_ops.append(expm(1j * (2.0 * math.pi / PHI0) * phi))
+
+    def lift(op, k):
+        full = np.ones((1, 1))
+        for j, size in enumerate(sizes):
+            full = np.kron(full, op if j == k else np.eye(size))
+        return full
+
+    c_inv = qc.c_inverse
+    h = np.zeros((qc.dim, qc.dim), dtype=complex)
+    for i in range(len(sizes)):
+        h += 0.5 * c_inv[i, i] * lift(q_ops[i] @ q_ops[i], i)
+        for j in range(i + 1, len(sizes)):
+            h += c_inv[i, j] * (lift(q_ops[i], i) @ lift(q_ops[j], j))
+    for t in qc.lagrangian.potentials:
+        ends = [(sign, idx) for sign, idx in ((1, t.index_a), (-1, t.index_b)) if idx >= 0]
+        if t.kind == "L":
+            dphi = sum(sign * lift(phi_ops[idx], idx) for sign, idx in ends)
+            h += (0.5 / t.value) * (dphi @ dphi)
+        else:
+            u = np.exp(-1j * 2.0 * math.pi * t.shift / PHI0) * np.eye(qc.dim)
+            for sign, idx in ends:
+                shift = lift(shift_ops[idx], idx)
+                u = u @ (shift if sign > 0 else shift.conj().T)
+            h -= 0.5 * t.value * (u + u.conj().T)
+    return np.linalg.eigvalsh(h)[:count]
+
+
+NAMES = st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True)
+POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
+
+
+@st.composite
+def netlists(draw):
+    """Valid netlists: a random spanning tree over the nodes plus extra
+    branches, and flux loops that each close on exactly one junction."""
+    nodes = draw(st.lists(NAMES, min_size=2, max_size=5, unique=True))
+    ground = draw(st.sampled_from(nodes))
+    order = draw(st.permutations(nodes))
+    pairs = [(order[i], draw(st.sampled_from(order[:i]))) for i in range(1, len(order))]
+    pairs += draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+                           .filter(lambda p: p[0] != p[1]), max_size=4))
+    caps, inds, jjs = [], [], []
+    for a, b in pairs:
+        kind = draw(st.sampled_from("CLJ"))
+        if kind == "C":
+            caps.append(Capacitor(a, b, draw(POSITIVE)))
+        elif kind == "L":
+            inds.append(Inductor(a, b, draw(POSITIVE)))
+        else:
+            jjs.append((a, b, draw(POSITIVE), draw(st.booleans())))
+    n_loops = sum(closes for *_, closes in jjs)
+    loops = draw(st.lists(NAMES, min_size=n_loops, max_size=n_loops, unique=True))
+    closures = iter(loops)
+    junctions = [Junction(a, b, ej, next(closures) if closes else None)
+                 for a, b, ej, closes in jjs]
+    fluxes = sorted((loop, draw(st.floats(-1e-12, 1e-12))) for loop in loops)
+    return CircuitNetlist(nodes=tuple(nodes), ground=ground, capacitors=tuple(caps),
+                          inductors=tuple(inds), junctions=tuple(junctions),
+                          fluxes=tuple(fluxes))
 
 
 class TestParser:
@@ -94,6 +202,13 @@ class TestParser:
         for path in corpus:
             net = parse_netlist(path.read_text())
             assert parse_netlist(serialize_netlist(net)) == net
+
+    @settings(max_examples=100)
+    @given(netlists())
+    def test_round_trip_property(self, net):
+        text = serialize_netlist(net)
+        assert parse_netlist(text) == net
+        assert serialize_netlist(parse_netlist(text)) == text
 
 
 class TestLagrangian:
@@ -203,6 +318,74 @@ class TestQuantize:
             qc = quantize(lag, charge_cutoff=10, oscillator_levels=15)
             ev = qc.eigenvalues(3)
             assert np.all(np.diff(ev) > 0)
+
+
+class TestSparseQuantize:
+    @pytest.mark.parametrize("charge_cutoff, oscillator_levels", [(9, 12), (19, 25)])
+    def test_corpus_matches_dense_assembly(self, charge_cutoff, oscillator_levels):
+        checked = 0
+        for path in sorted(NETLIST_DIR.glob("*.nl")):
+            lag = build_lagrangian(parse_netlist(path.read_text()))
+            if lag.n_coordinates > 2:
+                continue
+            qc = quantize(lag, charge_cutoff=charge_cutoff, oscillator_levels=oscillator_levels)
+            ev = qc.eigenvalues(8)
+            ref = dense_levels(qc, 8)
+            assert np.max(np.abs(ev - ref)) <= 1e-10 * np.max(np.abs(ref)), path.name
+            checked += 1
+        assert checked == 11
+
+    @pytest.mark.parametrize("charge_cutoff", [9, 19])
+    def test_uncoupled_twins_are_sums_of_single_levels(self, charge_cutoff):
+        single = quantize(build_lagrangian(parse_netlist(TRANSMON_TEXT)),
+                          charge_cutoff=charge_cutoff)
+        e1 = np.linalg.eigvalsh(single.hamiltonian.toarray())
+        sums = np.sort((e1[:, None] + e1[None, :]).ravel())[:8]
+        twins = quantize(build_lagrangian(parse_netlist(TRANSMON_TWINS_TEXT)),
+                         charge_cutoff=charge_cutoff)
+        assert twins.dim == (2 * charge_cutoff + 1) ** 2
+        ev = twins.eigenvalues(8)
+        scale = np.max(np.abs(sums))
+        assert np.max(np.abs(ev - sums)) <= 1e-12 * scale
+        # |01> and |10>: the first excited level is doubly degenerate, no more
+        assert ev[2] - ev[1] <= 1e-12 * scale
+        assert ev[1] - ev[0] > 0.1 * EC and ev[3] - ev[2] > 0.1 * EC
+
+    def test_hamiltonian_is_sparse_and_hermitian(self):
+        qc = quantize(build_lagrangian(parse_netlist((NETLIST_DIR / "transmon_pair.nl").read_text())),
+                      charge_cutoff=19)
+        h = qc.hamiltonian
+        assert qc.dim == 1521
+        assert h.format == "csr" and h.nnz == 7448
+        assert (h - h.conj().T).count_nonzero() == 0
+
+    def test_repeat_solves_are_identical(self):
+        qc = quantize(build_lagrangian(parse_netlist((NETLIST_DIR / "transmon_resonator.nl").read_text())))
+        assert qc.eigenvalues(6).tobytes() == qc.eigenvalues(6).tobytes()
+
+    def test_oversized_basis_is_refused_at_once(self):
+        lag = build_lagrangian(parse_netlist((NETLIST_DIR / "transmon_pair.nl").read_text()))
+        dim = (2 * 10 ** 6 + 1) ** 2
+        with pytest.raises(ValueError, match=f"basis dimension {dim} .* limit {MAX_BASIS_DIM}; "
+                                             "lower charge_cutoff$"):
+            quantize(lag, charge_cutoff=10 ** 6)
+
+    def test_oversized_cli_run_exits_one(self, tmp_path, capsys):
+        code = cli.main(["quantize", "--netlist", str(NETLIST_DIR / "transmon_pair.nl"),
+                         "--charge-cutoff", "1000000", "--output", str(tmp_path / "q.csv")])
+        assert code == 1
+        assert f"exceeds the limit {MAX_BASIS_DIM}" in capsys.readouterr().err
+        assert not (tmp_path / "q.csv").exists()
+
+    def test_dense_junction_coupling_is_refused(self):
+        lag = build_lagrangian(parse_netlist(JUNCTION_COUPLED_OSCILLATORS_TEXT))
+        # the junction's two Kronecker terms are dense: 2·60⁴ entries at dim 3600
+        with pytest.raises(ValueError, match=f"limit {MAX_TERM_ENTRIES}; lower oscillator_levels$"):
+            quantize(lag, oscillator_levels=60)
+        qc = quantize(lag, oscillator_levels=12)
+        assert qc.hamiltonian.nnz > qc.dim ** 2 // 2
+        ev = qc.eigenvalues(6)
+        assert np.max(np.abs(ev - dense_levels(qc, 6))) <= 1e-10 * np.max(np.abs(ev))
 
 
 class TestCouplingEstimate:

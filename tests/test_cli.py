@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -99,3 +100,28 @@ class TestDrivenMF:
             assert len(fp["residuals"]) == len(fp["stability_margins"]) == len(fp["branches"]) >= 1
             assert all(r <= summary["config"]["psi_tol"] for r in fp["residuals"])
             assert all(m < 0 for m in fp["stability_margins"])
+
+
+class TestQuantize:
+    NETLIST = str(Path(__file__).parent / "data" / "netlists" / "transmon_pair.nl")
+
+    def test_default_runs_are_identical_and_verified(self, tmp_path):
+        runs = []
+        for name in ("first", "second"):
+            (tmp_path / name).mkdir()
+            runs.append(run(tmp_path / name, "quantize", {"netlist": self.NETLIST}))
+        csv_bytes = [(tmp_path / name / "quantize.csv").read_bytes() for name in ("first", "second")]
+        assert csv_bytes[0] == csv_bytes[1]
+        rows, summary = runs[0]
+        assert len(rows) == 6
+        assert summary["status"] == "ok"
+        conv = summary["convergence"]
+        assert conv["dim"] == 41 ** 2 and 0 < conv["nnz"] < 5 * conv["dim"]
+        assert conv["basis_check"]["passed"] is True
+        assert conv["basis_check"]["dim"] == 61 ** 2
+
+    def test_missing_netlist_exits_one(self, tmp_path, capsys):
+        code = cli.main(["quantize", "--netlist", str(tmp_path / "absent.nl"),
+                         "--output", str(tmp_path / "q.csv")])
+        assert code == 1
+        assert "file not found" in capsys.readouterr().err

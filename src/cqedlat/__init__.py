@@ -1,7 +1,7 @@
 """cqedlat: desk-scale simulations of circuit QED lattices.
 
-Subpackages map onto the physics layers: ``hilbert`` (spaces, states and site
-operators), ``jc`` (single-site Jaynes-Cummings), ``lattice`` (JCHM assembly
+Subpackages map onto the physics layers: ``hilbert`` (spaces, states and the
+operator term kernel), ``jc`` (single-site Jaynes-Cummings), ``lattice`` (JCHM terms
 and sector diagonalization), ``lindblad`` (open-system engine), ``meanfield``
 (equilibrium lobes and driven fixed points), ``resonator`` (transmission-line
 modes), ``circuits`` (netlist quantization) and ``cli`` (reproducible runs).

@@ -1,15 +1,26 @@
-"""Tensor-product operator algebra for lattices of photon-qubit sites.
+"""Occupation bases and one term kernel for lattices of photon-qubit sites.
 
 Every site carries a truncated Fock space (photon numbers 0..n_max) tensored
 with a two-level qubit.  The basis ordering is fixed once and for all so that
 test vectors are portable:
 
 * within a site the photon index is the slow one, i.e. the site basis is
-  ``|n_ph, q⟩`` with linear index ``n_ph * 2 + q`` and ``q = 0`` the qubit
+  ``|n_ph, q⟩`` with site state ``s = n_ph * 2 + q`` and ``q = 0`` the qubit
   ground state,
 * across sites, site 0 is the slowest index, so the global index of a
   configuration ``(s_0, s_1, ..., s_{N-1})`` is
   ``((s_0 * d_1 + s_1) * d_2 + ...)``.
+
+A basis (:func:`occupation_basis`) is a lexicographically sorted integer
+array of site states, one row per configuration: every row for the full
+space, so row k is global index k, or for an excitation sector the rows with
+Σ(n + q) = N, enumerated site by site with pruning at N so that no full-space
+array or index (which can exceed int64) is formed.  Every lattice operator
+comes from one kernel, :func:`assemble`: a term is a coefficient times
+single-site factors (a, a†, σ⁻, σ⁺, a diagonal site function and their
+products on one site) that each map a site state to at most one site state,
+so a term is a vectorized gather over the basis rows, and one term list gives
+the full-space operator or a sector block depending only on the basis.
 
 Operators are plain complex ``scipy.sparse`` CSR matrices; a Hamiltonian's
 Hermiticity is checked once, where it enters the open-system engine (the
@@ -20,8 +31,9 @@ safe to share between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,7 +48,12 @@ __all__ = [
     "qubit_lower",
     "qubit_number",
     "sigma_z",
-    "embed",
+    "Factor",
+    "Term",
+    "occupation_basis",
+    "site_factor",
+    "diagonal_factor",
+    "assemble",
     "photon_op_on",
     "qubit_op_on",
     "total_excitation",
@@ -62,10 +79,6 @@ class SiteSpace:
             raise ValueError(f"photon_cutoff must be >= 1, got {self.photon_cutoff}")
         if self.qubit_dim != 2:
             raise ValueError(f"qubit_dim must be 2, got {self.qubit_dim}")
-
-    @property
-    def n_max(self) -> int:
-        return self.photon_cutoff
 
     @property
     def dim(self) -> int:
@@ -105,7 +118,7 @@ class LatticeSpace:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.site_dims))
+        return math.prod(self.site_dims)
 
     def basis_index(self, config: Sequence[tuple[int, int]]) -> int:
         """Global index of a product configuration [(n_photon, qubit), ...]."""
@@ -205,48 +218,111 @@ def sigma_z() -> sp.csr_matrix:
     return _csr(np.diag([-1.0, 1.0]))
 
 
-def embed(op: sp.spmatrix, site_index: int, space: LatticeSpace) -> sp.csr_matrix:
-    """Extend a site operator by identity on every other site.
+# ---------------------------------------------------------------------------
+# occupation bases and the term kernel
 
-    ``op`` must act on the full site space (dimension (n_max+1)*2); lift
-    photon- and qubit-factor operators with :func:`photon_op_on` and
-    :func:`qubit_op_on` instead.
-    """
+# A factor (site, target, amp) sends site state s to target[s], -1 where it
+# annihilates s, with amplitude amp[s]; a term is a coefficient times factors.
+Factor = tuple[int, np.ndarray, np.ndarray]
+Term = tuple[complex, Sequence[Factor]]
+
+
+def occupation_basis(space: LatticeSpace, N: int | None = None) -> np.ndarray:
+    """Site states of all configurations, or with ``N`` of those with Σ(n + q) = N,
+    one row each in lexicographic order; partial sums are pruned at N site by site."""
+    limit = sum(site.photon_cutoff + 1 for site in space.sites) if N is None else N
+    states, load = np.zeros((1, 0), dtype=np.intp), np.zeros(1, dtype=np.intp)
+    for site in space.sites:
+        s = np.arange(site.dim)
+        grown = load[:, None] + s // site.qubit_dim + s % site.qubit_dim
+        row, col = np.nonzero(grown <= limit)
+        states, load = np.column_stack((states[row], s[col])), grown[row, col]
+    return states if N is None else states[load == N]
+
+
+def _gather(op: sp.spmatrix | None, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    m = np.eye(dim) if op is None else op.toarray()
+    nonzero = m != 0
+    if m.shape != (dim, dim) or (nonzero.sum(axis=0) > 1).any():
+        raise ValueError(f"need a {dim}x{dim} operator with at most one entry per column, got {m.shape}")
+    target = nonzero.argmax(axis=0)
+    return np.where(nonzero.any(axis=0), target, -1), m[target, np.arange(dim)]
+
+
+def site_factor(space: LatticeSpace, site_index: int, photon_op: sp.spmatrix | None = None,
+                qubit_op: sp.spmatrix | None = None) -> Factor:
+    """photon_op ⊗ qubit_op on one site (identity where None); each operator may have
+    at most one entry per column (a, a†, σ⁻, σ⁺, diagonals), as a factor must."""
     if not 0 <= site_index < space.n_sites:
         raise ValueError(f"site index {site_index} out of range for {space.n_sites} sites")
     site = space.sites[site_index]
-    if op.shape[0] != site.dim:
-        raise ValueError(f"operator dim {op.shape[0]} does not match site dim {site.dim}")
-    left = int(np.prod(space.site_dims[:site_index], initial=1))
-    right = int(np.prod(space.site_dims[site_index + 1:], initial=1))
-    m = _csr(op)
-    if left > 1:
-        m = sp.kron(sp.identity(left, format="csr"), m, format="csr")
-    if right > 1:
-        m = sp.kron(m, sp.identity(right, format="csr"), format="csr")
-    return m
+    tn, an = _gather(photon_op, site.photon_cutoff + 1)
+    tq, aq = _gather(qubit_op, site.qubit_dim)
+    n, q = np.divmod(np.arange(site.dim), site.qubit_dim)
+    target = np.where((tn[n] >= 0) & (tq[q] >= 0), tn[n] * site.qubit_dim + tq[q], -1)
+    return site_index, target, an[n] * aq[q]
+
+
+def diagonal_factor(space: LatticeSpace, site_index: int,
+                    f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Factor:
+    """Diagonal factor with entry f(n, q) on site state |n, q⟩ of one site."""
+    _, s, _ = site_factor(space, site_index)
+    return site_index, s, f(*np.divmod(s, space.sites[site_index].qubit_dim))
+
+
+def assemble(terms: Iterable[Term], basis: np.ndarray) -> sp.csr_matrix:
+    """Σ coef · Π factors on the rows of ``basis``, as one CSR matrix.
+
+    ``basis`` holds distinct rows of site states in lexicographic order, as from
+    :func:`occupation_basis`.  A term is a vectorized gather over the rows: its
+    factors act right to left on their site columns, annihilated rows drop out,
+    and the amplitudes multiply in that order before the coefficient does.
+    Diagonal entries accumulate term by term in list order; other target rows
+    are located by one ``np.unique`` over basis and target rows.  Raises
+    ``ValueError`` for a site index outside the basis or a term leaving it.
+    """
+    dim, n_sites = basis.shape
+    diag = np.zeros(dim, dtype=np.complex128)        # the basis rows map to themselves
+    sources, targets, values = [np.arange(dim)], [basis], [diag]
+    for coef, factors in terms:
+        rows, states, amp = np.arange(dim), basis, np.ones(dim)
+        for site, target, factor_amp in reversed(factors):
+            if not 0 <= site < n_sites:
+                raise ValueError(f"site index {site} out of range for {n_sites} sites")
+            s = target[states[:, site]]
+            keep = s >= 0
+            rows, states = rows[keep], states[keep]
+            amp = amp[keep] * factor_amp[states[:, site]]
+            states[:, site] = s[keep]
+        value = coef * amp
+        moved = (states != basis[rows]).any(axis=1)
+        diag[rows[~moved]] += value[~moved]
+        sources.append(rows[moved])
+        targets.append(states[moved])
+        values.append(value[moved])
+    found, where = np.unique(np.concatenate(targets), axis=0, return_inverse=True)
+    if len(found) > dim:
+        raise ValueError("a term maps a basis configuration outside the basis")
+    h = sp.csr_matrix((np.concatenate(values), (where.ravel(), np.concatenate(sources))),
+                      shape=(dim, dim))
+    h.eliminate_zeros()
+    return h
 
 
 def photon_op_on(space: LatticeSpace, site_index: int, photon_op: sp.spmatrix) -> sp.csr_matrix:
-    """Embed a photon-factor operator (identity on the local qubit)."""
-    site = space.sites[site_index]
-    return embed(sp.kron(photon_op, sp.identity(site.qubit_dim), format="csr"), site_index, space)
+    """A photon-factor operator on one site, identity elsewhere and on the local qubit."""
+    return assemble([(1.0, (site_factor(space, site_index, photon_op),))], occupation_basis(space))
 
 
 def qubit_op_on(space: LatticeSpace, site_index: int, qubit_op: sp.spmatrix) -> sp.csr_matrix:
-    """Embed a qubit-factor operator (identity on the local photon mode)."""
-    site = space.sites[site_index]
-    return embed(sp.kron(sp.identity(site.photon_cutoff + 1), qubit_op, format="csr"),
-                 site_index, space)
+    """A qubit-factor operator on one site, identity elsewhere and on the local photon mode."""
+    return assemble([(1.0, (site_factor(space, site_index, qubit_op=qubit_op),))], occupation_basis(space))
 
 
 def total_excitation(space: LatticeSpace) -> sp.csr_matrix:
     """Σ_n (a†a + σ⁺σ⁻)_n, the conserved polariton number of the RWA models."""
-    total = sp.csr_matrix((space.total_dim, space.total_dim), dtype=np.complex128)
-    for i, site in enumerate(space.sites):
-        total = total + photon_op_on(space, i, number(site))
-        total = total + qubit_op_on(space, i, qubit_number())
-    return total
+    terms = [(1.0, (diagonal_factor(space, i, lambda n, q: n + q),)) for i in range(space.n_sites)]
+    return assemble(terms, occupation_basis(space))
 
 
 def expectation(op: sp.spmatrix, state: DensityMatrix) -> complex:

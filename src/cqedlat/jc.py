@@ -21,21 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .hilbert import (
-    LatticeSpace,
-    SiteSpace,
-    annihilation,
-    number,
-    photon_op_on,
-    qubit_lower,
-    qubit_number,
-    qubit_op_on,
-)
+from .hilbert import LatticeSpace, SiteSpace
 
 __all__ = [
     "JCParams",
     "PolaritonLevel",
-    "Linewidth",
     "jc_hamiltonian",
     "chi",
     "mixing_angle",
@@ -80,13 +70,6 @@ class PolaritonLevel:
     chi: float
 
 
-@dataclass(frozen=True)
-class Linewidth:
-    """Polariton linewidth on resonance, δε = (γ₁ + 2γ_φ + γ_κ)/2."""
-
-    delta_eps: float
-
-
 def _check_branch(branch: str) -> float:
     if branch not in BRANCHES:
         raise ValueError(f"branch must be '+' or '-', got {branch!r}")
@@ -101,8 +84,10 @@ def chi(p: JCParams, n: int) -> float:
 
 
 def mixing_angle(p: JCParams, n: int) -> float:
-    """θ_n = atan2(2g√n, δ + 2χ_n), in [0, π/2]."""
-    return math.atan2(2.0 * p.g * math.sqrt(n), p.delta + 2.0 * chi(p, n))
+    """θ_n = atan2(2g√n, δ + 2χ_n), in [0, π/2]; for δ < 0 taken as the equal
+    atan2(2χ_n - δ, 2g√n), free of cancellation and π/2 (qubit-like) at g = 0."""
+    x, y = 2.0 * p.g * math.sqrt(n), 2.0 * chi(p, n)
+    return math.atan2(y - p.delta, x) if p.delta < 0 else math.atan2(x, p.delta + y)
 
 
 def polariton_energy(p: JCParams, n: int, branch: str = "-") -> float:
@@ -128,19 +113,11 @@ def jc_hamiltonian(p: JCParams, space: SiteSpace, rwa: bool = True) -> sp.csr_ma
 
     With ``rwa=True`` the excitation-conserving form
     ω_r a†a + ω_q σ⁺σ⁻ + g(a†σ⁻ + aσ⁺); with ``rwa=False`` the
-    counter-rotating terms g(a†σ⁺ + aσ⁻) are added (Rabi form).
+    counter-rotating terms g(a†σ⁺ + aσ⁻) are added (Rabi form).  This is the
+    single-site case of :func:`cqedlat.lattice.build_jchm`.
     """
-    site = LatticeSpace((space,))
-    a = photon_op_on(site, 0, annihilation(space))
-    sm = qubit_op_on(site, 0, qubit_lower())
-    adag, sp_ = a.getH(), sm.getH()
-
-    h = (p.omega_r * photon_op_on(site, 0, number(space))
-         + p.omega_q * qubit_op_on(site, 0, qubit_number())
-         + p.g * (adag @ sm + a @ sp_))
-    if not rwa:
-        h = h + p.g * (adag @ sp_ + a @ sm)
-    return h
+    from .lattice import LatticeParams, build_jchm   # lattice imports JCParams from here
+    return build_jchm(LatticeParams.single_site(p), LatticeSpace((space,)), rwa=rwa)
 
 
 def dressed_state(p: JCParams, n: int, branch: str, space: SiteSpace) -> np.ndarray:

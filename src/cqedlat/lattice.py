@@ -8,9 +8,13 @@ The lattice Hamiltonian is
 with one hopping term per undirected edge.  J_ij may be negative (resonator
 chains built from half-wavelength modes flip the sign).  In the rotating-wave
 form the total polariton number N = Σ_j (a†a + σ⁺σ⁻)_j is conserved, which is
-exploited by the sector-resolved exact diagonalization below: the N-excitation
-block is assembled directly in the occupation basis, so large lattices never
-materialize the full tensor-product space.
+exploited by the sector-resolved exact diagonalization below.  The
+Hamiltonian is written once, as the term list of :func:`jchm_terms`;
+:func:`build_jchm` (and :func:`cqedlat.jc.jc_hamiltonian` for one site)
+assembles it on the full occupation basis and :func:`sector_hamiltonian` on
+the N-excitation basis, so large lattices never materialize the full space.
+A sector block equals the matching full-space block entry for entry, the
+hopping amplitudes being J·(√n_j·√(n_i + 1)) in both.
 """
 
 from __future__ import annotations
@@ -21,13 +25,23 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .hilbert import LatticeSpace, annihilation, embed, photon_op_on
-from .jc import JCParams, jc_hamiltonian
+from .hilbert import (
+    LatticeSpace,
+    Term,
+    annihilation,
+    assemble,
+    diagonal_factor,
+    occupation_basis,
+    qubit_lower,
+    site_factor,
+)
+from .jc import JCParams
 
 __all__ = [
     "LatticeParams",
     "ExcitationSector",
     "chain",
+    "jchm_terms",
     "build_jchm",
     "sector_basis",
     "sector_hamiltonian",
@@ -90,20 +104,21 @@ class LatticeParams:
 class ExcitationSector:
     """Basis of the fixed-polariton-number subspace.
 
-    Each basis configuration is a tuple of (n_photon, qubit) pairs, one per
-    site, with Σ (n_photon + qubit) = N.  Configurations are lexicographically
-    ordered so sector indices are reproducible.
+    ``states`` holds one row of site states s = 2n + q per configuration,
+    with Σ (n + q) = N, in lexicographic order so sector indices are
+    reproducible; ``configs`` gives the same rows as (n_photon, qubit) pairs.
     """
 
     N: int
-    configs: tuple[tuple[tuple[int, int], ...], ...]
+    states: np.ndarray
 
     @property
     def dim(self) -> int:
-        return len(self.configs)
+        return len(self.states)
 
-    def index(self) -> dict[tuple[tuple[int, int], ...], int]:
-        return {c: k for k, c in enumerate(self.configs)}
+    @property
+    def configs(self) -> np.ndarray:
+        return np.stack(np.divmod(self.states, 2), axis=-1)
 
 
 def chain(p: JCParams, n_sites: int, J: float, boundary: str = "open") -> LatticeParams:
@@ -121,100 +136,46 @@ def chain(p: JCParams, n_sites: int, J: float, boundary: str = "open") -> Lattic
                          edges=tuple(edges), boundary=boundary)
 
 
-def build_jchm(params: LatticeParams, space: LatticeSpace, rwa: bool = True) -> sp.csr_matrix:
-    """Assemble the lattice Hamiltonian on the full tensor-product space."""
+def jchm_terms(params: LatticeParams, space: LatticeSpace, rwa: bool = True) -> list[Term]:
+    """The lattice Hamiltonian as a term list for :func:`cqedlat.hilbert.assemble`.
+
+    Each site's ω_r n + ω_q q is one diagonal factor, so a diagonal entry sums
+    over sites in site order.  ``rwa=False`` adds g(a†σ⁺ + aσ⁻) on every site.
+    """
     if params.n_sites != space.n_sites:
         raise ValueError(f"parameter set has {params.n_sites} sites, space has {space.n_sites}")
-    d = space.total_dim
-    h = sp.csr_matrix((d, d), dtype=np.complex128)
+    terms: list[Term] = []
+    ladders = []
     for i, p in enumerate(params.site_params):
-        h = h + embed(jc_hamiltonian(p, space.sites[i], rwa=rwa), i, space)
+        a, sm = annihilation(space.sites[i]), qubit_lower()
+        ladders.append((site_factor(space, i, a), site_factor(space, i, a.T)))
+        terms.append((1.0, (diagonal_factor(space, i, lambda n, q: p.omega_r * n + p.omega_q * q),)))
+        exchange = [(a.T, sm), (a, sm.T)] + ([] if rwa else [(a.T, sm.T), (a, sm)])
+        terms += [(p.g, (site_factor(space, i, *ops),)) for ops in exchange]
     for (i, j, J) in params.edges:
-        ai = photon_op_on(space, i, annihilation(space.sites[i]))
-        aj = photon_op_on(space, j, annihilation(space.sites[j]))
-        hop = J * (ai.getH() @ aj)
-        h = h + hop + hop.getH()
-    return h
+        (a_i, adag_i), (a_j, adag_j) = ladders[i], ladders[j]
+        terms += [(J, (adag_i, a_j)), (J, (adag_j, a_i))]
+    return terms
+
+
+def build_jchm(params: LatticeParams, space: LatticeSpace, rwa: bool = True) -> sp.csr_matrix:
+    """Assemble the lattice Hamiltonian on the full tensor-product space."""
+    return assemble(jchm_terms(params, space, rwa), occupation_basis(space))
 
 
 def sector_basis(space: LatticeSpace, N: int) -> ExcitationSector:
     """All occupation configurations with total polariton number N."""
-    if N < 0:
-        raise ValueError(f"excitation number must be >= 0, got {N}")
     max_n = sum(s.photon_cutoff + 1 for s in space.sites)
-    if N > max_n:
-        raise ValueError(f"N = {N} exceeds the maximum representable {max_n}")
-    configs: list[tuple[tuple[int, int], ...]] = []
-
-    def fill(site: int, remaining: int, acc: list[tuple[int, int]]) -> None:
-        if site == space.n_sites:
-            if remaining == 0:
-                configs.append(tuple(acc))
-            return
-        cutoff = space.sites[site].photon_cutoff
-        for n_ph in range(min(remaining, cutoff) + 1):
-            for q in (0, 1):
-                if n_ph + q <= remaining:
-                    acc.append((n_ph, q))
-                    fill(site + 1, remaining - n_ph - q, acc)
-                    acc.pop()
-
-    fill(0, N, [])
-    configs.sort()
-    return ExcitationSector(N=N, configs=tuple(configs))
+    if not 0 <= N <= max_n:
+        raise ValueError(f"N = {N} lies outside 0..{max_n}, the maximum representable")
+    return ExcitationSector(N=N, states=occupation_basis(space, N))
 
 
 def sector_hamiltonian(params: LatticeParams, space: LatticeSpace, N: int) -> tuple[sp.csr_matrix, ExcitationSector]:
-    """Hamiltonian block restricted to the N-excitation sector.
-
-    Matrix elements are generated directly from the occupation configurations,
-    independently of the full-space builder; the two routes are cross-checked
-    in the test suite.
-    """
+    """Hamiltonian block restricted to the N-excitation sector: the term list of
+    :func:`build_jchm` assembled on the sector basis, never on the full space."""
     sector = sector_basis(space, N)
-    idx = sector.index()
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-
-    for k, config in enumerate(sector.configs):
-        diag = 0.0
-        for (n_ph, q), p in zip(config, params.site_params):
-            diag += p.omega_r * n_ph + p.omega_q * q
-        rows.append(k)
-        cols.append(k)
-        vals.append(diag)
-
-        # qubit-photon exchange, both directed processes set H[target, source]
-        for i, p in enumerate(params.site_params):
-            n_ph, q = config[i]
-            cutoff = space.sites[i].photon_cutoff
-            if q == 1 and n_ph + 1 <= cutoff:  # a†σ⁻: |n, e⟩ -> |n+1, g⟩
-                target = config[:i] + ((n_ph + 1, 0),) + config[i + 1:]
-                rows.append(idx[target])
-                cols.append(k)
-                vals.append(p.g * np.sqrt(n_ph + 1))
-            if q == 0 and n_ph >= 1:  # aσ⁺: |n, g⟩ -> |n-1, e⟩
-                target = config[:i] + ((n_ph - 1, 1),) + config[i + 1:]
-                rows.append(idx[target])
-                cols.append(k)
-                vals.append(p.g * np.sqrt(n_ph))
-
-        # photon hopping, one directed move per (edge, direction)
-        for (i, j, J) in params.edges:
-            for src, dst in ((j, i), (i, j)):
-                n_src, q_src = config[src]
-                n_dst, q_dst = config[dst]
-                if n_src >= 1 and n_dst + 1 <= space.sites[dst].photon_cutoff:
-                    cfg = list(config)
-                    cfg[src] = (n_src - 1, q_src)
-                    cfg[dst] = (n_dst + 1, q_dst)
-                    rows.append(idx[tuple(cfg)])
-                    cols.append(k)
-                    vals.append(J * np.sqrt(n_src * (n_dst + 1)))
-
-    h = sp.coo_matrix((vals, (rows, cols)), shape=(sector.dim, sector.dim)).tocsr()
-    return h, sector
+    return assemble(jchm_terms(params, space), sector.states), sector
 
 
 def sector_ground_energy(params: LatticeParams, space: LatticeSpace, N: int) -> float:

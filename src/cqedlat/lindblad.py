@@ -28,7 +28,7 @@ oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -44,11 +44,13 @@ from .hilbert import (
     DensityMatrix,
     LatticeSpace,
     annihilation,
+    assemble,
     expectation,
+    occupation_basis,
     photon_op_on,
-    qubit_op_on,
     qubit_lower,
     sigma_z,
+    site_factor,
     total_excitation,
 )
 from .lattice import LatticeParams, build_jchm
@@ -225,20 +227,17 @@ class Liouvillian:
 
 def collapse_operators(rates: DissipationRates, space: LatticeSpace) -> list[sp.csr_matrix]:
     """√rate-weighted jump operators of the master equation."""
-    ops: list[sp.csr_matrix] = []
-    for n in range(space.n_sites):
-        if rates.gamma1 > 0:
-            ops.append(math.sqrt(rates.gamma1) * qubit_op_on(space, n, qubit_lower()))
-        if rates.gamma_phi > 0:
-            ops.append(math.sqrt(rates.gamma_phi) * qubit_op_on(space, n, sigma_z()))
-        if rates.gamma_kappa > 0:
-            ops.append(math.sqrt(rates.gamma_kappa) * photon_op_on(space, n, annihilation(space.sites[n])))
-    for site, kappa in rates.kappa_ports:
-        if not 0 <= site < space.n_sites:
-            raise ValueError(f"port site {site} outside lattice of {space.n_sites} sites")
-        if kappa > 0:
-            ops.append(math.sqrt(kappa) * photon_op_on(space, site, annihilation(space.sites[site])))
-    return ops
+    for n, _ in rates.kappa_ports:
+        if not 0 <= n < space.n_sites:
+            raise ValueError(f"port site {n} outside lattice of {space.n_sites} sites")
+    a = [annihilation(site) for site in space.sites]
+    channels = [(rate, site_factor(space, n, photon_op, qubit_op)) for n in range(space.n_sites)
+                for rate, photon_op, qubit_op in ((rates.gamma1, None, qubit_lower()),
+                                                  (rates.gamma_phi, None, sigma_z()),
+                                                  (rates.gamma_kappa, a[n], None))]
+    channels += [(kappa, site_factor(space, n, a[n])) for n, kappa in rates.kappa_ports]
+    basis = occupation_basis(space)
+    return [assemble([(math.sqrt(rate), (factor,))], basis) for rate, factor in channels if rate > 0]
 
 
 def _rotating_frame_terms(h: sp.csr_matrix, space: LatticeSpace,
@@ -254,13 +253,13 @@ def _rotating_frame_terms(h: sp.csr_matrix, space: LatticeSpace,
         raise ValueError(
             "Hamiltonian does not conserve the total excitation number; "
             "the rotating-frame drive transformation requires the RWA form")
-    x_drive = sp.csr_matrix((space.total_dim, space.total_dim), dtype=np.complex128)
+    terms = []
     for m in driven_sites:
         if not 0 <= m < space.n_sites:
             raise ValueError(f"driven site {m} outside lattice of {space.n_sites} sites")
-        a_m = photon_op_on(space, m, annihilation(space.sites[m]))
-        x_drive = x_drive + a_m + a_m.getH()
-    return n_tot, x_drive
+        a = annihilation(space.sites[m])
+        terms += [(1.0, (site_factor(space, m, op),)) for op in (a, a.T)]
+    return n_tot, assemble(terms, occupation_basis(space))
 
 
 def build_liouvillian(h: sp.csr_matrix, rates: DissipationRates, drive: DriveSpec | None,
@@ -619,11 +618,7 @@ def transmission_scan(params: LatticeParams, space: LatticeSpace,
     for block in range(len(drive_amplitudes)):
         rows = points[block * n_w:(block + 1) * n_w]
         peak = max((r.abs_a for r in rows), default=0.0)
-        for r in rows:
-            t_norm = r.abs_a / peak if peak > 0 else 0.0
-            out.append(ScanPoint(xi=r.xi, omega_d=r.omega_d, a_sum=r.a_sum,
-                                 abs_a=r.abs_a, t_norm=t_norm,
-                                 n_photon=r.n_photon, g2=r.g2))
+        out += [replace(r, t_norm=r.abs_a / peak if peak > 0 else 0.0) for r in rows]
     return out
 
 

@@ -48,7 +48,7 @@ from .hilbert import (
     total_excitation,
 )
 from .jc import JCParams, jc_hamiltonian, polariton_energy
-from .lattice import LatticeParams, build_jchm
+from .lattice import LatticeParams, build_jchm, sector_ground_energy
 from .lindblad import (
     DissipationRates,
     DriveSpec,
@@ -111,9 +111,6 @@ class GrandCanonicalParams:
     @property
     def zj(self) -> float:
         return self.z * self.J
-
-    def with_zj(self, zj: float) -> "GrandCanonicalParams":
-        return GrandCanonicalParams(jc=self.jc, mu=self.mu, z=self.z, J=zj / self.z)
 
 
 @dataclass(frozen=True)
@@ -237,21 +234,14 @@ def mott_window_analytic(jc: JCParams, N: int) -> tuple[float, float]:
 def mott_window_numeric(jc: JCParams, N: int, space: SiteSpace) -> tuple[float, float]:
     """Same window from numerically diagonalized sector ground energies.
 
-    Independent cross-check of the closed-form staircase: the single-site
-    spectrum is diagonalized, eigenstates are binned by their total-excitation
-    expectation value and the lowest energy of each bin enters the window.
+    Independent cross-check of the closed-form staircase: the lowest energy
+    of each single-site excitation sector N - 1, N, N + 1 enters the window.
     """
     if N + 1 > space.photon_cutoff:
         raise ValueError("photon cutoff too small to resolve the N+1 sector")
-    h, n_tot = (m.toarray() for m in _site_terms(jc, space)[:2])
-    vals, vecs = np.linalg.eigh(h)
-    labels = np.rint(np.real(np.einsum("ij,jk,ki->i", vecs.conj().T, n_tot, vecs))).astype(int)
-    e_sector: dict[int, float] = {}
-    for lam, lab in zip(vals, labels):
-        e_sector.setdefault(int(lab), float(lam))
-    lower = e_sector[N] - e_sector[N - 1]
-    upper = e_sector[N + 1] - e_sector[N]
-    return lower, upper
+    params, site = LatticeParams.single_site(jc), LatticeSpace((space,))
+    e_below, e_at, e_above = (sector_ground_energy(params, site, k) for k in (N - 1, N, N + 1))
+    return e_at - e_below, e_above - e_at
 
 
 def lobe_boundary(jc: JCParams, mu: float, space: SiteSpace, z: int = 1,

@@ -1,0 +1,186 @@
+"""Reference implementations that the term kernel is tested against.
+
+These are the earlier operator builders, kept only as oracles: site operators
+lifted to the lattice by Kronecker products with identities, the JCHM summed
+from those lifts, and the N-excitation block assembled by a Python loop over
+recursively enumerated occupation configurations.  Also the random-lattice
+strategy that the property tests share.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import scipy.sparse as sp
+from hypothesis import strategies as st
+
+from cqedlat.hilbert import (
+    LatticeSpace,
+    SiteSpace,
+    annihilation,
+    number,
+    qubit_lower,
+    qubit_number,
+    sigma_z,
+)
+from cqedlat.jc import JCParams
+from cqedlat.lattice import LatticeParams
+
+
+@st.composite
+def random_lattices(draw):
+    """Random 1-3 site graphs: per-site cutoffs 1-3, any edge subset, J of either sign."""
+    n_sites = draw(st.integers(1, 3))
+    freq, coupling = st.floats(0.5, 1.5), st.floats(0.0, 0.3)
+    sites = tuple(JCParams(draw(freq), draw(freq), draw(coupling)) for _ in range(n_sites))
+    pairs = [(i, j) for i in range(n_sites) for j in range(i + 1, n_sites)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    edges = tuple((i, j, draw(st.floats(-0.3, 0.3))) for i, j in chosen)
+    space = LatticeSpace(tuple(SiteSpace(draw(st.integers(1, 3))) for _ in range(n_sites)))
+    return LatticeParams(sites, edges), space
+
+
+# ---------------------------------------------------------------------------
+# Kronecker-product lifts
+
+def embed(op: sp.spmatrix, site_index: int, space: LatticeSpace) -> sp.csr_matrix:
+    """Extend a site operator by identity on every other site."""
+    left = int(np.prod(space.site_dims[:site_index], initial=1))
+    right = int(np.prod(space.site_dims[site_index + 1:], initial=1))
+    m = sp.csr_matrix(op, dtype=np.complex128)
+    if left > 1:
+        m = sp.kron(sp.identity(left, format="csr"), m, format="csr")
+    if right > 1:
+        m = sp.kron(m, sp.identity(right, format="csr"), format="csr")
+    return m
+
+
+def photon_op_on(space: LatticeSpace, site_index: int, photon_op: sp.spmatrix) -> sp.csr_matrix:
+    site = space.sites[site_index]
+    return embed(sp.kron(photon_op, sp.identity(site.qubit_dim), format="csr"), site_index, space)
+
+
+def qubit_op_on(space: LatticeSpace, site_index: int, qubit_op: sp.spmatrix) -> sp.csr_matrix:
+    site = space.sites[site_index]
+    return embed(sp.kron(sp.identity(site.photon_cutoff + 1), qubit_op, format="csr"),
+                 site_index, space)
+
+
+def total_excitation(space: LatticeSpace) -> sp.csr_matrix:
+    total = sp.csr_matrix((space.total_dim, space.total_dim), dtype=np.complex128)
+    for i, site in enumerate(space.sites):
+        total = total + photon_op_on(space, i, number(site))
+        total = total + qubit_op_on(space, i, qubit_number())
+    return total
+
+
+def jc_hamiltonian(p: JCParams, space: SiteSpace, rwa: bool = True) -> sp.csr_matrix:
+    site = LatticeSpace((space,))
+    a = photon_op_on(site, 0, annihilation(space))
+    sm = qubit_op_on(site, 0, qubit_lower())
+    adag, sp_ = a.getH(), sm.getH()
+    h = (p.omega_r * photon_op_on(site, 0, number(space))
+         + p.omega_q * qubit_op_on(site, 0, qubit_number())
+         + p.g * (adag @ sm + a @ sp_))
+    if not rwa:
+        h = h + p.g * (adag @ sp_ + a @ sm)
+    return h
+
+
+def build_jchm(params: LatticeParams, space: LatticeSpace, rwa: bool = True) -> sp.csr_matrix:
+    d = space.total_dim
+    h = sp.csr_matrix((d, d), dtype=np.complex128)
+    for i, p in enumerate(params.site_params):
+        h = h + embed(jc_hamiltonian(p, space.sites[i], rwa=rwa), i, space)
+    for (i, j, J) in params.edges:
+        ai = photon_op_on(space, i, annihilation(space.sites[i]))
+        aj = photon_op_on(space, j, annihilation(space.sites[j]))
+        hop = J * (ai.getH() @ aj)
+        h = h + hop + hop.getH()
+    return h
+
+
+def collapse_operators(rates, space: LatticeSpace) -> list[sp.csr_matrix]:
+    ops: list[sp.csr_matrix] = []
+    for n in range(space.n_sites):
+        if rates.gamma1 > 0:
+            ops.append(math.sqrt(rates.gamma1) * qubit_op_on(space, n, qubit_lower()))
+        if rates.gamma_phi > 0:
+            ops.append(math.sqrt(rates.gamma_phi) * qubit_op_on(space, n, sigma_z()))
+        if rates.gamma_kappa > 0:
+            ops.append(math.sqrt(rates.gamma_kappa) * photon_op_on(space, n, annihilation(space.sites[n])))
+    for site, kappa in rates.kappa_ports:
+        if kappa > 0:
+            ops.append(math.sqrt(kappa) * photon_op_on(space, site, annihilation(space.sites[site])))
+    return ops
+
+
+# ---------------------------------------------------------------------------
+# excitation sectors by configuration loop
+
+def sector_configs(space: LatticeSpace, N: int) -> list[tuple[tuple[int, int], ...]]:
+    """All (n_photon, qubit) configurations with Σ(n + q) = N, sorted."""
+    configs: list[tuple[tuple[int, int], ...]] = []
+
+    def fill(site: int, remaining: int, acc: list[tuple[int, int]]) -> None:
+        if site == space.n_sites:
+            if remaining == 0:
+                configs.append(tuple(acc))
+            return
+        cutoff = space.sites[site].photon_cutoff
+        for n_ph in range(min(remaining, cutoff) + 1):
+            for q in (0, 1):
+                if n_ph + q <= remaining:
+                    acc.append((n_ph, q))
+                    fill(site + 1, remaining - n_ph - q, acc)
+                    acc.pop()
+
+    fill(0, N, [])
+    configs.sort()
+    return configs
+
+
+def sector_hamiltonian(params: LatticeParams, space: LatticeSpace, N: int) -> sp.csr_matrix:
+    """The N-excitation block, element by element over the configurations."""
+    configs = sector_configs(space, N)
+    idx = {c: k for k, c in enumerate(configs)}
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+
+    for k, config in enumerate(configs):
+        diag = 0.0
+        for (n_ph, q), p in zip(config, params.site_params):
+            diag += p.omega_r * n_ph + p.omega_q * q
+        rows.append(k)
+        cols.append(k)
+        vals.append(diag)
+
+        for i, p in enumerate(params.site_params):
+            n_ph, q = config[i]
+            cutoff = space.sites[i].photon_cutoff
+            if q == 1 and n_ph + 1 <= cutoff:  # a†σ⁻: |n, e⟩ -> |n+1, g⟩
+                target = config[:i] + ((n_ph + 1, 0),) + config[i + 1:]
+                rows.append(idx[target])
+                cols.append(k)
+                vals.append(p.g * np.sqrt(n_ph + 1))
+            if q == 0 and n_ph >= 1:  # aσ⁺: |n, g⟩ -> |n-1, e⟩
+                target = config[:i] + ((n_ph - 1, 1),) + config[i + 1:]
+                rows.append(idx[target])
+                cols.append(k)
+                vals.append(p.g * np.sqrt(n_ph))
+
+        for (i, j, J) in params.edges:
+            for src, dst in ((j, i), (i, j)):
+                n_src, q_src = config[src]
+                n_dst, q_dst = config[dst]
+                if n_src >= 1 and n_dst + 1 <= space.sites[dst].photon_cutoff:
+                    cfg = list(config)
+                    cfg[src] = (n_src - 1, q_src)
+                    cfg[dst] = (n_dst + 1, q_dst)
+                    rows.append(idx[tuple(cfg)])
+                    cols.append(k)
+                    vals.append(J * np.sqrt(n_src * (n_dst + 1)))
+
+    return sp.coo_matrix((vals, (rows, cols)), shape=(len(configs), len(configs))).tocsr()

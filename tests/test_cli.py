@@ -23,6 +23,17 @@ def run(tmp_path, command, config, exit_code=0):
     return rows, summary
 
 
+def run_twice(tmp_path, command, config, exit_code=0):
+    """Two runs in separate directories; their CSVs must be byte-identical."""
+    runs = []
+    for name in ("first", "second"):
+        (tmp_path / name).mkdir()
+        runs.append(run(tmp_path / name, command, config, exit_code))
+    csv_bytes = [(tmp_path / name / f"{command}.csv").read_bytes() for name in ("first", "second")]
+    assert csv_bytes[0] == csv_bytes[1]
+    return runs[0]
+
+
 class TestCsvCells:
     def test_numpy_floats_are_written_as_plain_literals(self, tmp_path):
         rows, _ = run(tmp_path, "sector-nonlinearity",
@@ -86,13 +97,7 @@ class TestDrivenMF:
     def test_repeat_runs_are_identical_and_verified(self, tmp_path):
         config = {"omega_r": 20.0, "g": 1.0, "zj_values": [1.0], "xi": 0.12, "gamma1": 0.06,
                   "kappa": 0.06, "drive_offset": 0.3, "seeds": [0.0, 1.5], "n_max": 4}
-        runs = []
-        for name in ("first", "second"):
-            (tmp_path / name).mkdir()
-            runs.append(run(tmp_path / name, "driven-mf", config))
-        csv_bytes = [(tmp_path / name / "driven-mf.csv").read_bytes() for name in ("first", "second")]
-        assert csv_bytes[0] == csv_bytes[1]
-        rows, summary = runs[0]
+        rows, summary = run_twice(tmp_path, "driven-mf", config)
         assert len(rows) == 2
         assert summary["status"] == "ok"
         for fp in summary["convergence"]["fixed_points"]:
@@ -106,13 +111,7 @@ class TestQuantize:
     NETLIST = str(Path(__file__).parent / "data" / "netlists" / "transmon_pair.nl")
 
     def test_default_runs_are_identical_and_verified(self, tmp_path):
-        runs = []
-        for name in ("first", "second"):
-            (tmp_path / name).mkdir()
-            runs.append(run(tmp_path / name, "quantize", {"netlist": self.NETLIST}))
-        csv_bytes = [(tmp_path / name / "quantize.csv").read_bytes() for name in ("first", "second")]
-        assert csv_bytes[0] == csv_bytes[1]
-        rows, summary = runs[0]
+        rows, summary = run_twice(tmp_path, "quantize", {"netlist": self.NETLIST})
         assert len(rows) == 6
         assert summary["status"] == "ok"
         conv = summary["convergence"]
@@ -125,3 +124,49 @@ class TestQuantize:
                          "--output", str(tmp_path / "q.csv")])
         assert code == 1
         assert "file not found" in capsys.readouterr().err
+
+
+class TestBlockadeScan:
+    CONFIG = {"omega_r": 50.0, "omega_q": 50.0, "g": 1.0, "gamma1": 0.05, "kappa": 0.05,
+              "drive_amplitudes": [0.005], "omega_d_min": 48.5, "omega_d_max": 51.5,
+              "omega_d_points": 7, "n_max": 3}
+
+    def test_repeat_runs_are_identical_and_verified(self, tmp_path):
+        rows, summary = run_twice(tmp_path, "blockade-scan", self.CONFIG)
+        assert len(rows) == 7
+        assert summary["status"] == "ok"
+        assert summary["convergence"]["cutoff_check"]["passed"] is True
+
+    def test_truncated_strong_drive_is_unconverged(self, tmp_path, capsys):
+        # at n_max = 1 a drive of 0.3 shifts |⟨a⟩| by 141% when checked at n_max = 3
+        config = dict(self.CONFIG, drive_amplitudes=[0.3], n_max=1)
+        _, summary = run_twice(tmp_path, "blockade-scan", config, exit_code=2)
+        assert summary["status"] == "unconverged"
+        assert summary["convergence"]["cutoff_check"]["rel_shift"] > 1.0
+        assert "convergence.cutoff_check.passed" in capsys.readouterr().err
+
+    def test_missing_required_key_exits_one(self, tmp_path, capsys):
+        code = cli.main(["blockade-scan", "--omega-r", "50", "--omega-q", "50", "--g", "1",
+                         "--kappa", "0.05", "--omega-d-min", "49", "--omega-d-max", "51",
+                         "--output", str(tmp_path / "b.csv")])
+        assert code == 1
+        assert "drive_amplitudes" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
+
+
+class TestModes:
+    CONFIG = {"ell": 4e-7, "c": 1.6e-10, "L_x": 0.01, "C_minus": 1e-15, "C_plus": 1e-15,
+              "count": 5, "samples": 3}
+
+    def test_repeat_runs_are_identical(self, tmp_path):
+        rows, summary = run_twice(tmp_path, "modes", self.CONFIG)
+        assert len(rows) == 5
+        assert summary["status"] == "ok"
+        assert summary["convergence"]["max_normalization_defect"] < 1e-6
+
+    def test_negative_length_exits_one(self, tmp_path, capsys):
+        code = cli.main(["modes", "--ell", "4e-7", "--c", "1.6e-10", "--L-x", "-0.01",
+                         "--output", str(tmp_path / "m.csv")])
+        assert code == 1
+        assert "L_x" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()

@@ -1,21 +1,25 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
 
+import oracles
 from cqedlat.hilbert import (
     DensityMatrix,
     LatticeSpace,
     SiteSpace,
     annihilation,
+    assemble,
     cutoff_convergence,
-    embed,
     expectation,
     number,
     photon_op_on,
     qubit_lower,
     qubit_number,
     qubit_op_on,
+    occupation_basis,
     sigma_z,
+    site_factor,
     total_excitation,
 )
 
@@ -39,6 +43,10 @@ class TestSiteAndLatticeSpaces:
     def test_total_dim_is_product(self):
         space = LatticeSpace((SiteSpace(2), SiteSpace(3), SiteSpace(1)))
         assert space.total_dim == 6 * 8 * 4
+
+    def test_total_dim_is_exact_beyond_int64(self):
+        assert LatticeSpace.uniform(32, 1).total_dim == 4 ** 32
+        assert LatticeSpace.uniform(24, 4).total_dim == 10 ** 24
 
     def test_site_zero_is_slowest_index(self):
         space = LatticeSpace.uniform(2, 1)
@@ -90,9 +98,11 @@ class TestElementaryOperators:
 
 
 class TestEmbed:
+    """A site operator lifted into the lattice space by the term kernel."""
+
     def test_embed_identity_is_identity(self):
         space = LatticeSpace.uniform(3, 1)
-        op = embed(sp.identity(4), 1, space)
+        op = assemble([(1.0, (site_factor(space, 1),))], occupation_basis(space))
         assert np.array_equal(op.toarray(), np.eye(space.total_dim))
 
     def test_distinct_site_operators_commute(self):
@@ -104,27 +114,75 @@ class TestEmbed:
 
     def test_embed_dimension(self):
         space = LatticeSpace.uniform(3, 2)
-        op = embed(sp.identity(space.sites[0].dim), 2, space)
+        op = assemble([(1.0, (site_factor(space, 2),))], occupation_basis(space))
         assert op.shape == (space.total_dim, space.total_dim)
 
-    def test_embed_rejects_wrong_dimension(self):
-        space = LatticeSpace.uniform(2, 2)
-        with pytest.raises(ValueError, match="does not match site dim"):
-            embed(sp.identity(3), 0, space)
 
-    def test_embed_rejects_bad_site_index(self):
+class TestSiteLift:
+    def test_rejects_wrong_factor_dimension(self):
         space = LatticeSpace.uniform(2, 2)
-        with pytest.raises(ValueError, match="out of range"):
-            embed(sp.identity(space.sites[0].dim), 2, space)
+        with pytest.raises(ValueError, match="3x3 operator"):
+            photon_op_on(space, 0, sp.identity(4))
 
-    def test_embed_is_homomorphism(self):
+    def test_rejects_operator_that_splits_a_state(self):
+        space = LatticeSpace.uniform(1, 2)
+        with pytest.raises(ValueError, match="at most one entry per column"):
+            site_factor(space, 0, qubit_op=sp.csr_matrix(np.ones((2, 2))))
+
+    def test_rejects_bad_site_index(self):
         space = LatticeSpace.uniform(2, 2)
-        s = space.sites[0]
-        a = sp.kron(annihilation(s), qubit_lower())
-        b = sp.kron(annihilation(s).getH(), qubit_lower().getH())
-        lhs = embed(a @ b, 0, space).toarray()
-        rhs = (embed(a, 0, space) @ embed(b, 0, space)).toarray()
-        assert np.allclose(lhs, rhs, atol=1e-14)
+        a = annihilation(space.sites[0])
+        _, target, amp = site_factor(space, 0, a)
+        for site_index in (2, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                assemble([(1.0, ((site_index, target, amp),))], occupation_basis(space))
+            with pytest.raises(ValueError, match="out of range"):
+                site_factor(space, site_index, a)
+            with pytest.raises(ValueError, match="out of range"):
+                photon_op_on(space, site_index, a)
+
+    def test_lifted_product_is_product_of_lifts(self):
+        # a σ⁻ and a† σ⁺ on site 0, as two factors of one term and as two operators
+        space = LatticeSpace.uniform(2, 2)
+        a, sm = annihilation(space.sites[0]), qubit_lower()
+        x = site_factor(space, 0, a, sm)
+        y = site_factor(space, 0, a.getH(), sm.getH())
+        basis = occupation_basis(space)
+        lhs = assemble([(1.0, (x, y))], basis).toarray()
+        rhs = (assemble([(1.0, (x,))], basis) @ assemble([(1.0, (y,))], basis)).toarray()
+        assert np.array_equal(lhs, rhs)
+        assert np.abs(lhs).max() > 0
+
+    def test_term_leaving_the_basis_is_rejected(self):
+        # a† maps the one-excitation sector into the two-excitation one
+        space = LatticeSpace.uniform(2, 2)
+        adag = site_factor(space, 0, annihilation(space.sites[0]).getH())
+        with pytest.raises(ValueError, match="outside the basis"):
+            assemble([(1.0, (adag,))], occupation_basis(space, 1))
+
+    def test_sector_basis_is_the_sorted_slice_of_the_full_basis(self):
+        space = LatticeSpace((SiteSpace(1), SiteSpace(3), SiteSpace(2)))
+        full = occupation_basis(space)
+        assert full.shape == (space.total_dim, space.n_sites)
+        assert np.array_equal(full @ [8 * 6, 6, 1], np.arange(space.total_dim))
+        load = (full // 2 + full % 2).sum(axis=1)
+        for N in range(int(load.max()) + 1):
+            assert np.array_equal(occupation_basis(space, N), full[load == N])
+
+
+class TestKernelAgainstKronOracle:
+    @settings(max_examples=30)
+    @given(oracles.random_lattices())
+    def test_site_operators_and_total_excitation_are_bitwise_equal(self, case):
+        _, space = case
+        pairs = [(total_excitation(space), oracles.total_excitation(space))]
+        for i, site in enumerate(space.sites):
+            for op in (annihilation(site), number(site)):
+                pairs.append((photon_op_on(space, i, op), oracles.photon_op_on(space, i, op)))
+            for op in (qubit_lower(), sigma_z()):
+                pairs.append((qubit_op_on(space, i, op), oracles.qubit_op_on(space, i, op)))
+        for new, old in pairs:
+            assert np.array_equal(new.toarray(), old.toarray())
 
 
 class TestExpectation:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cqedlat.hilbert import SiteSpace, total_excitation, LatticeSpace
 from cqedlat.jc import (
@@ -157,6 +158,22 @@ class TestDressedStates:
     def test_cutoff_guard(self):
         with pytest.raises(ValueError, match="cutoff"):
             dressed_state(JCParams(1.0, 1.0, 0.1), 5, "+", SiteSpace(4))
+
+
+class TestClosedFormProperties:
+    @settings(max_examples=40)
+    @given(st.floats(0.5, 1.5), st.floats(0.5, 1.5), st.floats(0.0, 0.3), st.integers(2, 8))
+    def test_dressed_levels_are_eigenpairs_of_the_hamiltonian(self, omega_r, omega_q, g, n_max):
+        p = JCParams(omega_r, omega_q, g)
+        space = SiteSpace(n_max)
+        h = jc_hamiltonian(p, space).toarray()
+        evals = np.linalg.eigvalsh(h)
+        for n in range(1, n_max + 1):
+            for branch in ("+", "-"):
+                e = polariton_energy(p, n, branch)
+                assert np.min(np.abs(evals - e)) <= 1e-12
+                v = dressed_state(p, n, branch, space)
+                assert np.linalg.norm(h @ v - e * v) <= 1e-12
 
 
 class TestHubbardU:

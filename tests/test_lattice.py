@@ -1,17 +1,21 @@
+import time
 from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cqedlat.hilbert import LatticeSpace, SiteSpace, total_excitation
+import oracles
+from cqedlat.hilbert import LatticeSpace, assemble, total_excitation
 from cqedlat.jc import JCParams, jc_hamiltonian
+from cqedlat.lindblad import DissipationRates, collapse_operators
 from cqedlat.lattice import (
     LatticeFileError,
     LatticeParams,
     band_resonant_chain,
     build_jchm,
     chain,
+    jchm_terms,
     measured_nonlinearity,
     nonlinearity_closed_form,
     parse_lattice,
@@ -165,22 +169,9 @@ class TestSectorVersusFullSpace:
         assert np.allclose(np.sort(collected), full, atol=1e-9)
 
 
-@st.composite
-def random_lattices(draw):
-    """Random 1-3 site graphs: per-site cutoffs 1-3, any edge subset, J of either sign."""
-    n_sites = draw(st.integers(1, 3))
-    freq, coupling = st.floats(0.5, 1.5), st.floats(0.0, 0.3)
-    sites = tuple(JCParams(draw(freq), draw(freq), draw(coupling)) for _ in range(n_sites))
-    pairs = [(i, j) for i in range(n_sites) for j in range(i + 1, n_sites)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
-    edges = tuple((i, j, draw(st.floats(-0.3, 0.3))) for i, j in chosen)
-    space = LatticeSpace(tuple(SiteSpace(draw(st.integers(1, 3))) for _ in range(n_sites)))
-    return LatticeParams(sites, edges), space
-
-
 class TestJchmProperties:
     @settings(max_examples=30)
-    @given(random_lattices())
+    @given(oracles.random_lattices())
     def test_hermitian_conserving_and_equal_to_sector_union(self, case):
         params, space = case
         h = build_jchm(params, space)
@@ -194,6 +185,63 @@ class TestJchmProperties:
         full = np.linalg.eigvalsh(h.toarray())
         assert len(collected) == len(full)
         assert np.max(np.abs(np.sort(collected) - full)) <= 1e-10 * abs(h).max()
+
+
+class TestKernelAgainstOracles:
+    @settings(max_examples=30)
+    @given(oracles.random_lattices(), st.booleans())
+    def test_full_space_operators_are_bitwise_equal_to_kron_lifts(self, case, rwa):
+        params, space = case
+        assert np.array_equal(build_jchm(params, space, rwa).toarray(),
+                              oracles.build_jchm(params, space, rwa).toarray())
+        for p, site in zip(params.site_params, space.sites):
+            assert np.array_equal(jc_hamiltonian(p, site, rwa).toarray(),
+                                  oracles.jc_hamiltonian(p, site, rwa).toarray())
+        rates = DissipationRates(gamma1=0.3, gamma_phi=0.02, gamma_kappa=0.11,
+                                 kappa_ports={space.n_sites - 1: 0.07})
+        new, old = collapse_operators(rates, space), oracles.collapse_operators(rates, space)
+        assert len(new) == len(old) == 3 * space.n_sites + 1
+        for c_new, c_old in zip(new, old):
+            assert np.array_equal(c_new.toarray(), c_old.toarray())
+
+    @settings(max_examples=30)
+    @given(oracles.random_lattices())
+    def test_sector_blocks_match_the_configuration_loop(self, case):
+        # hopping amplitudes are √n·√(m+1) here and √(n(m+1)) in the loop
+        params, space = case
+        for N in range(sum(s.photon_cutoff + 1 for s in space.sites) + 1):
+            block, sector = sector_hamiltonian(params, space, N)
+            configs = oracles.sector_configs(space, N)
+            assert np.array_equal(sector.configs, np.array(configs).reshape(sector.configs.shape))
+            reference = oracles.sector_hamiltonian(params, space, N).toarray()
+            tol = 1e-15 * max(np.abs(reference).max(), 1e-300)
+            assert np.abs(block.toarray() - reference).max() <= tol
+
+    def test_24_site_two_excitation_sector_is_fast_and_exact(self):
+        # the full space, 10^24 states, exceeds int64; the sector has 1152
+        space = LatticeSpace.uniform(24, 4)
+        params = chain(JCParams(1.0, 0.93, 0.05), 24, -0.02, "periodic")
+        start = time.perf_counter()
+        block, sector = sector_hamiltonian(params, space, 2)
+        elapsed = time.perf_counter() - start
+        assert sector.dim == 1152
+        assert elapsed < 0.5
+        assert np.array_equal(sector.configs, np.array(oracles.sector_configs(space, 2)))
+        reference = oracles.sector_hamiltonian(params, space, 2)
+        assert abs(block - reference).max() <= 1e-15 * abs(reference).max()
+
+    def test_counter_rotating_terms_leave_a_sector(self):
+        params = chain(JCParams(1.0, 0.9, 0.05), 2, 0.01)
+        space = LatticeSpace.uniform(2, 2)
+        sector = sector_basis(space, 1)
+        assert assemble(jchm_terms(params, space), sector.states).shape == (4, 4)
+        with pytest.raises(ValueError, match="outside the basis"):
+            assemble(jchm_terms(params, space, rwa=False), sector.states)
+
+    def test_site_count_mismatch_rejected(self):
+        params = chain(JCParams(1.0, 0.9, 0.05), 2, 0.01)
+        with pytest.raises(ValueError, match="2 sites, space has 3"):
+            sector_hamiltonian(params, LatticeSpace.uniform(3, 1), 1)
 
 
 class TestFiniteSizeNonlinearity:

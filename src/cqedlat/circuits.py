@@ -380,8 +380,12 @@ class CoordinateBasis:
 #   exponential; a junction oscillator coupled to a second oscillator (133
 #   levels each) 8.4 s and 424 MiB; two oscillators joined by a junction (39
 #   levels each, H dense) 0.9 s and 279 MiB.
+# - MAX_DIAG_COORDINATES bounds the coordinates: a three-oscillator chain at
+#   the default 30 levels (dim 27000) takes 8 to 9 s and 440 MiB, and its basis
+#   check at 40 levels (dim 64000) 55 s more at a 1.57 GiB peak.
 MAX_BASIS_DIM = 100_000
 MAX_TERM_ENTRIES = 5_000_000
+MAX_DIAG_COORDINATES = 2
 
 # levels solved for beyond the ones asked for, so that a degenerate multiplet
 # straddling the last requested level is resolved in full
@@ -449,7 +453,7 @@ def _oscillator_ops(phi_zpf: float, size: int) -> tuple[sp.csr_matrix, sp.csr_ma
 
 
 def quantize(lagr: CircuitLagrangian, charge_cutoff: int = 20,
-             oscillator_levels: int = 30, max_diag_coordinates: int = 2) -> QuantizedCircuit:
+             oscillator_levels: int = 30) -> QuantizedCircuit:
     """Sparse Hamiltonian H = q†C⁻¹q/2 + V(φ) in a per-coordinate basis.
 
     Coordinates touching an inductor get a harmonic-oscillator basis (the
@@ -461,7 +465,7 @@ def quantize(lagr: CircuitLagrangian, charge_cutoff: int = 20,
     Kronecker products with identities, so H is assembled without a dense
     dim×dim array; :meth:`QuantizedCircuit.eigenvalues` takes the lowest
     levels by shift-invert Lanczos.  Refused with a ValueError before anything
-    is assembled: more than ``max_diag_coordinates`` coordinates, a basis of
+    is assembled: more than :data:`MAX_DIAG_COORDINATES` coordinates, a basis of
     more than :data:`MAX_BASIS_DIM` states, and terms that would store more
     than :data:`MAX_TERM_ENTRIES` entries; the message names the cutoffs to
     lower.
@@ -469,9 +473,9 @@ def quantize(lagr: CircuitLagrangian, charge_cutoff: int = 20,
     n = lagr.n_coordinates
     if n == 0:
         raise ValueError("no free coordinates to quantize")
-    if n > max_diag_coordinates:
+    if n > MAX_DIAG_COORDINATES:
         raise ValueError(
-            f"{n} coordinates exceed the diagonalization limit {max_diag_coordinates}")
+            f"{n} coordinates exceed the diagonalization limit {MAX_DIAG_COORDINATES}")
 
     touches_l = [False] * n
     touches_jj = [False] * n

@@ -12,11 +12,17 @@ One subcommand per physics family:
   quantize            netlist quantization spectrum
 
 Configuration comes from a JSON file (--config) and/or per-key flags; flags
-override the file.  Every run writes a CSV table plus a JSON summary holding
-the fully resolved configuration, library versions and convergence flags; the
-summary validates against the schema shipped in ``cqedlat/schemas``.  Runs are
-deterministic: identical configs produce byte-identical CSV at workers = 1
-(and scan points are order-stable under parallelism).
+override the file, and every key of a command's schema in ``SCHEMAS`` is both.
+Every run writes a CSV table plus a JSON summary holding the fully resolved
+configuration, library versions and the verdict of every check; the summary
+validates against the schema shipped in ``cqedlat/schemas``.  Runs are
+deterministic: identical configs produce byte-identical CSVs, and the scan
+points of ``blockade-scan`` keep their grid order on any ``workers`` count.
+
+The three commands that report g²(0) (``blockade-scan``, ``dimer-g2`` and
+``driven-mf``) carry a ``g2_check``: g²(0) is a ratio of non-negative moments,
+so a negative value is a failed solve, while NaN marks a point below the
+photon floor and passes.
 
 Exit codes: 0 success, 1 input error, 2 numerical non-convergence.  A run
 whose summary reports a failed check (``passed`` or
@@ -30,6 +36,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -61,7 +68,6 @@ from .lindblad import (
     ConvergenceError,
     DissipationRates,
     DriveSpec,
-    MAX_WORKERS_ENV,
     StiffnessError,
     g2_zero,
     steady_state,
@@ -69,6 +75,7 @@ from .lindblad import (
     transmission_scan,
 )
 from .meanfield import (
+    CutoffWindowError,
     GrandCanonicalParams,
     MeanFieldConvergenceError,
     driven_mf_steady,
@@ -123,7 +130,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "omega_d_points": Field("posint", 51, "scan points"),
         "n_max": Field("posint", 6, "photon cutoff"),
         "cutoff_check": Field("bool", True, "repeat one point at n_max+2"),
-        "workers": Field("posint", 0, "process pool size (0: env or 1)"),
+        "workers": Field("posint", 1, "process pool size for the scan points"),
     },
     "dimer-g2": {
         "omega_r": Field("pos", REQUIRED, "cavity frequency"),
@@ -293,12 +300,22 @@ def load_config(command: str, config_path: str | None,
 # ---------------------------------------------------------------------------
 # command implementations; each returns (csv_header, csv_rows, convergence_dict)
 
-def _rates_from(config: dict[str, Any], port_site: int | None = 0) -> DissipationRates:
-    ports = {}
-    if port_site is not None and config.get("kappa", 0.0) > 0:
-        ports[port_site] = config["kappa"]
-    return DissipationRates(gamma1=config["gamma1"], gamma_phi=config["gamma_phi"],
-                            gamma_kappa=config["gamma_kappa"], kappa_ports=ports)
+def _rates_from(config: dict[str, Any]) -> DissipationRates:
+    """The rates of an open-system command, with ``kappa`` as the port rate of site 0;
+    a run without dissipation has no unique steady state and is refused."""
+    kappa = config.get("kappa", 0.0)
+    rates = DissipationRates(gamma1=config["gamma1"], gamma_phi=config["gamma_phi"],
+                             gamma_kappa=config["gamma_kappa"],
+                             kappa_ports={0: kappa} if kappa > 0 else {})
+    if not rates.any_nonzero():
+        raise ConfigError([("gamma_kappa", "at least one dissipation rate must be positive")])
+    return rates
+
+
+def _g2_check(values: list[float]) -> dict[str, Any]:
+    """Fails on a negative g²(0); NaN, below the photon floor, passes."""
+    low = min((v for v in values if not math.isnan(v)), default=math.nan)
+    return {"min_g2": low, "passed": not low < 0}
 
 
 def _cmd_jc_spectrum(config: dict[str, Any]):
@@ -330,17 +347,15 @@ def _cmd_blockade_scan(config: dict[str, Any]):
     p = JCParams(config["omega_r"], config["omega_q"], config["g"])
     params = LatticeParams.single_site(p)
     rates = _rates_from(config)
-    if not rates.any_nonzero():
-        raise ConfigError([("gamma_kappa", "at least one dissipation rate must be positive")])
     space = LatticeSpace.uniform(1, config["n_max"])
     grid = np.linspace(config["omega_d_min"], config["omega_d_max"], config["omega_d_points"])
-    workers = config["workers"] or int(os.environ.get(MAX_WORKERS_ENV, "1"))
     points = transmission_scan(params, space, rates, config["drive_amplitudes"],
-                               grid, max_workers=workers)
+                               grid, max_workers=config["workers"])
     rows = [{"xi": q.xi, "omega_d": q.omega_d, "re_a": q.a_sum.real, "im_a": q.a_sum.imag,
              "abs_a": q.abs_a, "t_norm": q.t_norm, "n_photon": q.n_photon, "g2": q.g2}
             for q in points]
-    conv = {"steady_state_method": "preconditioned_gmres", "points": len(rows)}
+    conv = {"steady_state_method": "preconditioned_gmres", "points": len(rows),
+            "g2_check": _g2_check([q.g2 for q in points])}
     if config["cutoff_check"]:
         # the grid midpoint at the first drive amplitude, repeated at n_max + 2
         k = len(grid) // 2
@@ -360,16 +375,13 @@ def _cmd_blockade_scan(config: dict[str, Any]):
 
 def _cmd_dimer_g2(config: dict[str, Any]):
     rows = []
+    rates = _rates_from(config)
 
     def point(j_val: float, n_max: int):
         params = band_resonant_chain(config["omega_r"], config["g"], j_val, 2, "periodic")
         space = LatticeSpace.uniform(2, n_max)
         band_min = photon_band_minimum(params)
         omega_d = band_min - config["g"] + config["drive_offset"]
-        rates = DissipationRates(gamma1=config["gamma1"], gamma_phi=config["gamma_phi"],
-                                 gamma_kappa=config["gamma_kappa"])
-        if not rates.any_nonzero():
-            raise ConfigError([("gamma_kappa", "at least one dissipation rate must be positive")])
         h = build_jchm(params, space)
         liouv = build_liouvillian(h, rates, DriveSpec(xi=config["xi"], omega_d=omega_d,
                                                       driven_sites=(0, 1)), space)
@@ -381,7 +393,7 @@ def _cmd_dimer_g2(config: dict[str, Any]):
 
     for j_val in config["j_values"]:
         rows.append(point(float(j_val), config["n_max"]))
-    conv = {"points": len(rows)}
+    conv = {"points": len(rows), "g2_check": _g2_check([r["g2"] for r in rows])}
     if config["cutoff_check"]:
         check = cutoff_convergence(lambda nm: point(float(config["j_values"][0]), nm)["g2"],
                                    config["n_max"], rows[0]["g2"])
@@ -420,6 +432,8 @@ def _cmd_meanfield_lobes(config: dict[str, Any]):
     mu = np.linspace(config["mu_min"], config["mu_max"], config["mu_points"])
     zj = np.linspace(config["zj_min"], config["zj_max"], config["zj_points"])
     zj = zj[zj > 0] if config["zj_min"] == 0 else zj
+    if zj.size == 0:
+        raise ConfigError([("zj_points", "zj_min = 0 is skipped, so at least 2 points are needed")])
     cells = phase_diagram(jc, mu, zj, space, z=config["z"], psi_max=config["psi_max"])
     rows = [{"mu": c.mu, "zJ": c.zj, "psi": c.psi, "energy": c.energy,
              "n_polariton": c.n_polariton, "phase": c.phase} for c in cells]
@@ -445,11 +459,7 @@ def _cmd_driven_mf(config: dict[str, Any]):
     rows = []
     fixed_points = []
     any_cycle = False
-    rates = DissipationRates(gamma1=config["gamma1"], gamma_phi=config["gamma_phi"],
-                             gamma_kappa=config["gamma_kappa"],
-                             kappa_ports={0: config["kappa"]} if config["kappa"] > 0 else {})
-    if not rates.any_nonzero():
-        raise ConfigError([("gamma_kappa", "at least one dissipation rate must be positive")])
+    rates = _rates_from(config)
     space = SiteSpace(config["n_max"])
     for zj in config["zj_values"]:
         zj = float(zj)
@@ -475,7 +485,8 @@ def _cmd_driven_mf(config: dict[str, Any]):
                                         and all(m < 0 for m in margins)),
                              "multistable": result.multistable,
                              "limit_cycle": result.limit_cycle})
-    conv = {"fixed_points": fixed_points, "limit_cycle_seen": any_cycle}
+    conv = {"fixed_points": fixed_points, "limit_cycle_seen": any_cycle,
+            "g2_check": _g2_check([r["g2"] for r in rows])}
     header = ["zJ", "seed_re", "seed_im", "re_psi", "im_psi", "g2",
               "multistable_flag", "limit_cycle_flag"]
     return header, rows, conv
@@ -653,7 +664,7 @@ def main(argv: list[str] | None = None) -> int:
         for key, msg in exc.errors:
             print(f"config error at {key}: {msg}", file=sys.stderr)
         return 1
-    except (NetlistError, ValueError) as exc:
+    except (NetlistError, ValueError, CutoffWindowError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except (ConvergenceError, StiffnessError, MeanFieldConvergenceError) as exc:

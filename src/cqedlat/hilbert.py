@@ -65,6 +65,8 @@ __all__ = [
 RHO_HERMITIAN_ATOL = 1e-10
 RHO_TRACE_ATOL = 1e-8
 RHO_EIGENVALUE_FLOOR = -1e-8
+QUBIT_DIM = 2             # every site carries a two-level qubit
+CUTOFF_STEP = 2           # photons added by the cutoff-convergence check
 
 
 @dataclass(frozen=True)
@@ -72,17 +74,14 @@ class SiteSpace:
     """One lattice site: truncated photon mode tensored with a qubit."""
 
     photon_cutoff: int
-    qubit_dim: int = 2
 
     def __post_init__(self) -> None:
         if self.photon_cutoff < 1:
             raise ValueError(f"photon_cutoff must be >= 1, got {self.photon_cutoff}")
-        if self.qubit_dim != 2:
-            raise ValueError(f"qubit_dim must be 2, got {self.qubit_dim}")
 
     @property
     def dim(self) -> int:
-        return (self.photon_cutoff + 1) * self.qubit_dim
+        return (self.photon_cutoff + 1) * QUBIT_DIM
 
     def basis_index(self, n_photon: int, qubit: int) -> int:
         """Linear index of |n_photon, qubit⟩ (photon slow, qubit fast)."""
@@ -90,7 +89,7 @@ class SiteSpace:
             raise ValueError(f"photon number {n_photon} outside 0..{self.photon_cutoff}")
         if qubit not in (0, 1):
             raise ValueError(f"qubit index must be 0 (ground) or 1 (excited), got {qubit}")
-        return n_photon * self.qubit_dim + qubit
+        return n_photon * QUBIT_DIM + qubit
 
 
 @dataclass(frozen=True)
@@ -234,7 +233,7 @@ def occupation_basis(space: LatticeSpace, N: int | None = None) -> np.ndarray:
     states, load = np.zeros((1, 0), dtype=np.intp), np.zeros(1, dtype=np.intp)
     for site in space.sites:
         s = np.arange(site.dim)
-        grown = load[:, None] + s // site.qubit_dim + s % site.qubit_dim
+        grown = load[:, None] + s // QUBIT_DIM + s % QUBIT_DIM
         row, col = np.nonzero(grown <= limit)
         states, load = np.column_stack((states[row], s[col])), grown[row, col]
     return states if N is None else states[load == N]
@@ -257,9 +256,9 @@ def site_factor(space: LatticeSpace, site_index: int, photon_op: sp.spmatrix | N
         raise ValueError(f"site index {site_index} out of range for {space.n_sites} sites")
     site = space.sites[site_index]
     tn, an = _gather(photon_op, site.photon_cutoff + 1)
-    tq, aq = _gather(qubit_op, site.qubit_dim)
-    n, q = np.divmod(np.arange(site.dim), site.qubit_dim)
-    target = np.where((tn[n] >= 0) & (tq[q] >= 0), tn[n] * site.qubit_dim + tq[q], -1)
+    tq, aq = _gather(qubit_op, QUBIT_DIM)
+    n, q = np.divmod(np.arange(site.dim), QUBIT_DIM)
+    target = np.where((tn[n] >= 0) & (tq[q] >= 0), tn[n] * QUBIT_DIM + tq[q], -1)
     return site_index, target, an[n] * aq[q]
 
 
@@ -267,7 +266,7 @@ def diagonal_factor(space: LatticeSpace, site_index: int,
                     f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Factor:
     """Diagonal factor with entry f(n, q) on site state |n, q⟩ of one site."""
     _, s, _ = site_factor(space, site_index)
-    return site_index, s, f(*np.divmod(s, space.sites[site_index].qubit_dim))
+    return site_index, s, f(*np.divmod(s, QUBIT_DIM))
 
 
 def assemble(terms: Iterable[Term], basis: np.ndarray) -> sp.csr_matrix:
@@ -278,7 +277,8 @@ def assemble(terms: Iterable[Term], basis: np.ndarray) -> sp.csr_matrix:
     factors act right to left on their site columns, annihilated rows drop out,
     and the amplitudes multiply in that order before the coefficient does.
     Diagonal entries accumulate term by term in list order; other target rows
-    are located by one ``np.unique`` over basis and target rows.  Raises
+    are located by one ``np.lexsort`` over the site columns of basis and target
+    rows, each run of equal rows being one basis row.  Raises
     ``ValueError`` for a site index outside the basis or a term leaving it.
     """
     dim, n_sites = basis.shape
@@ -300,10 +300,16 @@ def assemble(terms: Iterable[Term], basis: np.ndarray) -> sp.csr_matrix:
         sources.append(rows[moved])
         targets.append(states[moved])
         values.append(value[moved])
-    found, where = np.unique(np.concatenate(targets), axis=0, return_inverse=True)
-    if len(found) > dim:
+    stacked = np.concatenate(targets)
+    order = np.lexsort(stacked.T[::-1])              # site 0 is the primary key
+    ordered = stacked[order]
+    new_row = np.ones(len(order), dtype=bool)
+    new_row[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    where = np.empty(len(order), dtype=np.intp)
+    where[order] = np.cumsum(new_row) - 1
+    if np.count_nonzero(new_row) > dim:
         raise ValueError("a term maps a basis configuration outside the basis")
-    h = sp.csr_matrix((np.concatenate(values), (where.ravel(), np.concatenate(sources))),
+    h = sp.csr_matrix((np.concatenate(values), (where, np.concatenate(sources))),
                       shape=(dim, dim))
     h.eliminate_zeros()
     return h
@@ -350,15 +356,15 @@ class ConvergenceCheck:
 
 
 def cutoff_convergence(observable: Callable[[int], complex], n_max: int, value: complex,
-                       step: int = 2, rtol: float = 1e-6) -> ConvergenceCheck:
+                       rtol: float = 1e-6) -> ConvergenceCheck:
     """Compare ``value``, the observable already computed at ``n_max``, with
-    ``observable(n_max + step)``.
+    ``observable(n_max + CUTOFF_STEP)``.
 
-    The relative shift is |v(n_max+step) - v(n_max)| / max(|v(n_max+step)|, 1e-300);
+    The relative shift is |v(n_max+2) - v(n_max)| / max(|v(n_max+2)|, 1e-300);
     ``passed`` is True when it does not exceed ``rtol``.  Physics modules expose
     this check so truncation error is always measurable.
     """
-    reference = observable(n_max + step)
+    reference = observable(n_max + CUTOFF_STEP)
     shift = abs(reference - value) / max(abs(reference), 1e-300)
     return ConvergenceCheck(value=value, reference=reference, rel_shift=float(shift), rtol=rtol,
-                            passed=bool(shift <= rtol), n_max=n_max, n_max_ref=n_max + step)
+                            passed=bool(shift <= rtol), n_max=n_max, n_max_ref=n_max + CUTOFF_STEP)

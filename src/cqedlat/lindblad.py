@@ -36,7 +36,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import RK45
+from scipy.integrate import solve_ivp
 from scipy.linalg.lapack import ztrsyl
 from scipy.optimize import curve_fit
 
@@ -76,6 +76,9 @@ __all__ = [
 
 TRACE_PRESERVATION_RTOL = 1e-10
 STEADY_RESIDUAL_RTOL = 1e-10
+# RK45 tolerances of every time integration (here and in the driven mean field)
+RK45_RTOL = 1e-9
+RK45_ATOL = 1e-12
 # GMRES stopping rules, relative to the right-hand side: the first solve,
 # then the correction from a residual accumulated in extended precision.
 # Without that correction the absolute error of ~1e-16 left by any
@@ -88,7 +91,6 @@ STEADY_GMRES_MAXITER = 20     # restart cycles
 SYLVESTER_BLOCK = 64          # largest block handed to LAPACK trsyl whole
 # the uniqueness probe counts as solved below this relative residual
 UNIQUE_PROBE_RTOL = 1e-8
-MAX_WORKERS_ENV = "CQEDLAT_WORKERS"  # default process-pool size for scans
 
 
 class StiffnessError(RuntimeError):
@@ -155,36 +157,29 @@ class DriveSpec:
 
 
 class Liouvillian:
-    """Master-equation generator held as d×d operators.
+    """Master-equation generator held as d×d operators: the one generator that
+    :func:`evolve`, :func:`steady_state` and the driven mean field act with.
 
     ``h_rot`` is the Hermitian Hamiltonian of the frame the generator acts in
-    and ``jumps`` the √rate-weighted jump operators.
+    (dense or sparse; d is its dimension) and ``jumps`` the √rate-weighted jump
+    operators.  A generator that does not preserve the trace, e.g. one with a
+    non-Hermitian ``h_rot``, is refused.
     """
 
-    def __init__(self, h_rot: np.ndarray | sp.spmatrix, jumps: Sequence[sp.spmatrix],
-                 space: LatticeSpace, rotating_frame: bool, rates: DissipationRates,
-                 drive: DriveSpec | None):
-        d = space.total_dim
+    def __init__(self, h_rot: np.ndarray | sp.spmatrix, jumps: Sequence[sp.spmatrix]):
         h = h_rot.toarray() if sp.issparse(h_rot) else np.asarray(h_rot)
-        if h.shape != (d, d):
-            raise ValueError(f"Hamiltonian shape {h.shape} does not match dim {d}")
+        if h.ndim != 2 or h.shape[0] != h.shape[1]:
+            raise ValueError(f"Hamiltonian shape {h.shape} is not square")
+        self.dim = d = h.shape[0]
         self.jumps = tuple(sp.csr_matrix(c, dtype=np.complex128) for c in jumps)
         self.loss = np.zeros((d, d), dtype=np.complex128)     # Σ_c C_c†C_c
         for c in self.jumps:
             self.loss += (c.getH() @ c).toarray()
         self.h_rot = h.astype(np.complex128)
         self.h_eff = self.h_rot - 0.5j * self.loss
-        self.space = space
-        self.rotating_frame = rotating_frame
-        self.rates = rates
-        self.drive = drive
         defect = self.trace_preservation_defect()
         if defect > TRACE_PRESERVATION_RTOL:
             raise ValueError(f"generator does not preserve the trace: defect {defect:.3e}")
-
-    @property
-    def dim(self) -> int:
-        return self.space.total_dim
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
@@ -279,8 +274,7 @@ def build_liouvillian(h: sp.csr_matrix, rates: DissipationRates, drive: DriveSpe
     if drive is not None:
         n_tot, x_drive = _rotating_frame_terms(h, space, drive.driven_sites)
         h_rot = h_rot - drive.omega_d * n_tot + drive.xi * x_drive
-    return Liouvillian(h_rot, collapse_operators(rates, space), space,
-                       rotating_frame=drive is not None, rates=rates, drive=drive)
+    return Liouvillian(h_rot, collapse_operators(rates, space))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +284,6 @@ def build_liouvillian(h: sp.csr_matrix, rates: DissipationRates, drive: DriveSpe
 class EvolveResult:
     times: np.ndarray
     states: list[DensityMatrix]
-    n_steps: int
     trace_drift: float
     min_eigenvalue: float
 
@@ -299,22 +292,19 @@ class EvolveResult:
         return self.states[-1]
 
 
-def _symmetrize(y: np.ndarray, d: int) -> np.ndarray:
-    rho = y.reshape(d, d)
-    return (0.5 * (rho + rho.conj().T)).reshape(-1)
-
-
 def evolve(liouv: Liouvillian, rho0: DensityMatrix, t_final: float,
-           dt_control: float | None = None, rtol: float = 1e-9,
-           atol: float = 1e-12, validate: bool = True) -> EvolveResult:
-    """Adaptive Runge-Kutta (Dormand-Prince 4(5)) integration of ∂_t ρ = Lρ.
+           dt_control: float | None = None) -> EvolveResult:
+    """ρ(t) under ∂_t ρ = Lρ from ``rho0``, by SciPy's adaptive RK45 (Dormand-Prince 4(5)).
 
-    The state is re-symmetrized ρ → (ρ + ρ†)/2 after every accepted step;
-    outputs are sampled every ``dt_control`` (plus t = 0 and t_final) from the
-    dense interpolant.  Trace is never renormalized; the accumulated drift is
-    reported in the result and kept below 1e-8 at the default tolerances.
+    Samples are taken from the dense interpolant at t = 0, every ``dt_control``
+    and at t_final (only at the two ends without ``dt_control``), symmetrized
+    ρ → (ρ + ρ†)/2 and validated as density matrices.  The trace is never
+    renormalized; its largest drift over the samples is reported, and stays
+    below 1e-8 at ``RK45_RTOL`` and ``RK45_ATOL``, next to the smallest
+    eigenvalue of the final state.
 
-    Raises :class:`StiffnessError` when the step size underflows.
+    Raises :class:`StiffnessError` when the integrator fails, e.g. when the
+    step size underflows.
     """
     if rho0.dim != liouv.dim:
         raise ValueError(f"state dim {rho0.dim} does not match Liouvillian dim {liouv.dim}")
@@ -322,52 +312,21 @@ def evolve(liouv: Liouvillian, rho0: DensityMatrix, t_final: float,
         raise ValueError("t_final must be non-negative")
     d = liouv.dim
     mat = liouv.matrix
-
-    def rhs(_t: float, y: np.ndarray) -> np.ndarray:
-        return mat @ y
-
-    if t_final == 0:
-        sample_times = np.array([0.0])
-    elif dt_control is not None and dt_control > 0:
-        n_out = max(1, int(round(t_final / dt_control)))
-        sample_times = np.linspace(0.0, t_final, n_out + 1)
-    else:
-        sample_times = np.array([0.0, t_final])
-
-    y = rho0.rho.reshape(-1).astype(np.complex128)
-    samples: list[np.ndarray] = [y.copy()]
-    next_sample = 1
-    n_steps = 0
-
+    y0 = rho0.rho.reshape(-1).astype(np.complex128)
+    times, samples = np.array([0.0]), y0[:, None]
     if t_final > 0:
-        solver = RK45(rhs, 0.0, y, t_final, rtol=rtol, atol=atol)
-        while solver.status == "running":
-            message = solver.step()
-            if solver.status == "failed":
-                raise StiffnessError(
-                    f"step size underflow at t = {solver.t:.6g} "
-                    f"(h_abs = {solver.h_abs:.3e}, dim = {d}): {message}")
-            n_steps += 1
-            if next_sample < len(sample_times) and solver.t >= sample_times[next_sample] - 1e-15:
-                dense = solver.dense_output()
-                while next_sample < len(sample_times) and sample_times[next_sample] <= solver.t + 1e-15:
-                    t_s = min(sample_times[next_sample], solver.t)
-                    samples.append(_symmetrize(dense(t_s), d))
-                    next_sample += 1
-            y_sym = _symmetrize(solver.y, d)
-            if not np.array_equal(y_sym, solver.y):
-                solver.y = y_sym
-                solver.f = rhs(solver.t, y_sym)
-        while next_sample < len(sample_times):  # guard against float round-off at t_final
-            samples.append(_symmetrize(solver.y, d))
-            next_sample += 1
-
-    states = [DensityMatrix(v.reshape(d, d), check=validate) for v in samples]
-    traces = np.array([np.trace(v.reshape(d, d)) for v in samples])
-    drift = float(np.max(np.abs(traces - 1.0)))
-    min_eig = states[-1].min_eigenvalue() if validate else float("nan")
-    return EvolveResult(times=sample_times, states=states, n_steps=n_steps,
-                        trace_drift=drift, min_eigenvalue=min_eig)
+        n_out = max(1, round(t_final / dt_control)) if dt_control else 1
+        sol = solve_ivp(lambda _t, y: mat @ y, (0.0, t_final), y0, method="RK45",
+                        t_eval=np.linspace(0.0, t_final, n_out + 1),
+                        rtol=RK45_RTOL, atol=RK45_ATOL)
+        if sol.status < 0:
+            raise StiffnessError(f"integration failed before t = {t_final:.6g} (dim = {d}): "
+                                 f"{sol.message}")
+        times, samples = sol.t, sol.y
+    states = [DensityMatrix(0.5 * (r + r.conj().T)) for r in (y.reshape(d, d) for y in samples.T)]
+    drift = max(abs(s.trace() - 1.0) for s in states)
+    return EvolveResult(times=times, states=states, trace_drift=drift,
+                        min_eigenvalue=states[-1].min_eigenvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +395,7 @@ def _apply_extended(liouv: Liouvillian, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def steady_state(liouv: Liouvillian, residual_rtol: float = STEADY_RESIDUAL_RTOL,
-                 check_unique: bool = True) -> DensityMatrix:
+def steady_state(liouv: Liouvillian, check_unique: bool = True) -> DensityMatrix:
     """Stationary state of a dissipative Liouvillian by a matrix-free Krylov solve.
 
     Solves the bordered system (L - s|I/d⟩⟨tr|) x = -s I/d, with s the
@@ -454,15 +412,16 @@ def steady_state(liouv: Liouvillian, residual_rtol: float = STEADY_RESIDUAL_RTOL
     populations, such as the two-photon ones behind a weak-drive g²(0),
     accurate to their own size rather than to 1e-16 of the trace.
 
-    Raises :class:`ConvergenceError` when the state misses
-    max|Lρ| ≤ ``residual_rtol`` · s.  With ``check_unique`` a second bordered
+    Raises ``ValueError`` for a generator without jumps, and
+    :class:`ConvergenceError` when the state misses
+    max|Lρ| ≤ ``STEADY_RESIDUAL_RTOL`` · s.  With ``check_unique`` a second bordered
     solve, with a random right-hand side and the same preconditioner, must
     converge: the bordered operator is singular exactly when the null space
     of L has more than one dimension, and a random right-hand side then has
     no solution.  A degenerate steady space raises
     :class:`DegenerateSteadyStateError`; it is never silently resolved.
     """
-    if not liouv.rates.any_nonzero():
+    if not liouv.jumps:
         raise ValueError("steady_state requires a dissipative Liouvillian (some rate > 0)")
     d = liouv.dim
     scale = liouv.scale()
@@ -509,10 +468,10 @@ def steady_state(liouv: Liouvillian, residual_rtol: float = STEADY_RESIDUAL_RTOL
     rho = 0.5 * (x + x.conj().T)
     rho = rho / np.trace(rho).real
     residual = np.max(np.abs(liouv.apply(rho)))
-    if not residual <= residual_rtol * scale:
+    if not residual <= STEADY_RESIDUAL_RTOL * scale:
         raise ConvergenceError(
             f"steady-state residual {residual:.3e} exceeds "
-            f"{residual_rtol:.0e} * scale = {residual_rtol * scale:.3e}")
+            f"{STEADY_RESIDUAL_RTOL:.0e} * scale = {STEADY_RESIDUAL_RTOL * scale:.3e}")
     return DensityMatrix(rho)
 
 
@@ -561,7 +520,6 @@ class _ScanModel:
         n_tot, x_drive = _rotating_frame_terms(h, space, driven_sites)
         self.h, self.n_tot, self.x_drive = h.toarray(), n_tot.toarray(), x_drive.toarray()
         self.jumps = collapse_operators(rates, space)
-        self.space, self.rates, self.driven_sites = space, rates, driven_sites
         # tr(Aρ) = Σ_ij (Aᵀ)_ij ρ_ij for a, a†a on every port and a†²a² on the first
         ports = [photon_op_on(space, s, annihilation(space.sites[s])) for s in port_sites]
         self.a_t = np.stack([a.T.toarray() for a in ports])
@@ -570,11 +528,12 @@ class _ScanModel:
         self.num_t = (a0.getH() @ a0.getH() @ a0 @ a0).T.toarray()
         self.g2_site = port_sites[0]
 
+    def generator(self, xi: float, omega_d: float) -> Liouvillian:
+        """The generator of :func:`build_liouvillian` at drive (ξ, ω_d)."""
+        return Liouvillian(self.h - omega_d * self.n_tot + xi * self.x_drive, self.jumps)
+
     def point(self, xi: float, omega_d: float) -> ScanPoint:
-        drive = DriveSpec(xi=xi, omega_d=omega_d, driven_sites=self.driven_sites)
-        liouv = Liouvillian(self.h - omega_d * self.n_tot + xi * self.x_drive, self.jumps,
-                            self.space, rotating_frame=True, rates=self.rates, drive=drive)
-        rho = steady_state(liouv, check_unique=False).rho
+        rho = steady_state(self.generator(xi, omega_d), check_unique=False).rho
         a_vals = np.sum(self.a_t * rho, axis=(1, 2))
         n_vals = np.sum(self.n_t * rho, axis=(1, 2)).real
         try:
@@ -595,10 +554,12 @@ def transmission_scan(params: LatticeParams, space: LatticeSpace,
 
     Output ports are the sites with a declared port rate; when none are
     declared every site is reported.  The Hamiltonian, frame terms, jump
-    operators and observables are built once per scan.  Points are
-    independent, so the scan may run on a process pool; results keep the
-    deterministic grid order.
+    operators and observables are built once per scan, and a negative drive
+    amplitude is refused before any of them.  Points are independent, so the
+    scan may run on a process pool; results keep the deterministic grid order.
     """
+    if any(xi < 0 for xi in drive_amplitudes):
+        raise ValueError("drive amplitude xi must be non-negative")
     port_sites = tuple(s for s, k in rates.kappa_ports if k > 0)
     if not port_sites:
         port_sites = tuple(range(space.n_sites))

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import RK45
+from scipy.integrate import RK45, solve_ivp
+from scipy.optimize import minimize_scalar
 
 from .hilbert import (
     DensityMatrix,
@@ -50,6 +51,8 @@ from .hilbert import (
 from .jc import JCParams, jc_hamiltonian, polariton_energy
 from .lattice import LatticeParams, build_jchm, sector_ground_energy
 from .lindblad import (
+    RK45_ATOL,
+    RK45_RTOL,
     DissipationRates,
     DriveSpec,
     Liouvillian,
@@ -78,8 +81,11 @@ __all__ = [
 ]
 
 PSI_FLOOR = 1e-5          # |ψ*| above this counts as superfluid
-PSI_SEARCH_TOL = 1e-7     # golden-section window width
+PSI_MAX = 3.0             # default upper edge of the ψ search window
+PSI_GRID_POINTS = 49      # coarse ψ grid that brackets the minimum
+PSI_SEARCH_TOL = 1e-7     # absolute ψ tolerance of the bounded refinement
 ZJ_RESOLUTION = 1e-4      # lobe-boundary bisection resolution (units of the scan)
+DISTINCT_TOL = 1e-4       # driven fixed points closer than this are one branch
 CYCLE_SAMPLES = 40        # ψ samples a limit-cycle verdict needs
 NEWTON_MAX_ITER = 8       # F evaluations of one Newton run before it counts as failed
 CAPTURE_CONTRACTIONS = 2  # consecutive intervals over which ‖ρ(t) - ρ_ss(ψ*)‖ must shrink
@@ -118,8 +124,7 @@ class OrderParameter:
     psi: float
     energy: float
     n_polariton: float
-    converged: bool
-    iterations: int
+    iterations: int       # energy evaluations: the grid plus the refinement
 
 
 @dataclass(frozen=True)
@@ -170,49 +175,31 @@ class _MFCore:
 
 
 def minimize_order_parameter(p: GrandCanonicalParams, space: SiteSpace,
-                             psi_max: float = 3.0, grid_points: int = 49,
-                             tol: float = PSI_SEARCH_TOL) -> OrderParameter:
+                             psi_max: float = PSI_MAX) -> OrderParameter:
     """Minimize the mean-field ground energy over real ψ in [0, psi_max].
 
-    A coarse grid brackets the minimum, golden-section refinement narrows the
-    bracket below ``tol``.  A minimum at the upper window edge means the
-    search window (or the photon cutoff behind it) is too small and raises
-    :class:`CutoffWindowError`.
+    A grid of ``PSI_GRID_POINTS`` brackets the minimum between the neighbours
+    of its lowest point; SciPy's bounded Brent search (``minimize_scalar``)
+    refines it inside that bracket to ``PSI_SEARCH_TOL``.  A minimum at the
+    upper window edge means the search window (or the photon cutoff behind
+    it) is too small and raises :class:`CutoffWindowError`.
     """
     core = _MFCore(p, space)
-    grid = np.linspace(0.0, psi_max, grid_points)
-    energies = [core.energy(s) for s in grid]
-    k = int(np.argmin(energies))
-    if k == grid_points - 1:
+    grid = np.linspace(0.0, psi_max, PSI_GRID_POINTS)
+    k = int(np.argmin([core.energy(s) for s in grid]))
+    if k == PSI_GRID_POINTS - 1:
         raise CutoffWindowError(
             f"energy still decreasing at ψ = {psi_max}; enlarge psi_max and the photon cutoff")
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, grid_points - 1)]
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1 = core.energy(x1)
-    f2 = core.energy(x2)
-    iterations = grid_points + 2
-    while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = core.energy(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = core.energy(x2)
-        iterations += 1
-    psi_star = 0.5 * (lo + hi)
-    if psi_star > psi_max - 10 * tol:
+    res = minimize_scalar(core.energy, bounds=(grid[max(k - 1, 0)], grid[k + 1]),
+                          method="bounded", options={"xatol": PSI_SEARCH_TOL})
+    psi_star = float(res.x)
+    if psi_star > psi_max - 10 * PSI_SEARCH_TOL:
         raise CutoffWindowError(
             f"minimizer ψ* = {psi_star} sits at the window edge {psi_max}")
     energy, vec = core.ground(psi_star)
     n_val = float(np.real(vec.conj() @ (core.n_tot @ vec)))
-    return OrderParameter(psi=float(psi_star), energy=energy, n_polariton=n_val,
-                          converged=True, iterations=iterations)
+    return OrderParameter(psi=psi_star, energy=energy, n_polariton=n_val,
+                          iterations=PSI_GRID_POINTS + res.nfev)
 
 
 # ---------------------------------------------------------------------------
@@ -245,24 +232,23 @@ def mott_window_numeric(jc: JCParams, N: int, space: SiteSpace) -> tuple[float, 
 
 
 def lobe_boundary(jc: JCParams, mu: float, space: SiteSpace, z: int = 1,
-                  zj_max: float = 1.0, resolution: float = ZJ_RESOLUTION,
-                  psi_floor: float = PSI_FLOOR, psi_max: float = 3.0) -> float:
-    """Critical zJ at fixed μ where the Mott indicator ψ* > psi_floor flips.
+                  zj_max: float = 1.0) -> float:
+    """Critical zJ at fixed μ where the Mott indicator ψ* > ``PSI_FLOOR`` flips.
 
-    Bisection over zJ down to ``resolution``; raises ValueError when the
-    bracket [resolution, zj_max] does not straddle the boundary (μ outside
+    Bisection over zJ down to ``ZJ_RESOLUTION``; raises ValueError when the
+    bracket [ZJ_RESOLUTION, zj_max] does not straddle the boundary (μ outside
     the lobe, or zj_max too small).
     """
     def superfluid(zj: float) -> bool:
         p = GrandCanonicalParams(jc=jc, mu=mu, z=z, J=zj / z)
-        return minimize_order_parameter(p, space, psi_max=psi_max).psi > psi_floor
+        return minimize_order_parameter(p, space).psi > PSI_FLOOR
 
-    lo, hi = resolution, zj_max
+    lo, hi = ZJ_RESOLUTION, zj_max
     if superfluid(lo):
         raise ValueError(f"already superfluid at zJ = {lo}; μ = {mu} lies outside the Mott lobe")
     if not superfluid(hi):
         raise ValueError(f"still Mott at zJ = {hi}; enlarge zj_max")
-    while hi - lo > resolution:
+    while hi - lo > ZJ_RESOLUTION:
         mid = 0.5 * (lo + hi)
         if superfluid(mid):
             hi = mid
@@ -272,15 +258,15 @@ def lobe_boundary(jc: JCParams, mu: float, space: SiteSpace, z: int = 1,
 
 
 def phase_diagram(jc: JCParams, mu_values: np.ndarray, zj_values: np.ndarray,
-                  space: SiteSpace, z: int = 1, psi_floor: float = PSI_FLOOR,
-                  psi_max: float = 3.0) -> list[PhaseDiagramCell]:
+                  space: SiteSpace, z: int = 1,
+                  psi_max: float = PSI_MAX) -> list[PhaseDiagramCell]:
     """Grid scan of the order parameter; cells are labeled Mott(N) or SF."""
     cells: list[PhaseDiagramCell] = []
     for mu in mu_values:
         for zj in zj_values:
             p = GrandCanonicalParams(jc=jc, mu=float(mu), z=z, J=float(zj) / z)
             res = minimize_order_parameter(p, space, psi_max=psi_max)
-            if res.psi <= psi_floor and abs(res.n_polariton - round(res.n_polariton)) <= 1e-6:
+            if res.psi <= PSI_FLOOR and abs(res.n_polariton - round(res.n_polariton)) <= 1e-6:
                 phase = f"Mott{int(round(res.n_polariton))}"
             else:
                 phase = "SF"
@@ -299,8 +285,7 @@ class DrivenFixedPoint:
     rho: DensityMatrix
     g2: float
     seed: complex
-    converged: bool
-    limit_cycle: bool
+    limit_cycle: bool                    # never captured by a stable root
     t_elapsed: float
     orbit: tuple[complex, ...] | None = None
     residual: float = math.nan           # |tr(aρ) - ψ| of the reported fixed point
@@ -377,8 +362,7 @@ class _DrivenSite:
         """ρ_ss(ψ): the steady state of H_rot - zJ(ψa† + ψ*a) with the same jumps."""
         base = self.liouv0
         h = base.h_rot - self.zj * (psi * self.a.conj().T + np.conj(psi) * self.a)
-        return steady_state(Liouvillian(h, base.jumps, self.space, rotating_frame=True,
-                                        rates=base.rates, drive=base.drive), check_unique=False)
+        return steady_state(Liouvillian(h, base.jumps), check_unique=False)
 
     def _traceless(self, m: np.ndarray) -> np.ndarray:
         """A superoperator that maps into traceless matrices, on traceless matrices."""
@@ -422,19 +406,18 @@ class _DrivenSite:
             return None
         return (db * np.conj(f) - np.conj(da) * f) / det
 
-    def newton(self, psi: complex, psi_tol: float, distinct_tol: float,
-               known: list[_Root]) -> _Root | None:
+    def newton(self, psi: complex, psi_tol: float, known: list[_Root]) -> _Root | None:
         """Newton on F(ψ) from ψ.
 
         Returns a root of ``known`` as soon as an iterate comes within
-        ``distinct_tol`` of it; otherwise the new root once |F| ≤ ``psi_tol``,
+        ``DISTINCT_TOL`` of it; otherwise the new root once |F| ≤ ``psi_tol``,
         with its stability margin, added to ``known``.  Returns None when
         ``NEWTON_MAX_ITER`` evaluations do not converge, an iterate leaves
         |ψ| ≤ √n_max, where every tr(aρ) lies, or the Jacobian is singular.
         """
         for _ in range(NEWTON_MAX_ITER):
             for root in known:
-                if abs(psi - root.psi) <= distinct_tol:
+                if abs(psi - root.psi) <= DISTINCT_TOL:
                     return root
             if not abs(psi) <= self.psi_bound:
                 return None
@@ -459,20 +442,19 @@ class _DrivenSite:
 def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
                      zj: float, seeds: tuple[complex, ...] = (0.0,),
                      space: SiteSpace | None = None, psi_tol: float = 1e-8,
-                     t_max: float | None = None, control_interval: float | None = None,
-                     rtol: float = 1e-9, atol: float = 1e-12,
-                     distinct_tol: float = 1e-4) -> DrivenMFResult:
+                     t_max: float | None = None) -> DrivenMFResult:
     """Self-consistent driven-dissipative mean field on one site.
 
     Runs the nonlinear master equation from every seed (a coherent state of
-    amplitude equal to the seed value) in control intervals.  After each
+    amplitude equal to the seed value) in control intervals of 1/γ_min, the
+    slowest dissipation rate, each one SciPy RK45 solve.  After each
     interval, Newton runs on F(ψ) = tr(aρ_ss(ψ)) - ψ from the current ψ.  The
     run is captured, and stops, when that Newton reaches a linearly stable
     root (stability margin < 0) and ‖ρ(t) - ρ_ss(ψ*)‖ has shrunk toward that
     same root over ``CAPTURE_CONTRACTIONS`` consecutive intervals.  The seed
     then reports ψ*, ρ_ss(ψ*), the residual |F(ψ*)| ≤ ``psi_tol`` and the
     margin.  Fixed points from different seeds that differ by more than
-    ``distinct_tol`` are reported as distinct branches (multistability).  A run
+    ``DISTINCT_TOL`` are reported as distinct branches (multistability).  A run
     that is never captured within the horizon is classified as a limit cycle
     when its ψ swing over the last ``CYCLE_SAMPLES`` control intervals is not
     decaying, and returned with a sampled orbit; otherwise it raises
@@ -487,7 +469,7 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
 
     slowest = min(r for r in (rates.gamma1, rates.gamma_phi, rates.gamma_kappa,
                               *(k for _, k in rates.kappa_ports)) if r > 0)
-    t_chunk = control_interval if control_interval is not None else 1.0 / slowest
+    t_chunk = 1.0 / slowest
     horizon = t_max if t_max is not None else 600.0 / slowest
 
     roots: list[_Root] = []     # every root Newton has found, from any seed
@@ -501,12 +483,13 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
         root: _Root | None = None
         distances: list[float] = []     # ‖ρ(t) - ρ_ss(ψ*)‖ while it keeps shrinking
         while t < horizon:
-            solver = RK45(site.rhs, 0.0, y, t_chunk, rtol=rtol, atol=atol)
-            while solver.status == "running":
-                msg = solver.step()
-                if solver.status == "failed":
-                    raise StiffnessError(f"driven mean-field step failed at t = {t + solver.t:.4g}: {msg}")
-            rho_m = solver.y.reshape(d, d)
+            # the solver class bound in this module, so a subclass bound there steps instead
+            sol = solve_ivp(site.rhs, (0.0, t_chunk), y, method=RK45, t_eval=(t_chunk,),
+                            rtol=RK45_RTOL, atol=RK45_ATOL)
+            if sol.status < 0:
+                raise StiffnessError(
+                    f"driven mean-field step failed at t = {t + sol.t[-1]:.4g}: {sol.message}")
+            rho_m = sol.y[:, -1].reshape(d, d)
             rho_m = 0.5 * (rho_m + rho_m.conj().T)
             y = rho_m.reshape(-1)
             t += t_chunk
@@ -515,7 +498,7 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
             last_step = abs(psi_now - psi_prev)
             psi_prev = psi_now
 
-            found = site.newton(psi_now, psi_tol, distinct_tol, roots)
+            found = site.newton(psi_now, psi_tol, roots)
             if found is None or not found.margin < 0:
                 root, distances = None, []
                 continue
@@ -552,7 +535,7 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
             g2 = float("nan")
         results.append(DrivenFixedPoint(
             psi=psi, rho=state, g2=g2, seed=complex(seed),
-            converged=captured, limit_cycle=not captured, t_elapsed=t,
+            limit_cycle=not captured, t_elapsed=t,
             orbit=None if captured else tuple(history[-CYCLE_SAMPLES:]),
             residual=residual, stability_margin=margin))
 
@@ -560,7 +543,7 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
     for r in results:
         if r.limit_cycle:
             continue
-        if all(abs(r.psi - b.psi) > distinct_tol for b in branches):
+        if all(abs(r.psi - b.psi) > DISTINCT_TOL for b in branches):
             branches.append(r)
     any_cycle = any(r.limit_cycle for r in results)
     return DrivenMFResult(branches=tuple(branches), per_seed=tuple(results),

@@ -30,6 +30,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 __all__ = [
     "ResonatorSpec",
@@ -112,27 +113,6 @@ def _char(omega_bar: float, chi_m: float, chi_p: float) -> float:
     return math.tan(omega_bar) + (chi_m + chi_p) * omega_bar / denom
 
 
-def _bisect(f, lo: float, hi: float, rtol: float = ROOT_RTOL) -> float:
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise ValueError(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > rtol * hi:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
 def _branch_roots(spec: ResonatorSpec, branch: int) -> list[float]:
     """All roots of the characteristic equation inside ((b-1/2)π, (b+1/2)π).
 
@@ -156,7 +136,7 @@ def _branch_roots(spec: ResonatorSpec, branch: int) -> list[float]:
     roots = []
     for a, b in brackets:
         if f(a) * f(b) <= 0:
-            roots.append(_bisect(f, a, b))
+            roots.append(brentq(f, a, b, rtol=ROOT_RTOL))
     return roots
 
 

@@ -16,6 +16,7 @@ import scipy.sparse as sp
 from hypothesis import strategies as st
 
 from cqedlat.hilbert import (
+    QUBIT_DIM,
     LatticeSpace,
     SiteSpace,
     annihilation,
@@ -57,8 +58,7 @@ def embed(op: sp.spmatrix, site_index: int, space: LatticeSpace) -> sp.csr_matri
 
 
 def photon_op_on(space: LatticeSpace, site_index: int, photon_op: sp.spmatrix) -> sp.csr_matrix:
-    site = space.sites[site_index]
-    return embed(sp.kron(photon_op, sp.identity(site.qubit_dim), format="csr"), site_index, space)
+    return embed(sp.kron(photon_op, sp.identity(QUBIT_DIM), format="csr"), site_index, space)
 
 
 def qubit_op_on(space: LatticeSpace, site_index: int, qubit_op: sp.spmatrix) -> sp.csr_matrix:

@@ -73,6 +73,20 @@ class TestDimerG2:
         assert check["rel_shift"] < 1e-5        # truncation shift, not solver noise
         assert summary["convergence"]["points"] == 1
 
+    def test_negative_g2_is_unconverged(self, tmp_path, capsys):
+        # at ξ = 0.002 the two-photon population is below what the steady-state
+        # residual certifies, and the solve returns a negative g2
+        rows, summary = run(tmp_path, "dimer-g2",
+                            {"omega_r": 50.0, "g": 1.0, "j_values": [0.5], "xi": 0.002,
+                             "gamma1": 0.01, "gamma_kappa": 0.01, "n_max": 3,
+                             "cutoff_check": False}, exit_code=2)
+        assert summary["status"] == "unconverged"
+        assert "convergence.g2_check.passed" in capsys.readouterr().err
+        assert list(rows[0]) == ["J", "omega_d", "g2", "abs_a", "n_photon"]
+        check = summary["convergence"]["g2_check"]
+        assert check["passed"] is False
+        assert check["min_g2"] == float(rows[0]["g2"]) < 0
+
 
 class TestRunStatus:
     def test_passing_checks_give_ok_and_exit_zero(self, tmp_path, capsys):
@@ -100,6 +114,8 @@ class TestDrivenMF:
         rows, summary = run_twice(tmp_path, "driven-mf", config)
         assert len(rows) == 2
         assert summary["status"] == "ok"
+        assert summary["convergence"]["g2_check"] == {
+            "min_g2": min(float(r["g2"]) for r in rows), "passed": True}
         for fp in summary["convergence"]["fixed_points"]:
             assert fp["passed"] is True
             assert len(fp["residuals"]) == len(fp["stability_margins"]) == len(fp["branches"]) >= 1
@@ -136,6 +152,18 @@ class TestBlockadeScan:
         assert len(rows) == 7
         assert summary["status"] == "ok"
         assert summary["convergence"]["cutoff_check"]["passed"] is True
+        assert summary["convergence"]["g2_check"] == {
+            "min_g2": min(float(r["g2"]) for r in rows), "passed": True}
+
+    def test_negative_drive_amplitude_exits_one(self, tmp_path, capsys):
+        config_path = tmp_path / "scan.json"
+        config_path.write_text(json.dumps(dict(self.CONFIG, drive_amplitudes=[0.005, -0.01])),
+                               encoding="utf-8")
+        code = cli.main(["blockade-scan", "--config", str(config_path),
+                         "--output", str(tmp_path / "b.csv")])
+        assert code == 1
+        assert "non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
 
     def test_truncated_strong_drive_is_unconverged(self, tmp_path, capsys):
         # at n_max = 1 a drive of 0.3 shifts |⟨a⟩| by 141% when checked at n_max = 3
@@ -152,6 +180,29 @@ class TestBlockadeScan:
         assert code == 1
         assert "drive_amplitudes" in capsys.readouterr().err
         assert not (tmp_path / "b.csv").exists()
+
+
+class TestMeanfieldLobes:
+    CONFIG = {"omega_r": 10.0, "omega_q": 10.0, "g": 1.0, "mu_min": 9.3, "mu_max": 9.5,
+              "mu_points": 2, "zj_min": 0.0, "zj_max": 0.2, "zj_points": 2, "n_max": 4}
+
+    def lobes(self, tmp_path, **changes):
+        config_path = tmp_path / "lobes.json"
+        config_path.write_text(json.dumps(dict(self.CONFIG, **changes)), encoding="utf-8")
+        return cli.main(["meanfield-lobes", "--config", str(config_path),
+                         "--output", str(tmp_path / "l.csv")])
+
+    def test_empty_zj_grid_exits_one(self, tmp_path, capsys):
+        # zJ = 0 is dropped from the grid, which leaves no zJ value at all
+        assert self.lobes(tmp_path, zj_points=1) == 1
+        assert "config error at zj_points" in capsys.readouterr().err
+        assert not (tmp_path / "l.csv").exists()
+
+    def test_minimum_at_the_window_edge_exits_one(self, tmp_path, capsys):
+        assert self.lobes(tmp_path, zj_min=0.5, zj_max=2.0, psi_max=0.3) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "psi_max" in err
+        assert "Traceback" not in err
 
 
 class TestModes:

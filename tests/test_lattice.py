@@ -230,6 +230,21 @@ class TestKernelAgainstOracles:
         reference = oracles.sector_hamiltonian(params, space, 2)
         assert abs(block - reference).max() <= 1e-15 * abs(reference).max()
 
+    def test_full_space_build_is_no_slower_than_the_kron_oracle(self):
+        # dim 4096: target rows are found by a lexsort, not a record sort
+        params = chain(JCParams(1.0, 0.9, 0.1), 4, 0.05)
+        space = LatticeSpace.uniform(4, 3)
+
+        def best_of_five(build):
+            times = []
+            for _ in range(5):
+                start = time.perf_counter()
+                build(params, space)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        assert best_of_five(build_jchm) <= best_of_five(oracles.build_jchm)
+
     def test_counter_rotating_terms_leave_a_sector(self):
         params = chain(JCParams(1.0, 0.9, 0.05), 2, 0.01)
         space = LatticeSpace.uniform(2, 2)

@@ -14,12 +14,15 @@ from cqedlat.hilbert import (
 )
 from cqedlat.jc import JCParams
 from cqedlat.lattice import LatticeParams, build_jchm, chain
+from cqedlat import lindblad
 from cqedlat.lindblad import (
+    ConvergenceError,
     DegenerateSteadyStateError,
     DissipationRates,
     DriveSpec,
     Liouvillian,
     VacuumStateError,
+    _ScanModel,
     build_liouvillian,
     evolve,
     fit_lorentzian,
@@ -328,6 +331,19 @@ class TestSteadyState:
         with pytest.raises(ValueError, match="dissipative"):
             steady_state(liouv)
 
+    def test_generator_without_jumps_is_refused(self):
+        params, space, h = empty_cavity(3)
+        liouv = Liouvillian(h, ())
+        assert liouv.dim == space.total_dim
+        with pytest.raises(ValueError, match="dissipative"):
+            steady_state(liouv)
+
+    def test_residual_above_the_bound_raises(self, monkeypatch):
+        liouv = STEADY_SYSTEMS["detuned_jc"]()
+        monkeypatch.setattr(lindblad, "STEADY_RESIDUAL_RTOL", 0.0)
+        with pytest.raises(ConvergenceError, match="residual"):
+            steady_state(liouv)
+
 
 class TestG2:
     def coherent_steady(self, xi=0.004):
@@ -437,6 +453,20 @@ class TestTransmissionScan:
         for xi in (0.01 * de, 0.05 * de):
             block = [q.t_norm for q in pts if q.xi == xi]
             assert max(block) == pytest.approx(1.0)
+
+    def test_scan_generator_matches_build_liouvillian(self):
+        params = chain(JCParams(1.0, 0.97, 0.08), 2, 0.04)
+        space = LatticeSpace.uniform(2, 2)
+        rates = DissipationRates(gamma1=0.02, gamma_kappa=0.01, kappa_ports={1: 0.03})
+        model = _ScanModel(params, space, rates, (0, 1), (1,))
+        h = build_jchm(params, space)
+        for xi, omega_d in ((0.0, 0.9), (0.02, 1.03), (0.3, 0.95)):
+            scan = model.generator(xi, omega_d)
+            full = build_liouvillian(h, rates, DriveSpec(xi, omega_d, (0, 1)), space)
+            assert scan.dim == full.dim == space.total_dim
+            assert np.abs(scan.h_eff - full.h_eff).max() <= 1e-14 * np.abs(full.h_eff).max()
+            for c_scan, c_full in zip(scan.jumps, full.jumps, strict=True):
+                assert (c_scan != c_full).nnz == 0
 
     def test_worker_pool_preserves_order_and_values(self):
         params, space, rates, g, wr, de = self.setup_blockade(n_max=4)

@@ -76,10 +76,8 @@ from .lindblad import (
 )
 from .meanfield import (
     CutoffWindowError,
-    GrandCanonicalParams,
     MeanFieldConvergenceError,
     driven_mf_steady,
-    minimize_order_parameter,
     mott_window_analytic,
     phase_diagram,
 )
@@ -438,15 +436,17 @@ def _cmd_meanfield_lobes(config: dict[str, Any]):
     rows = [{"mu": c.mu, "zJ": c.zj, "psi": c.psi, "energy": c.energy,
              "n_polariton": c.n_polariton, "phase": c.phase} for c in cells]
     windows = {f"N={n}": mott_window_analytic(jc, n) for n in (1, 2, 3)}
-    conv: dict[str, Any] = {"j0_mott_windows": {k: list(v) for k, v in windows.items()}}
+    # the lobe edge 1/χ(μ) of each μ row; null where the J = 0 ground state is degenerate
+    zj_critical = [c.zj_critical or None for c in cells[::len(zj)]]
+    conv: dict[str, Any] = {"j0_mott_windows": {k: list(v) for k, v in windows.items()},
+                            "zj_critical": zj_critical}
     if config["cutoff_check"]:
         i_mu, i_zj = len(mu) // 2, len(zj) // 2
-        probe_mu, probe_zj = float(mu[i_mu]), float(zj[i_zj])
 
         def observable(nm: int) -> float:
-            pp = GrandCanonicalParams(jc=jc, mu=probe_mu, z=config["z"],
-                                      J=probe_zj / config["z"])
-            return minimize_order_parameter(pp, SiteSpace(nm), psi_max=config["psi_max"]).psi
+            cell, = phase_diagram(jc, mu[i_mu:i_mu + 1], zj[i_zj:i_zj + 1], SiteSpace(nm),
+                                  z=config["z"], psi_max=config["psi_max"])
+            return cell.psi
 
         check = cutoff_convergence(observable, config["n_max"], cells[i_mu * len(zj) + i_zj].psi,
                                    rtol=1e-4)

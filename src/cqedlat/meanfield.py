@@ -7,10 +7,14 @@ Hamiltonian
     H(ψ) = H_JC - μ(a†a + σ⁺σ⁻) - zJ(a†ψ + aψ* - |ψ|²),
 
 whose ground energy is minimized over ψ.  The U(1) gauge freedom makes the
-energy depend on |ψ| only, so the search runs over real ψ >= 0.  Mott lobes
-are the regions with minimizer below ``PSI_FLOOR``; their boundary is located
-by bisection in zJ, with the J = 0 lobe edges available in closed form from
-the dressed-level staircase.
+energy depend on |ψ| only, so the minimum is sought over real ψ >= 0.  The
+transition is continuous, so a cell is Mott exactly when zJχ(μ) < 1, with
+χ(μ) = Σ_m |⟨m|a + a†|0⟩|²/(E_m - E₀) the susceptibility of the J = 0 site
+ground state: Mott cells take ψ = 0 from that eigensystem without a search,
+the lobe boundary is zJ_c(μ) = 1/χ(μ) in closed form, and only superfluid
+cells search ψ (a grid bracket, then Newton on dE/dψ = 0 with the curvature
+from second-order response).  The J = 0 lobe edges in μ also come in closed
+form from the dressed-level staircase.
 
 Driven-dissipative: the same decoupling applied to the local density matrix
 gives a closed nonlinear master equation in the drive rotating frame,
@@ -38,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import RK45, solve_ivp
-from scipy.optimize import minimize_scalar
 
 from .hilbert import (
     DensityMatrix,
@@ -83,8 +86,10 @@ __all__ = [
 PSI_FLOOR = 1e-5          # |ψ*| above this counts as superfluid
 PSI_MAX = 3.0             # default upper edge of the ψ search window
 PSI_GRID_POINTS = 49      # coarse ψ grid that brackets the minimum
-PSI_SEARCH_TOL = 1e-7     # absolute ψ tolerance of the bounded refinement
-ZJ_RESOLUTION = 1e-4      # lobe-boundary bisection resolution (units of the scan)
+PSI_SEARCH_TOL = 1e-7     # the Newton refinement stops at a ψ step below this
+PSI_NEWTON_MAX_ITER = 50  # eigensolves of one refinement before it counts as failed
+GAP_RTOL = 1e-12          # a ground gap below this times the spectral radius is a degeneracy
+ZJ_RESOLUTION = 1e-4      # smallest lobe boundary zJ that counts as inside the lobe
 DISTINCT_TOL = 1e-4       # driven fixed points closer than this are one branch
 CYCLE_SAMPLES = 40        # ψ samples a limit-cycle verdict needs
 NEWTON_MAX_ITER = 8       # F evaluations of one Newton run before it counts as failed
@@ -96,7 +101,8 @@ class CutoffWindowError(RuntimeError):
 
 
 class MeanFieldConvergenceError(RuntimeError):
-    """The driven self-consistency loop neither settled nor cycled."""
+    """A mean-field search did not converge: the ψ refinement ran out of
+    steps, or the driven self-consistency loop neither settled nor cycled."""
 
 
 @dataclass(frozen=True)
@@ -124,7 +130,7 @@ class OrderParameter:
     psi: float
     energy: float
     n_polariton: float
-    iterations: int       # energy evaluations: the grid plus the refinement
+    iterations: int       # eigensolves past the ψ = 0 one: 0 in a Mott cell, else grid + Newton
 
 
 @dataclass(frozen=True)
@@ -135,6 +141,7 @@ class PhaseDiagramCell:
     energy: float
     n_polariton: float
     phase: str
+    zj_critical: float    # 1/χ(μ), the lobe edge at this μ; 0 at a degenerate ground state
 
 
 def _site_terms(jc: JCParams, space: SiteSpace) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
@@ -152,54 +159,107 @@ def local_mf_hamiltonian(p: GrandCanonicalParams, psi: complex, space: SiteSpace
             + p.zj * abs(psi) ** 2 * sp.identity(space.dim, format="csr"))
 
 
-class _MFCore:
-    """Cached dense pieces of H(ψ) so the ψ search costs one eigvalsh per point."""
+@dataclass(frozen=True)
+class _Ground:
+    """Ground state of one site matrix and its linear response to X = a + a†."""
 
-    def __init__(self, p: GrandCanonicalParams, space: SiteSpace):
-        h, n_tot, a = (m.toarray() for m in _site_terms(p.jc, space))
-        self.n_tot = n_tot
-        self.h0 = h - p.mu * n_tot
-        self.a_plus_adag = a + a.conj().T
-        self.zj = p.zj
+    energy: float
+    n_polariton: float   # ⟨0|N|0⟩
+    x_mean: float        # ⟨0|X|0⟩
+    chi: float           # Σ_{m>0} |⟨m|X|0⟩|²/(E_m - E_0); inf at a degenerate ground state
+
+
+class _SiteCore:
+    """H_JC, N and X = a + a† of one site, built once and shared by every cell.
+
+    For real ψ the mean-field Hamiltonian is H(ψ) = H_JC - μN - zJψX + zJψ²,
+    so dE/dψ = zJ(2ψ - ⟨X⟩) (Hellmann-Feynman) and, from second-order
+    response, d²E/dψ² = 2zJ(1 - zJχ(ψ)) with χ the susceptibility of the
+    ground state of H(ψ).
+    """
+
+    def __init__(self, jc: JCParams, space: SiteSpace):
+        # the RWA site matrices are real in the occupation basis
+        h, n_tot, a = (m.toarray().real for m in _site_terms(jc, space))
+        self.h_jc, self.n_diag, self.x = h, n_tot.diagonal(), a + a.T
         self.eye = np.eye(space.dim)
 
-    def matrix(self, psi: float) -> np.ndarray:
-        return self.h0 - self.zj * psi * self.a_plus_adag + self.zj * psi * psi * self.eye
+    def h0(self, mu: float) -> np.ndarray:
+        """H(ψ = 0) = H_JC - μN."""
+        return self.h_jc - mu * np.diag(self.n_diag)
 
-    def energy(self, psi: float) -> float:
-        return float(np.linalg.eigvalsh(self.matrix(psi))[0])
+    def ground(self, m: np.ndarray) -> _Ground:
+        vals, vecs = np.linalg.eigh(m)
+        v0 = vecs[:, 0]
+        x_0m = (v0 @ self.x) @ vecs            # ⟨0|X|m⟩
+        gaps = vals[1:] - vals[0]
+        if gaps[0] <= GAP_RTOL * np.max(np.abs(vals)):
+            chi = math.inf
+        else:
+            chi = float(np.sum(x_0m[1:] ** 2 / gaps))
+        return _Ground(energy=float(vals[0]), n_polariton=float(self.n_diag @ v0 ** 2),
+                       x_mean=float(x_0m[0]), chi=chi)
 
-    def ground(self, psi: float) -> tuple[float, np.ndarray]:
-        vals, vecs = np.linalg.eigh(self.matrix(psi))
-        return float(vals[0]), vecs[:, 0]
+    def order_parameter(self, h0: np.ndarray, at_zero: _Ground, zj: float,
+                        psi_max: float) -> OrderParameter:
+        """Minimize the ground energy of H(ψ) = h0 - zJψX + zJψ² over ψ in [0, psi_max].
+
+        ``at_zero`` is the ground state of h0.  E(ψ) = E₀ + zJ(1 - zJχ)ψ² + O(ψ⁴)
+        and the transition is continuous, so zJχ < 1 is a Mott cell with ψ = 0.
+        Otherwise a ``PSI_GRID_POINTS`` grid, one batched ``eigvalsh``, brackets
+        the minimum between the neighbours of its lowest point, and Newton on
+        dE/dψ = 0 refines it; a step that leaves the bracket, or does not halve
+        the previous one, bisects instead.
+        """
+        if zj == 0 or zj * at_zero.chi < 1:
+            return OrderParameter(psi=0.0, energy=at_zero.energy,
+                                  n_polariton=at_zero.n_polariton, iterations=0)
+        grid = np.linspace(0.0, psi_max, PSI_GRID_POINTS)
+        s = grid[:, None, None]
+        k = int(np.argmin(np.linalg.eigvalsh(h0 + zj * s * (s * self.eye - self.x))[:, 0]))
+        if k == PSI_GRID_POINTS - 1:
+            raise CutoffWindowError(
+                f"energy still decreasing at ψ = {psi_max}; enlarge psi_max and the photon cutoff")
+        lo, hi = grid[max(k - 1, 0)], grid[k + 1]
+        psi, step = (grid[k] if k else 0.5 * hi), hi - lo
+        for n_eval in range(1, PSI_NEWTON_MAX_ITER + 1):
+            at = self.ground(h0 + zj * psi * (psi * self.eye - self.x))
+            grad = 2.0 * psi - at.x_mean          # (dE/dψ) / zJ
+            curv = 2.0 * (1.0 - zj * at.chi)      # (d²E/dψ²) / zJ
+            if grad > 0:
+                hi = psi
+            else:
+                lo = psi
+            prev, step = step, (grad / curv if curv > 0 else math.inf)
+            if not (lo <= psi - step <= hi and abs(step) <= 0.5 * abs(prev)):
+                step = psi - 0.5 * (lo + hi)      # psi is a bracket end: halve the bracket
+            if abs(step) <= PSI_SEARCH_TOL:
+                break
+            psi -= step
+        else:
+            raise MeanFieldConvergenceError(
+                f"ψ refinement did not converge in {PSI_NEWTON_MAX_ITER} steps "
+                f"(bracket [{lo}, {hi}])")
+        if psi > psi_max - 10 * PSI_SEARCH_TOL:
+            raise CutoffWindowError(
+                f"minimizer ψ* = {psi} sits at the window edge psi_max = {psi_max}")
+        return OrderParameter(psi=float(psi), energy=at.energy, n_polariton=at.n_polariton,
+                              iterations=PSI_GRID_POINTS + n_eval)
 
 
 def minimize_order_parameter(p: GrandCanonicalParams, space: SiteSpace,
                              psi_max: float = PSI_MAX) -> OrderParameter:
     """Minimize the mean-field ground energy over real ψ in [0, psi_max].
 
-    A grid of ``PSI_GRID_POINTS`` brackets the minimum between the neighbours
-    of its lowest point; SciPy's bounded Brent search (``minimize_scalar``)
-    refines it inside that bracket to ``PSI_SEARCH_TOL``.  A minimum at the
-    upper window edge means the search window (or the photon cutoff behind
-    it) is too small and raises :class:`CutoffWindowError`.
+    The one-cell case of :func:`phase_diagram`: a Mott cell (zJχ(μ) < 1) is
+    answered from the ψ = 0 eigensystem with ψ = 0, a superfluid one by the
+    bracketed Newton search of the site core.  A minimum at the upper window
+    edge means the search window (or the photon cutoff behind it) is too small
+    and raises :class:`CutoffWindowError`.
     """
-    core = _MFCore(p, space)
-    grid = np.linspace(0.0, psi_max, PSI_GRID_POINTS)
-    k = int(np.argmin([core.energy(s) for s in grid]))
-    if k == PSI_GRID_POINTS - 1:
-        raise CutoffWindowError(
-            f"energy still decreasing at ψ = {psi_max}; enlarge psi_max and the photon cutoff")
-    res = minimize_scalar(core.energy, bounds=(grid[max(k - 1, 0)], grid[k + 1]),
-                          method="bounded", options={"xatol": PSI_SEARCH_TOL})
-    psi_star = float(res.x)
-    if psi_star > psi_max - 10 * PSI_SEARCH_TOL:
-        raise CutoffWindowError(
-            f"minimizer ψ* = {psi_star} sits at the window edge {psi_max}")
-    energy, vec = core.ground(psi_star)
-    n_val = float(np.real(vec.conj() @ (core.n_tot @ vec)))
-    return OrderParameter(psi=psi_star, energy=energy, n_polariton=n_val,
-                          iterations=PSI_GRID_POINTS + res.nfev)
+    core = _SiteCore(p.jc, space)
+    h0 = core.h0(p.mu)
+    return core.order_parameter(h0, core.ground(h0), p.zj, psi_max)
 
 
 # ---------------------------------------------------------------------------
@@ -231,48 +291,48 @@ def mott_window_numeric(jc: JCParams, N: int, space: SiteSpace) -> tuple[float, 
     return e_at - e_below, e_above - e_at
 
 
-def lobe_boundary(jc: JCParams, mu: float, space: SiteSpace, z: int = 1,
-                  zj_max: float = 1.0) -> float:
-    """Critical zJ at fixed μ where the Mott indicator ψ* > ``PSI_FLOOR`` flips.
+def lobe_boundary(jc: JCParams, mu: float, space: SiteSpace, zj_max: float = 1.0) -> float:
+    """Critical zJ_c(μ) = 1/χ(μ) of the Mott lobe at fixed μ.
 
-    Bisection over zJ down to ``ZJ_RESOLUTION``; raises ValueError when the
-    bracket [ZJ_RESOLUTION, zj_max] does not straddle the boundary (μ outside
-    the lobe, or zj_max too small).
+    χ(μ) = Σ_m |⟨m|a + a†|0⟩|²/(E_m - E₀) from the J = 0 site spectrum.
+    Raises ValueError when zJ_c is not inside [``ZJ_RESOLUTION``, zj_max]:
+    μ outside the lobe (a degenerate J = 0 ground state gives zJ_c = 0), or
+    zj_max too small.
     """
-    def superfluid(zj: float) -> bool:
-        p = GrandCanonicalParams(jc=jc, mu=mu, z=z, J=zj / z)
-        return minimize_order_parameter(p, space).psi > PSI_FLOOR
-
-    lo, hi = ZJ_RESOLUTION, zj_max
-    if superfluid(lo):
-        raise ValueError(f"already superfluid at zJ = {lo}; μ = {mu} lies outside the Mott lobe")
-    if not superfluid(hi):
-        raise ValueError(f"still Mott at zJ = {hi}; enlarge zj_max")
-    while hi - lo > ZJ_RESOLUTION:
-        mid = 0.5 * (lo + hi)
-        if superfluid(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    core = _SiteCore(jc, space)
+    zj_c = 1.0 / core.ground(core.h0(mu)).chi
+    if zj_c <= ZJ_RESOLUTION:
+        raise ValueError(f"already superfluid at zJ = {ZJ_RESOLUTION}; "
+                         f"μ = {mu} lies outside the Mott lobe")
+    if zj_c > zj_max:
+        raise ValueError(f"still Mott at zJ = {zj_max}; enlarge zj_max")
+    return zj_c
 
 
 def phase_diagram(jc: JCParams, mu_values: np.ndarray, zj_values: np.ndarray,
                   space: SiteSpace, z: int = 1,
                   psi_max: float = PSI_MAX) -> list[PhaseDiagramCell]:
-    """Grid scan of the order parameter; cells are labeled Mott(N) or SF."""
+    """Grid scan of the order parameter; cells are labeled Mott(N) or SF.
+
+    One site core serves the whole grid, and each μ row shares one
+    diagonalization of H_JC - μN: its χ(μ) decides every Mott cell without a
+    search, and each cell carries the row's lobe edge zJ_c = 1/χ(μ).
+    """
+    core = _SiteCore(jc, space)
     cells: list[PhaseDiagramCell] = []
     for mu in mu_values:
+        h0 = core.h0(float(mu))
+        at_zero = core.ground(h0)
         for zj in zj_values:
             p = GrandCanonicalParams(jc=jc, mu=float(mu), z=z, J=float(zj) / z)
-            res = minimize_order_parameter(p, space, psi_max=psi_max)
+            res = core.order_parameter(h0, at_zero, p.zj, psi_max)
             if res.psi <= PSI_FLOOR and abs(res.n_polariton - round(res.n_polariton)) <= 1e-6:
                 phase = f"Mott{int(round(res.n_polariton))}"
             else:
                 phase = "SF"
             cells.append(PhaseDiagramCell(mu=float(mu), zj=float(zj), psi=res.psi,
                                           energy=res.energy, n_polariton=res.n_polariton,
-                                          phase=phase))
+                                          phase=phase, zj_critical=1.0 / at_zero.chi))
     return cells
 
 

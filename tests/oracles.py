@@ -4,7 +4,9 @@ These are the earlier operator builders, kept only as oracles: site operators
 lifted to the lattice by Kronecker products with identities, the JCHM summed
 from those lifts, and the N-excitation block assembled by a Python loop over
 recursively enumerated occupation configurations.  Also the random-lattice
-strategy that the property tests share.
+strategy that the property tests share, and the earlier mean-field ψ search
+(a grid plus a bounded Brent refinement in every cell) with the lobe-boundary
+bisection built on it.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from cqedlat.hilbert import (
     QUBIT_DIM,
@@ -27,6 +30,17 @@ from cqedlat.hilbert import (
 )
 from cqedlat.jc import JCParams
 from cqedlat.lattice import LatticeParams
+from cqedlat.meanfield import (
+    PSI_FLOOR,
+    PSI_GRID_POINTS,
+    PSI_MAX,
+    PSI_SEARCH_TOL,
+    ZJ_RESOLUTION,
+    CutoffWindowError,
+    GrandCanonicalParams,
+    OrderParameter,
+    local_mf_hamiltonian,
+)
 
 
 @st.composite
@@ -184,3 +198,53 @@ def sector_hamiltonian(params: LatticeParams, space: LatticeSpace, N: int) -> sp
                     vals.append(J * np.sqrt(n_src * (n_dst + 1)))
 
     return sp.coo_matrix((vals, (rows, cols)), shape=(len(configs), len(configs))).tocsr()
+
+
+# ---------------------------------------------------------------------------
+# mean-field ψ search in every cell
+
+def search_order_parameter(p: GrandCanonicalParams, space: SiteSpace,
+                           psi_max: float = PSI_MAX) -> OrderParameter:
+    """A ``PSI_GRID_POINTS`` grid brackets the minimum of the ground energy over
+    real ψ; SciPy's bounded Brent search refines it to ``PSI_SEARCH_TOL``."""
+    lat = LatticeSpace((space,))
+    h0 = local_mf_hamiltonian(p, 0.0, space).toarray()
+    a = photon_op_on(lat, 0, annihilation(space)).toarray()
+    x, eye = a + a.conj().T, np.eye(space.dim)
+
+    def matrix(psi: float) -> np.ndarray:
+        return h0 - p.zj * psi * x + p.zj * psi * psi * eye
+
+    def energy(psi: float) -> float:
+        return float(np.linalg.eigvalsh(matrix(psi))[0])
+
+    grid = np.linspace(0.0, psi_max, PSI_GRID_POINTS)
+    k = int(np.argmin([energy(s) for s in grid]))
+    if k == PSI_GRID_POINTS - 1:
+        raise CutoffWindowError(f"energy still decreasing at ψ = {psi_max}")
+    res = minimize_scalar(energy, bounds=(grid[max(k - 1, 0)], grid[k + 1]),
+                          method="bounded", options={"xatol": PSI_SEARCH_TOL})
+    vals, vecs = np.linalg.eigh(matrix(res.x))
+    n_tot = total_excitation(lat).toarray()
+    n_val = float(np.real(vecs[:, 0].conj() @ n_tot @ vecs[:, 0]))
+    return OrderParameter(psi=float(res.x), energy=float(vals[0]), n_polariton=n_val,
+                          iterations=PSI_GRID_POINTS + res.nfev)
+
+
+def bisect_lobe_boundary(jc: JCParams, mu: float, space: SiteSpace, zj_max: float = 1.0) -> float:
+    """zJ where the searched ψ* first exceeds ``PSI_FLOOR``, by bisection down to
+    ``ZJ_RESOLUTION`` inside [ZJ_RESOLUTION, zj_max]."""
+    def superfluid(zj: float) -> bool:
+        p = GrandCanonicalParams(jc=jc, mu=mu, J=zj)
+        return search_order_parameter(p, space).psi > PSI_FLOOR
+
+    lo, hi = ZJ_RESOLUTION, zj_max
+    if superfluid(lo) or not superfluid(hi):
+        raise ValueError(f"[{lo}, {hi}] does not bracket the lobe boundary at μ = {mu}")
+    while hi - lo > ZJ_RESOLUTION:
+        mid = 0.5 * (lo + hi)
+        if superfluid(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)

@@ -204,6 +204,31 @@ class TestMeanfieldLobes:
         assert err.startswith("input error:") and "psi_max" in err
         assert "Traceback" not in err
 
+    def test_mott_probe_cell_passes_the_cutoff_check(self, tmp_path):
+        # the probe cell in the middle of this grid (μ = 9.322, zJ = 0.111) is
+        # Mott1, so ψ = 0 exactly at n_max and at n_max + 2
+        rows, summary = run(tmp_path, "meanfield-lobes",
+                            {"omega_r": 10.0, "omega_q": 10.0, "g": 1.0, "mu_min": 8.6,
+                             "mu_max": 9.9, "mu_points": 10, "zj_min": 0.0, "zj_max": 0.2,
+                             "zj_points": 10, "n_max": 10})
+        probe = rows[5 * 9 + 4]
+        assert probe["phase"] == "Mott1" and float(probe["psi"]) == 0.0
+        assert summary["status"] == "ok"
+        assert summary["convergence"]["cutoff_check"] == {"rel_shift": 0.0, "passed": True}
+        edges = summary["convergence"]["zj_critical"]
+        assert len(edges) == 10
+        for i, edge in enumerate(edges):
+            for row in rows[9 * i:9 * (i + 1)]:
+                assert row["phase"].startswith("Mott") == (float(row["zJ"]) < edge)
+
+    def test_degenerate_row_has_no_lobe_edge(self, tmp_path):
+        # μ = ω_r - g is the vacuum/N=1 crossing on resonance: no Mott cell at any zJ > 0
+        rows, summary = run(tmp_path, "meanfield-lobes",
+                            dict(self.CONFIG, mu_min=9.0, mu_max=9.0, mu_points=1,
+                                 zj_points=3, cutoff_check=False))
+        assert summary["convergence"]["zj_critical"] == [None]
+        assert [r["phase"] for r in rows] == ["SF", "SF"]
+
 
 class TestModes:
     CONFIG = {"ell": 4e-7, "c": 1.6e-10, "L_x": 0.01, "C_minus": 1e-15, "C_plus": 1e-15,

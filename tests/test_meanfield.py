@@ -1,7 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.integrate import RK45
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import DOP853
+
+import oracles
 
 from cqedlat.hilbert import (
     LatticeSpace,
@@ -11,10 +16,12 @@ from cqedlat.hilbert import (
     photon_op_on,
     total_excitation,
 )
-from cqedlat.jc import JCParams
+from cqedlat.jc import JCParams, polariton_energy
 from cqedlat.lattice import LatticeParams, build_jchm
 from cqedlat.lindblad import DissipationRates, DriveSpec, build_liouvillian, g2_zero, steady_state
 from cqedlat.meanfield import (
+    PSI_FLOOR,
+    ZJ_RESOLUTION,
     CutoffWindowError,
     GrandCanonicalParams,
     MeanFieldConvergenceError,
@@ -31,6 +38,33 @@ from cqedlat.meanfield import (
 
 G, WR = 1.0, 20.0
 JC0 = JCParams(WR, WR, G)  # resonant site, energies in units of g
+JC_DET = JCParams(WR, WR - 0.5 * G, G)  # delta = +0.5 g
+# the N=1/N=2 crossing of the J = 0 staircase: a degenerate site ground state
+MU_DEG = polariton_energy(JC0, 2, "-") - polariton_energy(JC0, 1, "-")
+
+
+def site_x(space):
+    """X = a + a† on one site, from the Kronecker-product oracle operators."""
+    a = oracles.photon_op_on(LatticeSpace((space,)), 0, annihilation(space)).toarray()
+    return a + a.conj().T
+
+
+def ground_response(h, x):
+    """E₀, ⟨0|X|0⟩ and χ = Σ_m |⟨m|X|0⟩|²/(E_m - E₀) of the Hermitian matrix h;
+    χ = ∞ when the ground state is degenerate to roundoff."""
+    vals, vecs = np.linalg.eigh(h)
+    x_m0 = vecs.conj().T @ (x @ vecs[:, 0])
+    gaps = vals[1:] - vals[0]
+    if gaps[0] <= 1e-12 * np.max(np.abs(vals)):
+        return vals[0], x_m0[0].real, np.inf
+    return vals[0], x_m0[0].real, float(np.sum(np.abs(x_m0[1:]) ** 2 / gaps))
+
+
+def susceptibility(jc, mu, space):
+    """χ(μ) of the J = 0 site ground state, from the oracle operators."""
+    lat = LatticeSpace((space,))
+    h0 = (oracles.jc_hamiltonian(jc, space) - mu * oracles.total_excitation(lat)).toarray()
+    return ground_response(h0, site_x(space))[2]
 
 
 class TestLocalHamiltonian:
@@ -132,10 +166,10 @@ class TestLobeBoundary:
     def test_boundary_bracket_errors(self):
         space = SiteSpace(6)
         # at the N=1/N=2 degeneracy the lattice is superfluid for any zJ > 0
-        from cqedlat.jc import polariton_energy
-        mu_deg = polariton_energy(JC0, 2, "-") - polariton_energy(JC0, 1, "-")
-        with pytest.raises(ValueError, match="outside the Mott lobe"):
-            lobe_boundary(JC0, mu_deg, space, zj_max=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="outside the Mott lobe"):
+                lobe_boundary(JC0, MU_DEG, space, zj_max=0.5)
         with pytest.raises(ValueError, match="enlarge zj_max"):
             lobe_boundary(JC0, WR - 0.7 * G, space, zj_max=0.01)
 
@@ -148,10 +182,20 @@ class TestLobeBoundary:
     def test_detuning_raises_n1_critical_hopping(self):
         mu0 = WR - 0.6 * G
         b_res = lobe_boundary(JC0, mu0, SiteSpace(6), zj_max=0.6)
-        jc_det = JCParams(WR, WR - 0.5 * G, G)  # delta = +0.5 g
-        lo, hi = mott_window_analytic(jc_det, 1)
-        b_det = lobe_boundary(jc_det, 0.5 * (lo + hi), SiteSpace(6), zj_max=0.8)
+        lo, hi = mott_window_analytic(JC_DET, 1)
+        b_det = lobe_boundary(JC_DET, 0.5 * (lo + hi), SiteSpace(6), zj_max=0.8)
         assert b_det > b_res
+
+    @pytest.mark.parametrize("jc, mu, n_max, zj_max", [
+        (JC0, WR - 0.6 * G, 6, 0.4),
+        (JC0, WR - 0.6 * G, 12, 0.4),
+        (JC_DET, 0.5 * sum(mott_window_analytic(JC_DET, 1)), 6, 0.8),
+        (JCParams(WR, WR + 0.7 * G, G), WR - 0.3 * G, 6, 0.8),
+    ], ids=["resonant", "resonant_n12", "detuned_mid_window", "qubit_above_cavity"])
+    def test_closed_form_matches_bisection_oracle(self, jc, mu, n_max, zj_max):
+        space = SiteSpace(n_max)
+        closed = lobe_boundary(jc, mu, space, zj_max=zj_max)
+        assert abs(closed - oracles.bisect_lobe_boundary(jc, mu, space, zj_max)) <= ZJ_RESOLUTION
 
 
 class TestPhaseDiagram:
@@ -164,6 +208,59 @@ class TestPhaseDiagram:
         for c in motts:
             assert abs(c.n_polariton - round(c.n_polariton)) <= 1e-6
             assert c.psi <= 1e-5
+
+    def test_degenerate_ground_state_is_superfluid_at_any_hopping(self):
+        # zJ_c = 1/χ = 0 there: no Mott cell, and no division warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells = phase_diagram(JC0, np.array([MU_DEG]), G * np.array([1e-3, 0.05, 0.3]),
+                                  SiteSpace(6))
+        assert [c.phase for c in cells] == ["SF"] * 3
+        assert all(c.zj_critical == 0.0 and c.psi > PSI_FLOOR for c in cells)
+
+    def test_cells_carry_the_closed_form_lobe_edge(self):
+        space = SiteSpace(8)
+        mus = WR + G * np.array([-0.9, -0.6, -0.45])
+        zjs = G * np.linspace(0.02, 0.4, 5)
+        cells = phase_diagram(JC0, mus, zjs, space)
+        for i, mu in enumerate(mus):
+            edge = 1.0 / susceptibility(JC0, mu, space)
+            for c in cells[i * len(zjs):(i + 1) * len(zjs)]:
+                assert c.zj_critical == pytest.approx(edge, rel=1e-10)
+                assert c.phase.startswith("Mott") == (c.zj < edge)
+
+
+class TestSusceptibilityVerdict:
+    @settings(max_examples=60)
+    @given(omega_r=st.floats(5.0, 15.0), g=st.floats(0.5, 1.5), detuning=st.floats(-1.0, 1.0),
+           mu_offset=st.floats(-2.0, 0.5), zj=st.floats(1e-3, 0.5))
+    def test_agrees_with_the_search_oracle(self, omega_r, g, detuning, mu_offset, zj):
+        # energies scale with g: δ, μ - ω_r and zJ are drawn in its units
+        jc = JCParams(omega_r, omega_r - detuning * g, g)
+        p = GrandCanonicalParams(jc=jc, mu=omega_r + mu_offset * g, J=zj * g)
+        space = SiteSpace(6)
+        ratio = p.zj * susceptibility(jc, p.mu, space)
+        res = minimize_order_parameter(p, space)
+        ref = oracles.search_order_parameter(p, space)
+        if abs(ratio - 1) >= 1e-3:
+            assert (ratio > 1) == (ref.psi > PSI_FLOOR)
+        if ratio < 1:
+            assert res.psi == 0.0
+            assert abs(res.n_polariton - round(res.n_polariton)) <= 1e-9
+            return
+        # a minimum no higher than the oracle's, where ψ = Re⟨a⟩ holds
+        energy, x_mean, chi = ground_response(local_mf_hamiltonian(p, res.psi, space).toarray(),
+                                              site_x(space))
+        assert res.energy == pytest.approx(energy, abs=1e-12)
+        assert res.energy <= ref.energy + 1e-12
+        assert abs(res.psi - 0.5 * x_mean) <= 1e-6
+        curvature = 2 * p.zj * (1 - p.zj * chi)        # d²E/dψ², second-order response
+        assert curvature > 0
+        # the oracle searches the energy, so it resolves ψ to 1e-6 only where a
+        # 1e-6 shift moves E by well above roundoff; near the lobe edge, or at
+        # very small zJ, its own error reaches 1e-5
+        if 0.5 * curvature * 1e-12 >= 64 * np.finfo(float).eps * abs(ref.energy):
+            assert abs(res.psi - ref.psi) <= 1e-6
 
 
 class TestDrivenMeanField:
@@ -275,7 +372,7 @@ def _nonlinear_rhs(jc, rates, drive, zj, space):
 
 
 def _settle_by_integration(point, seed, psi_tol=1e-8):
-    """Oracle: RK45 in control intervals of 1/γ_min until ψ moves by less than
+    """Oracle: DOP853 in control intervals of 1/γ_min until ψ moves by less than
     psi_tol over one interval, the fixed-point loop before root finding."""
     rhs, a_trace = _nonlinear_rhs(**point)
     d = point["space"].dim
@@ -284,7 +381,7 @@ def _settle_by_integration(point, seed, psi_tol=1e-8):
     y = _coherent_site_state(point["space"], seed).rho.reshape(-1)
     psi_prev = a_trace @ y
     for _ in range(600):
-        solver = RK45(rhs, 0.0, y, interval, rtol=1e-9, atol=1e-12)
+        solver = DOP853(rhs, 0.0, y, interval, rtol=1e-9, atol=1e-12)
         while solver.status == "running":
             solver.step()
         rho = solver.y.reshape(d, d)

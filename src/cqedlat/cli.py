@@ -22,7 +22,9 @@ points of ``blockade-scan`` keep their grid order on any ``workers`` count.
 The three commands that report g²(0) (``blockade-scan``, ``dimer-g2`` and
 ``driven-mf``) carry a ``g2_check``: g²(0) is a ratio of non-negative moments,
 so a negative value is a failed solve, while NaN marks a point below the
-photon floor and passes.
+photon floor and passes.  ``meanfield-lobes`` carries a ``cutoff_filling``
+check, which lists every Mott cell whose filling N reaches ``n_max``: such a
+lobe is made by the photon cutoff.
 
 Exit codes: 0 success, 1 input error, 2 numerical non-convergence.  A run
 whose summary reports a failed check (``passed`` or
@@ -438,8 +440,13 @@ def _cmd_meanfield_lobes(config: dict[str, Any]):
     windows = {f"N={n}": mott_window_analytic(jc, n) for n in (1, 2, 3)}
     # the lobe edge 1/χ(μ) of each μ row; null where the J = 0 ground state is degenerate
     zj_critical = [c.zj_critical or None for c in cells[::len(zj)]]
+    # a Mott cell holding n_max or more polaritons fills the photon cutoff: its
+    # lobe is an artifact of the truncation, which a larger n_max moves along
+    filled = [[c.mu, c.zj] for c in cells
+              if c.phase.startswith("Mott") and int(c.phase[4:]) >= config["n_max"]]
     conv: dict[str, Any] = {"j0_mott_windows": {k: list(v) for k, v in windows.items()},
-                            "zj_critical": zj_critical}
+                            "zj_critical": zj_critical,
+                            "cutoff_filling": {"cells": filled, "passed": not filled}}
     if config["cutoff_check"]:
         i_mu, i_zj = len(mu) // 2, len(zj) // 2
 

@@ -76,9 +76,10 @@ __all__ = [
 
 TRACE_PRESERVATION_RTOL = 1e-10
 STEADY_RESIDUAL_RTOL = 1e-10
-# RK45 tolerances of every time integration (here and in the driven mean field)
-RK45_RTOL = 1e-9
-RK45_ATOL = 1e-12
+# tolerances of every time integration, all by DOP853: ``evolve`` here and
+# each control interval of the driven mean field
+ODE_RTOL = 1e-9
+ODE_ATOL = 1e-12
 # GMRES stopping rules, relative to the right-hand side: the first solve,
 # then the correction from a residual accumulated in extended precision.
 # Without that correction the absolute error of ~1e-16 left by any
@@ -294,13 +295,13 @@ class EvolveResult:
 
 def evolve(liouv: Liouvillian, rho0: DensityMatrix, t_final: float,
            dt_control: float | None = None) -> EvolveResult:
-    """ρ(t) under ∂_t ρ = Lρ from ``rho0``, by SciPy's adaptive RK45 (Dormand-Prince 4(5)).
+    """ρ(t) under ∂_t ρ = Lρ from ``rho0``, by SciPy's adaptive DOP853 (Dormand-Prince 8(5,3)).
 
     Samples are taken from the dense interpolant at t = 0, every ``dt_control``
     and at t_final (only at the two ends without ``dt_control``), symmetrized
     ρ → (ρ + ρ†)/2 and validated as density matrices.  The trace is never
     renormalized; its largest drift over the samples is reported, and stays
-    below 1e-8 at ``RK45_RTOL`` and ``RK45_ATOL``, next to the smallest
+    below 1e-8 at ``ODE_RTOL`` and ``ODE_ATOL``, next to the smallest
     eigenvalue of the final state.
 
     Raises :class:`StiffnessError` when the integrator fails, e.g. when the
@@ -316,9 +317,9 @@ def evolve(liouv: Liouvillian, rho0: DensityMatrix, t_final: float,
     times, samples = np.array([0.0]), y0[:, None]
     if t_final > 0:
         n_out = max(1, round(t_final / dt_control)) if dt_control else 1
-        sol = solve_ivp(lambda _t, y: mat @ y, (0.0, t_final), y0, method="RK45",
+        sol = solve_ivp(lambda _t, y: mat @ y, (0.0, t_final), y0, method="DOP853",
                         t_eval=np.linspace(0.0, t_final, n_out + 1),
-                        rtol=RK45_RTOL, atol=RK45_ATOL)
+                        rtol=ODE_RTOL, atol=ODE_ATOL)
         if sol.status < 0:
             raise StiffnessError(f"integration failed before t = {t_final:.6g} (dim = {d}): "
                                  f"{sol.message}")

@@ -215,11 +215,27 @@ class TestMeanfieldLobes:
         assert probe["phase"] == "Mott1" and float(probe["psi"]) == 0.0
         assert summary["status"] == "ok"
         assert summary["convergence"]["cutoff_check"] == {"rel_shift": 0.0, "passed": True}
+        assert summary["convergence"]["cutoff_filling"] == {"cells": [], "passed": True}
         edges = summary["convergence"]["zj_critical"]
         assert len(edges) == 10
         for i, edge in enumerate(edges):
             for row in rows[9 * i:9 * (i + 1)]:
                 assert row["phase"].startswith("Mott") == (float(row["zJ"]) < edge)
+
+    def test_mott_cell_that_fills_the_cutoff_is_unconverged(self, tmp_path, capsys):
+        # on resonance no finite lobe reaches μ = ω_r, yet at n_max 6 this cell
+        # is labeled Mott6: its ground state fills the cutoff.  The cutoff
+        # check cannot see it (still ψ = 0 at n_max 8); the filling check does
+        rows, summary = run(tmp_path, "meanfield-lobes",
+                            {"omega_r": 5.0, "omega_q": 5.0, "g": 1.0, "mu_min": 5.0,
+                             "mu_max": 5.0, "mu_points": 1, "zj_min": 0.02, "zj_max": 0.02,
+                             "zj_points": 1, "n_max": 6}, exit_code=2)
+        assert [r["phase"] for r in rows] == ["Mott6"]
+        assert summary["status"] == "unconverged"
+        assert summary["convergence"]["cutoff_check"]["passed"]
+        assert summary["convergence"]["cutoff_filling"] == {"cells": [[5.0, 0.02]],
+                                                            "passed": False}
+        assert "cutoff_filling.passed" in capsys.readouterr().err
 
     def test_degenerate_row_has_no_lobe_edge(self, tmp_path):
         # μ = ω_r - g is the vacuum/N=1 crossing on resonance: no Mott cell at any zJ > 0

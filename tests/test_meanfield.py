@@ -8,6 +8,7 @@ from scipy.integrate import DOP853
 
 import oracles
 
+from cqedlat import meanfield
 from cqedlat.hilbert import (
     LatticeSpace,
     SiteSpace,
@@ -20,6 +21,7 @@ from cqedlat.jc import JCParams, polariton_energy
 from cqedlat.lattice import LatticeParams, build_jchm
 from cqedlat.lindblad import DissipationRates, DriveSpec, build_liouvillian, g2_zero, steady_state
 from cqedlat.meanfield import (
+    CAPTURE_CONTRACTIONS,
     PSI_FLOOR,
     ZJ_RESOLUTION,
     CutoffWindowError,
@@ -314,10 +316,11 @@ class TestDrivenMeanField:
         psis = sorted(abs(b.psi) for b in res.branches)
         assert psis[1] - psis[0] > 1e-2
 
-    @pytest.mark.parametrize("chunks", [1, 5])
+    @pytest.mark.parametrize("chunks", [1, CAPTURE_CONTRACTIONS])
     def test_short_unconverged_run_is_not_a_limit_cycle(self, chunks):
-        # fewer than 40 ψ samples cannot show a sustained oscillation; the
-        # bistable parameters below are far from settled after 5/γ
+        # fewer than 40 ψ samples cannot show a sustained oscillation; capture
+        # takes more than CAPTURE_CONTRACTIONS intervals, so a horizon of at
+        # most that many leaves every run uncaptured whatever Newton finds
         jc = JCParams(20.0, 19.0, 1.0)
         rates = DissipationRates(gamma1=0.06, kappa_ports={0: 0.06})
         drive = DriveSpec(xi=0.12, omega_d=18.3)
@@ -326,12 +329,13 @@ class TestDrivenMeanField:
                              t_max=chunks / 0.06)
 
     def test_convergence_error_reports_the_last_step(self):
+        # a horizon of CAPTURE_CONTRACTIONS intervals is too short for capture
         jc = JCParams(20.0, 19.0, 1.0)
         rates = DissipationRates(gamma1=0.06, kappa_ports={0: 0.06})
         drive = DriveSpec(xi=0.12, omega_d=18.3)
         with pytest.raises(MeanFieldConvergenceError) as info:
             driven_mf_steady(jc, rates, drive, 1.0, seeds=(0.0,), space=SiteSpace(6),
-                             t_max=5 / 0.06)
+                             t_max=CAPTURE_CONTRACTIONS / 0.06)
         last_step = float(str(info.value).split("last |Δψ| = ")[1].rstrip(")"))
         assert last_step > 1e-8
 
@@ -440,6 +444,21 @@ class TestDrivenRootFinding:
             assert abs(fp.psi - _settle_by_integration(point, seed)) <= 1e-7
             assert fp.residual <= 1e-8
             assert fp.stability_margin < 0
+
+    def test_step_budget_at_the_benchmark_point(self, monkeypatch):
+        # DOP853 at ODE_RTOL / ODE_ATOL takes 1349 steps over both seeds here,
+        # the RK45 it replaced 6599; the loop steps through meanfield.RK45
+        steps = []
+
+        class Counting(meanfield.RK45):
+            def step(self):
+                steps.append(1)
+                return super().step()
+
+        monkeypatch.setattr(meanfield, "RK45", Counting)
+        res = driven_mf_steady(**DRIVEN_POINT, seeds=(0.0, 1.5))
+        assert res.multistable
+        assert 0 < len(steps) <= 2700
 
     def test_stability_margins_match_finite_differences(self):
         site = _DrivenSite(**BISTABLE_POINT)

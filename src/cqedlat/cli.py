@@ -156,7 +156,6 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "omega_r": Field("pos", REQUIRED, "cavity frequency"),
         "omega_q": Field("pos", REQUIRED, "qubit frequency"),
         "g": Field("nonneg", REQUIRED, "coupling"),
-        "z": Field("posint", 1, "coordination number"),
         "mu_min": Field("float", REQUIRED, "chemical potential scan start"),
         "mu_max": Field("float", REQUIRED, "chemical potential scan end"),
         "mu_points": Field("posint", 40, "grid points in mu"),
@@ -298,7 +297,8 @@ def load_config(command: str, config_path: str | None,
 
 
 # ---------------------------------------------------------------------------
-# command implementations; each returns (csv_header, csv_rows, convergence_dict)
+# command implementations; each returns (csv_rows, convergence_dict), the CSV
+# columns being the keys of the first row
 
 def _rates_from(config: dict[str, Any]) -> DissipationRates:
     """The rates of an open-system command, with ``kappa`` as the port rate of site 0;
@@ -332,15 +332,14 @@ def _cmd_jc_spectrum(config: dict[str, Any]):
         for branch in ("-", "+"):
             e = polariton_energy(p, n, branch)
             k = int(np.argmin(np.abs(numeric - e)))
-            err = abs(float(numeric[k]) - e) if config["rwa"] and n <= config["n_max"] else float("nan")
+            err = abs(float(numeric[k]) - e) if config["rwa"] else float("nan")
             if config["rwa"] and n < config["n_max"]:
                 max_err = max(max_err, err)
             rows.append({"n": n, "branch": branch, "energy": e, "chi": chi_n(p, n),
                          "theta": mixing_angle(p, n), "energy_numeric": float(numeric[k]),
                          "abs_err": err})
     conv = {"max_abs_err_below_cutoff": max_err, "analytic_matches_numeric": max_err < 1e-10}
-    header = ["n", "branch", "energy", "chi", "theta", "energy_numeric", "abs_err"]
-    return header, rows, conv
+    return rows, conv
 
 
 def _cmd_blockade_scan(config: dict[str, Any]):
@@ -369,8 +368,7 @@ def _cmd_blockade_scan(config: dict[str, Any]):
         check = cutoff_convergence(observable, config["n_max"], rows[k]["abs_a"])
         conv["cutoff_check"] = {"rel_shift": check.rel_shift, "passed": check.passed,
                                 "n_max": check.n_max, "n_max_ref": check.n_max_ref}
-    header = ["xi", "omega_d", "re_a", "im_a", "abs_a", "t_norm", "n_photon", "g2"]
-    return header, rows, conv
+    return rows, conv
 
 
 def _cmd_dimer_g2(config: dict[str, Any]):
@@ -398,8 +396,7 @@ def _cmd_dimer_g2(config: dict[str, Any]):
         check = cutoff_convergence(lambda nm: point(float(config["j_values"][0]), nm)["g2"],
                                    config["n_max"], rows[0]["g2"])
         conv["cutoff_check"] = {"rel_shift": check.rel_shift, "passed": check.passed}
-    header = ["J", "omega_d", "g2", "abs_a", "n_photon"]
-    return header, rows, conv
+    return rows, conv
 
 
 def _cmd_sector_nonlinearity(config: dict[str, Any]):
@@ -422,8 +419,7 @@ def _cmd_sector_nonlinearity(config: dict[str, Any]):
             lambda nm: measured_nonlinearity(params, LatticeSpace.uniform(ns, nm)),
             config["n_max"], rows[-1]["u_measured"])
         conv["cutoff_check"] = {"rel_shift": check.rel_shift, "passed": check.passed}
-    header = ["n_sites", "u_measured", "u_closed_form", "rel_deviation"]
-    return header, rows, conv
+    return rows, conv
 
 
 def _cmd_meanfield_lobes(config: dict[str, Any]):
@@ -434,7 +430,7 @@ def _cmd_meanfield_lobes(config: dict[str, Any]):
     zj = zj[zj > 0] if config["zj_min"] == 0 else zj
     if zj.size == 0:
         raise ConfigError([("zj_points", "zj_min = 0 is skipped, so at least 2 points are needed")])
-    cells = phase_diagram(jc, mu, zj, space, z=config["z"], psi_max=config["psi_max"])
+    cells = phase_diagram(jc, mu, zj, space, psi_max=config["psi_max"])
     rows = [{"mu": c.mu, "zJ": c.zj, "psi": c.psi, "energy": c.energy,
              "n_polariton": c.n_polariton, "phase": c.phase} for c in cells]
     windows = {f"N={n}": mott_window_analytic(jc, n) for n in (1, 2, 3)}
@@ -452,14 +448,13 @@ def _cmd_meanfield_lobes(config: dict[str, Any]):
 
         def observable(nm: int) -> float:
             cell, = phase_diagram(jc, mu[i_mu:i_mu + 1], zj[i_zj:i_zj + 1], SiteSpace(nm),
-                                  z=config["z"], psi_max=config["psi_max"])
+                                  psi_max=config["psi_max"])
             return cell.psi
 
         check = cutoff_convergence(observable, config["n_max"], cells[i_mu * len(zj) + i_zj].psi,
                                    rtol=1e-4)
         conv["cutoff_check"] = {"rel_shift": check.rel_shift, "passed": check.passed}
-    header = ["mu", "zJ", "psi", "energy", "n_polariton", "phase"]
-    return header, rows, conv
+    return rows, conv
 
 
 def _cmd_driven_mf(config: dict[str, Any]):
@@ -494,9 +489,7 @@ def _cmd_driven_mf(config: dict[str, Any]):
                              "limit_cycle": result.limit_cycle})
     conv = {"fixed_points": fixed_points, "limit_cycle_seen": any_cycle,
             "g2_check": _g2_check([r["g2"] for r in rows])}
-    header = ["zJ", "seed_re", "seed_im", "re_psi", "im_psi", "g2",
-              "multistable_flag", "limit_cycle_flag"]
-    return header, rows, conv
+    return rows, conv
 
 
 def _cmd_modes(config: dict[str, Any]):
@@ -511,8 +504,7 @@ def _cmd_modes(config: dict[str, Any]):
         rows.append(row)
     conv = {"max_normalization_defect":
             max(abs(r["normalization"] - 1.0) for r in rows)}
-    header = ["mu", "omega_bar", "omega", "phi_left", "phi_right", "normalization"]
-    return header, rows, conv
+    return rows, conv
 
 
 def _cmd_quantize(config: dict[str, Any]):
@@ -536,11 +528,10 @@ def _cmd_quantize(config: dict[str, Any]):
         e2 = qc2.eigenvalues(config["levels"])
         shift = float(np.max(np.abs(evals - e2)) / max(np.max(np.abs(e2)), 1e-300))
         conv["basis_check"] = {"rel_shift": shift, "passed": shift < 1e-9, "dim": qc2.dim}
-    header = ["level", "energy_joule"]
-    return header, rows, conv
+    return rows, conv
 
 
-COMMANDS: dict[str, Callable[[dict[str, Any]], tuple[list[str], list[dict], dict]]] = {
+COMMANDS: dict[str, Callable[[dict[str, Any]], tuple[list[dict], dict]]] = {
     "jc-spectrum": _cmd_jc_spectrum,
     "blockade-scan": _cmd_blockade_scan,
     "dimer-g2": _cmd_dimer_g2,
@@ -561,7 +552,9 @@ def _format_cell(value: Any) -> str:
     return str(value)
 
 
-def write_csv(path: str, header: list[str], rows: list[dict]) -> None:
+def write_csv(path: str, rows: list[dict]) -> None:
+    """One line per row under a header of the first row's keys."""
+    header = list(rows[0])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -625,8 +618,8 @@ def run_command(command: str, config: dict[str, Any], csv_path: str,
                 summary_path: str | None) -> int:
     import jsonschema
 
-    header, rows, convergence = COMMANDS[command](config)
-    write_csv(csv_path, header, rows)
+    rows, convergence = COMMANDS[command](config)
+    write_csv(csv_path, rows)
     summary = build_summary(command, config, csv_path, len(rows), convergence)
     jsonschema.validate(summary, summary_schema())
     if summary_path:

@@ -22,27 +22,33 @@ gives a closed nonlinear master equation in the drive rotating frame,
     ∂_t ρ = L₀ρ - i[-zJ(ψ(t) a† + ψ(t)* a), ρ],   ψ(t) = tr(aρ),
 
 whose fixed points are the roots of F(ψ) = tr(a ρ_ss(ψ)) - ψ, with ρ_ss(ψ)
-the steady state of the linear Liouvillian at frozen ψ.  Each seed follows
-the dynamics (DOP853, at the package's one tolerance pair ``ODE_RTOL`` /
-``ODE_ATOL``) only until it is captured: after every control interval
-Newton runs on F from the current ψ, its Jacobian from a linear-response
-solve, and the run stops once the root it reaches is linearly stable and the
-state has moved closer to that same root over consecutive intervals.  The
+the steady state of the linear Liouvillian L(ψ) at frozen ψ.  Each seed
+follows the dynamics (DOP853, at the package's one tolerance pair
+``ODE_RTOL`` / ``ODE_ATOL``) only until it is captured: after every control
+interval Newton runs on F from the current ψ, and the run stops once the root
+it reaches is linearly stable and the state has moved closer to that same
+root over consecutive intervals.  Each Newton iterate factors one dense
+bordered generator L(ψ) - s|I/d⟩⟨tr|, the border of ``steady_state``; its LU
+gives ρ_ss(ψ) and the linear responses to ψ and ψ*, so F and its Jacobian,
+and ``steady_state`` runs only to verify a new root and supply its ρ.  The
 stability margin is the largest real part in the spectrum of the linearized
-nonlinear generator at the root, the trace mode excluded.  So only stable
-branches are reported, each with its residual |F(ψ*)| and its margin;
-distinct fixed points reached from different seeds signal bistability, and
-runs that are never captured are reported as limit cycles or raise.
+nonlinear generator at the root, bordered alike, which moves the trace mode
+to -s.  So only stable branches are reported, each with its residual
+|F(ψ*)| and its margin; distinct fixed points reached from different seeds
+signal bistability, and runs that are never captured are reported as limit
+cycles or raise.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import DOP853, solve_ivp
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .hilbert import (
     DensityMatrix,
@@ -316,22 +322,23 @@ def lobe_boundary(jc: JCParams, mu: float, space: SiteSpace, zj_max: float = 1.0
 
 
 def phase_diagram(jc: JCParams, mu_values: np.ndarray, zj_values: np.ndarray,
-                  space: SiteSpace, z: int = 1,
-                  psi_max: float = PSI_MAX) -> list[PhaseDiagramCell]:
-    """Grid scan of the order parameter; cells are labeled Mott(N) or SF.
+                  space: SiteSpace, psi_max: float = PSI_MAX) -> list[PhaseDiagramCell]:
+    """Grid scan of the order parameter over μ × zJ; cells are labeled Mott(N) or SF.
 
     One site core serves the whole grid, and each μ row shares one
     diagonalization of H_JC - μN: its χ(μ) decides every Mott cell without a
-    search, and each cell carries the row's lobe edge zJ_c = 1/χ(μ).
+    search, and each cell carries the row's lobe edge zJ_c = 1/χ(μ).  A
+    negative zJ is refused.
     """
+    if np.any(np.asarray(zj_values) < 0):
+        raise ValueError("equilibrium scans require J >= 0 (gauge away negative signs)")
     core = _SiteCore(jc, space)
     cells: list[PhaseDiagramCell] = []
     for mu in mu_values:
         h0 = core.h0(float(mu))
         at_zero = core.ground(h0)
         for zj in zj_values:
-            p = GrandCanonicalParams(jc=jc, mu=float(mu), z=z, J=float(zj) / z)
-            res = core.order_parameter(h0, at_zero, p.zj, psi_max)
+            res = core.order_parameter(h0, at_zero, float(zj), psi_max)
             if res.psi <= PSI_FLOOR and abs(res.n_polariton - round(res.n_polariton)) <= 1e-6:
                 phase = f"Mott{int(round(res.n_polariton))}"
             else:
@@ -393,9 +400,11 @@ class _DrivenSite:
     """One driven site under the mean field ψ.
 
     The generator with ψ frozen is L(ψ) = L₀ + i zJ(ψ S_{a†} + ψ* S_a), with
-    S_X ρ = [X, ρ].  Superoperators act on the row-major vec(ρ); matrices on
-    the traceless subspace use the coordinates of vec(ρ) without ρ_{d-1,d-1},
-    which the other diagonal entries fix.
+    S_X ρ = [X, ρ], acting on the row-major vec(ρ).  Every term maps into
+    traceless matrices, so the bordered generator M(ψ) = L(ψ) - s|I/d⟩⟨tr|,
+    with the border and s = ``liouv0.scale()`` of :func:`steady_state`, only
+    moves the trace mode to -s: Mρ = -sI/d gives ρ_ss(ψ), and MX = b gives
+    L(ψ)X = b with tr X = 0 for every traceless b.
     """
 
     def __init__(self, jc: JCParams, rates: DissipationRates, drive: DriveSpec,
@@ -413,8 +422,9 @@ class _DrivenSite:
         self.s_a = sp.kron(a, eye, format="csr") - sp.kron(eye, a.T, format="csr")
         self.a_trace = self.a.T.reshape(-1)          # tr(aρ) = vec(aᵀ)·vec(ρ)
         self.adag_trace = self.a.conj().reshape(-1)  # tr(a†ρ)
-        self.diag = np.zeros(d * d)
-        self.diag[np.arange(d) * (d + 1)] = 1.0      # tr ρ = diag·vec(ρ)
+        vec_eye, s = np.eye(d).reshape(-1), self.liouv0.scale()   # tr ρ = vec(I)·vec(ρ)
+        self.border = (s / d) * np.outer(vec_eye, vec_eye)      # s|I/d⟩⟨tr|
+        self.unit_source = (-s / d) * vec_eye                   # -s vec(I/d)
         self.l0 = self.liouv0.matrix
         self.rhs_terms = sp.vstack([self.l0, self.s_adag, self.s_a], format="csr")
 
@@ -425,84 +435,71 @@ class _DrivenSite:
         return l0_y + (1j * self.zj) * (psi * s_adag_y + np.conj(psi) * s_a_y)
 
     def steady(self, psi: complex) -> DensityMatrix:
-        """ρ_ss(ψ): the steady state of H_rot - zJ(ψa† + ψ*a) with the same jumps."""
+        """ρ_ss(ψ) by :func:`steady_state`: H_rot - zJ(ψa† + ψ*a) with the same jumps."""
         base = self.liouv0
         h = base.h_rot - self.zj * (psi * self.a.conj().T + np.conj(psi) * self.a)
         return steady_state(Liouvillian(h, base.jumps), check_unique=False)
 
-    def _traceless(self, m: np.ndarray) -> np.ndarray:
-        """A superoperator that maps into traceless matrices, on traceless matrices."""
-        return m[:-1, :-1] - np.outer(m[:-1, -1], self.diag[:-1])
-
-    def _lift(self, x: np.ndarray) -> np.ndarray:
-        """Traceless coordinates back to vec(ρ), column by column."""
-        return np.vstack([x, -(self.diag[:-1] @ x)])
-
-    def linearization(self, psi: complex, rho: DensityMatrix | None = None) -> np.ndarray:
-        """Dense L(ψ) on traceless matrices; with ρ, the linearization of the
-        nonlinear generator at (ψ, ρ).
+    def bordered(self, psi: complex, rho: DensityMatrix | None = None) -> np.ndarray:
+        """Dense M(ψ); with ρ, the linearization of the nonlinear generator at
+        (ψ, ρ), bordered alike.
 
         For Hermitian δρ, δψ* = tr(a†δρ), so the linearization
         δρ ↦ L(ψ)δρ + i zJ[tr(aδρ) S_{a†} + tr(a†δρ) S_a]ρ is complex-linear
-        and has the spectrum of the real-linear map on Hermitian matrices.
+        and has the spectrum of the real-linear map on Hermitian matrices.  It
+        maps into traceless matrices too, so the bordered matrix has its
+        spectrum on traceless matrices plus the trace mode at -s.
         """
         m = (self.l0 + (1j * self.zj) * (psi * self.s_adag + np.conj(psi) * self.s_a)).toarray()
+        m -= self.border
         if rho is not None:
             r = rho.rho.reshape(-1)
             m += (1j * self.zj) * (np.outer(self.s_adag @ r, self.a_trace)
                                    + np.outer(self.s_a @ r, self.adag_trace))
-        return self._traceless(m)
-
-    def newton_step(self, psi: complex, rho: DensityMatrix, f: complex) -> complex | None:
-        """Newton step on F(ψ) = tr(aρ_ss(ψ)) - ψ, or None at a singular Jacobian.
-
-        Linear response gives the Wirtinger derivatives: L(ψ)X = -i zJ[a†, ρ]
-        for X = ∂ρ_ss/∂ψ and L(ψ)X = -i zJ[a, ρ] for ∂ρ_ss/∂ψ*, both traceless.
-        """
-        r = rho.rho.reshape(-1)
-        source = (-1j * self.zj) * np.stack([self.s_adag @ r, self.s_a @ r], axis=1)
-        try:
-            x = self._lift(np.linalg.solve(self.linearization(psi), source[:-1]))
-        except np.linalg.LinAlgError:
-            return None
-        da, db = self.a_trace @ x                 # ∂F/∂ψ = da - 1, ∂F/∂ψ* = db
-        da -= 1.0
-        det = abs(da) ** 2 - abs(db) ** 2
-        if det == 0:
-            return None
-        return (db * np.conj(f) - np.conj(da) * f) / det
+        return m
 
     def newton(self, psi: complex, psi_tol: float, known: list[_Root]) -> _Root | None:
-        """Newton on F(ψ) from ψ.
+        """Newton on F(ψ) = tr(aρ_ss(ψ)) - ψ from ψ, one LU of M(ψ) per iterate.
 
+        The LU gives ρ_ss(ψ) and, by linear response, the Wirtinger derivatives:
+        MX = -i zJ[a†, ρ] for X = ∂ρ_ss/∂ψ and MX = -i zJ[a, ρ] for ∂ρ_ss/∂ψ*.
         Returns a root of ``known`` as soon as an iterate comes within
-        ``DISTINCT_TOL`` of it; otherwise the new root once |F| ≤ ``psi_tol``,
-        with its stability margin, added to ``known``.  Returns None when
-        ``NEWTON_MAX_ITER`` evaluations do not converge, an iterate leaves
-        |ψ| ≤ √n_max, where every tr(aρ) lies, or the Jacobian is singular.
+        ``DISTINCT_TOL`` of it.  Once |F| ≤ ``psi_tol``, :func:`steady_state`
+        verifies the new root and supplies its ρ; the root, with its stability
+        margin max Re λ of ``bordered(ψ, ρ)``, is added to ``known``.  Returns
+        None when ``NEWTON_MAX_ITER`` iterates do not converge, an iterate
+        leaves |ψ| ≤ √n_max, where every tr(aρ) lies, M(ψ) is singular, or
+        the verification fails.
         """
         for _ in range(NEWTON_MAX_ITER):
             for root in known:
                 if abs(psi - root.psi) <= DISTINCT_TOL:
                     return root
-            if not abs(psi) <= self.psi_bound:
+            if not abs(psi) <= self.psi_bound:    # also true for a non-finite ψ
                 return None
-            rho = self.steady(psi)
-            f = complex(self.a_trace @ rho.rho.reshape(-1)) - psi
-            if abs(f) <= psi_tol:
-                root = _Root(psi=complex(psi), rho=rho, residual=abs(f),
-                             margin=self.stability_margin(psi, rho))
-                known.append(root)
-                return root
-            step = self.newton_step(psi, rho, f)
-            if step is None:
-                return None
-            psi = psi + step
-        return None
-
-    def stability_margin(self, psi: complex, rho: DensityMatrix) -> float:
-        """max Re λ of the linearization at (ψ, ρ), the trace mode excluded."""
-        return float(np.max(np.linalg.eigvals(self.linearization(psi, rho)).real))
+            # a singular M(ψ) warns and gives a non-finite F, so a non-finite
+            # step and ψ, which ends the run at the bound above
+            with warnings.catch_warnings(), np.errstate(all="ignore"):
+                warnings.simplefilter("ignore", LinAlgWarning)
+                lu = lu_factor(self.bordered(psi))
+                r = lu_solve(lu, self.unit_source)
+                f = self.a_trace @ r - psi
+                if abs(f) <= psi_tol:
+                    break
+                source = (-1j * self.zj) * np.stack([self.s_adag @ r, self.s_a @ r], axis=1)
+                da, db = self.a_trace @ lu_solve(lu, source, check_finite=False)
+                da -= 1.0                             # ∂F/∂ψ = da - 1, ∂F/∂ψ* = db
+                psi = psi + (db * np.conj(f) - np.conj(da) * f) / (abs(da) ** 2 - abs(db) ** 2)
+        else:
+            return None
+        rho = self.steady(psi)
+        residual = abs(complex(self.a_trace @ rho.rho.reshape(-1)) - psi)
+        if not residual <= psi_tol:
+            return None
+        root = _Root(psi=complex(psi), rho=rho, residual=residual,
+                     margin=float(np.max(np.linalg.eigvals(self.bordered(psi, rho)).real)))
+        known.append(root)
+        return root
 
 
 def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
@@ -515,17 +512,19 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
     amplitude equal to the seed value) in control intervals of 1/γ_min, the
     slowest dissipation rate, each one SciPy DOP853 solve at ``ODE_RTOL`` and
     ``ODE_ATOL``, the tolerances of every time integration.  After each
-    interval, Newton runs on F(ψ) = tr(aρ_ss(ψ)) - ψ from the current ψ.  The
-    run is captured, and stops, when that Newton reaches a linearly stable
-    root (stability margin < 0) and ‖ρ(t) - ρ_ss(ψ*)‖ has shrunk toward that
-    same root over ``CAPTURE_CONTRACTIONS`` consecutive intervals.  The seed
-    then reports ψ*, ρ_ss(ψ*), the residual |F(ψ*)| ≤ ``psi_tol`` and the
-    margin.  Fixed points from different seeds that differ by more than
-    ``DISTINCT_TOL`` are reported as distinct branches (multistability).  A run
-    that is never captured within the horizon is classified as a limit cycle
-    when its ψ swing over the last ``CYCLE_SAMPLES`` control intervals is not
-    decaying, and returned with a sampled orbit; otherwise it raises
-    :class:`MeanFieldConvergenceError`.
+    interval, Newton runs on F(ψ) = tr(aρ_ss(ψ)) - ψ from the current ψ, with
+    one LU of the dense bordered generator per iterate; roots are shared
+    between seeds, and :func:`steady_state` runs once per new root, to verify
+    |F(ψ*)| ≤ ``psi_tol`` and supply ρ_ss(ψ*).  The run is captured, and
+    stops, when that Newton reaches a linearly stable root (stability margin
+    < 0) and ‖ρ(t) - ρ_ss(ψ*)‖ has shrunk toward that same root over
+    ``CAPTURE_CONTRACTIONS`` consecutive intervals.  The seed then reports ψ*,
+    ρ_ss(ψ*), the residual |F(ψ*)| and the margin.  Fixed points from
+    different seeds that differ by more than ``DISTINCT_TOL`` are reported as
+    distinct branches (multistability).  A run that is never captured within
+    the horizon is classified as a limit cycle when its ψ swing over the last
+    ``CYCLE_SAMPLES`` control intervals is not decaying, and returned with a
+    sampled orbit; otherwise it raises :class:`MeanFieldConvergenceError`.
     """
     if not rates.any_nonzero():
         raise ValueError("driven mean field requires dissipative rates > 0")

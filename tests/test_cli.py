@@ -198,6 +198,11 @@ class TestMeanfieldLobes:
         assert "config error at zj_points" in capsys.readouterr().err
         assert not (tmp_path / "l.csv").exists()
 
+    def test_coordination_number_is_not_a_key(self, tmp_path, capsys):
+        # the grid is in zJ, so z never entered a cell
+        assert self.lobes(tmp_path, z=4) == 1
+        assert "config error at z: unknown key" in capsys.readouterr().err
+
     def test_minimum_at_the_window_edge_exits_one(self, tmp_path, capsys):
         assert self.lobes(tmp_path, zj_min=0.5, zj_max=2.0, psi_max=0.3) == 1
         err = capsys.readouterr().err

@@ -19,7 +19,14 @@ from cqedlat.hilbert import (
 )
 from cqedlat.jc import JCParams, polariton_energy
 from cqedlat.lattice import LatticeParams, build_jchm
-from cqedlat.lindblad import DissipationRates, DriveSpec, build_liouvillian, g2_zero, steady_state
+from cqedlat.lindblad import (
+    DissipationRates,
+    DriveSpec,
+    Liouvillian,
+    build_liouvillian,
+    g2_zero,
+    steady_state,
+)
 from cqedlat.meanfield import (
     CAPTURE_CONTRACTIONS,
     PSI_FLOOR,
@@ -219,6 +226,11 @@ class TestPhaseDiagram:
                                   SiteSpace(6))
         assert [c.phase for c in cells] == ["SF"] * 3
         assert all(c.zj_critical == 0.0 and c.psi > PSI_FLOOR for c in cells)
+
+    def test_negative_hopping_is_refused(self):
+        with pytest.raises(ValueError, match=r"require J >= 0"):
+            phase_diagram(JC0, np.array([WR - 0.7 * G]), G * np.array([0.1, -0.01]),
+                          SiteSpace(4))
 
     def test_cells_carry_the_closed_form_lobe_edge(self):
         space = SiteSpace(8)
@@ -459,6 +471,53 @@ class TestDrivenRootFinding:
         res = driven_mf_steady(**DRIVEN_POINT, seeds=(0.0, 1.5))
         assert res.multistable
         assert 0 < len(steps) <= 2700
+
+    def test_steady_state_runs_once_per_root(self, monkeypatch):
+        # Newton factors the bordered generator instead; steady_state only
+        # verifies each new root: the two stable ones and the saddle at most
+        solves = []
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return steady_state(*args, **kwargs)
+
+        monkeypatch.setattr(meanfield, "steady_state", counting)
+        res = driven_mf_steady(**DRIVEN_POINT, seeds=(0.0, 1.5))
+        assert res.multistable
+        assert 0 < len(solves) <= 3
+
+    def test_bordered_solution_is_the_steady_state(self):
+        site = _DrivenSite(**DRIVEN_POINT)
+        space, zj = DRIVEN_POINT["space"], DRIVEN_POINT["zj"]
+        d = space.dim
+        a = photon_op_on(LatticeSpace((space,)), 0, annihilation(space)).toarray()
+        root = site.newton(0.17 - 0.03j, 1e-10, [])
+        assert root is not None
+        unit = -(site.liouv0.scale() / d) * np.eye(d).reshape(-1)    # -s vec(I/d)
+        for psi in (0.0, root.psi, 0.3 - 0.2j):
+            rho = np.linalg.solve(site.bordered(psi), unit).reshape(d, d)
+            frozen = Liouvillian(site.liouv0.h_rot - zj * (psi * a.conj().T + np.conj(psi) * a),
+                                 site.liouv0.jumps)
+            assert np.linalg.norm(rho - steady_state(frozen).rho) <= 1e-10
+            assert abs(np.trace(rho) - 1.0) <= 1e-12
+
+    def test_singular_generator_fails_the_newton_run(self, monkeypatch):
+        # a zero column makes every bordered generator exactly singular:
+        # lu_factor warns and returns, and Newton gives up without a warning
+        bordered = _DrivenSite.bordered
+
+        def singular(self, psi, rho=None):
+            m = bordered(self, psi, rho)
+            m[:, 0] = 0.0
+            return m
+
+        monkeypatch.setattr(_DrivenSite, "bordered", singular)
+        site = _DrivenSite(**DRIVEN_POINT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert site.newton(0.17 - 0.03j, 1e-8, []) is None
+            with pytest.raises(MeanFieldConvergenceError):
+                driven_mf_steady(**DRIVEN_POINT, seeds=(0.0,), t_max=2 / 0.06)
 
     def test_stability_margins_match_finite_differences(self):
         site = _DrivenSite(**BISTABLE_POINT)

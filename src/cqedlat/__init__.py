@@ -5,7 +5,10 @@ operator term kernel), ``jc`` (single-site Jaynes-Cummings), ``lattice`` (JCHM t
 and sector diagonalization), ``lindblad`` (open-system engine), ``meanfield``
 (equilibrium lobes and driven fixed points), ``resonator`` (transmission-line
 modes), ``circuits`` (netlist quantization) and ``cli`` (reproducible runs).
-Operators are plain complex ``scipy.sparse`` CSR matrices.
+Operators are plain complex ``scipy.sparse`` CSR matrices.  Importing the
+package or its CLI loads neither ``scipy.integrate`` nor ``scipy.optimize``:
+``meanfield`` loads on first use, through the module ``__getattr__`` for the
+three names re-exported from it.
 """
 
 __version__ = "0.1.0"
@@ -28,6 +31,15 @@ from .lindblad import (  # noqa: F401
     steady_state,
     transmission_scan,
 )
-from .meanfield import driven_mf_steady, minimize_order_parameter, phase_diagram  # noqa: F401
 from .resonator import ResonatorSpec, hopping_amplitude, port_rate, solve_modes  # noqa: F401
 from .circuits import build_lagrangian, coupling_estimate, parse_netlist, quantize  # noqa: F401
+
+_MEANFIELD_NAMES = ("driven_mf_steady", "minimize_order_parameter", "phase_diagram")
+
+
+def __getattr__(name: str):
+    if name in _MEANFIELD_NAMES:
+        from . import meanfield
+
+        return getattr(meanfield, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -31,21 +31,26 @@ whose summary reports a failed check (``passed`` or
 ``analytic_matches_numeric`` false anywhere under ``convergence``) still writes
 its CSV and summary, with ``status: "unconverged"``, names the check on stderr
 and exits with 2.
+
+Importing this module loads neither ``scipy.integrate`` nor ``scipy.optimize``:
+``meanfield`` loads on first use, inside the two commands that run it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
-from importlib import metadata, resources
+from importlib import resources
 from typing import Any, Callable
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .circuits import NetlistError, build_lagrangian, parse_netlist, quantize
@@ -68,20 +73,15 @@ from .lattice import (
 )
 from .lindblad import (
     ConvergenceError,
+    CutoffWindowError,
     DissipationRates,
     DriveSpec,
+    MeanFieldConvergenceError,
     StiffnessError,
     g2_zero,
     steady_state,
     build_liouvillian,
     transmission_scan,
-)
-from .meanfield import (
-    CutoffWindowError,
-    MeanFieldConvergenceError,
-    driven_mf_steady,
-    mott_window_analytic,
-    phase_diagram,
 )
 from .resonator import ResonatorSpec, solve_modes
 
@@ -423,6 +423,8 @@ def _cmd_sector_nonlinearity(config: dict[str, Any]):
 
 
 def _cmd_meanfield_lobes(config: dict[str, Any]):
+    from .meanfield import mott_window_analytic, phase_diagram
+
     jc = JCParams(config["omega_r"], config["omega_q"], config["g"])
     space = SiteSpace(config["n_max"])
     mu = np.linspace(config["mu_min"], config["mu_max"], config["mu_points"])
@@ -458,6 +460,8 @@ def _cmd_meanfield_lobes(config: dict[str, Any]):
 
 
 def _cmd_driven_mf(config: dict[str, Any]):
+    from .meanfield import driven_mf_steady
+
     rows = []
     fixed_points = []
     any_cycle = False
@@ -605,13 +609,25 @@ def build_summary(command: str, config: dict[str, Any], csv_path: str,
         "versions": {
             "cqedlat": __version__,
             "numpy": np.__version__,
-            "scipy": metadata.version("scipy"),
+            "scipy": scipy.__version__,
             "python": ".".join(str(x) for x in sys.version_info[:3]),
         },
         "convergence": jsonable(convergence),
         "output": {"csv": csv_path, "rows": n_rows},
         "status": "unconverged" if _failed_checks(convergence) else "ok",
     }
+
+
+@functools.lru_cache(maxsize=None)
+def _summary_validator():
+    """The validator of ``summary_schema()``, whose own check against the
+    metaschema runs once per process."""
+    import jsonschema
+
+    schema = summary_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def run_command(command: str, config: dict[str, Any], csv_path: str,
@@ -621,7 +637,10 @@ def run_command(command: str, config: dict[str, Any], csv_path: str,
     rows, convergence = COMMANDS[command](config)
     write_csv(csv_path, rows)
     summary = build_summary(command, config, csv_path, len(rows), convergence)
-    jsonschema.validate(summary, summary_schema())
+    # the error ``jsonschema.validate`` would raise
+    error = jsonschema.exceptions.best_match(_summary_validator().iter_errors(summary))
+    if error is not None:
+        raise error
     if summary_path:
         with open(summary_path, "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)

@@ -36,9 +36,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import solve_ivp
 from scipy.linalg.lapack import ztrsyl
-from scipy.optimize import curve_fit
 
 from .hilbert import (
     DensityMatrix,
@@ -66,6 +64,8 @@ __all__ = [
     "ConvergenceError",
     "DegenerateSteadyStateError",
     "VacuumStateError",
+    "CutoffWindowError",
+    "MeanFieldConvergenceError",
     "build_liouvillian",
     "evolve",
     "steady_state",
@@ -108,6 +108,17 @@ class DegenerateSteadyStateError(RuntimeError):
 
 class VacuumStateError(ValueError):
     """g²(0) requested on a state with no photons."""
+
+
+# The errors of ``meanfield`` live here so that the CLI can catch them without
+# loading ``meanfield`` (and with it ``scipy.integrate``); ``meanfield`` re-binds them.
+class CutoffWindowError(RuntimeError):
+    """The energy minimum sits at the edge of the ψ search window."""
+
+
+class MeanFieldConvergenceError(RuntimeError):
+    """A mean-field search did not converge: the ψ refinement ran out of
+    steps, or the driven self-consistency loop neither settled nor cycled."""
 
 
 @dataclass(frozen=True)
@@ -311,6 +322,8 @@ def evolve(liouv: Liouvillian, rho0: DensityMatrix, t_final: float,
         raise ValueError(f"state dim {rho0.dim} does not match Liouvillian dim {liouv.dim}")
     if t_final < 0:
         raise ValueError("t_final must be non-negative")
+    from scipy.integrate import solve_ivp
+
     d = liouv.dim
     mat = liouv.matrix
     y0 = rho0.rho.reshape(-1).astype(np.complex128)
@@ -605,6 +618,8 @@ def fit_lorentzian(x: Sequence[float], power: Sequence[float]) -> LorentzianFit:
     y = np.asarray(power, dtype=float)
     if x.size < 5:
         raise ValueError("need at least 5 points for a lineshape fit")
+    from scipy.optimize import curve_fit
+
     b0 = float(np.min(y))
     h0 = float(np.max(y) - b0)
     c0 = float(x[np.argmax(y)])

@@ -63,9 +63,11 @@ from .lattice import LatticeParams, build_jchm, sector_ground_energy
 from .lindblad import (
     ODE_ATOL,
     ODE_RTOL,
+    CutoffWindowError,
     DissipationRates,
     DriveSpec,
     Liouvillian,
+    MeanFieldConvergenceError,
     StiffnessError,
     VacuumStateError,
     build_liouvillian,
@@ -104,17 +106,10 @@ CAPTURE_CONTRACTIONS = 2  # consecutive intervals over which ‖ρ(t) - ρ_ss(ψ
 
 # The integrator of each driven control interval.  The name predates DOP853 and
 # stays because the benchmark harness counts steps by rebinding it to a counting
-# subclass (perfbench/run.py); it changes together with that counter.
+# subclass (perfbench/run.py); it changes together with that counter.  That
+# rebinding needs the class itself here, so this module imports scipy.integrate
+# at load time, and it is the module that ``cqedlat`` and the CLI load lazily.
 RK45 = DOP853
-
-
-class CutoffWindowError(RuntimeError):
-    """The energy minimum sits at the edge of the ψ search window."""
-
-
-class MeanFieldConvergenceError(RuntimeError):
-    """A mean-field search did not converge: the ψ refinement ran out of
-    steps, or the driven self-consistency loop neither settled nor cycled."""
 
 
 @dataclass(frozen=True)
@@ -123,18 +118,11 @@ class GrandCanonicalParams:
 
     jc: JCParams
     mu: float
-    z: int = 1
-    J: float = 0.0
+    zj: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.z < 1 or int(self.z) != self.z:
-            raise ValueError(f"coordination number z must be a positive integer, got {self.z}")
-        if self.J < 0:
+        if self.zj < 0:
             raise ValueError("equilibrium scans require J >= 0 (gauge away negative signs)")
-
-    @property
-    def zj(self) -> float:
-        return self.z * self.J
 
 
 @dataclass(frozen=True)

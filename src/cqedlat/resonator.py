@@ -30,7 +30,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "ResonatorSpec",
@@ -113,8 +112,9 @@ def _char(omega_bar: float, chi_m: float, chi_p: float) -> float:
     return math.tan(omega_bar) + (chi_m + chi_p) * omega_bar / denom
 
 
-def _branch_roots(spec: ResonatorSpec, branch: int) -> list[float]:
-    """All roots of the characteristic equation inside ((b-1/2)π, (b+1/2)π).
+def _branch_brackets(spec: ResonatorSpec, branch: int) -> list[tuple[float, float]]:
+    """One sign-changing bracket per root of the characteristic equation inside
+    ((b-1/2)π, (b+1/2)π).
 
     When the pole of the right-hand side, ω̄ = 1/sqrt(χ₋χ₊), falls inside the
     branch, each side of it is bracketed separately: the pole branch carries
@@ -126,18 +126,12 @@ def _branch_roots(spec: ResonatorSpec, branch: int) -> list[float]:
     # the fundamental below the first tan pole; ω̄ = 0 itself is excluded
     lo = max((branch - 0.5) * math.pi, 1e-9) + eps
     hi = (branch + 0.5) * math.pi - eps
-    f = lambda w: _char(w, chi_m, chi_p)
-
     brackets = [(lo, hi)]
     if chi_m > 0 and chi_p > 0:
         pole = 1.0 / math.sqrt(chi_m * chi_p)
         if lo < pole < hi:
             brackets = [(lo, pole - eps), (pole + eps, hi)]
-    roots = []
-    for a, b in brackets:
-        if f(a) * f(b) <= 0:
-            roots.append(brentq(f, a, b, rtol=ROOT_RTOL))
-    return roots
+    return [(a, b) for a, b in brackets if _char(a, chi_m, chi_p) * _char(b, chi_m, chi_p) <= 0]
 
 
 def solve_modes(spec: ResonatorSpec, count: int) -> list[Mode]:
@@ -145,7 +139,7 @@ def solve_modes(spec: ResonatorSpec, count: int) -> list[Mode]:
 
     Uncoupled ends (χ∓ = 0) give ω̄_μ = μπ exactly; finite loading pulls every
     frequency down.  Mode index μ orders the full root sequence, which is not
-    always one-per-tan-branch (see :func:`_branch_roots`).
+    always one-per-tan-branch (see :func:`_branch_brackets`).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -154,10 +148,13 @@ def solve_modes(spec: ResonatorSpec, count: int) -> list[Mode]:
     if spec.chi_minus == 0 and spec.chi_plus == 0:
         roots = [mu * math.pi for mu in range(1, count + 1)]
     else:
+        from scipy.optimize import brentq
+
+        f = lambda w: _char(w, spec.chi_minus, spec.chi_plus)
         roots = []
         branch = 0
         while len(roots) < count:
-            roots.extend(_branch_roots(spec, branch))
+            roots.extend(brentq(f, a, b, rtol=ROOT_RTOL) for a, b in _branch_brackets(spec, branch))
             branch += 1
             if branch > 4 * count + 8:
                 raise ValueError(

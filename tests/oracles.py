@@ -235,7 +235,7 @@ def bisect_lobe_boundary(jc: JCParams, mu: float, space: SiteSpace, zj_max: floa
     """zJ where the searched ψ* first exceeds ``PSI_FLOOR``, by bisection down to
     ``ZJ_RESOLUTION`` inside [ZJ_RESOLUTION, zj_max]."""
     def superfluid(zj: float) -> bool:
-        p = GrandCanonicalParams(jc=jc, mu=mu, J=zj)
+        p = GrandCanonicalParams(jc=jc, mu=mu, zj=zj)
         return search_order_parameter(p, space).psi > PSI_FLOOR
 
     lo, hi = ZJ_RESOLUTION, zj_max

@@ -1,5 +1,7 @@
 import csv
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -106,6 +108,16 @@ class TestRunStatus:
         assert summary["status"] == "unconverged"
         assert "convergence.cutoff_check.passed" in capsys.readouterr().err
 
+    def test_summary_outside_the_schema_is_refused(self, tmp_path, monkeypatch):
+        build = cli.build_summary
+        monkeypatch.setattr(cli, "build_summary", lambda *args: dict(build(*args), extra=1))
+        config = cli.load_config("jc-spectrum", None, {"omega_r": 1.0, "omega_q": 0.9, "g": 0.05})
+        for _ in range(2):          # the second run reuses the validator of the first
+            with pytest.raises(jsonschema.ValidationError, match="'extra' was unexpected"):
+                cli.run_command("jc-spectrum", config, str(tmp_path / "jc.csv"),
+                                str(tmp_path / "jc_summary.json"))
+        assert not (tmp_path / "jc_summary.json").exists()
+
 
 class TestDrivenMF:
     def test_repeat_runs_are_identical_and_verified(self, tmp_path):
@@ -121,6 +133,21 @@ class TestDrivenMF:
             assert len(fp["residuals"]) == len(fp["stability_margins"]) == len(fp["branches"]) >= 1
             assert all(r <= summary["config"]["psi_tol"] for r in fp["residuals"])
             assert all(m < 0 for m in fp["stability_margins"])
+
+    def test_non_convergence_exits_two(self, tmp_path, capsys, monkeypatch):
+        from cqedlat import meanfield
+
+        def unconverged(*args, **kwargs):
+            raise meanfield.MeanFieldConvergenceError("neither settled nor cycled")
+
+        monkeypatch.setattr(meanfield, "driven_mf_steady", unconverged)
+        code = cli.main(["driven-mf", "--omega-r", "20", "--g", "1", "--zj-values", "1",
+                         "--xi", "0.12", "--gamma1", "0.06", "--output", str(tmp_path / "d.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical non-convergence:") and "neither settled" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "d.csv").exists()
 
 
 class TestQuantize:
@@ -267,3 +294,53 @@ class TestModes:
         assert code == 1
         assert "L_x" in capsys.readouterr().err
         assert not (tmp_path / "m.csv").exists()
+
+
+class TestColdStart:
+    LAZY = ("scipy.integrate", "scipy.optimize", "cqedlat.meanfield")
+    SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from cqedlat import cli
+import cqedlat
+lazy = json.loads(sys.argv[2])
+out = {"after_import": [m for m in lazy if m in sys.modules]}
+out["exit_codes"] = [cli.main(argv) for argv in json.loads(sys.argv[3])]
+out["after_runs"] = [m for m in lazy if m in sys.modules]
+from cqedlat import meanfield
+out["same_function"] = cqedlat.phase_diagram is meanfield.phase_diagram
+try:
+    cqedlat.no_such_name
+    out["unknown_name"] = "resolved"
+except AttributeError:
+    out["unknown_name"] = "AttributeError"
+print(json.dumps(out))
+"""
+
+    def test_cli_loads_meanfield_and_the_ode_and_root_packages_only_when_run(self, tmp_path):
+        scan = tmp_path / "scan.json"
+        scan.write_text(json.dumps(dict(TestBlockadeScan.CONFIG, omega_d_points=3,
+                                        cutoff_check=False)), encoding="utf-8")
+        dimer = tmp_path / "dimer.json"
+        dimer.write_text(json.dumps({"omega_r": 50.0, "g": 1.0, "j_values": [0.5], "xi": 0.01,
+                                     "gamma1": 0.01, "gamma_kappa": 0.01, "n_max": 2,
+                                     "cutoff_check": False}), encoding="utf-8")
+        # uncoupled ends give the modes in closed form, with no root search
+        runs = [["blockade-scan", "--config", str(scan), "--output", str(tmp_path / "b.csv")],
+                ["dimer-g2", "--config", str(dimer), "--output", str(tmp_path / "d.csv")],
+                ["modes", "--ell", "4e-7", "--c", "1.6e-10", "--L-x", "0.01",
+                 "--output", str(tmp_path / "m.csv")]]
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        result = subprocess.run([sys.executable, "-c", self.SCRIPT, src, json.dumps(self.LAZY),
+                                 json.dumps(runs)], cwd=tmp_path, capture_output=True,
+                                text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        out = json.loads(result.stdout.splitlines()[-1])
+        assert out == {"after_import": [], "exit_codes": [0, 0, 0], "after_runs": [],
+                       "same_function": True, "unknown_name": "AttributeError"}
+
+    def test_mean_field_errors_are_one_class_in_every_module(self):
+        from cqedlat import lindblad, meanfield
+
+        for name in ("CutoffWindowError", "MeanFieldConvergenceError"):
+            assert getattr(meanfield, name) is getattr(lindblad, name) is getattr(cli, name)

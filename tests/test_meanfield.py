@@ -79,21 +79,25 @@ def susceptibility(jc, mu, space):
 class TestLocalHamiltonian:
     def test_block_diagonal_at_zero_psi(self):
         space = SiteSpace(4)
-        p = GrandCanonicalParams(jc=JC0, mu=WR - 0.5, z=1, J=0.1)
+        p = GrandCanonicalParams(jc=JC0, mu=WR - 0.5, zj=0.1)
         h = local_mf_hamiltonian(p, 0.0, space).toarray()
         n = total_excitation(LatticeSpace((space,))).toarray()
         assert np.allclose(h @ n - n @ h, 0.0, atol=1e-12)
 
+    def test_negative_zj_is_refused(self):
+        with pytest.raises(ValueError, match=r"require J >= 0"):
+            GrandCanonicalParams(jc=JC0, mu=WR - 0.5, zj=-0.1)
+
     def test_psi_independent_at_zero_hopping(self):
         space = SiteSpace(3)
-        p = GrandCanonicalParams(jc=JC0, mu=WR - 0.5, z=1, J=0.0)
+        p = GrandCanonicalParams(jc=JC0, mu=WR - 0.5, zj=0.0)
         h0 = local_mf_hamiltonian(p, 0.0, space).toarray()
         h1 = local_mf_hamiltonian(p, 0.7, space).toarray()
         assert np.allclose(h0, h1, atol=1e-14)
 
     def test_energy_even_in_real_psi(self):
         space = SiteSpace(5)
-        p = GrandCanonicalParams(jc=JC0, mu=WR - 0.6, z=1, J=0.08)
+        p = GrandCanonicalParams(jc=JC0, mu=WR - 0.6, zj=0.08)
         for psi in (0.2, 0.9):
             e_plus = np.linalg.eigvalsh(local_mf_hamiltonian(p, psi, space).toarray())[0]
             e_minus = np.linalg.eigvalsh(local_mf_hamiltonian(p, -psi, space).toarray())[0]
@@ -106,7 +110,7 @@ class TestLocalHamiltonian:
         for _ in range(3):
             mu = WR + G * rng.uniform(-0.9, -0.3)
             zj = G * rng.uniform(0.02, 0.3)
-            p = GrandCanonicalParams(jc=JC0, mu=mu, z=1, J=zj)
+            p = GrandCanonicalParams(jc=JC0, mu=mu, zj=zj)
             psi_mag = rng.uniform(0.1, 0.8)
             base = np.linalg.eigvalsh(local_mf_hamiltonian(p, psi_mag, space).toarray())[0]
             for phi in np.linspace(0, 2 * np.pi, 7):
@@ -116,7 +120,7 @@ class TestLocalHamiltonian:
 
 class TestMinimization:
     def test_deep_mott_has_zero_order_parameter(self):
-        p = GrandCanonicalParams(jc=JC0, mu=WR - 0.7 * G, z=1, J=0.001 * G)
+        p = GrandCanonicalParams(jc=JC0, mu=WR - 0.7 * G, zj=0.001 * G)
         res = minimize_order_parameter(p, SiteSpace(8))
         assert res.psi < 1e-6
         assert res.n_polariton == pytest.approx(1.0, abs=1e-6)
@@ -124,7 +128,7 @@ class TestMinimization:
     def test_superfluid_at_large_hopping(self):
         # energy-comparison oracle: some sampled psi beats psi = 0
         space = SiteSpace(8)
-        p = GrandCanonicalParams(jc=JC0, mu=WR - 0.7 * G, z=1, J=0.5 * G)
+        p = GrandCanonicalParams(jc=JC0, mu=WR - 0.7 * G, zj=0.5 * G)
         e0 = np.linalg.eigvalsh(local_mf_hamiltonian(p, 0.0, space).toarray())[0]
         sampled = min(np.linalg.eigvalsh(local_mf_hamiltonian(p, s, space).toarray())[0]
                       for s in np.linspace(0.05, 2.5, 40))
@@ -134,13 +138,13 @@ class TestMinimization:
         assert res.energy <= sampled + 1e-9
 
     def test_vacuum_lobe_below_first_polariton(self):
-        p = GrandCanonicalParams(jc=JC0, mu=WR - 1.5 * G, z=1, J=0.001 * G)
+        p = GrandCanonicalParams(jc=JC0, mu=WR - 1.5 * G, zj=0.001 * G)
         res = minimize_order_parameter(p, SiteSpace(6))
         assert res.psi < 1e-6
         assert res.n_polariton == pytest.approx(0.0, abs=1e-8)
 
     def test_window_edge_error(self):
-        p = GrandCanonicalParams(jc=JC0, mu=WR - 0.7 * G, z=1, J=0.5 * G)
+        p = GrandCanonicalParams(jc=JC0, mu=WR - 0.7 * G, zj=0.5 * G)
         with pytest.raises(CutoffWindowError):
             minimize_order_parameter(p, SiteSpace(8), psi_max=0.5)
 
@@ -167,7 +171,7 @@ class TestMottWindows:
         lo, hi = mott_window_analytic(JC0, 1)
         space = SiteSpace(6)
         for mu in np.linspace(lo + 0.02 * G, hi - 0.02 * G, 5):
-            p = GrandCanonicalParams(jc=JC0, mu=float(mu), z=1, J=0.002 * G)
+            p = GrandCanonicalParams(jc=JC0, mu=float(mu), zj=0.002 * G)
             assert minimize_order_parameter(p, space).psi < 1e-5
 
 
@@ -251,7 +255,7 @@ class TestSusceptibilityVerdict:
     def test_agrees_with_the_search_oracle(self, omega_r, g, detuning, mu_offset, zj):
         # energies scale with g: δ, μ - ω_r and zJ are drawn in its units
         jc = JCParams(omega_r, omega_r - detuning * g, g)
-        p = GrandCanonicalParams(jc=jc, mu=omega_r + mu_offset * g, J=zj * g)
+        p = GrandCanonicalParams(jc=jc, mu=omega_r + mu_offset * g, zj=zj * g)
         space = SiteSpace(6)
         ratio = p.zj * susceptibility(jc, p.mu, space)
         res = minimize_order_parameter(p, space)

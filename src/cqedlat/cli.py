@@ -187,7 +187,6 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "C_minus": Field("nonneg", 0.0, "left end capacitance [F]"),
         "C_plus": Field("nonneg", 0.0, "right end capacitance [F]"),
         "count": Field("posint", 5, "number of modes"),
-        "samples": Field("posint", 0, "mode-function sample points (0: ends only)"),
     },
     "quantize": {
         "netlist": Field("str", REQUIRED, "netlist file path"),
@@ -197,6 +196,13 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "cutoff_check": Field("bool", True, "repeat with enlarged bases"),
     },
 }
+
+
+def _finite(value: Any) -> float:
+    fv = float(value)
+    if not math.isfinite(fv):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return fv
 
 
 def _coerce(key: str, field: Field, value: Any, errors: list[tuple[str, str]]) -> Any:
@@ -223,32 +229,25 @@ def _coerce(key: str, field: Field, value: Any, errors: list[tuple[str, str]]) -
                 raise ValueError(f"must be >= 1, got {iv}")
             return iv
         if kind in ("float", "nonneg", "pos"):
-            fv = float(value)
+            fv = _finite(value)
             if kind == "nonneg" and fv < 0:
                 raise ValueError(f"must be >= 0, got {fv}")
             if kind == "pos" and fv <= 0:
                 raise ValueError(f"must be > 0, got {fv}")
             return fv
-        if kind == "floats":
+        if kind in ("floats", "seeds"):
             if isinstance(value, str):
                 value = [v for v in value.split(",") if v.strip()]
             if not isinstance(value, (list, tuple)) or not value:
-                raise ValueError(f"expected a non-empty list of numbers, got {value!r}")
-            return [float(v) for v in value]
-        if kind == "seeds":
-            if isinstance(value, str):
-                value = [v for v in value.split(",") if v.strip()]
-            if not isinstance(value, (list, tuple)) or not value:
-                raise ValueError(f"expected a non-empty list of seeds, got {value!r}")
-            out = []
-            for v in value:
-                if isinstance(v, (list, tuple)) and len(v) == 2:
-                    out.append(complex(float(v[0]), float(v[1])))
-                else:
-                    out.append(complex(float(v), 0.0))
-            return out
+                noun = "numbers" if kind == "floats" else "seeds"
+                raise ValueError(f"expected a non-empty list of {noun}, got {value!r}")
+            if kind == "floats":
+                return [_finite(v) for v in value]
+            # a seed is re or [re, im]
+            pairs = [v if isinstance(v, (list, tuple)) and len(v) == 2 else (v, 0.0) for v in value]
+            return [complex(_finite(re), _finite(im)) for re, im in pairs]
         raise AssertionError(f"unknown field kind {kind}")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:   # int() of ±inf overflows
         errors.append((key, str(exc)))
         return None
 
@@ -400,10 +399,13 @@ def _cmd_dimer_g2(config: dict[str, Any]):
 
 
 def _cmd_sector_nonlinearity(config: dict[str, Any]):
+    sizes = [int(ns) for ns in config["n_sites_list"]]
+    if sizes != config["n_sites_list"]:
+        raise ConfigError([("n_sites_list",
+                            f"chain sizes must be integers, got {config['n_sites_list']}")])
     rows = []
     band_minima = {}
-    for ns_f in config["n_sites_list"]:
-        ns = int(ns_f)
+    for ns in sizes:
         params = band_resonant_chain(config["omega_r"], config["g"], config["J"], ns, "periodic")
         space = LatticeSpace.uniform(ns, config["n_max"])
         u = measured_nonlinearity(params, space)
@@ -413,7 +415,7 @@ def _cmd_sector_nonlinearity(config: dict[str, Any]):
                      "rel_deviation": (u - ucf) / ucf if ucf else float("nan")})
     conv = {"band_minima": band_minima}
     if config["cutoff_check"]:
-        ns = int(config["n_sites_list"][-1])
+        ns = sizes[-1]
         params = band_resonant_chain(config["omega_r"], config["g"], config["J"], ns, "periodic")
         check = cutoff_convergence(
             lambda nm: measured_nonlinearity(params, LatticeSpace.uniform(ns, nm)),

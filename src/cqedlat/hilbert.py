@@ -346,10 +346,7 @@ def expectation(op: sp.spmatrix, state: DensityMatrix) -> complex:
 class ConvergenceCheck:
     """Outcome of repeating an observable at an enlarged photon cutoff."""
 
-    value: complex
-    reference: complex
     rel_shift: float
-    rtol: float
     passed: bool
     n_max: int
     n_max_ref: int
@@ -366,5 +363,5 @@ def cutoff_convergence(observable: Callable[[int], complex], n_max: int, value: 
     """
     reference = observable(n_max + CUTOFF_STEP)
     shift = abs(reference - value) / max(abs(reference), 1e-300)
-    return ConvergenceCheck(value=value, reference=reference, rel_shift=float(shift), rtol=rtol,
-                            passed=bool(shift <= rtol), n_max=n_max, n_max_ref=n_max + CUTOFF_STEP)
+    return ConvergenceCheck(rel_shift=float(shift), passed=bool(shift <= rtol),
+                            n_max=n_max, n_max_ref=n_max + CUTOFF_STEP)

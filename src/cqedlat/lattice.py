@@ -15,6 +15,9 @@ assembles it on the full occupation basis and :func:`sector_hamiltonian` on
 the N-excitation basis, so large lattices never materialize the full space.
 A sector block equals the matching full-space block entry for entry, the
 hopping amplitudes being J·(√n_j·√(n_i + 1)) in both.
+
+A lattice is built in code, from :class:`LatticeParams` or :func:`chain`;
+no command reads one from a file, so there is no lattice file format.
 """
 
 from __future__ import annotations
@@ -50,8 +53,6 @@ __all__ = [
     "band_resonant_chain",
     "measured_nonlinearity",
     "nonlinearity_closed_form",
-    "parse_lattice",
-    "serialize_lattice",
 ]
 
 DENSE_SECTOR_LIMIT = 512  # above this the lowest eigenvalues come from ARPACK
@@ -238,70 +239,3 @@ def nonlinearity_closed_form(g: float, n_sites: int) -> float:
         raise ValueError("n_sites must be >= 1")
     return 2.0 * g * (1.0 - np.sqrt(1.0 - 1.0 / (2.0 * n_sites)))
 
-
-# ---------------------------------------------------------------------------
-# lattice description files
-#
-# Line grammar (see docs/lattice_grammar.ebnf):
-#   SITE <index> <omega_r> <omega_q> <g>
-#   EDGE <i> <j> <J>
-# '#' starts a comment, tokens are whitespace-separated.  Site indices must
-# form the contiguous range 0..N-1.
-
-class LatticeFileError(ValueError):
-    """Raised on malformed lattice description files; carries (line, message) pairs."""
-
-    def __init__(self, errors: list[tuple[int, str]]):
-        self.errors = errors
-        super().__init__("; ".join(f"line {ln}: {msg}" for ln, msg in errors))
-
-
-def parse_lattice(text: str) -> LatticeParams:
-    sites: dict[int, JCParams] = {}
-    edges: list[tuple[int, int, float]] = []
-    errors: list[tuple[int, str]] = []
-
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tok = line.split()
-        kind = tok[0].upper()
-        try:
-            if kind == "SITE":
-                if len(tok) != 5:
-                    raise ValueError("SITE expects: SITE <index> <omega_r> <omega_q> <g>")
-                i = int(tok[1])
-                if i in sites:
-                    raise ValueError(f"site {i} declared twice")
-                sites[i] = JCParams(omega_r=float(tok[2]), omega_q=float(tok[3]), g=float(tok[4]))
-            elif kind == "EDGE":
-                if len(tok) != 4:
-                    raise ValueError("EDGE expects: EDGE <i> <j> <J>")
-                edges.append((int(tok[1]), int(tok[2]), float(tok[3])))
-            else:
-                raise ValueError(f"unknown directive {tok[0]!r}")
-        except ValueError as exc:
-            errors.append((ln, str(exc)))
-
-    if not errors:
-        if not sites:
-            errors.append((0, "no SITE lines found"))
-        elif sorted(sites) != list(range(len(sites))):
-            errors.append((0, f"site indices {sorted(sites)} are not contiguous from 0"))
-    if errors:
-        raise LatticeFileError(errors)
-    params = tuple(sites[i] for i in range(len(sites)))
-    try:
-        return LatticeParams(site_params=params, edges=tuple(edges))
-    except ValueError as exc:
-        raise LatticeFileError([(0, str(exc))]) from exc
-
-
-def serialize_lattice(params: LatticeParams) -> str:
-    lines = []
-    for i, p in enumerate(params.site_params):
-        lines.append(f"SITE {i} {p.omega_r!r} {p.omega_q!r} {p.g!r}")
-    for (i, j, J) in params.edges:
-        lines.append(f"EDGE {i} {j} {J!r}")
-    return "\n".join(lines) + "\n"

@@ -149,10 +149,6 @@ class DissipationRates:
         return (self.gamma1 > 0 or self.gamma_phi > 0 or self.gamma_kappa > 0
                 or any(k > 0 for _, k in self.kappa_ports))
 
-    def total_photon_loss(self, site: int) -> float:
-        """γ_κ plus the port rate; the two channels add on port sites."""
-        return self.gamma_kappa + dict(self.kappa_ports).get(site, 0.0)
-
 
 @dataclass(frozen=True)
 class DriveSpec:
@@ -524,14 +520,14 @@ class ScanPoint:
 class _ScanModel:
     """The parts of a scan that do not depend on (ξ, ω_d), built once per scan.
 
-    H_rot = H - ω_d N + ξ X is affine in (ω_d, ξ), so a point only adds three
-    dense d×d arrays before its steady-state solve.
+    H_rot = H - ω_d N + ξ X, with X = a + a† on site 0, is affine in (ω_d, ξ),
+    so a point only adds three dense d×d arrays before its steady-state solve.
     """
 
     def __init__(self, params: LatticeParams, space: LatticeSpace, rates: DissipationRates,
-                 driven_sites: tuple[int, ...], port_sites: tuple[int, ...]):
+                 port_sites: tuple[int, ...]):
         h = build_jchm(params, space)
-        n_tot, x_drive = _rotating_frame_terms(h, space, driven_sites)
+        n_tot, x_drive = _rotating_frame_terms(h, space, (0,))
         self.h, self.n_tot, self.x_drive = h.toarray(), n_tot.toarray(), x_drive.toarray()
         self.jumps = collapse_operators(rates, space)
         # tr(Aρ) = Σ_ij (Aᵀ)_ij ρ_ij for a, a†a on every port and a†²a² on the first
@@ -562,14 +558,13 @@ class _ScanModel:
 def transmission_scan(params: LatticeParams, space: LatticeSpace,
                       rates: DissipationRates, drive_amplitudes: Sequence[float],
                       omega_d_grid: Sequence[float],
-                      driven_sites: tuple[int, ...] = (0,),
                       max_workers: int = 1) -> list[ScanPoint]:
     """Steady-state transmission T ~ Σ_ports |⟨a⟩| over a (ξ, ω_d) grid.
 
-    Output ports are the sites with a declared port rate; when none are
-    declared every site is reported.  The Hamiltonian, frame terms, jump
-    operators and observables are built once per scan, and a negative drive
-    amplitude is refused before any of them.  Points are independent, so the
+    The drive ξ(a + a†) acts on site 0.  Output ports are the sites with a
+    declared port rate; when none are declared every site is reported.  The
+    Hamiltonian, frame terms, jump operators and observables are built once
+    per scan, and a negative drive amplitude is refused before any of them.  Points are independent, so the
     scan may run on a process pool; results keep the deterministic grid order.
     """
     if any(xi < 0 for xi in drive_amplitudes):
@@ -577,7 +572,7 @@ def transmission_scan(params: LatticeParams, space: LatticeSpace,
     port_sites = tuple(s for s, k in rates.kappa_ports if k > 0)
     if not port_sites:
         port_sites = tuple(range(space.n_sites))
-    model = _ScanModel(params, space, rates, tuple(driven_sites), port_sites)
+    model = _ScanModel(params, space, rates, port_sites)
     xis = [float(xi) for xi in drive_amplitudes for _ in omega_d_grid]
     omegas = [float(w) for _ in drive_amplitudes for w in omega_d_grid]
     if max_workers > 1:

@@ -14,7 +14,8 @@ ground state: Mott cells take ψ = 0 from that eigensystem without a search,
 the lobe boundary is zJ_c(μ) = 1/χ(μ) in closed form, and only superfluid
 cells search ψ (a grid bracket, then Newton on dE/dψ = 0 with the curvature
 from second-order response).  The J = 0 lobe edges in μ also come in closed
-form from the dressed-level staircase.
+form from the dressed-level staircase.  The equilibrium functions take the
+site's :class:`JCParams`, μ and zJ as plain arguments.
 
 Driven-dissipative: the same decoupling applied to the local density matrix
 gives a closed nonlinear master equation in the drive rotating frame,
@@ -76,14 +77,12 @@ from .lindblad import (
 )
 
 __all__ = [
-    "GrandCanonicalParams",
     "OrderParameter",
     "PhaseDiagramCell",
     "DrivenFixedPoint",
     "DrivenMFResult",
     "CutoffWindowError",
     "MeanFieldConvergenceError",
-    "local_mf_hamiltonian",
     "minimize_order_parameter",
     "mott_window_analytic",
     "mott_window_numeric",
@@ -113,24 +112,10 @@ RK45 = DOP853
 
 
 @dataclass(frozen=True)
-class GrandCanonicalParams:
-    """JC site with chemical potential μ and mean-field hopping weight zJ."""
-
-    jc: JCParams
-    mu: float
-    zj: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.zj < 0:
-            raise ValueError("equilibrium scans require J >= 0 (gauge away negative signs)")
-
-
-@dataclass(frozen=True)
 class OrderParameter:
     psi: float
     energy: float
     n_polariton: float
-    iterations: int       # eigensolves past the ψ = 0 one: 0 in a Mott cell, else grid + Newton
 
 
 @dataclass(frozen=True)
@@ -142,21 +127,6 @@ class PhaseDiagramCell:
     n_polariton: float
     phase: str
     zj_critical: float    # 1/χ(μ), the lobe edge at this μ; 0 at a degenerate ground state
-
-
-def _site_terms(jc: JCParams, space: SiteSpace) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-    """H_JC (RWA), N = a†a + σ⁺σ⁻ and a on one site: every H(ψ) is built from these."""
-    site = LatticeSpace((space,))
-    return (jc_hamiltonian(jc, space), total_excitation(site),
-            photon_op_on(site, 0, annihilation(space)))
-
-
-def local_mf_hamiltonian(p: GrandCanonicalParams, psi: complex, space: SiteSpace) -> sp.csr_matrix:
-    """H_JC - μN - zJ(a†ψ + aψ* - |ψ|²) on one site."""
-    h, n_tot, a = _site_terms(p.jc, space)
-    return (h - p.mu * n_tot
-            - p.zj * (psi * a.getH() + np.conj(psi) * a)
-            + p.zj * abs(psi) ** 2 * sp.identity(space.dim, format="csr"))
 
 
 @dataclass(frozen=True)
@@ -179,8 +149,11 @@ class _SiteCore:
     """
 
     def __init__(self, jc: JCParams, space: SiteSpace):
+        site = LatticeSpace((space,))
+        ops = (jc_hamiltonian(jc, space), total_excitation(site),
+               photon_op_on(site, 0, annihilation(space)))
         # the RWA site matrices are real in the occupation basis
-        h, n_tot, a = (m.toarray().real for m in _site_terms(jc, space))
+        h, n_tot, a = (m.toarray().real for m in ops)
         self.h_jc, self.n_diag, self.x = h, n_tot.diagonal(), a + a.T
         self.eye = np.eye(space.dim)
 
@@ -212,8 +185,7 @@ class _SiteCore:
         the previous one, bisects instead.
         """
         if zj == 0 or zj * at_zero.chi < 1:
-            return OrderParameter(psi=0.0, energy=at_zero.energy,
-                                  n_polariton=at_zero.n_polariton, iterations=0)
+            return OrderParameter(psi=0.0, energy=at_zero.energy, n_polariton=at_zero.n_polariton)
         grid = np.linspace(0.0, psi_max, PSI_GRID_POINTS)
         s = grid[:, None, None]
         k = int(np.argmin(np.linalg.eigvalsh(h0 + zj * s * (s * self.eye - self.x))[:, 0]))
@@ -222,7 +194,7 @@ class _SiteCore:
                 f"energy still decreasing at ψ = {psi_max}; enlarge psi_max and the photon cutoff")
         lo, hi = grid[max(k - 1, 0)], grid[k + 1]
         psi, step = (grid[k] if k else 0.5 * hi), hi - lo
-        for n_eval in range(1, PSI_NEWTON_MAX_ITER + 1):
+        for _ in range(PSI_NEWTON_MAX_ITER):
             at = self.ground(h0 + zj * psi * (psi * self.eye - self.x))
             grad = 2.0 * psi - at.x_mean          # (dE/dψ) / zJ
             curv = 2.0 * (1.0 - zj * at.chi)      # (d²E/dψ²) / zJ
@@ -243,23 +215,25 @@ class _SiteCore:
         if psi > psi_max - 10 * PSI_SEARCH_TOL:
             raise CutoffWindowError(
                 f"minimizer ψ* = {psi} sits at the window edge psi_max = {psi_max}")
-        return OrderParameter(psi=float(psi), energy=at.energy, n_polariton=at.n_polariton,
-                              iterations=PSI_GRID_POINTS + n_eval)
+        return OrderParameter(psi=float(psi), energy=at.energy, n_polariton=at.n_polariton)
 
 
-def minimize_order_parameter(p: GrandCanonicalParams, space: SiteSpace,
+def minimize_order_parameter(jc: JCParams, mu: float, zj: float, space: SiteSpace,
                              psi_max: float = PSI_MAX) -> OrderParameter:
-    """Minimize the mean-field ground energy over real ψ in [0, psi_max].
+    """Minimize the ground energy of H(ψ) on site ``jc`` at chemical potential
+    ``mu`` and hopping weight ``zj`` over real ψ in [0, psi_max].
 
     The one-cell case of :func:`phase_diagram`: a Mott cell (zJχ(μ) < 1) is
     answered from the ψ = 0 eigensystem with ψ = 0, a superfluid one by the
-    bracketed Newton search of the site core.  A minimum at the upper window
-    edge means the search window (or the photon cutoff behind it) is too small
-    and raises :class:`CutoffWindowError`.
+    bracketed Newton search of the site core.  A negative zJ is refused.  A
+    minimum at the upper window edge means the search window (or the photon
+    cutoff behind it) is too small and raises :class:`CutoffWindowError`.
     """
-    core = _SiteCore(p.jc, space)
-    h0 = core.h0(p.mu)
-    return core.order_parameter(h0, core.ground(h0), p.zj, psi_max)
+    if zj < 0:
+        raise ValueError("equilibrium scans require J >= 0 (gauge away negative signs)")
+    core = _SiteCore(jc, space)
+    h0 = core.h0(mu)
+    return core.order_parameter(h0, core.ground(h0), zj, psi_max)
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +321,8 @@ class DrivenFixedPoint:
     g2: float
     seed: complex
     limit_cycle: bool                    # never captured by a stable root
-    t_elapsed: float
-    orbit: tuple[complex, ...] | None = None
-    residual: float = math.nan           # |tr(aρ) - ψ| of the reported fixed point
-    stability_margin: float = math.nan   # max Re λ of its linearization, trace mode excluded
+    residual: float                      # |tr(aρ) - ψ| of the reported fixed point
+    stability_margin: float              # max Re λ of its linearization, trace mode excluded
 
 
 @dataclass(frozen=True)
@@ -511,8 +483,9 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
     different seeds that differ by more than ``DISTINCT_TOL`` are reported as
     distinct branches (multistability).  A run that is never captured within
     the horizon is classified as a limit cycle when its ψ swing over the last
-    ``CYCLE_SAMPLES`` control intervals is not decaying, and returned with a
-    sampled orbit; otherwise it raises :class:`MeanFieldConvergenceError`.
+    ``CYCLE_SAMPLES`` control intervals is not decaying, and returned with its
+    last state and NaN residual and margin; otherwise it raises
+    :class:`MeanFieldConvergenceError`.
     """
     if not rates.any_nonzero():
         raise ValueError("driven mean field requires dissipative rates > 0")
@@ -589,9 +562,7 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
             g2 = float("nan")
         results.append(DrivenFixedPoint(
             psi=psi, rho=state, g2=g2, seed=complex(seed),
-            limit_cycle=not captured, t_elapsed=t,
-            orbit=None if captured else tuple(history[-CYCLE_SAMPLES:]),
-            residual=residual, stability_margin=margin))
+            limit_cycle=not captured, residual=residual, stability_margin=margin))
 
     branches: list[DrivenFixedPoint] = []
     for r in results:

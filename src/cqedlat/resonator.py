@@ -93,10 +93,6 @@ class Mode:
     def right_value(self) -> float:
         return float(self.value(self.spec.L_x))
 
-    def sample(self, n_points: int = 101) -> tuple[np.ndarray, np.ndarray]:
-        x = np.linspace(0.0, self.spec.L_x, n_points)
-        return x, self.value(x)
-
     def normalization_integral(self) -> float:
         """Closed-form value of C₋Φ²(0) + C₊Φ²(L) + c∫Φ²dx (should be 1)."""
         s = self.spec
@@ -174,17 +170,6 @@ def solve_modes(spec: ResonatorSpec, count: int) -> list[Mode]:
         modes.append(Mode(mu=mu, omega_bar=w, omega=w / (L * sqrt_lc), k=k,
                           phase=phase, amplitude=amplitude, spec=spec))
     return modes
-
-
-def boundary_residuals(mode: Mode) -> tuple[float, float]:
-    """Relative defect of ∓∂_xΦ|_{x∓} = ℓC∓ω²Φ|_{x∓} at both ends."""
-    s = mode.spec
-    dphi_left = -mode.amplitude * mode.k * math.sin(mode.phase)
-    dphi_right = -mode.amplitude * mode.k * math.sin(mode.k * s.L_x + mode.phase)
-    scale = abs(mode.amplitude * mode.k)
-    left = (-dphi_left) - s.ell * s.C_minus * mode.omega ** 2 * mode.left_value
-    right = dphi_right - s.ell * s.C_plus * mode.omega ** 2 * mode.right_value
-    return abs(left) / scale, abs(right) / scale
 
 
 def hopping_amplitude(spec_n: ResonatorSpec, spec_np: ResonatorSpec, C_c: float,

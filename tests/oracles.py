@@ -6,7 +6,8 @@ from those lifts, and the N-excitation block assembled by a Python loop over
 recursively enumerated occupation configurations.  Also the random-lattice
 strategy that the property tests share, and the earlier mean-field ψ search
 (a grid plus a bounded Brent refinement in every cell) with the lobe-boundary
-bisection built on it.
+bisection built on it, both on the single-site H(ψ) assembled from the
+Kronecker lifts.
 """
 
 from __future__ import annotations
@@ -37,9 +38,7 @@ from cqedlat.meanfield import (
     PSI_SEARCH_TOL,
     ZJ_RESOLUTION,
     CutoffWindowError,
-    GrandCanonicalParams,
     OrderParameter,
-    local_mf_hamiltonian,
 )
 
 
@@ -203,17 +202,27 @@ def sector_hamiltonian(params: LatticeParams, space: LatticeSpace, N: int) -> sp
 # ---------------------------------------------------------------------------
 # mean-field ψ search in every cell
 
-def search_order_parameter(p: GrandCanonicalParams, space: SiteSpace,
+def local_mf_hamiltonian(jc: JCParams, mu: float, zj: float, psi: complex,
+                         space: SiteSpace) -> sp.csr_matrix:
+    """H_JC - μN - zJ(a†ψ + aψ* - |ψ|²) on one site, from the Kronecker lifts."""
+    site = LatticeSpace((space,))
+    a = photon_op_on(site, 0, annihilation(space))
+    return (jc_hamiltonian(jc, space) - mu * total_excitation(site)
+            - zj * (psi * a.getH() + np.conj(psi) * a)
+            + zj * abs(psi) ** 2 * sp.identity(space.dim, format="csr"))
+
+
+def search_order_parameter(jc: JCParams, mu: float, zj: float, space: SiteSpace,
                            psi_max: float = PSI_MAX) -> OrderParameter:
     """A ``PSI_GRID_POINTS`` grid brackets the minimum of the ground energy over
     real ψ; SciPy's bounded Brent search refines it to ``PSI_SEARCH_TOL``."""
     lat = LatticeSpace((space,))
-    h0 = local_mf_hamiltonian(p, 0.0, space).toarray()
+    h0 = local_mf_hamiltonian(jc, mu, zj, 0.0, space).toarray()
     a = photon_op_on(lat, 0, annihilation(space)).toarray()
     x, eye = a + a.conj().T, np.eye(space.dim)
 
     def matrix(psi: float) -> np.ndarray:
-        return h0 - p.zj * psi * x + p.zj * psi * psi * eye
+        return h0 - zj * psi * x + zj * psi * psi * eye
 
     def energy(psi: float) -> float:
         return float(np.linalg.eigvalsh(matrix(psi))[0])
@@ -227,16 +236,14 @@ def search_order_parameter(p: GrandCanonicalParams, space: SiteSpace,
     vals, vecs = np.linalg.eigh(matrix(res.x))
     n_tot = total_excitation(lat).toarray()
     n_val = float(np.real(vecs[:, 0].conj() @ n_tot @ vecs[:, 0]))
-    return OrderParameter(psi=float(res.x), energy=float(vals[0]), n_polariton=n_val,
-                          iterations=PSI_GRID_POINTS + res.nfev)
+    return OrderParameter(psi=float(res.x), energy=float(vals[0]), n_polariton=n_val)
 
 
 def bisect_lobe_boundary(jc: JCParams, mu: float, space: SiteSpace, zj_max: float = 1.0) -> float:
     """zJ where the searched ψ* first exceeds ``PSI_FLOOR``, by bisection down to
     ``ZJ_RESOLUTION`` inside [ZJ_RESOLUTION, zj_max]."""
     def superfluid(zj: float) -> bool:
-        p = GrandCanonicalParams(jc=jc, mu=mu, zj=zj)
-        return search_order_parameter(p, space).psi > PSI_FLOOR
+        return search_order_parameter(jc, mu, zj, space).psi > PSI_FLOOR
 
     lo, hi = ZJ_RESOLUTION, zj_max
     if superfluid(lo) or not superfluid(hi):

@@ -280,7 +280,7 @@ class TestMeanfieldLobes:
 
 class TestModes:
     CONFIG = {"ell": 4e-7, "c": 1.6e-10, "L_x": 0.01, "C_minus": 1e-15, "C_plus": 1e-15,
-              "count": 5, "samples": 3}
+              "count": 5}
 
     def test_repeat_runs_are_identical(self, tmp_path):
         rows, summary = run_twice(tmp_path, "modes", self.CONFIG)
@@ -294,6 +294,40 @@ class TestModes:
         assert code == 1
         assert "L_x" in capsys.readouterr().err
         assert not (tmp_path / "m.csv").exists()
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("argv, key", [
+        (["modes", "--ell", "nan", "--c", "1.6e-10", "--L-x", "0.01"], "ell"),
+        (["modes", "--ell", "4e-7", "--c", "1.6e-10", "--L-x", "inf"], "L_x"),
+        (["jc-spectrum", "--omega-r", "5", "--omega-q", "inf", "--g", "0.1"], "omega_q"),
+        (["dimer-g2", "--omega-r", "50", "--g", "1", "--j-values", "0.5,-inf", "--xi", "0.01",
+          "--gamma-kappa", "0.01"], "j_values"),
+        (["driven-mf", "--omega-r", "20", "--g", "1", "--zj-values", "1", "--xi", "0.1",
+          "--gamma1", "0.1", "--seeds", "0,nan"], "seeds"),
+    ])
+    def test_non_finite_number_exits_one(self, tmp_path, capsys, argv, key):
+        code = cli.main(argv + ["--output", str(tmp_path / "out.csv")])
+        assert code == 1
+        assert f"config error at {key}:" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_infinite_integer_in_a_config_file_exits_one(self, tmp_path, capsys):
+        config_path = tmp_path / "jc.json"
+        config_path.write_text('{"omega_r": 5, "omega_q": 5, "g": 0.1, "n_max": Infinity}',
+                               encoding="utf-8")
+        code = cli.main(["jc-spectrum", "--config", str(config_path),
+                         "--output", str(tmp_path / "out.csv")])
+        assert code == 1
+        assert "config error at n_max:" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_non_integer_chain_size_exits_one(self, tmp_path, capsys):
+        code = cli.main(["sector-nonlinearity", "--omega-r", "50", "--g", "1", "--J", "-0.5",
+                         "--n-sites-list", "2,2.7", "--output", str(tmp_path / "out.csv")])
+        assert code == 1
+        assert "config error at n_sites_list:" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestColdStart:

@@ -10,7 +10,6 @@ from cqedlat.hilbert import LatticeSpace, assemble, total_excitation
 from cqedlat.jc import JCParams, jc_hamiltonian
 from cqedlat.lindblad import DissipationRates, collapse_operators
 from cqedlat.lattice import (
-    LatticeFileError,
     LatticeParams,
     band_resonant_chain,
     build_jchm,
@@ -18,12 +17,10 @@ from cqedlat.lattice import (
     jchm_terms,
     measured_nonlinearity,
     nonlinearity_closed_form,
-    parse_lattice,
     photon_band_minimum,
     sector_basis,
     sector_ground_energy,
     sector_hamiltonian,
-    serialize_lattice,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -298,29 +295,3 @@ class TestFiniteSizeNonlinearity:
     def test_sector_ground_energy_scalar_sector(self):
         params = chain(JCParams(1.0, 0.9, 0.02), 2, 0.01)
         assert sector_ground_energy(params, LatticeSpace.uniform(2, 2), 0) == 0.0
-
-
-class TestLatticeFiles:
-    def test_round_trip(self):
-        text = """# two-site demo
-SITE 0 1.0 0.95 0.05
-SITE 1 1.0 0.97 0.05
-EDGE 0 1 -0.02
-"""
-        params = parse_lattice(text)
-        again = parse_lattice(serialize_lattice(params))
-        assert again == params
-        assert again.edges == ((0, 1, -0.02),)
-
-    def test_unknown_directive_reports_line(self):
-        with pytest.raises(LatticeFileError) as err:
-            parse_lattice("SITE 0 1.0 1.0 0.1\nBOND 0 1 0.1\n")
-        assert err.value.errors[0][0] == 2
-
-    def test_noncontiguous_sites_rejected(self):
-        with pytest.raises(LatticeFileError, match="contiguous"):
-            parse_lattice("SITE 0 1.0 1.0 0.1\nSITE 2 1.0 1.0 0.1\n")
-
-    def test_bad_edge_reference(self):
-        with pytest.raises(LatticeFileError):
-            parse_lattice("SITE 0 1.0 1.0 0.1\nEDGE 0 3 0.1\n")

@@ -8,6 +8,7 @@ from cqedlat.hilbert import (
     LatticeSpace,
     annihilation,
     expectation,
+    number,
     photon_op_on,
     qubit_op_on,
     qubit_number,
@@ -24,6 +25,7 @@ from cqedlat.lindblad import (
     VacuumStateError,
     _ScanModel,
     build_liouvillian,
+    collapse_operators,
     evolve,
     fit_lorentzian,
     g2_zero,
@@ -175,9 +177,12 @@ class TestLiouvillianStructure:
             DissipationRates(gamma1=-0.1)
 
     def test_port_rates_add_to_uniform_loss(self):
+        # Σ C†C holds (γ_κ + κ) a†a on the port site and γ_κ a†a elsewhere
+        space = LatticeSpace.uniform(2, 2)
         rates = DissipationRates(gamma_kappa=0.02, kappa_ports={0: 0.03})
-        assert rates.total_photon_loss(0) == pytest.approx(0.05)
-        assert rates.total_photon_loss(1) == pytest.approx(0.02)
+        loss = sum(c.getH() @ c for c in collapse_operators(rates, space))
+        n0, n1 = (photon_op_on(space, i, number(space.sites[i])) for i in (0, 1))
+        assert abs(loss - (0.05 * n0 + 0.02 * n1)).max() <= 1e-14
 
     def test_rates_are_hashable(self):
         assert hash(DissipationRates()) == hash(DissipationRates(kappa_ports={}))
@@ -458,11 +463,11 @@ class TestTransmissionScan:
         params = chain(JCParams(1.0, 0.97, 0.08), 2, 0.04)
         space = LatticeSpace.uniform(2, 2)
         rates = DissipationRates(gamma1=0.02, gamma_kappa=0.01, kappa_ports={1: 0.03})
-        model = _ScanModel(params, space, rates, (0, 1), (1,))
+        model = _ScanModel(params, space, rates, (1,))
         h = build_jchm(params, space)
         for xi, omega_d in ((0.0, 0.9), (0.02, 1.03), (0.3, 0.95)):
             scan = model.generator(xi, omega_d)
-            full = build_liouvillian(h, rates, DriveSpec(xi, omega_d, (0, 1)), space)
+            full = build_liouvillian(h, rates, DriveSpec(xi, omega_d), space)
             assert scan.dim == full.dim == space.total_dim
             assert np.abs(scan.h_eff - full.h_eff).max() <= 1e-14 * np.abs(full.h_eff).max()
             for c_scan, c_full in zip(scan.jumps, full.jumps, strict=True):

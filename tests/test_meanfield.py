@@ -32,13 +32,11 @@ from cqedlat.meanfield import (
     PSI_FLOOR,
     ZJ_RESOLUTION,
     CutoffWindowError,
-    GrandCanonicalParams,
     MeanFieldConvergenceError,
     _coherent_site_state,
     _DrivenSite,
     driven_mf_steady,
     lobe_boundary,
-    local_mf_hamiltonian,
     minimize_order_parameter,
     mott_window_analytic,
     mott_window_numeric,
@@ -79,28 +77,26 @@ def susceptibility(jc, mu, space):
 class TestLocalHamiltonian:
     def test_block_diagonal_at_zero_psi(self):
         space = SiteSpace(4)
-        p = GrandCanonicalParams(jc=JC0, mu=WR - 0.5, zj=0.1)
-        h = local_mf_hamiltonian(p, 0.0, space).toarray()
+        h = oracles.local_mf_hamiltonian(JC0, WR - 0.5, 0.1, 0.0, space).toarray()
         n = total_excitation(LatticeSpace((space,))).toarray()
         assert np.allclose(h @ n - n @ h, 0.0, atol=1e-12)
 
     def test_negative_zj_is_refused(self):
         with pytest.raises(ValueError, match=r"require J >= 0"):
-            GrandCanonicalParams(jc=JC0, mu=WR - 0.5, zj=-0.1)
+            minimize_order_parameter(JC0, WR - 0.5, -0.1, SiteSpace(4))
 
     def test_psi_independent_at_zero_hopping(self):
         space = SiteSpace(3)
-        p = GrandCanonicalParams(jc=JC0, mu=WR - 0.5, zj=0.0)
-        h0 = local_mf_hamiltonian(p, 0.0, space).toarray()
-        h1 = local_mf_hamiltonian(p, 0.7, space).toarray()
+        h0 = oracles.local_mf_hamiltonian(JC0, WR - 0.5, 0.0, 0.0, space).toarray()
+        h1 = oracles.local_mf_hamiltonian(JC0, WR - 0.5, 0.0, 0.7, space).toarray()
         assert np.allclose(h0, h1, atol=1e-14)
 
     def test_energy_even_in_real_psi(self):
         space = SiteSpace(5)
-        p = GrandCanonicalParams(jc=JC0, mu=WR - 0.6, zj=0.08)
+        p = (JC0, WR - 0.6, 0.08)
         for psi in (0.2, 0.9):
-            e_plus = np.linalg.eigvalsh(local_mf_hamiltonian(p, psi, space).toarray())[0]
-            e_minus = np.linalg.eigvalsh(local_mf_hamiltonian(p, -psi, space).toarray())[0]
+            e_plus = np.linalg.eigvalsh(oracles.local_mf_hamiltonian(*p, psi, space).toarray())[0]
+            e_minus = np.linalg.eigvalsh(oracles.local_mf_hamiltonian(*p, -psi, space).toarray())[0]
             assert e_plus == pytest.approx(e_minus, abs=1e-12)
 
     def test_gauge_invariance_of_spectrum(self):
@@ -110,43 +106,40 @@ class TestLocalHamiltonian:
         for _ in range(3):
             mu = WR + G * rng.uniform(-0.9, -0.3)
             zj = G * rng.uniform(0.02, 0.3)
-            p = GrandCanonicalParams(jc=JC0, mu=mu, zj=zj)
+            p = (JC0, mu, zj)
             psi_mag = rng.uniform(0.1, 0.8)
-            base = np.linalg.eigvalsh(local_mf_hamiltonian(p, psi_mag, space).toarray())[0]
+            base = np.linalg.eigvalsh(oracles.local_mf_hamiltonian(*p, psi_mag, space).toarray())[0]
             for phi in np.linspace(0, 2 * np.pi, 7):
-                h = local_mf_hamiltonian(p, psi_mag * np.exp(1j * phi), space).toarray()
+                h = oracles.local_mf_hamiltonian(*p, psi_mag * np.exp(1j * phi), space).toarray()
                 assert np.linalg.eigvalsh(h)[0] == pytest.approx(base, abs=1e-11)
 
 
 class TestMinimization:
     def test_deep_mott_has_zero_order_parameter(self):
-        p = GrandCanonicalParams(jc=JC0, mu=WR - 0.7 * G, zj=0.001 * G)
-        res = minimize_order_parameter(p, SiteSpace(8))
+        res = minimize_order_parameter(JC0, WR - 0.7 * G, 0.001 * G, SiteSpace(8))
         assert res.psi < 1e-6
         assert res.n_polariton == pytest.approx(1.0, abs=1e-6)
 
     def test_superfluid_at_large_hopping(self):
         # energy-comparison oracle: some sampled psi beats psi = 0
         space = SiteSpace(8)
-        p = GrandCanonicalParams(jc=JC0, mu=WR - 0.7 * G, zj=0.5 * G)
-        e0 = np.linalg.eigvalsh(local_mf_hamiltonian(p, 0.0, space).toarray())[0]
-        sampled = min(np.linalg.eigvalsh(local_mf_hamiltonian(p, s, space).toarray())[0]
+        p = (JC0, WR - 0.7 * G, 0.5 * G)
+        e0 = np.linalg.eigvalsh(oracles.local_mf_hamiltonian(*p, 0.0, space).toarray())[0]
+        sampled = min(np.linalg.eigvalsh(oracles.local_mf_hamiltonian(*p, s, space).toarray())[0]
                       for s in np.linspace(0.05, 2.5, 40))
         assert sampled < e0 - 1e-6
-        res = minimize_order_parameter(p, space)
+        res = minimize_order_parameter(*p, space)
         assert res.psi > 0.1
         assert res.energy <= sampled + 1e-9
 
     def test_vacuum_lobe_below_first_polariton(self):
-        p = GrandCanonicalParams(jc=JC0, mu=WR - 1.5 * G, zj=0.001 * G)
-        res = minimize_order_parameter(p, SiteSpace(6))
+        res = minimize_order_parameter(JC0, WR - 1.5 * G, 0.001 * G, SiteSpace(6))
         assert res.psi < 1e-6
         assert res.n_polariton == pytest.approx(0.0, abs=1e-8)
 
     def test_window_edge_error(self):
-        p = GrandCanonicalParams(jc=JC0, mu=WR - 0.7 * G, zj=0.5 * G)
         with pytest.raises(CutoffWindowError):
-            minimize_order_parameter(p, SiteSpace(8), psi_max=0.5)
+            minimize_order_parameter(JC0, WR - 0.7 * G, 0.5 * G, SiteSpace(8), psi_max=0.5)
 
 
 class TestMottWindows:
@@ -171,8 +164,7 @@ class TestMottWindows:
         lo, hi = mott_window_analytic(JC0, 1)
         space = SiteSpace(6)
         for mu in np.linspace(lo + 0.02 * G, hi - 0.02 * G, 5):
-            p = GrandCanonicalParams(jc=JC0, mu=float(mu), zj=0.002 * G)
-            assert minimize_order_parameter(p, space).psi < 1e-5
+            assert minimize_order_parameter(JC0, float(mu), 0.002 * G, space).psi < 1e-5
 
 
 class TestLobeBoundary:
@@ -255,11 +247,11 @@ class TestSusceptibilityVerdict:
     def test_agrees_with_the_search_oracle(self, omega_r, g, detuning, mu_offset, zj):
         # energies scale with g: δ, μ - ω_r and zJ are drawn in its units
         jc = JCParams(omega_r, omega_r - detuning * g, g)
-        p = GrandCanonicalParams(jc=jc, mu=omega_r + mu_offset * g, zj=zj * g)
+        mu, zj = omega_r + mu_offset * g, zj * g
         space = SiteSpace(6)
-        ratio = p.zj * susceptibility(jc, p.mu, space)
-        res = minimize_order_parameter(p, space)
-        ref = oracles.search_order_parameter(p, space)
+        ratio = zj * susceptibility(jc, mu, space)
+        res = minimize_order_parameter(jc, mu, zj, space)
+        ref = oracles.search_order_parameter(jc, mu, zj, space)
         if abs(ratio - 1) >= 1e-3:
             assert (ratio > 1) == (ref.psi > PSI_FLOOR)
         if ratio < 1:
@@ -267,12 +259,12 @@ class TestSusceptibilityVerdict:
             assert abs(res.n_polariton - round(res.n_polariton)) <= 1e-9
             return
         # a minimum no higher than the oracle's, where ψ = Re⟨a⟩ holds
-        energy, x_mean, chi = ground_response(local_mf_hamiltonian(p, res.psi, space).toarray(),
-                                              site_x(space))
+        h = oracles.local_mf_hamiltonian(jc, mu, zj, res.psi, space).toarray()
+        energy, x_mean, chi = ground_response(h, site_x(space))
         assert res.energy == pytest.approx(energy, abs=1e-12)
         assert res.energy <= ref.energy + 1e-12
         assert abs(res.psi - 0.5 * x_mean) <= 1e-6
-        curvature = 2 * p.zj * (1 - p.zj * chi)        # d²E/dψ², second-order response
+        curvature = 2 * zj * (1 - zj * chi)        # d²E/dψ², second-order response
         assert curvature > 0
         # the oracle searches the energy, so it resolves ψ to 1e-6 only where a
         # 1e-6 shift moves E by well above roundoff; near the lobe edge, or at

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 from cqedlat.resonator import (
     Mode,
     ResonatorSpec,
-    boundary_residuals,
     hopping_amplitude,
     port_rate,
     solve_modes,
@@ -15,6 +14,18 @@ from cqedlat.resonator import (
 
 ELL, CAP, LX = 4.1e-7, 1.7e-10, 0.01  # coplanar-waveguide-like numbers
 CTOT = CAP * LX
+
+
+def boundary_residuals(mode: Mode) -> tuple[float, float]:
+    """Oracle: relative defect of ∓∂_xΦ|_{x∓} = ℓC∓ω²Φ|_{x∓} at both ends,
+    from the derivative of the mode's cosine."""
+    s = mode.spec
+    dphi_left = -mode.amplitude * mode.k * math.sin(mode.phase)
+    dphi_right = -mode.amplitude * mode.k * math.sin(mode.k * s.L_x + mode.phase)
+    scale = abs(mode.amplitude * mode.k)
+    left = (-dphi_left) - s.ell * s.C_minus * mode.omega ** 2 * mode.left_value
+    right = dphi_right - s.ell * s.C_plus * mode.omega ** 2 * mode.right_value
+    return abs(left) / scale, abs(right) / scale
 
 
 def sign_scan_roots(chi_m, chi_p, w_max, n_grid=2_000_001):

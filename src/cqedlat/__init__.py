@@ -5,6 +5,8 @@ operator term kernel), ``jc`` (single-site Jaynes-Cummings), ``lattice`` (JCHM t
 and sector diagonalization), ``lindblad`` (open-system engine), ``meanfield``
 (equilibrium lobes and driven fixed points), ``resonator`` (transmission-line
 modes), ``circuits`` (netlist quantization) and ``cli`` (reproducible runs).
+The package holds what the eight CLI commands run; reference implementations
+that only tests use live in the test suite (``tests/oracles.py``).
 Operators are plain complex ``scipy.sparse`` CSR matrices.  Importing the
 package or its CLI loads neither ``scipy.integrate`` nor ``scipy.optimize``:
 ``meanfield`` loads on first use, through the module ``__getattr__`` for the
@@ -20,19 +22,18 @@ from .hilbert import (  # noqa: F401
     cutoff_convergence,
     expectation,
 )
-from .jc import JCParams, hubbard_u, jc_hamiltonian, linewidth, polariton_energy  # noqa: F401
+from .jc import JCParams, jc_hamiltonian, polariton_energy  # noqa: F401
 from .lattice import LatticeParams, build_jchm, chain, sector_basis  # noqa: F401
 from .lindblad import (  # noqa: F401
     DissipationRates,
     DriveSpec,
     build_liouvillian,
-    evolve,
     g2_zero,
     steady_state,
     transmission_scan,
 )
-from .resonator import ResonatorSpec, hopping_amplitude, port_rate, solve_modes  # noqa: F401
-from .circuits import build_lagrangian, coupling_estimate, parse_netlist, quantize  # noqa: F401
+from .resonator import ResonatorSpec, solve_modes  # noqa: F401
+from .circuits import build_lagrangian, parse_netlist, quantize  # noqa: F401
 
 _MEANFIELD_NAMES = ("driven_mf_steady", "minimize_order_parameter", "phase_diagram")
 

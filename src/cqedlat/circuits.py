@@ -41,7 +41,6 @@ __all__ = [
     "H_PLANCK",
     "HBAR",
     "PHI0",
-    "FINE_STRUCTURE",
     "Capacitor",
     "Inductor",
     "Junction",
@@ -51,17 +50,14 @@ __all__ = [
     "NetlistError",
     "SingularCapacitanceError",
     "parse_netlist",
-    "serialize_netlist",
     "build_lagrangian",
     "quantize",
-    "coupling_estimate",
 ]
 
 E_CHARGE = 1.602176634e-19          # elementary charge [C]
 H_PLANCK = 6.62607015e-34           # Planck constant [J s]
 HBAR = H_PLANCK / (2.0 * math.pi)
 PHI0 = H_PLANCK / (2.0 * E_CHARGE)  # superconducting flux quantum h/2e [Wb]
-FINE_STRUCTURE = 1.0 / 137.035999
 
 
 class NetlistError(ValueError):
@@ -265,23 +261,6 @@ def parse_netlist(text: str) -> CircuitNetlist:
                           capacitors=tuple(caps), inductors=tuple(inds),
                           junctions=tuple(j for _, j in jjs),
                           fluxes=tuple(sorted(fluxes.items())))
-
-
-def serialize_netlist(netlist: CircuitNetlist) -> str:
-    """Canonical text form; parse(serialize(parse(text))) is an identity."""
-    lines: list[str] = []
-    for n in netlist.nodes:
-        lines.append(f"GROUND {n}" if n == netlist.ground else f"NODE {n}")
-    for c in netlist.capacitors:
-        lines.append(f"C {c.node_a} {c.node_b} {c.farads!r}")
-    for l in netlist.inductors:
-        lines.append(f"L {l.node_a} {l.node_b} {l.henries!r}")
-    for j in netlist.junctions:
-        closure = f" CLOSURE {j.closure_loop}" if j.closure_loop else ""
-        lines.append(f"JJ {j.node_a} {j.node_b} {j.ej_joules!r}{closure}")
-    for loop, phi in netlist.fluxes:
-        lines.append(f"FLUX {loop} {phi!r}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -597,16 +576,3 @@ def quantize(lagr: CircuitLagrangian, charge_cutoff: int = 20,
     return QuantizedCircuit(lagrangian=lagr, c_inverse=c_inv, bases=tuple(bases),
                             hamiltonian=h)
 
-
-def coupling_estimate(beta: float, ej: float, ec: float,
-                      alpha: float = FINE_STRUCTURE) -> float:
-    """Qubit-resonator coupling ratio g/ω_r ≈ 2β (E_J / 2E_C)^{1/4} √α.
-
-    β is the capacitance divider ratio (order unity, supplied by the caller;
-    it is not derivable from the netlist quantities used here).
-    """
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
-    if ej <= 0 or ec <= 0 or alpha <= 0:
-        raise ValueError("ej, ec and alpha must be positive")
-    return 2.0 * beta * (ej / (2.0 * ec)) ** 0.25 * math.sqrt(alpha)

@@ -15,7 +15,9 @@ Configuration comes from a JSON file (--config) and/or per-key flags; flags
 override the file, and every key of a command's schema in ``SCHEMAS`` is both.
 Every run writes a CSV table plus a JSON summary holding the fully resolved
 configuration, library versions and the verdict of every check; the summary
-validates against the schema shipped in ``cqedlat/schemas``.  Runs are
+validates against the schema shipped in ``cqedlat/schemas`` and is strict JSON,
+a non-finite number being written as ``null``.  An unreadable config or
+netlist file is an input error, like a malformed one.  Runs are
 deterministic: identical configs produce byte-identical CSVs, and the scan
 points of ``blockade-scan`` keep their grid order on any ``workers`` count.
 
@@ -252,6 +254,17 @@ def _coerce(key: str, field: Field, value: Any, errors: list[tuple[str, str]]) -
         return None
 
 
+def _read_text(path: str, key: str) -> str:
+    """The text of a UTF-8 file; one that cannot be read is a config error at ``key``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise ConfigError([(key, f"file not found: {path}")])
+    except (OSError, UnicodeDecodeError) as exc:     # a directory, unreadable, not UTF-8
+        raise ConfigError([(key, f"cannot read {path}: {exc}")])
+
+
 def load_config(command: str, config_path: str | None,
                 overrides: dict[str, Any]) -> dict[str, Any]:
     """Merge config file and flag overrides against the command schema.
@@ -264,10 +277,7 @@ def load_config(command: str, config_path: str | None,
     raw: dict[str, Any] = {}
     if config_path is not None:
         try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError([("config", f"file not found: {config_path}")])
+            loaded = json.loads(_read_text(config_path, "config"))
         except json.JSONDecodeError as exc:
             raise ConfigError([("config", f"invalid JSON: {exc}")])
         if not isinstance(loaded, dict):
@@ -324,9 +334,10 @@ def _cmd_jc_spectrum(config: dict[str, Any]):
     numeric = np.linalg.eigvalsh(h.toarray())
     rows = []
     max_err = 0.0
+    # without the RWA the closed form is no prediction, so no row is compared
     rows.append({"n": 0, "branch": "0", "energy": 0.0, "chi": 0.0, "theta": 0.0,
                  "energy_numeric": float(numeric[np.argmin(np.abs(numeric))]),
-                 "abs_err": float(np.min(np.abs(numeric)))})
+                 "abs_err": float(np.min(np.abs(numeric))) if config["rwa"] else float("nan")})
     for n in range(1, config["n_max"] + 1):
         for branch in ("-", "+"):
             e = polariton_energy(p, n, branch)
@@ -337,6 +348,8 @@ def _cmd_jc_spectrum(config: dict[str, Any]):
             rows.append({"n": n, "branch": branch, "energy": e, "chi": chi_n(p, n),
                          "theta": mixing_angle(p, n), "energy_numeric": float(numeric[k]),
                          "abs_err": err})
+    if not config["rwa"]:
+        return rows, {}
     conv = {"max_abs_err_below_cutoff": max_err, "analytic_matches_numeric": max_err < 1e-10}
     return rows, conv
 
@@ -514,12 +527,7 @@ def _cmd_modes(config: dict[str, Any]):
 
 
 def _cmd_quantize(config: dict[str, Any]):
-    try:
-        with open(config["netlist"], "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except FileNotFoundError:
-        raise ConfigError([("netlist", f"file not found: {config['netlist']}")])
-    netlist = parse_netlist(text)
+    netlist = parse_netlist(_read_text(config["netlist"], "netlist"))
     lagr = build_lagrangian(netlist)
     qc = quantize(lagr, charge_cutoff=config["charge_cutoff"],
                   oscillator_levels=config["oscillator_levels"])
@@ -600,7 +608,9 @@ def build_summary(command: str, config: dict[str, Any], csv_path: str,
         if isinstance(v, dict):
             return {k: jsonable(x) for k, x in v.items()}
         if isinstance(v, (np.floating, np.integer)):
-            return v.item()
+            v = v.item()
+        if isinstance(v, float) and not math.isfinite(v):
+            return None       # JSON has no NaN or infinity
         if isinstance(v, (bool, int, float, str)) or v is None:
             return v
         return str(v)
@@ -645,7 +655,7 @@ def run_command(command: str, config: dict[str, Any], csv_path: str,
         raise error
     if summary_path:
         with open(summary_path, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
+            json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     failed = _failed_checks(convergence)
     if failed:

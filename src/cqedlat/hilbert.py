@@ -44,9 +44,7 @@ __all__ = [
     "DensityMatrix",
     "ConvergenceCheck",
     "annihilation",
-    "number",
     "qubit_lower",
-    "qubit_number",
     "sigma_z",
     "Factor",
     "Term",
@@ -55,7 +53,6 @@ __all__ = [
     "diagonal_factor",
     "assemble",
     "photon_op_on",
-    "qubit_op_on",
     "total_excitation",
     "expectation",
     "cutoff_convergence",
@@ -157,14 +154,6 @@ class DensityMatrix:
         self.dim = rho.shape[0]
 
     @classmethod
-    def vacuum(cls, space: LatticeSpace) -> "DensityMatrix":
-        """All photons absent, all qubits in the ground state."""
-        d = space.total_dim
-        rho = np.zeros((d, d), dtype=np.complex128)
-        rho[0, 0] = 1.0
-        return cls(rho, check=False)
-
-    @classmethod
     def pure(cls, vector: np.ndarray) -> "DensityMatrix":
         v = np.asarray(vector, dtype=np.complex128).ravel()
         nrm = np.linalg.norm(v)
@@ -172,12 +161,6 @@ class DensityMatrix:
             raise ValueError("cannot build a state from the zero vector")
         v = v / nrm
         return cls(np.outer(v, v.conj()), check=False)
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh((self.rho + self.rho.conj().T) / 2.0)[0])
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.rho))
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"
@@ -196,20 +179,9 @@ def annihilation(space: SiteSpace) -> sp.csr_matrix:
     return _csr(sp.diags(np.sqrt(np.arange(1, n)), offsets=1, shape=(n, n)))
 
 
-def number(space: SiteSpace) -> sp.csr_matrix:
-    """a†a on the Fock factor, as the exact diagonal 0, 1, ..., n_max."""
-    n = space.photon_cutoff + 1
-    return _csr(sp.diags(np.arange(n, dtype=float)))
-
-
 def qubit_lower() -> sp.csr_matrix:
     """σ⁻ = |g⟩⟨e| in the (g, e) ordering used throughout."""
     return _csr(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def qubit_number() -> sp.csr_matrix:
-    """Excited-state projector σ⁺σ⁻."""
-    return _csr(np.diag([0.0, 1.0]))
 
 
 def sigma_z() -> sp.csr_matrix:
@@ -318,11 +290,6 @@ def assemble(terms: Iterable[Term], basis: np.ndarray) -> sp.csr_matrix:
 def photon_op_on(space: LatticeSpace, site_index: int, photon_op: sp.spmatrix) -> sp.csr_matrix:
     """A photon-factor operator on one site, identity elsewhere and on the local qubit."""
     return assemble([(1.0, (site_factor(space, site_index, photon_op),))], occupation_basis(space))
-
-
-def qubit_op_on(space: LatticeSpace, site_index: int, qubit_op: sp.spmatrix) -> sp.csr_matrix:
-    """A qubit-factor operator on one site, identity elsewhere and on the local photon mode."""
-    return assemble([(1.0, (site_factor(space, site_index, qubit_op=qubit_op),))], occupation_basis(space))
 
 
 def total_excitation(space: LatticeSpace) -> sp.csr_matrix:

@@ -1,4 +1,4 @@
-"""Single-site Jaynes-Cummings physics: Hamiltonians, polaritons, nonlinearity.
+"""Single-site Jaynes-Cummings physics: the Hamiltonian and its dressed levels.
 
 Conventions (ħ = 1, all frequencies angular):
 
@@ -11,6 +11,11 @@ Conventions (ħ = 1, all frequencies angular):
   |n,−⟩ = sin θ_n |n, g⟩ − cos θ_n |n-1, e⟩, which reduce correctly to the
   photon-like / qubit-like product states in the g → 0 limit on either side
   of resonance.
+
+``jc-spectrum`` tabulates ε_n±, χ_n and θ_n against the numeric spectrum of
+:func:`jc_hamiltonian`; the mean-field lobes read the staircase ε_n⁻.  The
+on-site nonlinearity U = ε_2 - 2ε_1 (g(2 - √2) on resonance) follows from
+:func:`polariton_energy`.
 """
 
 from __future__ import annotations
@@ -18,26 +23,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 import scipy.sparse as sp
 
 from .hilbert import LatticeSpace, SiteSpace
 
 __all__ = [
     "JCParams",
-    "PolaritonLevel",
     "jc_hamiltonian",
     "chi",
     "mixing_angle",
     "polariton_energy",
-    "polariton_level",
-    "dressed_state",
-    "hubbard_u",
-    "linewidth",
 ]
-
-BRANCHES = ("+", "-")
-
 
 @dataclass(frozen=True)
 class JCParams:
@@ -57,23 +53,6 @@ class JCParams:
     def delta(self) -> float:
         """Detuning δ = ω_r - ω_q."""
         return self.omega_r - self.omega_q
-
-
-@dataclass(frozen=True)
-class PolaritonLevel:
-    """One dressed level: quantum number n >= 1, branch '+' or '-'."""
-
-    n: int
-    branch: str
-    energy: float
-    theta: float
-    chi: float
-
-
-def _check_branch(branch: str) -> float:
-    if branch not in BRANCHES:
-        raise ValueError(f"branch must be '+' or '-', got {branch!r}")
-    return +1.0 if branch == "+" else -1.0
 
 
 def chi(p: JCParams, n: int) -> float:
@@ -96,16 +75,10 @@ def polariton_energy(p: JCParams, n: int, branch: str = "-") -> float:
         raise ValueError(f"excitation number must be >= 0, got {n}")
     if n == 0:
         return 0.0
-    sign = _check_branch(branch)
+    if branch not in ("+", "-"):
+        raise ValueError(f"branch must be '+' or '-', got {branch!r}")
+    sign = 1.0 if branch == "+" else -1.0
     return p.omega_r * n - 0.5 * p.delta + sign * chi(p, n)
-
-
-def polariton_level(p: JCParams, n: int, branch: str) -> PolaritonLevel:
-    _check_branch(branch)
-    if n < 1:
-        raise ValueError(f"polariton levels start at n = 1, got {n}")
-    return PolaritonLevel(n=n, branch=branch, energy=polariton_energy(p, n, branch),
-                          theta=mixing_angle(p, n), chi=chi(p, n))
 
 
 def jc_hamiltonian(p: JCParams, space: SiteSpace, rwa: bool = True) -> sp.csr_matrix:
@@ -118,48 +91,3 @@ def jc_hamiltonian(p: JCParams, space: SiteSpace, rwa: bool = True) -> sp.csr_ma
     """
     from .lattice import LatticeParams, build_jchm   # lattice imports JCParams from here
     return build_jchm(LatticeParams.single_site(p), LatticeSpace((space,)), rwa=rwa)
-
-
-def dressed_state(p: JCParams, n: int, branch: str, space: SiteSpace) -> np.ndarray:
-    """Normalized dressed eigenvector |n,±⟩ in the site basis.
-
-    |n,+⟩ = cos θ_n |n, g⟩ + sin θ_n |n-1, e⟩,
-    |n,−⟩ = sin θ_n |n, g⟩ − cos θ_n |n-1, e⟩.
-    """
-    _check_branch(branch)
-    if n < 1:
-        raise ValueError(f"dressed states are defined for n >= 1, got {n}")
-    if n > space.photon_cutoff:
-        raise ValueError(f"n = {n} exceeds photon cutoff {space.photon_cutoff}")
-    theta = mixing_angle(p, n)
-    vec = np.zeros(space.dim, dtype=np.complex128)
-    i_ng = space.basis_index(n, 0)
-    i_me = space.basis_index(n - 1, 1)
-    if branch == "+":
-        vec[i_ng] = math.cos(theta)
-        vec[i_me] = math.sin(theta)
-    else:
-        vec[i_ng] = math.sin(theta)
-        vec[i_me] = -math.cos(theta)
-    return vec
-
-
-def hubbard_u(p: JCParams, branch: str = "-") -> float:
-    """Spectral anharmonicity U = (ε_2± - ε_1±) - (ε_1± - ε_0).
-
-    On resonance (δ = 0, branch '-') this is g(2 - √2).  In the dispersive
-    regime the photon-like branch ('+' for δ > 0, '-' for δ < 0) falls off
-    as g⁴/δ³.
-    """
-    _check_branch(branch)
-    e0 = 0.0
-    e1 = polariton_energy(p, 1, branch)
-    e2 = polariton_energy(p, 2, branch)
-    return (e2 - e1) - (e1 - e0)
-
-
-def linewidth(gamma1: float, gamma_phi: float, gamma_kappa: float) -> float:
-    """Polariton linewidth δε = (γ₁ + 2γ_φ + γ_κ)/2 on resonance."""
-    if gamma1 < 0 or gamma_phi < 0 or gamma_kappa < 0:
-        raise ValueError("rates must be non-negative")
-    return 0.5 * (gamma1 + 2.0 * gamma_phi + gamma_kappa)

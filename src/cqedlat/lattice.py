@@ -17,7 +17,12 @@ A sector block equals the matching full-space block entry for entry, the
 hopping amplitudes being J·(√n_j·√(n_i + 1)) in both.
 
 A lattice is built in code, from :class:`LatticeParams` or :func:`chain`;
-no command reads one from a file, so there is no lattice file format.
+no command reads one from a file, so there is no lattice file format.  A
+sector is its basis array (:func:`sector_basis`): one row of site states
+s = 2n + q per configuration, so ``len`` gives its dimension and
+``np.divmod(states, 2)`` its (n_photon, qubit) pairs.  The commands reach this
+module through ``sector-nonlinearity`` (sector ground energies of
+band-resonant rings) and through the Hamiltonians of every open-system run.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from .jc import JCParams
 
 __all__ = [
     "LatticeParams",
-    "ExcitationSector",
     "chain",
     "jchm_terms",
     "build_jchm",
@@ -64,18 +68,17 @@ class LatticeParams:
     """Per-site JC parameters plus an undirected weighted edge list.
 
     Edges are stored as (i, j, J) with i < j; declaring both (i, j) and
-    (j, i) is allowed only with equal J (the hopping term is Hermitian).
+    (j, i) is allowed only with equal J (the hopping term is Hermitian).  The
+    edge list alone fixes the boundary: a periodic chain is one that carries
+    the wrap-around edge.
     """
 
     site_params: tuple[JCParams, ...]
     edges: tuple[tuple[int, int, float], ...] = ()
-    boundary: str = "open"
 
     def __post_init__(self) -> None:
         if not self.site_params:
             raise ValueError("at least one site is required")
-        if self.boundary not in ("open", "periodic"):
-            raise ValueError(f"boundary must be 'open' or 'periodic', got {self.boundary!r}")
         n = len(self.site_params)
         seen: dict[tuple[int, int], float] = {}
         for (i, j, J) in self.edges:
@@ -101,27 +104,6 @@ class LatticeParams:
         return cls(site_params=(p,))
 
 
-@dataclass(frozen=True)
-class ExcitationSector:
-    """Basis of the fixed-polariton-number subspace.
-
-    ``states`` holds one row of site states s = 2n + q per configuration,
-    with Σ (n + q) = N, in lexicographic order so sector indices are
-    reproducible; ``configs`` gives the same rows as (n_photon, qubit) pairs.
-    """
-
-    N: int
-    states: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return len(self.states)
-
-    @property
-    def configs(self) -> np.ndarray:
-        return np.stack(np.divmod(self.states, 2), axis=-1)
-
-
 def chain(p: JCParams, n_sites: int, J: float, boundary: str = "open") -> LatticeParams:
     """Uniform 1D chain; the periodic variant adds the wrap-around bond.
 
@@ -130,11 +112,12 @@ def chain(p: JCParams, n_sites: int, J: float, boundary: str = "open") -> Lattic
     """
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
+    if boundary not in ("open", "periodic"):
+        raise ValueError(f"boundary must be 'open' or 'periodic', got {boundary!r}")
     edges = [(i, i + 1, J) for i in range(n_sites - 1)]
     if boundary == "periodic" and n_sites > 2:
         edges.append((0, n_sites - 1, J))
-    return LatticeParams(site_params=tuple(p for _ in range(n_sites)),
-                         edges=tuple(edges), boundary=boundary)
+    return LatticeParams(site_params=tuple(p for _ in range(n_sites)), edges=tuple(edges))
 
 
 def jchm_terms(params: LatticeParams, space: LatticeSpace, rwa: bool = True) -> list[Term]:
@@ -164,27 +147,29 @@ def build_jchm(params: LatticeParams, space: LatticeSpace, rwa: bool = True) -> 
     return assemble(jchm_terms(params, space, rwa), occupation_basis(space))
 
 
-def sector_basis(space: LatticeSpace, N: int) -> ExcitationSector:
-    """All occupation configurations with total polariton number N."""
+def sector_basis(space: LatticeSpace, N: int) -> np.ndarray:
+    """Site states of all configurations with total polariton number N, one row
+    each in lexicographic order (see :func:`cqedlat.hilbert.occupation_basis`)."""
     max_n = sum(s.photon_cutoff + 1 for s in space.sites)
     if not 0 <= N <= max_n:
         raise ValueError(f"N = {N} lies outside 0..{max_n}, the maximum representable")
-    return ExcitationSector(N=N, states=occupation_basis(space, N))
+    return occupation_basis(space, N)
 
 
-def sector_hamiltonian(params: LatticeParams, space: LatticeSpace, N: int) -> tuple[sp.csr_matrix, ExcitationSector]:
-    """Hamiltonian block restricted to the N-excitation sector: the term list of
-    :func:`build_jchm` assembled on the sector basis, never on the full space."""
-    sector = sector_basis(space, N)
-    return assemble(jchm_terms(params, space), sector.states), sector
+def sector_hamiltonian(params: LatticeParams, space: LatticeSpace, N: int) -> sp.csr_matrix:
+    """Hamiltonian block restricted to the N-excitation sector, in the row order of
+    :func:`sector_basis`: the term list of :func:`build_jchm` assembled on the
+    sector basis, never on the full space."""
+    return assemble(jchm_terms(params, space), sector_basis(space, N))
 
 
 def sector_ground_energy(params: LatticeParams, space: LatticeSpace, N: int) -> float:
     """Lowest eigenvalue of the N-excitation block."""
-    h, sector = sector_hamiltonian(params, space, N)
-    if sector.dim == 1:
+    h = sector_hamiltonian(params, space, N)
+    dim = h.shape[0]
+    if dim == 1:
         return float(h[0, 0].real)
-    if sector.dim <= DENSE_SECTOR_LIMIT:
+    if dim <= DENSE_SECTOR_LIMIT:
         return float(np.linalg.eigvalsh(h.toarray())[0])
     vals = spla.eigsh(h, k=1, which="SA", tol=EIGSH_TOL, return_eigenvectors=False)
     return float(vals[0])

@@ -1,6 +1,6 @@
 """Open-system engine: Lindblad master equation, steady states, blockade observables.
 
-The master equation evolved here is
+The master equation whose generator this module builds is
 
     ∂_t ρ = -i[H + H_drive, ρ] + γ₁ Σ_n D[σ⁻_n]ρ + γ_φ Σ_n D[σ^z_n]ρ
             + γ_κ Σ_n D[a_n]ρ + Σ_{p ∈ ports} κ_p D[a_p]ρ,
@@ -21,8 +21,10 @@ Lρ = -i(H_eff ρ - ρ H_eff†) + Σ_c C_c ρ C_c† costs d×d products only. 
 steady state is a matrix-free GMRES solve preconditioned by the exact inverse
 of the no-jump part (see :func:`steady_state`).  The d²×d² superoperator, in
 row-major (C-order) vectorization vec(AρB) = (A ⊗ Bᵀ)vec(ρ), is assembled
-only on demand (:attr:`Liouvillian.matrix`), for time evolution and as a test
-oracle.
+only on demand (:attr:`Liouvillian.matrix`): the driven mean field integrates
+and factors it, and the tests use it as an oracle.  ``blockade-scan``,
+``dimer-g2`` and ``driven-mf`` reach this module.  No command evolves a given
+initial state or fits a lineshape; those routes are test oracles.
 """
 
 from __future__ import annotations
@@ -57,9 +59,7 @@ __all__ = [
     "DissipationRates",
     "DriveSpec",
     "Liouvillian",
-    "EvolveResult",
     "ScanPoint",
-    "LorentzianFit",
     "StiffnessError",
     "ConvergenceError",
     "DegenerateSteadyStateError",
@@ -67,17 +67,15 @@ __all__ = [
     "CutoffWindowError",
     "MeanFieldConvergenceError",
     "build_liouvillian",
-    "evolve",
     "steady_state",
     "g2_zero",
     "transmission_scan",
-    "fit_lorentzian",
 ]
 
 TRACE_PRESERVATION_RTOL = 1e-10
 STEADY_RESIDUAL_RTOL = 1e-10
-# tolerances of every time integration, all by DOP853: ``evolve`` here and
-# each control interval of the driven mean field
+# tolerances of every time integration, all by DOP853: each control interval
+# of the driven mean field
 ODE_RTOL = 1e-9
 ODE_ATOL = 1e-12
 # GMRES stopping rules, relative to the right-hand side: the first solve,
@@ -166,7 +164,7 @@ class DriveSpec:
 
 class Liouvillian:
     """Master-equation generator held as d×d operators: the one generator that
-    :func:`evolve`, :func:`steady_state` and the driven mean field act with.
+    :func:`steady_state`, the blockade scan and the driven mean field act with.
 
     ``h_rot`` is the Hermitian Hamiltonian of the frame the generator acts in
     (dense or sparse; d is its dimension) and ``jumps`` the √rate-weighted jump
@@ -191,7 +189,12 @@ class Liouvillian:
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
-        """The d²×d² sparse superoperator, assembled on first access."""
+        """The d²×d² sparse superoperator, assembled on first access.
+
+        Read by the driven mean field, which integrates with it and factors it
+        bordered, and by the tests as a dense oracle; :func:`steady_state`
+        never assembles it.
+        """
         eye = sp.identity(self.dim, dtype=np.complex128, format="csr")
         h = sp.csr_matrix(self.h_eff)
         gen = (-1j) * (sp.kron(h, eye, format="csr") - sp.kron(eye, h.conj(), format="csr"))
@@ -283,60 +286,6 @@ def build_liouvillian(h: sp.csr_matrix, rates: DissipationRates, drive: DriveSpe
         n_tot, x_drive = _rotating_frame_terms(h, space, drive.driven_sites)
         h_rot = h_rot - drive.omega_d * n_tot + drive.xi * x_drive
     return Liouvillian(h_rot, collapse_operators(rates, space))
-
-
-# ---------------------------------------------------------------------------
-# time evolution
-
-@dataclass
-class EvolveResult:
-    times: np.ndarray
-    states: list[DensityMatrix]
-    trace_drift: float
-    min_eigenvalue: float
-
-    @property
-    def final(self) -> DensityMatrix:
-        return self.states[-1]
-
-
-def evolve(liouv: Liouvillian, rho0: DensityMatrix, t_final: float,
-           dt_control: float | None = None) -> EvolveResult:
-    """ρ(t) under ∂_t ρ = Lρ from ``rho0``, by SciPy's adaptive DOP853 (Dormand-Prince 8(5,3)).
-
-    Samples are taken from the dense interpolant at t = 0, every ``dt_control``
-    and at t_final (only at the two ends without ``dt_control``), symmetrized
-    ρ → (ρ + ρ†)/2 and validated as density matrices.  The trace is never
-    renormalized; its largest drift over the samples is reported, and stays
-    below 1e-8 at ``ODE_RTOL`` and ``ODE_ATOL``, next to the smallest
-    eigenvalue of the final state.
-
-    Raises :class:`StiffnessError` when the integrator fails, e.g. when the
-    step size underflows.
-    """
-    if rho0.dim != liouv.dim:
-        raise ValueError(f"state dim {rho0.dim} does not match Liouvillian dim {liouv.dim}")
-    if t_final < 0:
-        raise ValueError("t_final must be non-negative")
-    from scipy.integrate import solve_ivp
-
-    d = liouv.dim
-    mat = liouv.matrix
-    y0 = rho0.rho.reshape(-1).astype(np.complex128)
-    times, samples = np.array([0.0]), y0[:, None]
-    if t_final > 0:
-        n_out = max(1, round(t_final / dt_control)) if dt_control else 1
-        sol = solve_ivp(lambda _t, y: mat @ y, (0.0, t_final), y0, method="DOP853",
-                        t_eval=np.linspace(0.0, t_final, n_out + 1),
-                        rtol=ODE_RTOL, atol=ODE_ATOL)
-        if sol.status < 0:
-            raise StiffnessError(f"integration failed before t = {t_final:.6g} (dim = {d}): "
-                                 f"{sol.message}")
-        times, samples = sol.t, sol.y
-    states = [DensityMatrix(0.5 * (r + r.conj().T)) for r in (y.reshape(d, d) for y in samples.T)]
-    drift = max(abs(s.trace() - 1.0) for s in states)
-    return EvolveResult(times=times, states=states, trace_drift=drift,
-                        min_eigenvalue=states[-1].min_eigenvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -591,40 +540,3 @@ def transmission_scan(params: LatticeParams, space: LatticeSpace,
         out += [replace(r, t_norm=r.abs_a / peak if peak > 0 else 0.0) for r in rows]
     return out
 
-
-# ---------------------------------------------------------------------------
-# lineshape fitting
-
-@dataclass(frozen=True)
-class LorentzianFit:
-    center: float
-    fwhm: float
-    height: float
-    offset: float
-
-
-def fit_lorentzian(x: Sequence[float], power: Sequence[float]) -> LorentzianFit:
-    """Least-squares Lorentzian fit h·(Γ/2)² / ((x-c)² + (Γ/2)²) + b.
-
-    Fit the *power* lineshape (|⟨a⟩|² for transmission scans); its full width
-    at half maximum equals the polariton linewidth δε in linear response.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(power, dtype=float)
-    if x.size < 5:
-        raise ValueError("need at least 5 points for a lineshape fit")
-    from scipy.optimize import curve_fit
-
-    b0 = float(np.min(y))
-    h0 = float(np.max(y) - b0)
-    c0 = float(x[np.argmax(y)])
-    above = x[y > b0 + 0.5 * h0]
-    w0 = float(above.max() - above.min()) if above.size >= 2 else (x[1] - x[0]) * 3
-
-    def model(w, c, fwhm, h, b):
-        hw = 0.5 * fwhm
-        return h * hw**2 / ((w - c) ** 2 + hw**2) + b
-
-    popt, _ = curve_fit(model, x, y, p0=[c0, max(w0, 1e-12), h0, b0], maxfev=20000)
-    c, fwhm, h, b = popt
-    return LorentzianFit(center=float(c), fwhm=float(abs(fwhm)), height=float(h), offset=float(b))

@@ -11,11 +11,12 @@ energy depend on |ψ| only, so the minimum is sought over real ψ >= 0.  The
 transition is continuous, so a cell is Mott exactly when zJχ(μ) < 1, with
 χ(μ) = Σ_m |⟨m|a + a†|0⟩|²/(E_m - E₀) the susceptibility of the J = 0 site
 ground state: Mott cells take ψ = 0 from that eigensystem without a search,
-the lobe boundary is zJ_c(μ) = 1/χ(μ) in closed form, and only superfluid
-cells search ψ (a grid bracket, then Newton on dE/dψ = 0 with the curvature
-from second-order response).  The J = 0 lobe edges in μ also come in closed
-form from the dressed-level staircase.  The equilibrium functions take the
-site's :class:`JCParams`, μ and zJ as plain arguments.
+the lobe boundary zJ_c(μ) = 1/χ(μ) comes in closed form (each cell's
+``zj_critical``), and only superfluid cells search ψ (a grid bracket, then
+Newton on dE/dψ = 0 with the curvature from second-order response).  The
+J = 0 lobe edges in μ also come in closed form from the dressed-level
+staircase.  The equilibrium functions take the site's :class:`JCParams`, μ
+and zJ as plain arguments.
 
 Driven-dissipative: the same decoupling applied to the local density matrix
 gives a closed nonlinear master equation in the drive rotating frame,
@@ -60,7 +61,7 @@ from .hilbert import (
     total_excitation,
 )
 from .jc import JCParams, jc_hamiltonian, polariton_energy
-from .lattice import LatticeParams, build_jchm, sector_ground_energy
+from .lattice import LatticeParams, build_jchm
 from .lindblad import (
     ODE_ATOL,
     ODE_RTOL,
@@ -85,8 +86,6 @@ __all__ = [
     "MeanFieldConvergenceError",
     "minimize_order_parameter",
     "mott_window_analytic",
-    "mott_window_numeric",
-    "lobe_boundary",
     "phase_diagram",
     "driven_mf_steady",
 ]
@@ -97,7 +96,6 @@ PSI_GRID_POINTS = 49      # coarse ψ grid that brackets the minimum
 PSI_SEARCH_TOL = 1e-7     # the Newton refinement stops at a ψ step below this
 PSI_NEWTON_MAX_ITER = 50  # eigensolves of one refinement before it counts as failed
 GAP_RTOL = 1e-12          # a ground gap below this times the spectral radius is a degeneracy
-ZJ_RESOLUTION = 1e-4      # smallest lobe boundary zJ that counts as inside the lobe
 DISTINCT_TOL = 1e-4       # driven fixed points closer than this are one branch
 CYCLE_SAMPLES = 40        # ψ samples a limit-cycle verdict needs
 NEWTON_MAX_ITER = 8       # F evaluations of one Newton run before it counts as failed
@@ -250,37 +248,6 @@ def mott_window_analytic(jc: JCParams, N: int) -> tuple[float, float]:
     lower = polariton_energy(jc, N, "-") - polariton_energy(jc, N - 1, "-")
     upper = polariton_energy(jc, N + 1, "-") - polariton_energy(jc, N, "-")
     return lower, upper
-
-
-def mott_window_numeric(jc: JCParams, N: int, space: SiteSpace) -> tuple[float, float]:
-    """Same window from numerically diagonalized sector ground energies.
-
-    Independent cross-check of the closed-form staircase: the lowest energy
-    of each single-site excitation sector N - 1, N, N + 1 enters the window.
-    """
-    if N + 1 > space.photon_cutoff:
-        raise ValueError("photon cutoff too small to resolve the N+1 sector")
-    params, site = LatticeParams.single_site(jc), LatticeSpace((space,))
-    e_below, e_at, e_above = (sector_ground_energy(params, site, k) for k in (N - 1, N, N + 1))
-    return e_at - e_below, e_above - e_at
-
-
-def lobe_boundary(jc: JCParams, mu: float, space: SiteSpace, zj_max: float = 1.0) -> float:
-    """Critical zJ_c(μ) = 1/χ(μ) of the Mott lobe at fixed μ.
-
-    χ(μ) = Σ_m |⟨m|a + a†|0⟩|²/(E_m - E₀) from the J = 0 site spectrum.
-    Raises ValueError when zJ_c is not inside [``ZJ_RESOLUTION``, zj_max]:
-    μ outside the lobe (a degenerate J = 0 ground state gives zJ_c = 0), or
-    zj_max too small.
-    """
-    core = _SiteCore(jc, space)
-    zj_c = 1.0 / core.ground(core.h0(mu)).chi
-    if zj_c <= ZJ_RESOLUTION:
-        raise ValueError(f"already superfluid at zJ = {ZJ_RESOLUTION}; "
-                         f"μ = {mu} lies outside the Mott lobe")
-    if zj_c > zj_max:
-        raise ValueError(f"still Mott at zJ = {zj_max}; enlarge zj_max")
-    return zj_c
 
 
 def phase_diagram(jc: JCParams, mu_values: np.ndarray, zj_values: np.ndarray,

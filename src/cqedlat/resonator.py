@@ -1,4 +1,4 @@
-"""Transmission-line-resonator normal modes, hopping amplitudes and port rates.
+"""Transmission-line-resonator normal modes.
 
 This is the only module working in SI units (henry/m, farad/m, meters,
 seconds); everything else uses ħ = 1 frequency units.  A resonator of length
@@ -20,13 +20,14 @@ capacitively weighted normalization
     C₋Φ²(0) + C₊Φ²(L_x) + c ∫ Φ²(x) dx = 1,
 
 evaluated in closed form from the cosine (a numerical quadrature cross-check
-lives in the tests).
+lives in the tests).  The ``modes`` command tabulates these modes.  Hopping
+amplitudes J and port rates κ are not derived here: the lattice commands take
+them as inputs in ħ = 1 units.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,13 +36,9 @@ __all__ = [
     "ResonatorSpec",
     "Mode",
     "solve_modes",
-    "hopping_amplitude",
-    "port_rate",
 ]
 
 ROOT_RTOL = 1e-12
-NORMALIZATION_ATOL = 1e-8
-CAPACITIVE_COUPLING_WARN_RATIO = 0.1
 
 
 @dataclass(frozen=True)
@@ -171,36 +168,3 @@ def solve_modes(spec: ResonatorSpec, count: int) -> list[Mode]:
                           phase=phase, amplitude=amplitude, spec=spec))
     return modes
 
-
-def hopping_amplitude(spec_n: ResonatorSpec, spec_np: ResonatorSpec, C_c: float,
-                      mode_n: Mode, mode_np: Mode,
-                      end_n: str = "right", end_np: str = "left") -> float:
-    """Photon hopping J = (1/2) sqrt(ω_n ω_n') C_c Φ⁽ⁿ⁾ Φ⁽ⁿ'⁾ at the shared end.
-
-    The sign follows from the end-point values of the mode functions: joining
-    half-wavelength modes end-to-start gives J < 0, full-wavelength modes give
-    J > 0.  Valid for C_c small against the total resonator capacitance; a
-    warning is emitted above 10%.
-    """
-    if C_c < 0:
-        raise ValueError("coupling capacitance must be non-negative")
-    for spec, mode in ((spec_n, mode_n), (spec_np, mode_np)):
-        if mode.spec != spec:
-            raise ValueError("mode does not belong to the provided resonator spec")
-        if abs(mode.normalization_integral() - 1.0) > NORMALIZATION_ATOL:
-            raise ValueError(f"mode μ = {mode.mu} is not normalized")
-    ratio = max(C_c / (spec_n.c * spec_n.L_x), C_c / (spec_np.c * spec_np.L_x))
-    if ratio > CAPACITIVE_COUPLING_WARN_RATIO:
-        warnings.warn(
-            f"C_c is {ratio:.2f} of the total resonator capacitance; the "
-            "nearest-neighbor hopping picture degrades", stacklevel=2)
-    val_n = mode_n.right_value if end_n == "right" else mode_n.left_value
-    val_np = mode_np.left_value if end_np == "left" else mode_np.right_value
-    return 0.5 * math.sqrt(mode_n.omega * mode_np.omega) * C_c * val_n * val_np
-
-
-def port_rate(Z0: float, C_o: float, omega_r: float) -> float:
-    """Intended photon loss rate κ = 4 Z₀² C_o² ω_r³ of a capacitive output port."""
-    if Z0 <= 0 or C_o <= 0 or omega_r <= 0:
-        raise ValueError("port_rate inputs must be positive")
-    return 4.0 * Z0 ** 2 * C_o ** 2 * omega_r ** 3

@@ -1,4 +1,4 @@
-"""Reference implementations that the term kernel is tested against.
+"""Reference implementations that the package is tested against.
 
 These are the earlier operator builders, kept only as oracles: site operators
 lifted to the lattice by Kronecker products with identities, the JCHM summed
@@ -8,38 +8,50 @@ strategy that the property tests share, and the earlier mean-field ψ search
 (a grid plus a bounded Brent refinement in every cell) with the lobe-boundary
 bisection built on it, both on the single-site H(ψ) assembled from the
 Kronecker lifts.
+
+The rest are independent routes to what the commands compute, which no command
+runs itself: the dressed JC eigenvectors, the J = 0 Mott window from sector
+ground energies, the canonical netlist text behind the parser round trip,
+time evolution of a state under the Lindblad generator (which must end at the
+steady state) and a Lorentzian lineshape fit (whose width is the polariton
+linewidth).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 from hypothesis import strategies as st
-from scipy.optimize import minimize_scalar
+from scipy.integrate import solve_ivp
+from scipy.optimize import curve_fit, minimize_scalar
 
+from cqedlat.circuits import CircuitNetlist
 from cqedlat.hilbert import (
     QUBIT_DIM,
+    DensityMatrix,
     LatticeSpace,
     SiteSpace,
     annihilation,
-    number,
     qubit_lower,
-    qubit_number,
     sigma_z,
 )
-from cqedlat.jc import JCParams
-from cqedlat.lattice import LatticeParams
+from cqedlat.jc import JCParams, mixing_angle
+from cqedlat.lattice import LatticeParams, sector_ground_energy
+from cqedlat.lindblad import ODE_ATOL, ODE_RTOL, Liouvillian, StiffnessError
 from cqedlat.meanfield import (
     PSI_FLOOR,
     PSI_GRID_POINTS,
     PSI_MAX,
     PSI_SEARCH_TOL,
-    ZJ_RESOLUTION,
     CutoffWindowError,
     OrderParameter,
 )
+
+ZJ_RESOLUTION = 1e-4      # resolution and lower bracket end of the lobe-boundary bisection
 
 
 @st.composite
@@ -57,6 +69,24 @@ def random_lattices(draw):
 
 # ---------------------------------------------------------------------------
 # Kronecker-product lifts
+
+def number(space: SiteSpace) -> sp.csr_matrix:
+    """a†a on the Fock factor, as the exact diagonal 0, 1, ..., n_max."""
+    return sp.csr_matrix(sp.diags(np.arange(space.photon_cutoff + 1, dtype=float)),
+                         dtype=np.complex128)
+
+
+def qubit_number() -> sp.csr_matrix:
+    """Excited-state projector σ⁺σ⁻."""
+    return sp.csr_matrix(np.diag([0.0, 1.0]), dtype=np.complex128)
+
+
+def vacuum(space: LatticeSpace) -> DensityMatrix:
+    """All photons absent, all qubits in the ground state."""
+    rho = np.zeros((space.total_dim, space.total_dim), dtype=np.complex128)
+    rho[0, 0] = 1.0
+    return DensityMatrix(rho)
+
 
 def embed(op: sp.spmatrix, site_index: int, space: LatticeSpace) -> sp.csr_matrix:
     """Extend a site operator by identity on every other site."""
@@ -255,3 +285,116 @@ def bisect_lobe_boundary(jc: JCParams, mu: float, space: SiteSpace, zj_max: floa
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
+# single-site closed forms
+
+def dressed_state(p: JCParams, n: int, branch: str, space: SiteSpace) -> np.ndarray:
+    """Normalized dressed eigenvector |n,±⟩ in the site basis.
+
+    |n,+⟩ = cos θ_n |n, g⟩ + sin θ_n |n-1, e⟩,
+    |n,−⟩ = sin θ_n |n, g⟩ − cos θ_n |n-1, e⟩.
+    """
+    if n > space.photon_cutoff:
+        raise ValueError(f"n = {n} exceeds photon cutoff {space.photon_cutoff}")
+    theta = mixing_angle(p, n)
+    c, s = math.cos(theta), math.sin(theta)
+    vec = np.zeros(space.dim, dtype=np.complex128)
+    vec[space.basis_index(n, 0)], vec[space.basis_index(n - 1, 1)] = (c, s) if branch == "+" else (s, -c)
+    return vec
+
+
+def mott_window_numeric(jc: JCParams, N: int, space: SiteSpace) -> tuple[float, float]:
+    """The J = 0 window of the N-polariton lobe from the ground energies of the
+    single-site sectors N - 1, N and N + 1, diagonalized numerically."""
+    params, site = LatticeParams.single_site(jc), LatticeSpace((space,))
+    e_below, e_at, e_above = (sector_ground_energy(params, site, k) for k in (N - 1, N, N + 1))
+    return e_at - e_below, e_above - e_at
+
+
+# ---------------------------------------------------------------------------
+# netlist text
+
+def serialize_netlist(netlist: CircuitNetlist) -> str:
+    """Canonical text form; parse(serialize(parse(text))) is an identity."""
+    lines = [f"GROUND {n}" if n == netlist.ground else f"NODE {n}" for n in netlist.nodes]
+    lines += [f"C {c.node_a} {c.node_b} {c.farads!r}" for c in netlist.capacitors]
+    lines += [f"L {l.node_a} {l.node_b} {l.henries!r}" for l in netlist.inductors]
+    for j in netlist.junctions:
+        closure = f" CLOSURE {j.closure_loop}" if j.closure_loop else ""
+        lines.append(f"JJ {j.node_a} {j.node_b} {j.ej_joules!r}{closure}")
+    lines += [f"FLUX {loop} {phi!r}" for loop, phi in netlist.fluxes]
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# time evolution and lineshapes
+
+@dataclass
+class EvolveResult:
+    times: np.ndarray
+    states: list[DensityMatrix]
+    trace_drift: float
+    min_eigenvalue: float
+
+    @property
+    def final(self) -> DensityMatrix:
+        return self.states[-1]
+
+
+def evolve(liouv: Liouvillian, rho0: DensityMatrix, t_final: float,
+           dt_control: float | None = None) -> EvolveResult:
+    """ρ(t) under ∂_t ρ = Lρ from ``rho0``, by SciPy's DOP853 on the assembled
+    superoperator at the package's ``ODE_RTOL`` and ``ODE_ATOL``.
+
+    Samples are taken at t = 0, every ``dt_control`` and at t_final (only at the
+    two ends without ``dt_control``), symmetrized and validated as density
+    matrices.  The trace is never renormalized; its largest drift over the
+    samples is reported, next to the smallest eigenvalue of the final state.
+    """
+    d, mat = liouv.dim, liouv.matrix
+    y0 = rho0.rho.reshape(-1).astype(np.complex128)
+    times, samples = np.array([0.0]), y0[:, None]
+    if t_final > 0:
+        n_out = max(1, round(t_final / dt_control)) if dt_control else 1
+        sol = solve_ivp(lambda _t, y: mat @ y, (0.0, t_final), y0, method="DOP853",
+                        t_eval=np.linspace(0.0, t_final, n_out + 1),
+                        rtol=ODE_RTOL, atol=ODE_ATOL)
+        if sol.status < 0:
+            raise StiffnessError(f"integration failed before t = {t_final:.6g}: {sol.message}")
+        times, samples = sol.t, sol.y
+    states = [DensityMatrix(0.5 * (r + r.conj().T)) for r in (y.reshape(d, d) for y in samples.T)]
+    return EvolveResult(times=times, states=states,
+                        trace_drift=max(abs(np.trace(s.rho) - 1.0) for s in states),
+                        min_eigenvalue=float(np.linalg.eigvalsh(states[-1].rho)[0]))
+
+
+@dataclass(frozen=True)
+class LorentzianFit:
+    center: float
+    fwhm: float
+    height: float
+    offset: float
+
+
+def fit_lorentzian(x: Sequence[float], power: Sequence[float]) -> LorentzianFit:
+    """Least-squares Lorentzian fit h·(Γ/2)² / ((x-c)² + (Γ/2)²) + b.
+
+    Fit the *power* lineshape (|⟨a⟩|² for transmission scans); its full width
+    at half maximum equals the polariton linewidth δε in linear response.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(power, dtype=float)
+    b0 = float(np.min(y))
+    h0 = float(np.max(y) - b0)
+    c0 = float(x[np.argmax(y)])
+    above = x[y > b0 + 0.5 * h0]
+    w0 = float(above.max() - above.min()) if above.size >= 2 else (x[1] - x[0]) * 3
+
+    def model(w, c, fwhm, h, b):
+        hw = 0.5 * fwhm
+        return h * hw**2 / ((w - c) ** 2 + hw**2) + b
+
+    popt, _ = curve_fit(model, x, y, p0=[c0, max(w0, 1e-12), h0, b0], maxfev=20000)
+    c, fwhm, h, b = popt
+    return LorentzianFit(center=float(c), fwhm=float(abs(fwhm)), height=float(h), offset=float(b))

@@ -108,6 +108,15 @@ class TestRunStatus:
         assert summary["status"] == "unconverged"
         assert "convergence.cutoff_check.passed" in capsys.readouterr().err
 
+    def test_jc_spectrum_without_rwa_claims_no_comparison(self, tmp_path, capsys):
+        # the closed form is the RWA spectrum: without the RWA no row is compared
+        rows, summary = run(tmp_path, "jc-spectrum",
+                            {"omega_r": 1.0, "omega_q": 0.9, "g": 0.05, "n_max": 4, "rwa": False})
+        assert summary["convergence"] == {}
+        assert summary["status"] == "ok"
+        assert [r["abs_err"] for r in rows] == ["nan"] * len(rows)
+        assert capsys.readouterr().err == ""
+
     def test_summary_outside_the_schema_is_refused(self, tmp_path, monkeypatch):
         build = cli.build_summary
         monkeypatch.setattr(cli, "build_summary", lambda *args: dict(build(*args), extra=1))
@@ -199,6 +208,20 @@ class TestBlockadeScan:
         assert summary["status"] == "unconverged"
         assert summary["convergence"]["cutoff_check"]["rel_shift"] > 1.0
         assert "convergence.cutoff_check.passed" in capsys.readouterr().err
+
+    def test_undefined_g2_is_null_in_a_strict_json_summary(self, tmp_path):
+        # without a drive every point is below the photon floor, so g2 and its minimum are NaN
+        config = dict(self.CONFIG, drive_amplitudes=[0.0], cutoff_check=False)
+        rows, _ = run(tmp_path, "blockade-scan", config)
+        assert all(r["g2"] == "nan" for r in rows)
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        text = (tmp_path / "blockade-scan_summary.json").read_text(encoding="utf-8")
+        summary = json.loads(text, parse_constant=refuse)
+        assert summary["convergence"]["g2_check"] == {"min_g2": None, "passed": True}
+        assert summary["status"] == "ok"
 
     def test_missing_required_key_exits_one(self, tmp_path, capsys):
         code = cli.main(["blockade-scan", "--omega-r", "50", "--omega-q", "50", "--g", "1",
@@ -320,6 +343,18 @@ class TestConfigValues:
                          "--output", str(tmp_path / "out.csv")])
         assert code == 1
         assert "config error at n_max:" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("case", ["config_directory", "config_not_utf8", "netlist_directory"])
+    def test_unreadable_input_file_exits_one(self, tmp_path, capsys, case):
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes('{"omega_r": 5, "omega_q": 5, "g": 0.1, "note": "é"}'.encode("latin-1"))
+        argv = {"config_directory": ["jc-spectrum", "--config", str(tmp_path)],
+                "config_not_utf8": ["jc-spectrum", "--config", str(latin1)],
+                "netlist_directory": ["quantize", "--netlist", str(tmp_path)]}[case]
+        code = cli.main(argv + ["--output", str(tmp_path / "out.csv")])
+        assert code == 1
+        assert f"config error at {argv[1][2:]}:" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
     def test_non_integer_chain_size_exits_one(self, tmp_path, capsys):

@@ -12,11 +12,8 @@ from cqedlat.hilbert import (
     assemble,
     cutoff_convergence,
     expectation,
-    number,
     photon_op_on,
     qubit_lower,
-    qubit_number,
-    qubit_op_on,
     occupation_basis,
     sigma_z,
     site_factor,
@@ -177,10 +174,12 @@ class TestKernelAgainstKronOracle:
         _, space = case
         pairs = [(total_excitation(space), oracles.total_excitation(space))]
         for i, site in enumerate(space.sites):
-            for op in (annihilation(site), number(site)):
+            for op in (annihilation(site), oracles.number(site)):
                 pairs.append((photon_op_on(space, i, op), oracles.photon_op_on(space, i, op)))
             for op in (qubit_lower(), sigma_z()):
-                pairs.append((qubit_op_on(space, i, op), oracles.qubit_op_on(space, i, op)))
+                kernel = assemble([(1.0, (site_factor(space, i, qubit_op=op),))],
+                                  occupation_basis(space))
+                pairs.append((kernel, oracles.qubit_op_on(space, i, op)))
         for new, old in pairs:
             assert np.array_equal(new.toarray(), old.toarray())
 
@@ -193,8 +192,8 @@ class TestExpectation:
 
     def test_vacuum_photon_number(self):
         space = LatticeSpace.uniform(1, 3)
-        rho = DensityMatrix.vacuum(space)
-        n = photon_op_on(space, 0, number(space.sites[0]))
+        rho = oracles.vacuum(space)
+        n = photon_op_on(space, 0, oracles.number(space.sites[0]))
         assert expectation(n, rho) == 0
 
     def test_excited_qubit_population(self):
@@ -202,12 +201,13 @@ class TestExpectation:
         vec = np.zeros(space.total_dim)
         vec[space.basis_index([(0, 1)])] = 1.0
         rho = DensityMatrix.pure(vec)
-        assert expectation(qubit_op_on(space, 0, qubit_number()), rho) == pytest.approx(1.0)
+        excited = oracles.qubit_op_on(space, 0, oracles.qubit_number())
+        assert expectation(excited, rho) == pytest.approx(1.0)
 
     def test_dimension_mismatch_raises(self):
         space = LatticeSpace.uniform(1, 2)
         with pytest.raises(ValueError, match="mismatch"):
-            expectation(sp.identity(3), DensityMatrix.vacuum(space))
+            expectation(sp.identity(3), oracles.vacuum(space))
 
     def test_hermitian_conjugation_identity(self):
         # expectation(op, ρ) = conj(expectation(op†, ρ)) for any operator

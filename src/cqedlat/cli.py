@@ -132,7 +132,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "omega_d_points": Field("posint", 51, "scan points"),
         "n_max": Field("posint", 6, "photon cutoff"),
         "cutoff_check": Field("bool", True, "repeat one point at n_max+2"),
-        "workers": Field("posint", 1, "process pool size for the scan points"),
+        "workers": Field("posint", 1, "scan process pool size, at most the CPU count"),
     },
     "dimer-g2": {
         "omega_r": Field("pos", REQUIRED, "cavity frequency"),
@@ -355,6 +355,10 @@ def _cmd_jc_spectrum(config: dict[str, Any]):
 
 
 def _cmd_blockade_scan(config: dict[str, Any]):
+    cpus = os.cpu_count() or 1
+    if config["workers"] > cpus:
+        raise ConfigError([("workers",
+                            f"{config['workers']} exceeds the {cpus} CPUs of this machine")])
     p = JCParams(config["omega_r"], config["omega_q"], config["g"])
     params = LatticeParams.single_site(p)
     rates = _rates_from(config)

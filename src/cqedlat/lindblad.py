@@ -18,8 +18,14 @@ not exempt from the background channel.
 The generator is held as d×d operators: the jump operators C_c (√rate
 included) and the non-Hermitian H_eff = H_rot - (i/2) Σ_c C_c†C_c, so that
 Lρ = -i(H_eff ρ - ρ H_eff†) + Σ_c C_c ρ C_c† costs d×d products only.  The
-steady state is a matrix-free GMRES solve preconditioned by the exact inverse
-of the no-jump part (see :func:`steady_state`).  The d²×d² superoperator, in
+jumps are kept stacked, [C₁; …; C_k] and [C₁ … C_k], so that the jump sum is
+two sparse products for any number of channels.  Everything that depends on
+the jumps alone (the stacks, Σ_c C_c†C_c and their extended-precision
+copies) is built once per jump set and shared by every generator that
+:meth:`Liouvillian.with_hamiltonian` derives from it: a scan builds it once,
+not once per point.  The steady state is a matrix-free solve by the package's
+own restarted GMRES, preconditioned by the exact inverse of the no-jump part
+(see :func:`steady_state`).  The d²×d² superoperator, in
 row-major (C-order) vectorization vec(AρB) = (A ⊗ Bᵀ)vec(ρ), is assembled
 only on demand (:attr:`Liouvillian.matrix`): the driven mean field integrates
 and factors it, and the tests use it as an oracle.  ``blockade-scan``,
@@ -37,7 +43,6 @@ from typing import Mapping, Sequence
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import ztrsyl
 
 from .hilbert import (
@@ -162,27 +167,68 @@ class DriveSpec:
         object.__setattr__(self, "driven_sites", tuple(self.driven_sites))
 
 
+class _JumpSet:
+    """The parts of a generator that depend on its jumps alone, built once and
+    shared by every generator of :meth:`Liouvillian.with_hamiltonian`.
+
+    ``stack`` is [C₁; …; C_k] (kd×d) and ``row`` is [C₁ … C_k] (d×kd), so that
+    Σ_c C_c ρ C_c† takes two sparse products and Σ_c C_c†C_c one, for any k.
+    """
+
+    def __init__(self, jumps: Sequence[sp.spmatrix], d: int):
+        self.jumps = tuple(sp.csr_matrix(c, dtype=np.complex128) for c in jumps)
+        self.k = len(self.jumps)
+        empty = sp.csr_matrix((0, d), dtype=np.complex128)
+        self.stack = sp.vstack(self.jumps or (empty,), format="csr")
+        self.row = sp.hstack(self.jumps or (empty.T,), format="csr")
+        self.loss = (self.stack.getH() @ self.stack).toarray()     # Σ_c C_c†C_c
+        diag = np.array([c.diagonal() for c in self.jumps]).reshape(self.k, d)
+        self.diag = diag.T @ diag.conj()                             # Σ_c C_c,ii C̄_c,jj
+
+    @cached_property
+    def extended(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """``stack`` conjugated and ``row``, in extended precision (``np.clongdouble``)."""
+        return self.stack.conj().astype(np.clongdouble), self.row.astype(np.clongdouble)
+
+    def sandwich(self, stacked: np.ndarray, row: sp.csr_matrix) -> np.ndarray:
+        """Σ_c C_c Y_cᵀ from the kd×d stack [Y₁; …; Y_k] of the blocks Y_c."""
+        d = stacked.shape[1]
+        return row @ stacked.reshape(self.k, d, d).transpose(0, 2, 1).reshape(self.k * d, d)
+
+
 class Liouvillian:
     """Master-equation generator held as d×d operators: the one generator that
     :func:`steady_state`, the blockade scan and the driven mean field act with.
 
     ``h_rot`` is the Hermitian Hamiltonian of the frame the generator acts in
     (dense or sparse; d is its dimension) and ``jumps`` the √rate-weighted jump
-    operators.  A generator that does not preserve the trace, e.g. one with a
+    operators.  The jumps are stacked once, [C₁; …; C_k] and [C₁ … C_k], so
+    that :meth:`apply` forms Σ_c C_c ρ C_c† with two sparse products for any
+    number of channels.  :meth:`with_hamiltonian` gives the generator of
+    another ``h_rot`` with the same jumps; it shares the jumps, their stacks,
+    Σ_c C_c†C_c and their extended-precision copies, so a scan builds them
+    once.  A generator that does not preserve the trace, e.g. one with a
     non-Hermitian ``h_rot``, is refused.
     """
 
     def __init__(self, h_rot: np.ndarray | sp.spmatrix, jumps: Sequence[sp.spmatrix]):
-        h = h_rot.toarray() if sp.issparse(h_rot) else np.asarray(h_rot)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise ValueError(f"Hamiltonian shape {h.shape} is not square")
-        self.dim = d = h.shape[0]
-        self.jumps = tuple(sp.csr_matrix(c, dtype=np.complex128) for c in jumps)
-        self.loss = np.zeros((d, d), dtype=np.complex128)     # Σ_c C_c†C_c
-        for c in self.jumps:
-            self.loss += (c.getH() @ c).toarray()
+        h = _square(h_rot)
+        self._init(h, _JumpSet(jumps, h.shape[0]))
+
+    def with_hamiltonian(self, h_rot: np.ndarray | sp.spmatrix) -> Liouvillian:
+        """The generator of ``h_rot`` with the jumps of this one, sharing their data."""
+        gen = Liouvillian.__new__(Liouvillian)
+        gen._init(_square(h_rot), self._jump_set)
+        return gen
+
+    def _init(self, h: np.ndarray, jump_set: _JumpSet) -> None:
+        self.dim = h.shape[0]
+        self._jump_set = jump_set
+        self.jumps = jump_set.jumps
+        self.loss = jump_set.loss
         self.h_rot = h.astype(np.complex128)
         self.h_eff = self.h_rot - 0.5j * self.loss
+        self._h_eff_adj = self.h_eff.conj().T
         defect = self.trace_preservation_defect()
         if defect > TRACE_PRESERVATION_RTOL:
             raise ValueError(f"generator does not preserve the trace: defect {defect:.3e}")
@@ -208,10 +254,7 @@ class Liouvillian:
         The diagonal entry of row (i, j) is -i(H_eff,ii - H̄_eff,jj) + Σ_c C_c,ii C̄_c,jj.
         """
         h = np.diag(self.h_eff)
-        diag = -1j * (h[:, None] - h.conj()[None, :])
-        for c in self.jumps:
-            cd = c.diagonal()
-            diag += cd[:, None] * cd.conj()[None, :]
+        diag = -1j * (h[:, None] - h.conj()[None, :]) + self._jump_set.diag
         return float(np.max(np.abs(diag)))
 
     def trace_preservation_defect(self) -> float:
@@ -219,16 +262,25 @@ class Liouvillian:
 
         K = i(H_eff† - H_eff) + Σ_c C_c†C_c, which vanishes when H_rot is Hermitian.
         """
-        k = 1j * (self.h_eff.conj().T - self.h_eff) + self.loss
+        k = 1j * (self._h_eff_adj - self.h_eff) + self.loss
         return float(np.max(np.abs(k)) / max(self.scale(), 1e-300))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Lρ for a d×d (or vectorized) ρ, from d×d products only."""
         r = rho.reshape(self.dim, self.dim)
-        out = -1j * (self.h_eff @ r - r @ self.h_eff.conj().T)
-        for c in self.jumps:
-            out += c @ (c @ r.conj().T).conj().T      # C ρ C† = C (C ρ†)†
+        out = -1j * (self.h_eff @ r - r @ self._h_eff_adj)
+        jumps = self._jump_set
+        # C ρ C† = C (C ρ†)†, so the blocks C_c ρ† are conjugated and transposed
+        out += jumps.sandwich((jumps.stack @ r.conj().T).conj(), jumps.row)
         return out.reshape(rho.shape)
+
+
+def _square(h_rot: np.ndarray | sp.spmatrix) -> np.ndarray:
+    """``h_rot`` as a dense square array."""
+    h = h_rot.toarray() if sp.issparse(h_rot) else np.asarray(h_rot)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"Hamiltonian shape {h.shape} is not square")
+    return h
 
 
 def collapse_operators(rates: DissipationRates, space: LatticeSpace) -> list[sp.csr_matrix]:
@@ -343,15 +395,100 @@ def _no_jump_inverse(h_eff: np.ndarray, stationary_rate: float):
 def _apply_extended(liouv: Liouvillian, rho: np.ndarray) -> np.ndarray:
     """Lρ accumulated in extended precision (``np.clongdouble``; 80-bit on x86).
 
-    Sparse products keep this cheap; ρH† = (H̄ρᵀ)ᵀ and CρC† = C(C̄ρᵀ)ᵀ.
+    Sparse products keep this cheap; ρH† = (H̄ρᵀ)ᵀ and CρC† = C(C̄ρᵀ)ᵀ.  The
+    jumps are converted once per jump set, H_eff once per call.
     """
     r = rho.astype(np.clongdouble)
     h = sp.csr_matrix(liouv.h_eff).astype(np.clongdouble)
     out = -1j * (h @ r - (h.conj() @ r.T).T)
-    for c in liouv.jumps:
-        c = c.astype(np.clongdouble)
-        out += c @ (c.conj() @ r.T).T
+    jumps = liouv._jump_set
+    stack_conj, row = jumps.extended
+    out += jumps.sandwich(stack_conj @ r.T, row)
     return out
+
+
+def _givens(f: complex, g: float) -> tuple[float, complex, complex]:
+    """(c, s, r) with [c s; -s̄ c][f; g] = [r; 0], c real (LAPACK ``lartg``)."""
+    if g == 0:
+        return 1.0, 0j, f
+    if f == 0:
+        return 0.0, 1 + 0j, complex(g)
+    norm = math.hypot(abs(f), g)
+    phase = f / abs(f)
+    return abs(f) / norm, phase * g / norm, phase * norm
+
+
+def _norm(v: np.ndarray) -> float:
+    """‖v‖₂ of a complex vector: ``np.linalg.norm``'s own formula, bit for bit,
+    without its dispatch, which costs more than the two dot products at d = 14."""
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _gmres(matvec, b: np.ndarray, rtol: float) -> tuple[np.ndarray, float]:
+    """x with ‖b - Ax‖ ≤ rtol·‖b‖ by restarted GMRES, and its true relative residual.
+
+    GMRES(``STEADY_GMRES_RESTART``) of Saad and Schultz (1986), at most
+    ``STEADY_GMRES_MAXITER`` cycles, each from the previous cycle's iterate.
+    The Arnoldi basis is orthogonalized by modified Gram-Schmidt and the
+    Hessenberg matrix reduced by Givens rotations on Python scalars.  A cycle
+    stops once the rotated residual estimate reaches rtol·‖b‖, or at an exact
+    (lucky) breakdown; the true residual b - Ax then decides whether another
+    cycle runs.  This is SciPy's ``gmres`` rule with ``atol = 0``.  A system
+    that misses the tolerance, e.g. a singular one with b outside the range,
+    returns its last iterate and a residual above ``rtol``; it never raises.
+    """
+    n = b.size
+    restart = min(STEADY_GMRES_RESTART, n)
+    b_norm = _norm(b)
+    x = np.zeros_like(b)
+    if b_norm == 0:
+        return x, 0.0
+    eps = np.finfo(b.dtype).eps
+    tol = rtol * b_norm
+    basis = np.empty((restart + 1, n), dtype=b.dtype)
+    r, r_norm = b, b_norm
+    for _ in range(STEADY_GMRES_MAXITER):
+        basis[0] = r / r_norm
+        rhs = [complex(r_norm)]             # rotated right-hand side of the least squares
+        cols: list[list[complex]] = []      # columns of the rotated (triangular) Hessenberg
+        rotations: list[tuple[float, complex]] = []
+        for j in range(restart):
+            w = matvec(basis[j])
+            w_norm = _norm(w)
+            col = []
+            for v in basis[:j + 1]:
+                h = np.vdot(v, w)
+                w -= h * v
+                col.append(complex(h))
+            h_next = _norm(w)
+            breakdown = h_next <= eps * w_norm
+            if breakdown:
+                h_next = 0.0
+            else:
+                basis[j + 1] = w / h_next
+            for i, (c, s) in enumerate(rotations):
+                col[i], col[i + 1] = (c * col[i] + s * col[i + 1],
+                                      c * col[i + 1] - s.conjugate() * col[i])
+            c, s, col[j] = _givens(col[j], h_next)
+            rotations.append((c, s))
+            rhs.append(-s.conjugate() * rhs[j])
+            rhs[j] *= c
+            cols.append(col)
+            if abs(rhs[j + 1]) <= tol or breakdown:
+                break
+        # back substitution; a zero pivot (A singular on the Krylov space) drops its direction
+        m = len(cols)
+        y = [0j] * m
+        for i in range(m - 1, -1, -1):
+            if cols[i][i] != 0:
+                y[i] = (rhs[i] - sum(cols[k][i] * y[k] for k in range(i + 1, m))) / cols[i][i]
+        x = x + np.asarray(y) @ basis[:m]
+        r = b - matvec(x)
+        r_norm = _norm(r)
+        if r_norm <= tol:
+            break
+    return x, r_norm / b_norm
 
 
 def steady_state(liouv: Liouvillian, check_unique: bool = True) -> DensityMatrix:
@@ -361,11 +498,15 @@ def steady_state(liouv: Liouvillian, check_unique: bool = True) -> DensityMatrix
     :meth:`Liouvillian.scale`: L preserves the trace, so tr x = 1 and Lx = 0.
     The border makes the trace mode decay at rate s, on the same side of the
     spectrum as every other mode of a Lindblad generator.
-    GMRES runs on the right-preconditioned operator, the preconditioner being
+    The package's own restarted GMRES (:func:`_gmres`: modified Gram-Schmidt,
+    Givens rotations, a numpy loop with no SciPy call per Krylov step) runs on
+    the right-preconditioned operator, the preconditioner being
     the exact inverse of the no-jump part -i(H_eff ρ - ρ H_eff†), a Schur-basis
-    Sylvester solve of O(d³) per application; every operator is d×d and the
+    Sylvester solve of O(d³) per application; every operator is d×d, the jump
+    sum is two sparse products on the stacked jumps, and the
     superoperator is never assembled.  The solve stops at a relative
-    residual of ``STEADY_GMRES_RTOL`` and is then refined once: the residual
+    residual of ``STEADY_GMRES_RTOL``, checked on the true residual that GMRES
+    returns with its iterate, and is then refined once: the residual
     of the bordered system is accumulated in extended precision and a second
     solve, to ``STEADY_REFINE_RTOL``, adds the correction.  This makes small
     populations, such as the two-photon ones behind a weak-drive g²(0),
@@ -393,19 +534,9 @@ def steady_state(liouv: Liouvillian, check_unique: bool = True) -> DensityMatrix
         y[diagonal] -= scale * np.trace(x) / d
         return y
 
-    op = spla.LinearOperator((d * d, d * d), matvec=bordered, dtype=np.complex128)
-
     def solve(rhs: np.ndarray, rtol: float) -> tuple[np.ndarray, float]:
-        # one restart cycle per call, so that a cycle that ends in a Krylov
-        # breakdown short of the tolerance is continued from its iterate
-        u = None
-        for _ in range(STEADY_GMRES_MAXITER):
-            u, info = spla.gmres(op, rhs, x0=u, rtol=rtol, atol=0.0,
-                                 restart=STEADY_GMRES_RESTART, maxiter=1)
-            if info == 0:
-                break
-        rel_residual = np.linalg.norm(rhs - op.matvec(u)) / np.linalg.norm(rhs)
-        return precondition(u.reshape(d, d)), float(rel_residual)
+        u, rel_residual = _gmres(bordered, rhs, rtol)
+        return precondition(u.reshape(d, d)), rel_residual
 
     rhs = np.zeros(d * d, dtype=np.complex128)
     rhs[diagonal] = -scale / d
@@ -470,7 +601,8 @@ class _ScanModel:
     """The parts of a scan that do not depend on (ξ, ω_d), built once per scan.
 
     H_rot = H - ω_d N + ξ X, with X = a + a† on site 0, is affine in (ω_d, ξ),
-    so a point only adds three dense d×d arrays before its steady-state solve.
+    so a point only adds three dense d×d arrays before its steady-state solve,
+    and its generator shares the jump data of the undriven one.
     """
 
     def __init__(self, params: LatticeParams, space: LatticeSpace, rates: DissipationRates,
@@ -478,7 +610,7 @@ class _ScanModel:
         h = build_jchm(params, space)
         n_tot, x_drive = _rotating_frame_terms(h, space, (0,))
         self.h, self.n_tot, self.x_drive = h.toarray(), n_tot.toarray(), x_drive.toarray()
-        self.jumps = collapse_operators(rates, space)
+        self.base = Liouvillian(self.h, collapse_operators(rates, space))   # undriven, lab frame
         # tr(Aρ) = Σ_ij (Aᵀ)_ij ρ_ij for a, a†a on every port and a†²a² on the first
         ports = [photon_op_on(space, s, annihilation(space.sites[s])) for s in port_sites]
         self.a_t = np.stack([a.T.toarray() for a in ports])
@@ -489,7 +621,7 @@ class _ScanModel:
 
     def generator(self, xi: float, omega_d: float) -> Liouvillian:
         """The generator of :func:`build_liouvillian` at drive (ξ, ω_d)."""
-        return Liouvillian(self.h - omega_d * self.n_tot + xi * self.x_drive, self.jumps)
+        return self.base.with_hamiltonian(self.h - omega_d * self.n_tot + xi * self.x_drive)
 
     def point(self, xi: float, omega_d: float) -> ScanPoint:
         rho = steady_state(self.generator(xi, omega_d), check_unique=False).rho

@@ -68,7 +68,6 @@ from .lindblad import (
     CutoffWindowError,
     DissipationRates,
     DriveSpec,
-    Liouvillian,
     MeanFieldConvergenceError,
     StiffnessError,
     VacuumStateError,
@@ -365,7 +364,7 @@ class _DrivenSite:
         """ρ_ss(ψ) by :func:`steady_state`: H_rot - zJ(ψa† + ψ*a) with the same jumps."""
         base = self.liouv0
         h = base.h_rot - self.zj * (psi * self.a.conj().T + np.conj(psi) * self.a)
-        return steady_state(Liouvillian(h, base.jumps), check_unique=False)
+        return steady_state(base.with_hamiltonian(h), check_unique=False)
 
     def bordered(self, psi: complex, rho: DensityMatrix | None = None) -> np.ndarray:
         """Dense M(ψ); with ρ, the linearization of the nonlinear generator at

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -222,6 +223,20 @@ class TestBlockadeScan:
         summary = json.loads(text, parse_constant=refuse)
         assert summary["convergence"]["g2_check"] == {"min_g2": None, "passed": True}
         assert summary["status"] == "ok"
+
+    def test_more_workers_than_cpus_exits_one(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(cli, "transmission_scan", refuse)
+        config_path = tmp_path / "scan.json"
+        config_path.write_text(json.dumps(dict(self.CONFIG, workers=2)), encoding="utf-8")
+        code = cli.main(["blockade-scan", "--config", str(config_path),
+                         "--output", str(tmp_path / "b.csv")])
+        assert code == 1
+        assert "config error at workers:" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
 
     def test_missing_required_key_exits_one(self, tmp_path, capsys):
         code = cli.main(["blockade-scan", "--omega-r", "50", "--omega-q", "50", "--g", "1",

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -196,6 +198,30 @@ class TestLiouvillianStructure:
                 build_liouvillian(h + 0.1j * a.getH() @ a, DissipationRates(gamma_kappa=0.1),
                                   drive, space)
 
+    def test_generator_with_shared_jumps_matches_a_fresh_one(self):
+        params = chain(JCParams(1.0, 0.97, 0.08), 2, 0.04)
+        space = LatticeSpace.uniform(2, 2)
+        rates = DissipationRates(gamma1=0.02, gamma_phi=0.01, gamma_kappa=0.01,
+                                 kappa_ports={1: 0.03})
+        jumps = collapse_operators(rates, space)
+        base = Liouvillian(build_jchm(params, space), jumps)
+        a = photon_op_on(space, 0, annihilation(space.sites[0])).toarray()
+        h = build_jchm(params, space).toarray() - 0.95 * a.conj().T @ a + 0.02 * (a + a.conj().T)
+        shared, fresh = base.with_hamiltonian(h), Liouvillian(h, jumps)
+        assert shared.jumps is base.jumps
+        rng = np.random.default_rng(3)
+        rho = random_state(shared.dim, rng)
+        assert np.max(np.abs(shared.apply(rho) - fresh.apply(rho))) <= 1e-14
+        assert shared.scale() == fresh.scale()
+        assert (shared.matrix != fresh.matrix).nnz == 0
+        extended = lindblad._apply_extended(shared, rho)
+        assert np.array_equal(extended, lindblad._apply_extended(fresh, rho))
+        assert np.max(np.abs(extended - fresh.apply(rho))) <= 1e-14
+        with pytest.raises(ValueError, match="trace"):
+            base.with_hamiltonian(h + 0.1j * a.conj().T @ a)
+        with pytest.raises(ValueError, match="trace"):
+            Liouvillian(h + 0.1j * a.conj().T @ a, jumps)
+
     def test_rotating_frame_requires_rwa(self):
         p = JCParams(1.0, 1.0, 0.05)
         space = LatticeSpace.uniform(1, 3)
@@ -340,6 +366,66 @@ class TestSteadyState:
             steady_state(liouv)
 
 
+class TestGmres:
+    def test_restarted_solve_matches_a_dense_solve(self, monkeypatch):
+        monkeypatch.setattr(lindblad, "STEADY_GMRES_RESTART", 10)
+        n = 120
+        rng = np.random.default_rng(11)
+        noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        # well conditioned but far from normal: a shifted random matrix plus a
+        # strictly upper-triangular part
+        a = 2 * np.eye(n) + 0.5 * noise / np.sqrt(n) + np.triu(noise.conj(), 1) / n
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        calls = []
+
+        def matvec(v):
+            calls.append(1)
+            return a @ v
+
+        x, residual = lindblad._gmres(matvec, b, 1e-12)
+        # more than one restart cycle ran, and no more than the three that GMRES(10)
+        # needs here (a wrong Hessenberg reduction takes seven)
+        assert 10 + 1 < len(calls) <= 3 * (10 + 1)
+        assert residual <= 1e-12
+        assert residual == pytest.approx(np.linalg.norm(b - a @ x) / np.linalg.norm(b), rel=1e-12)
+        x_ref = np.linalg.solve(a, b)
+        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+    def test_lucky_breakdown_returns_without_dividing_by_zero(self):
+        # e₀ is an eigenvector of an upper-triangular matrix, so the Krylov
+        # space is exhausted after one step
+        n = 30
+        rng = np.random.default_rng(12)
+        a = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) + 3 * np.eye(n)
+        b = np.zeros(n, dtype=complex)
+        b[0] = 2.0                   # A b is exactly a multiple of b
+        with np.errstate(all="raise"):
+            x, residual = lindblad._gmres(lambda v: a @ v, b, 1e-12)
+        assert residual <= 1e-12
+        assert x[0] == pytest.approx(b[0] / a[0, 0], rel=1e-14)
+
+    def test_singular_system_reports_its_residual_and_does_not_raise(self):
+        # b has a component outside the range of A, so no x reaches the
+        # tolerance; the uniqueness probe of steady_state relies on this
+        n = 40
+        rng = np.random.default_rng(13)
+        u, s, vh = np.linalg.svd(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        s[-1] = 0.0
+        a = (u * s) @ vh
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        outside = abs(np.vdot(u[:, -1], b)) / np.linalg.norm(b)
+        x, residual = lindblad._gmres(lambda v: a @ v, b, 1e-8)
+        assert residual > 1e-8
+        assert residual >= outside * (1 - 1e-12)
+        assert residual == pytest.approx(np.linalg.norm(b - a @ x) / np.linalg.norm(b), rel=1e-12)
+        # b in the null space of a diagonal A: A b = 0 exactly leaves a zero
+        # pivot, whose direction is dropped
+        diag = np.arange(n, dtype=complex)
+        x, residual = lindblad._gmres(lambda v: diag * v, np.eye(n, dtype=complex)[0], 1e-8)
+        assert residual == 1.0
+        assert not x.any()
+
+
 class TestG2:
     def coherent_steady(self, xi=0.004):
         params, space, h = empty_cavity(8)
@@ -471,6 +557,28 @@ class TestTransmissionScan:
         for a, b in zip(serial, parallel):
             assert a.omega_d == b.omega_d
             assert abs(a.abs_a - b.abs_a) <= 1e-12
+
+
+    def test_krylov_work_of_the_benchmark_scan(self, monkeypatch):
+        # the seed-0 blockade scan: 102 points take 2427 generator applications;
+        # a second residual product per GMRES solve would take 2631
+        params, space, rates, g, wr, de = self.setup_blockade()
+        calls = []
+        apply = Liouvillian.apply
+
+        def counting(self, rho):
+            calls.append(1)
+            return apply(self, rho)
+
+        monkeypatch.setattr(Liouvillian, "apply", counting)
+        transmission_scan(params, space, rates, [0.005, 0.02], np.linspace(48.9, 51.1, 51))
+        assert len(calls) <= 2450
+
+    def test_scan_model_pickles_with_its_shared_jumps(self):
+        params, space, rates, g, wr, de = self.setup_blockade(n_max=3)
+        model = _ScanModel(params, space, rates, (0,))
+        copy = pickle.loads(pickle.dumps(model))
+        assert copy.point(0.01, wr - g) == model.point(0.01, wr - g)
 
 
 class TestLorentzianFit:

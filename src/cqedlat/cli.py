@@ -92,6 +92,8 @@ __all__ = ["main", "run_command", "load_config", "ConfigError"]
 REQUIRED = object()
 # convergence flags whose False value makes a run "unconverged" (exit code 2)
 CHECK_FLAGS = ("passed", "analytic_matches_numeric")
+# largest |∫ normalization - 1| of a mode table that passes the modes check
+MODE_NORMALIZATION_ATOL = 1e-8
 
 
 class ConfigError(ValueError):
@@ -525,8 +527,9 @@ def _cmd_modes(config: dict[str, Any]):
                "phi_left": m.left_value, "phi_right": m.right_value,
                "normalization": m.normalization_integral()}
         rows.append(row)
-    conv = {"max_normalization_defect":
-            max(abs(r["normalization"] - 1.0) for r in rows)}
+    defect = max(abs(r["normalization"] - 1.0) for r in rows)
+    conv = {"normalization_check": {"max_normalization_defect": defect,
+                                    "passed": defect <= MODE_NORMALIZATION_ATOL}}
     return rows, conv
 
 

@@ -79,10 +79,6 @@ __all__ = [
 
 TRACE_PRESERVATION_RTOL = 1e-10
 STEADY_RESIDUAL_RTOL = 1e-10
-# tolerances of every time integration, all by DOP853: each control interval
-# of the driven mean field
-ODE_RTOL = 1e-9
-ODE_ATOL = 1e-12
 # GMRES stopping rules, relative to the right-hand side: the first solve,
 # then the correction from a residual accumulated in extended precision.
 # Without that correction the absolute error of ~1e-16 left by any

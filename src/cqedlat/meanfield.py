@@ -25,20 +25,22 @@ gives a closed nonlinear master equation in the drive rotating frame,
 
 whose fixed points are the roots of F(ψ) = tr(a ρ_ss(ψ)) - ψ, with ρ_ss(ψ)
 the steady state of the linear Liouvillian L(ψ) at frozen ψ.  Each seed
-follows the dynamics (DOP853, at the package's one tolerance pair
-``ODE_RTOL`` / ``ODE_ATOL``) only until it is captured: after every control
-interval Newton runs on F from the current ψ, and the run stops once the root
-it reaches is linearly stable and the state has moved closer to that same
-root over consecutive intervals.  Each Newton iterate factors one dense
-bordered generator L(ψ) - s|I/d⟩⟨tr|, the border of ``steady_state``; its LU
-gives ρ_ss(ψ) and the linear responses to ψ and ψ*, so F and its Jacobian,
-and ``steady_state`` runs only to verify a new root and supply its ρ.  The
-stability margin is the largest real part in the spectrum of the linearized
-nonlinear generator at the root, bordered alike, which moves the trace mode
-to -s.  So only stable branches are reported, each with its residual
-|F(ψ*)| and its margin; distinct fixed points reached from different seeds
-signal bistability, and runs that are never captured are reported as limit
-cycles or raise.
+follows the dynamics (DOP853, at the loose pair ``TRANSIENT_RTOL`` /
+``TRANSIENT_ATOL``: the trajectory only has to pick the seed's basin) only
+until it is captured: after every control interval Newton runs on F from the
+current ψ, and the run stops once the root it reaches is linearly stable and
+the state has moved closer to that same root over consecutive intervals.
+Each Newton iterate factors one dense bordered generator L(ψ) - s|I/d⟩⟨tr|,
+the border of ``steady_state``; its LU gives ρ_ss(ψ) and the linear responses
+to ψ and ψ*, so F and its Jacobian, and ``steady_state`` runs only to verify a
+new root and supply its ρ.  The stability margin is the largest real part in
+the spectrum of the linearized nonlinear generator at the root, bordered
+alike, which moves the trace mode to -s.  That generator preserves
+Hermiticity, so its spectrum is that of a real matrix, its form in an
+orthonormal basis of Hermitian matrices.  So only stable branches are
+reported, each with its residual |F(ψ*)| and its margin; distinct fixed points
+reached from different seeds signal bistability, and runs that are never
+captured are reported as limit cycles or raise.
 """
 
 from __future__ import annotations
@@ -63,8 +65,6 @@ from .hilbert import (
 from .jc import JCParams, jc_hamiltonian, polariton_energy
 from .lattice import LatticeParams, build_jchm
 from .lindblad import (
-    ODE_ATOL,
-    ODE_RTOL,
     CutoffWindowError,
     DissipationRates,
     DriveSpec,
@@ -99,6 +99,12 @@ DISTINCT_TOL = 1e-4       # driven fixed points closer than this are one branch
 CYCLE_SAMPLES = 40        # ψ samples a limit-cycle verdict needs
 NEWTON_MAX_ITER = 8       # F evaluations of one Newton run before it counts as failed
 CAPTURE_CONTRACTIONS = 2  # consecutive intervals over which ‖ρ(t) - ρ_ss(ψ*)‖ must shrink
+# tolerances of each driven control interval.  The integration only decides a
+# seed's basin and the interval of its capture: ψ, ρ, the residual and the
+# margin of every reported fixed point come from Newton and steady_state, so the
+# pair can be far looser than an accurate trajectory would need.
+TRANSIENT_RTOL = 1e-6
+TRANSIENT_ATOL = 1e-9
 
 # The integrator of each driven control interval.  The name predates DOP853 and
 # stays because the benchmark harness counts steps by rebinding it to a counting
@@ -353,6 +359,10 @@ class _DrivenSite:
         self.unit_source = (-s / d) * vec_eye                   # -s vec(I/d)
         self.l0 = self.liouv0.matrix
         self.rhs_terms = sp.vstack([self.l0, self.s_adag, self.s_a], format="csr")
+        # vec(ρ) indices of the diagonal and of the paired upper and lower
+        # triangles, which span the Hermitian basis of ``margin``
+        iu, ju = np.triu_indices(d, 1)
+        self.herm_index = (np.arange(d) * (d + 1), iu * d + ju, ju * d + iu)
 
     def rhs(self, _t: float, y: np.ndarray) -> np.ndarray:
         """The nonlinear master equation, ψ = tr(aρ) refreshed at every call."""
@@ -384,6 +394,25 @@ class _DrivenSite:
                                    + np.outer(self.s_a @ r, self.adag_trace))
         return m
 
+    def margin(self, psi: complex, rho: DensityMatrix) -> float:
+        """max Re λ of ``bordered(psi, rho)``, from the real matrix T†MT.
+
+        T is the orthonormal basis of the Hermitian matrices E_ii, then
+        (E_ij + E_ji)/√2 and i(E_ij - E_ji)/√2 for i < j.  M maps Hermitian
+        matrices to Hermitian ones, so T†MT is real and has the spectrum of M.
+        Each basis vector has two nonzeros at most, so MT and T†(MT) are sums
+        and differences of gathered columns, then rows.
+        """
+        diag, upper, lower = self.herm_index
+        h = math.sqrt(0.5)
+        m = self.bordered(psi, rho)
+        mt = np.hstack([m[:, diag], h * (m[:, upper] + m[:, lower]),
+                        (1j * h) * (m[:, upper] - m[:, lower])])
+        del m     # so the peak memory stays that of ``bordered``
+        real = np.vstack([mt[diag].real, h * (mt[upper] + mt[lower]).real,
+                          h * (mt[upper] - mt[lower]).imag])
+        return float(np.max(np.linalg.eigvals(real).real))
+
     def newton(self, psi: complex, psi_tol: float, known: list[_Root]) -> _Root | None:
         """Newton on F(ψ) = tr(aρ_ss(ψ)) - ψ from ψ, one LU of M(ψ) per iterate.
 
@@ -392,10 +421,10 @@ class _DrivenSite:
         Returns a root of ``known`` as soon as an iterate comes within
         ``DISTINCT_TOL`` of it.  Once |F| ≤ ``psi_tol``, :func:`steady_state`
         verifies the new root and supplies its ρ; the root, with its stability
-        margin max Re λ of ``bordered(ψ, ρ)``, is added to ``known``.  Returns
-        None when ``NEWTON_MAX_ITER`` iterates do not converge, an iterate
-        leaves |ψ| ≤ √n_max, where every tr(aρ) lies, M(ψ) is singular, or
-        the verification fails.
+        margin ``margin(ψ, ρ)``, is added to ``known``.  Returns None when
+        ``NEWTON_MAX_ITER`` iterates do not converge, an iterate leaves
+        |ψ| ≤ √n_max, where every tr(aρ) lies, M(ψ) is singular, or the
+        verification fails.
         """
         for _ in range(NEWTON_MAX_ITER):
             for root in known:
@@ -422,8 +451,7 @@ class _DrivenSite:
         residual = abs(complex(self.a_trace @ rho.rho.reshape(-1)) - psi)
         if not residual <= psi_tol:
             return None
-        root = _Root(psi=complex(psi), rho=rho, residual=residual,
-                     margin=float(np.max(np.linalg.eigvals(self.bordered(psi, rho)).real)))
+        root = _Root(psi=complex(psi), rho=rho, residual=residual, margin=self.margin(psi, rho))
         known.append(root)
         return root
 
@@ -436,11 +464,13 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
 
     Runs the nonlinear master equation from every seed (a coherent state of
     amplitude equal to the seed value) in control intervals of 1/γ_min, the
-    slowest dissipation rate, each one SciPy DOP853 solve at ``ODE_RTOL`` and
-    ``ODE_ATOL``, the tolerances of every time integration.  After each
-    interval, Newton runs on F(ψ) = tr(aρ_ss(ψ)) - ψ from the current ψ, with
-    one LU of the dense bordered generator per iterate; roots are shared
-    between seeds, and :func:`steady_state` runs once per new root, to verify
+    slowest dissipation rate, each one SciPy DOP853 solve at ``TRANSIENT_RTOL``
+    and ``TRANSIENT_ATOL``.  The pair is loose because the trajectory only
+    picks the seed's basin and its capture interval; every reported number
+    comes from Newton and :func:`steady_state`.  After each interval, Newton
+    runs on F(ψ) = tr(aρ_ss(ψ)) - ψ from the current ψ, with one LU of the
+    dense bordered generator per iterate; roots are shared between seeds,
+    and :func:`steady_state` runs once per new root, to verify
     |F(ψ*)| ≤ ``psi_tol`` and supply ρ_ss(ψ*).  The run is captured, and
     stops, when that Newton reaches a linearly stable root (stability margin
     < 0) and ‖ρ(t) - ρ_ss(ψ*)‖ has shrunk toward that same root over
@@ -478,7 +508,7 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
         while t < horizon:
             # the solver class bound in this module, so a subclass bound there steps instead
             sol = solve_ivp(site.rhs, (0.0, t_chunk), y, method=RK45, t_eval=(t_chunk,),
-                            rtol=ODE_RTOL, atol=ODE_ATOL)
+                            rtol=TRANSIENT_RTOL, atol=TRANSIENT_ATOL)
             if sol.status < 0:
                 raise StiffnessError(
                     f"driven mean-field step failed at t = {t + sol.t[-1]:.4g}: {sol.message}")

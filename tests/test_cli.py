@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cqedlat import cli
+from cqedlat.resonator import Mode
 
 
 def run(tmp_path, command, config, exit_code=0):
@@ -76,11 +77,13 @@ class TestDimerG2:
         assert check["rel_shift"] < 1e-5        # truncation shift, not solver noise
         assert summary["convergence"]["points"] == 1
 
-    def test_negative_g2_is_unconverged(self, tmp_path, capsys):
-        # at ξ = 0.002 the two-photon population is below what the steady-state
-        # residual certifies, and the solve returns a negative g2
+    def test_negative_g2_is_unconverged(self, tmp_path, capsys, monkeypatch):
+        # a negative g2 is what a solve returns when the two-photon population
+        # is below what its residual certifies; it is stubbed here, because
+        # whether a given weak drive shows it depends on the solver's roundoff
+        monkeypatch.setattr(cli, "g2_zero", lambda rho, site, space: -0.25)
         rows, summary = run(tmp_path, "dimer-g2",
-                            {"omega_r": 50.0, "g": 1.0, "j_values": [0.5], "xi": 0.002,
+                            {"omega_r": 50.0, "g": 1.0, "j_values": [0.5], "xi": 0.01,
                              "gamma1": 0.01, "gamma_kappa": 0.01, "n_max": 3,
                              "cutoff_check": False}, exit_code=2)
         assert summary["status"] == "unconverged"
@@ -324,7 +327,18 @@ class TestModes:
         rows, summary = run_twice(tmp_path, "modes", self.CONFIG)
         assert len(rows) == 5
         assert summary["status"] == "ok"
-        assert summary["convergence"]["max_normalization_defect"] < 1e-6
+        check = summary["convergence"]["normalization_check"]
+        assert check["passed"] is True
+        assert check["max_normalization_defect"] <= cli.MODE_NORMALIZATION_ATOL
+
+    def test_normalization_defect_is_unconverged(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(Mode, "normalization_integral", lambda self: 1.0 + 1e-6)
+        _, summary = run(tmp_path, "modes", self.CONFIG, exit_code=2)
+        assert summary["status"] == "unconverged"
+        assert "convergence.normalization_check.passed" in capsys.readouterr().err
+        check = summary["convergence"]["normalization_check"]
+        assert check["passed"] is False
+        assert check["max_normalization_defect"] == pytest.approx(1e-6)
 
     def test_negative_length_exits_one(self, tmp_path, capsys):
         code = cli.main(["modes", "--ell", "4e-7", "--c", "1.6e-10", "--L-x", "-0.01",

@@ -10,6 +10,7 @@ import oracles
 
 from cqedlat import meanfield
 from cqedlat.hilbert import (
+    DensityMatrix,
     LatticeSpace,
     SiteSpace,
     annihilation,
@@ -456,8 +457,9 @@ class TestDrivenRootFinding:
             assert fp.stability_margin < 0
 
     def test_step_budget_at_the_benchmark_point(self, monkeypatch):
-        # DOP853 at ODE_RTOL / ODE_ATOL takes 1349 steps over both seeds here,
-        # the RK45 it replaced 6599; the loop steps through meanfield.RK45
+        # DOP853 at TRANSIENT_RTOL / TRANSIENT_ATOL takes 598 steps over both
+        # seeds here, 1349 at rtol 1e-9 / atol 1e-12; the loop steps through
+        # meanfield.RK45
         steps = []
 
         class Counting(meanfield.RK45):
@@ -468,7 +470,23 @@ class TestDrivenRootFinding:
         monkeypatch.setattr(meanfield, "RK45", Counting)
         res = driven_mf_steady(**DRIVEN_POINT, seeds=(0.0, 1.5))
         assert res.multistable
-        assert 0 < len(steps) <= 2700
+        assert 0 < len(steps) <= 700
+
+    @pytest.mark.parametrize("point, separatrix, low, high", [
+        (DRIVEN_POINT, (0.76963, 0.76968), 0.174278 - 0.026888j, -0.462686 - 0.178930j),
+        (BISTABLE_POINT, (0.92080, 0.92090), 0.044717 - 0.001286j, -0.402357 - 0.125510j),
+    ], ids=["driven_mf", "bistable"])
+    def test_loose_transient_keeps_seeds_beside_the_separatrix(self, point, separatrix,
+                                                               low, high):
+        # the real-seed separatrix, bisected with _settle_by_integration's
+        # rtol 1e-9 / atol 1e-12, lies in the bracket; seeds 1e-3 outside it
+        # must still reach the low and the high branch at the transient pair
+        below, above = separatrix[0] - 1e-3, separatrix[1] + 1e-3
+        res = driven_mf_steady(**point, seeds=(below, above))
+        assert res.multistable
+        for fp, branch in zip(res.per_seed, (low, high)):
+            assert not fp.limit_cycle and fp.stability_margin < 0
+            assert abs(fp.psi - branch) <= 1e-5
 
     def test_steady_state_runs_once_per_root(self, monkeypatch):
         # Newton factors the bordered generator instead; steady_state only
@@ -516,6 +534,17 @@ class TestDrivenRootFinding:
             assert site.newton(0.17 - 0.03j, 1e-8, []) is None
             with pytest.raises(MeanFieldConvergenceError):
                 driven_mf_steady(**DRIVEN_POINT, seeds=(0.0,), t_max=2 / 0.06)
+
+    def test_real_form_margin_matches_the_complex_spectrum(self):
+        # T†MT is the bordered linearization in an orthonormal Hermitian basis,
+        # so the two spectra agree at any ψ and any density matrix
+        site = _DrivenSite(**DRIVEN_POINT)
+        d = DRIVEN_POINT["space"].dim
+        x = np.random.default_rng(7).normal(size=(d, 2 * d)).view(complex)
+        rho = DensityMatrix(x @ x.conj().T / np.trace(x @ x.conj().T))
+        for psi in (0.0, 0.3 - 0.2j):
+            spectrum = np.linalg.eigvals(site.bordered(psi, rho))
+            assert site.margin(psi, rho) == pytest.approx(np.max(spectrum.real), abs=1e-12)
 
     def test_stability_margins_match_finite_differences(self):
         site = _DrivenSite(**BISTABLE_POINT)

@@ -42,7 +42,6 @@ __all__ = [
     "SiteSpace",
     "LatticeSpace",
     "DensityMatrix",
-    "ConvergenceCheck",
     "annihilation",
     "qubit_lower",
     "sigma_z",
@@ -115,15 +114,6 @@ class LatticeSpace:
     @property
     def total_dim(self) -> int:
         return math.prod(self.site_dims)
-
-    def basis_index(self, config: Sequence[tuple[int, int]]) -> int:
-        """Global index of a product configuration [(n_photon, qubit), ...]."""
-        if len(config) != self.n_sites:
-            raise ValueError(f"expected {self.n_sites} site configurations, got {len(config)}")
-        idx = 0
-        for site, (n_ph, q) in zip(self.sites, config):
-            idx = idx * site.dim + site.basis_index(n_ph, q)
-        return idx
 
 
 class DensityMatrix:
@@ -309,26 +299,20 @@ def expectation(op: sp.spmatrix, state: DensityMatrix) -> complex:
 # ---------------------------------------------------------------------------
 # cutoff convergence
 
-@dataclass(frozen=True)
-class ConvergenceCheck:
-    """Outcome of repeating an observable at an enlarged photon cutoff."""
-
-    rel_shift: float
-    passed: bool
-    n_max: int
-    n_max_ref: int
-
-
 def cutoff_convergence(observable: Callable[[int], complex], n_max: int, value: complex,
-                       rtol: float = 1e-6) -> ConvergenceCheck:
+                       rtol: float = 1e-6) -> dict[str, float | bool | int]:
     """Compare ``value``, the observable already computed at ``n_max``, with
-    ``observable(n_max + CUTOFF_STEP)``.
+    ``observable(n_max + CUTOFF_STEP)``, as the summary entry
+    ``{"rel_shift", "passed", "n_max", "n_max_ref"}``.
 
     The relative shift is |v(n_max+2) - v(n_max)| / max(|v(n_max+2)|, 1e-300);
-    ``passed`` is True when it does not exceed ``rtol``.  Physics modules expose
-    this check so truncation error is always measurable.
+    ``passed`` is True when it does not exceed ``rtol``.  An observable that
+    is NaN at both cutoffs, such as a g²(0) below the photon floor, passes with
+    a NaN shift; NaN at one cutoff only fails.  Physics modules expose this
+    check so truncation error is always measurable.
     """
     reference = observable(n_max + CUTOFF_STEP)
     shift = abs(reference - value) / max(abs(reference), 1e-300)
-    return ConvergenceCheck(rel_shift=float(shift), passed=bool(shift <= rtol),
-                            n_max=n_max, n_max_ref=n_max + CUTOFF_STEP)
+    return {"rel_shift": float(shift),
+            "passed": bool(shift <= rtol or (np.isnan(reference) and np.isnan(value))),
+            "n_max": n_max, "n_max_ref": n_max + CUTOFF_STEP}

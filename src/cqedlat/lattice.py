@@ -166,10 +166,7 @@ def sector_hamiltonian(params: LatticeParams, space: LatticeSpace, N: int) -> sp
 def sector_ground_energy(params: LatticeParams, space: LatticeSpace, N: int) -> float:
     """Lowest eigenvalue of the N-excitation block."""
     h = sector_hamiltonian(params, space, N)
-    dim = h.shape[0]
-    if dim == 1:
-        return float(h[0, 0].real)
-    if dim <= DENSE_SECTOR_LIMIT:
+    if h.shape[0] <= DENSE_SECTOR_LIMIT:
         return float(np.linalg.eigvalsh(h.toarray())[0])
     vals = spla.eigsh(h, k=1, which="SA", tol=EIGSH_TOL, return_eigenvectors=False)
     return float(vals[0])
@@ -195,15 +192,14 @@ def photon_band_minimum(params: LatticeParams) -> float:
     return float(np.linalg.eigvalsh(m)[0])
 
 
-def band_resonant_chain(omega_r: float, g: float, J: float, n_sites: int,
-                        boundary: str = "periodic") -> LatticeParams:
-    """Uniform chain with every qubit tuned to the bottom of the photon band."""
-    probe = chain(JCParams(omega_r=omega_r, omega_q=omega_r, g=g), n_sites, J, boundary)
+def band_resonant_chain(omega_r: float, g: float, J: float, n_sites: int) -> LatticeParams:
+    """Periodic uniform chain with every qubit tuned to the bottom of the photon band."""
+    probe = chain(JCParams(omega_r=omega_r, omega_q=omega_r, g=g), n_sites, J, "periodic")
     omega_q = photon_band_minimum(probe)
     if omega_q <= 0:
         raise ValueError(
             f"photon band minimum {omega_q} is not positive; increase omega_r relative to |J|")
-    return chain(JCParams(omega_r=omega_r, omega_q=omega_q, g=g), n_sites, J, boundary)
+    return chain(JCParams(omega_r=omega_r, omega_q=omega_q, g=g), n_sites, J, "periodic")
 
 
 def measured_nonlinearity(params: LatticeParams, space: LatticeSpace) -> float:

@@ -67,8 +67,6 @@ __all__ = [
     "ScanPoint",
     "StiffnessError",
     "ConvergenceError",
-    "DegenerateSteadyStateError",
-    "VacuumStateError",
     "CutoffWindowError",
     "MeanFieldConvergenceError",
     "build_liouvillian",
@@ -89,8 +87,6 @@ STEADY_REFINE_RTOL = 1e-6
 STEADY_GMRES_RESTART = 50
 STEADY_GMRES_MAXITER = 20     # restart cycles
 SYLVESTER_BLOCK = 64          # largest block handed to LAPACK trsyl whole
-# the uniqueness probe counts as solved below this relative residual
-UNIQUE_PROBE_RTOL = 1e-8
 
 
 class StiffnessError(RuntimeError):
@@ -99,14 +95,6 @@ class StiffnessError(RuntimeError):
 
 class ConvergenceError(RuntimeError):
     """A steady-state search did not reach its tolerance."""
-
-
-class DegenerateSteadyStateError(RuntimeError):
-    """The Liouvillian null space has more than one dimension."""
-
-
-class VacuumStateError(ValueError):
-    """g²(0) requested on a state with no photons."""
 
 
 # The errors of ``meanfield`` live here so that the CLI can catch them without
@@ -487,7 +475,7 @@ def _gmres(matvec, b: np.ndarray, rtol: float) -> tuple[np.ndarray, float]:
     return x, r_norm / b_norm
 
 
-def steady_state(liouv: Liouvillian, check_unique: bool = True) -> DensityMatrix:
+def steady_state(liouv: Liouvillian) -> DensityMatrix:
     """Stationary state of a dissipative Liouvillian by a matrix-free Krylov solve.
 
     Solves the bordered system (L - s|I/d⟩⟨tr|) x = -s I/d, with s the
@@ -510,12 +498,9 @@ def steady_state(liouv: Liouvillian, check_unique: bool = True) -> DensityMatrix
 
     Raises ``ValueError`` for a generator without jumps, and
     :class:`ConvergenceError` when the state misses
-    max|Lρ| ≤ ``STEADY_RESIDUAL_RTOL`` · s.  With ``check_unique`` a second bordered
-    solve, with a random right-hand side and the same preconditioner, must
-    converge: the bordered operator is singular exactly when the null space
-    of L has more than one dimension, and a random right-hand side then has
-    no solution.  A degenerate steady space raises
-    :class:`DegenerateSteadyStateError`; it is never silently resolved.
+    max|Lρ| ≤ ``STEADY_RESIDUAL_RTOL`` · s.  Uniqueness is presumed, not
+    tested: on a degenerate steady space the bordered operator is singular,
+    and a state that meets the residual bound is one element of that space.
     """
     if not liouv.jumps:
         raise ValueError("steady_state requires a dissipative Liouvillian (some rate > 0)")
@@ -530,27 +515,18 @@ def steady_state(liouv: Liouvillian, check_unique: bool = True) -> DensityMatrix
         y[diagonal] -= scale * np.trace(x) / d
         return y
 
-    def solve(rhs: np.ndarray, rtol: float) -> tuple[np.ndarray, float]:
-        u, rel_residual = _gmres(bordered, rhs, rtol)
-        return precondition(u.reshape(d, d)), rel_residual
+    def solve(rhs: np.ndarray, rtol: float) -> np.ndarray:
+        u, _ = _gmres(bordered, rhs, rtol)
+        return precondition(u.reshape(d, d))
 
     rhs = np.zeros(d * d, dtype=np.complex128)
     rhs[diagonal] = -scale / d
-    x, _ = solve(rhs, STEADY_GMRES_RTOL)
+    x = solve(rhs, STEADY_GMRES_RTOL)
     # one step of mixed-precision iterative refinement
     bordered_x = _apply_extended(liouv, x)
     bordered_x[np.diag_indices(d)] -= scale * np.trace(x.astype(np.clongdouble)) / d
     residual_ext = rhs.astype(np.clongdouble) - bordered_x.reshape(-1)
-    correction, _ = solve(residual_ext.astype(np.complex128), STEADY_REFINE_RTOL)
-    x = x + correction
-    if check_unique:
-        rng = np.random.default_rng(7)
-        probe = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
-        _, probe_residual = solve(probe, UNIQUE_PROBE_RTOL)
-        if not probe_residual <= UNIQUE_PROBE_RTOL:
-            raise DegenerateSteadyStateError(
-                f"bordered Liouvillian is singular (random right-hand side left a relative "
-                f"residual {probe_residual:.3e}); the steady space is degenerate")
+    x = x + solve(residual_ext.astype(np.complex128), STEADY_REFINE_RTOL)
     rho = 0.5 * (x + x.conj().T)
     rho = rho / np.trace(rho).real
     residual = np.max(np.abs(liouv.apply(rho)))
@@ -564,20 +540,21 @@ def steady_state(liouv: Liouvillian, check_unique: bool = True) -> DensityMatrix
 # ---------------------------------------------------------------------------
 # observables
 
-def _g2_ratio(n_val: float, num: float, site: int) -> float:
+def _g2_ratio(n_val: float, num: float) -> float:
+    """⟨a†²a²⟩ / ⟨a†a⟩², NaN below the photon floor ⟨a†a⟩ ≤ 1e-12."""
     if n_val <= 1e-12:
-        raise VacuumStateError(
-            f"⟨a†a⟩ = {n_val:.3e} on site {site}; g²(0) is undefined on the vacuum")
+        return math.nan
     return float(num / n_val**2)
 
 
 def g2_zero(state: DensityMatrix, site: int, space: LatticeSpace) -> float:
-    """Zero-delay second-order coherence g²(0) = ⟨a†a†aa⟩ / ⟨a†a⟩² on one site."""
+    """Zero-delay second-order coherence g²(0) = ⟨a†a†aa⟩ / ⟨a†a⟩² on one site,
+    NaN below the photon floor."""
     a = photon_op_on(space, site, annihilation(space.sites[site]))
     adag = a.getH()
     n_val = expectation(adag @ a, state).real
     num = expectation(adag @ adag @ a @ a, state).real
-    return _g2_ratio(n_val, num, site)
+    return _g2_ratio(n_val, num)
 
 
 @dataclass(frozen=True)
@@ -613,20 +590,16 @@ class _ScanModel:
         self.n_t = np.stack([(a.getH() @ a).T.toarray() for a in ports])
         a0 = ports[0]
         self.num_t = (a0.getH() @ a0.getH() @ a0 @ a0).T.toarray()
-        self.g2_site = port_sites[0]
 
     def generator(self, xi: float, omega_d: float) -> Liouvillian:
         """The generator of :func:`build_liouvillian` at drive (ξ, ω_d)."""
         return self.base.with_hamiltonian(self.h - omega_d * self.n_tot + xi * self.x_drive)
 
     def point(self, xi: float, omega_d: float) -> ScanPoint:
-        rho = steady_state(self.generator(xi, omega_d), check_unique=False).rho
+        rho = steady_state(self.generator(xi, omega_d)).rho
         a_vals = np.sum(self.a_t * rho, axis=(1, 2))
         n_vals = np.sum(self.n_t * rho, axis=(1, 2)).real
-        try:
-            g2 = _g2_ratio(float(n_vals[0]), float(np.sum(self.num_t * rho).real), self.g2_site)
-        except VacuumStateError:
-            g2 = float("nan")
+        g2 = _g2_ratio(float(n_vals[0]), float(np.sum(self.num_t * rho).real))
         return ScanPoint(xi=xi, omega_d=omega_d, a_sum=complex(a_vals.sum()),
                          abs_a=float(np.abs(a_vals).sum()), t_norm=0.0,
                          n_photon=float(n_vals.sum()), g2=g2)

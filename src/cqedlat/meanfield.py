@@ -70,7 +70,6 @@ from .lindblad import (
     DriveSpec,
     MeanFieldConvergenceError,
     StiffnessError,
-    VacuumStateError,
     build_liouvillian,
     g2_zero,
     steady_state,
@@ -99,6 +98,7 @@ DISTINCT_TOL = 1e-4       # driven fixed points closer than this are one branch
 CYCLE_SAMPLES = 40        # ψ samples a limit-cycle verdict needs
 NEWTON_MAX_ITER = 8       # F evaluations of one Newton run before it counts as failed
 CAPTURE_CONTRACTIONS = 2  # consecutive intervals over which ‖ρ(t) - ρ_ss(ψ*)‖ must shrink
+HORIZON_RELAXATIONS = 600  # driven horizon per seed, in units of 1/γ_min
 # tolerances of each driven control interval.  The integration only decides a
 # seed's basin and the interval of its capture: ψ, ρ, the residual and the
 # margin of every reported fixed point come from Newton and steady_state, so the
@@ -374,7 +374,7 @@ class _DrivenSite:
         """ρ_ss(ψ) by :func:`steady_state`: H_rot - zJ(ψa† + ψ*a) with the same jumps."""
         base = self.liouv0
         h = base.h_rot - self.zj * (psi * self.a.conj().T + np.conj(psi) * self.a)
-        return steady_state(base.with_hamiltonian(h), check_unique=False)
+        return steady_state(base.with_hamiltonian(h))
 
     def bordered(self, psi: complex, rho: DensityMatrix | None = None) -> np.ndarray:
         """Dense M(ψ); with ρ, the linearization of the nonlinear generator at
@@ -457,9 +457,8 @@ class _DrivenSite:
 
 
 def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
-                     zj: float, seeds: tuple[complex, ...] = (0.0,),
-                     space: SiteSpace | None = None, psi_tol: float = 1e-8,
-                     t_max: float | None = None) -> DrivenMFResult:
+                     zj: float, seeds: tuple[complex, ...] = (0.0,), *,
+                     space: SiteSpace, psi_tol: float = 1e-8) -> DrivenMFResult:
     """Self-consistent driven-dissipative mean field on one site.
 
     Runs the nonlinear master equation from every seed (a coherent state of
@@ -478,22 +477,21 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
     ρ_ss(ψ*), the residual |F(ψ*)| and the margin.  Fixed points from
     different seeds that differ by more than ``DISTINCT_TOL`` are reported as
     distinct branches (multistability).  A run that is never captured within
-    the horizon is classified as a limit cycle when its ψ swing over the last
-    ``CYCLE_SAMPLES`` control intervals is not decaying, and returned with its
-    last state and NaN residual and margin; otherwise it raises
-    :class:`MeanFieldConvergenceError`.
+    the horizon, ``HORIZON_RELAXATIONS`` control intervals, is classified as a
+    limit cycle when its ψ swing over the last ``CYCLE_SAMPLES`` control
+    intervals is not decaying, and returned with its last state and NaN
+    residual and margin; otherwise it raises :class:`MeanFieldConvergenceError`.
+    A state below the photon floor reports a NaN g²(0).
     """
     if not rates.any_nonzero():
         raise ValueError("driven mean field requires dissipative rates > 0")
-    if space is None:
-        space = SiteSpace(photon_cutoff=10)
     site = _DrivenSite(jc, rates, drive, zj, space)
     d = space.dim
 
     slowest = min(r for r in (rates.gamma1, rates.gamma_phi, rates.gamma_kappa,
                               *(k for _, k in rates.kappa_ports)) if r > 0)
     t_chunk = 1.0 / slowest
-    horizon = t_max if t_max is not None else 600.0 / slowest
+    horizon = HORIZON_RELAXATIONS / slowest
 
     roots: list[_Root] = []     # every root Newton has found, from any seed
     results: list[DrivenFixedPoint] = []
@@ -552,12 +550,8 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
                     f"({len(history)} ψ samples, last |Δψ| = {last_step:.3e})")
             state = DensityMatrix(rho_m)
             psi, residual, margin = history[-1], math.nan, math.nan
-        try:
-            g2 = g2_zero(state, 0, site.space)
-        except VacuumStateError:
-            g2 = float("nan")
         results.append(DrivenFixedPoint(
-            psi=psi, rho=state, g2=g2, seed=complex(seed),
+            psi=psi, rho=state, g2=g2_zero(state, 0, site.space), seed=complex(seed),
             limit_cycle=not captured, residual=residual, stability_margin=margin))
 
     branches: list[DrivenFixedPoint] = []

@@ -13,8 +13,9 @@ The rest are independent routes to what the commands compute, which no command
 runs itself: the dressed JC eigenvectors, the J = 0 Mott window from sector
 ground energies, the canonical netlist text behind the parser round trip,
 time evolution of a state under the Lindblad generator (which must end at the
-steady state) and a Lorentzian lineshape fit (whose width is the polariton
-linewidth).
+steady state), the random-right-hand-side probe of steady-state uniqueness, a
+Lorentzian lineshape fit (whose width is the polariton linewidth) and the
+global index of a product configuration.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from cqedlat.hilbert import (
 )
 from cqedlat.jc import JCParams, mixing_angle
 from cqedlat.lattice import LatticeParams, sector_ground_energy
-from cqedlat.lindblad import Liouvillian, StiffnessError
+from cqedlat.lindblad import Liouvillian, StiffnessError, _gmres, _no_jump_inverse
 from cqedlat.meanfield import (
     PSI_FLOOR,
     PSI_GRID_POINTS,
@@ -56,6 +57,7 @@ ZJ_RESOLUTION = 1e-4      # resolution and lower bracket end of the lobe-boundar
 # field integrates its transients at its own, looser pair
 ODE_RTOL = 1e-9
 ODE_ATOL = 1e-12
+UNIQUE_PROBE_RTOL = 1e-8  # the uniqueness probe counts as solved below this relative residual
 
 
 @st.composite
@@ -83,6 +85,16 @@ def number(space: SiteSpace) -> sp.csr_matrix:
 def qubit_number() -> sp.csr_matrix:
     """Excited-state projector σ⁺σ⁻."""
     return sp.csr_matrix(np.diag([0.0, 1.0]), dtype=np.complex128)
+
+
+def basis_index(space: LatticeSpace, config: Sequence[tuple[int, int]]) -> int:
+    """Global index of a product configuration [(n_photon, qubit), ...], site 0 slowest."""
+    if len(config) != space.n_sites:
+        raise ValueError(f"expected {space.n_sites} site configurations, got {len(config)}")
+    idx = 0
+    for site, (n_ph, q) in zip(space.sites, config):
+        idx = idx * site.dim + site.basis_index(n_ph, q)
+    return idx
 
 
 def vacuum(space: LatticeSpace) -> DensityMatrix:
@@ -372,6 +384,29 @@ def evolve(liouv: Liouvillian, rho0: DensityMatrix, t_final: float,
     return EvolveResult(times=times, states=states,
                         trace_drift=max(abs(np.trace(s.rho) - 1.0) for s in states),
                         min_eigenvalue=float(np.linalg.eigvalsh(states[-1].rho)[0]))
+
+
+def unique_probe_residual(liouv: Liouvillian) -> float:
+    """Relative residual of the bordered steady-state system (L - s|I/d⟩⟨tr|)x = b,
+    solved as ``steady_state`` solves it, for a random b (seed 7).
+
+    The bordered operator is singular exactly when the steady space of L has more
+    than one dimension, and a random b then has no solution: a residual above
+    ``UNIQUE_PROBE_RTOL`` marks a degenerate steady space.
+    """
+    d, scale = liouv.dim, liouv.scale()
+    precondition = _no_jump_inverse(liouv.h_eff, scale)
+    diagonal = np.arange(d) * (d + 1)
+
+    def bordered(u: np.ndarray) -> np.ndarray:
+        x = precondition(u.reshape(d, d))
+        y = liouv.apply(x).reshape(-1)
+        y[diagonal] -= scale * np.trace(x) / d
+        return y
+
+    rng = np.random.default_rng(7)
+    probe = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
+    return _gmres(bordered, probe, UNIQUE_PROBE_RTOL)[1]
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ class TestSiteAndLatticeSpaces:
     def test_site_zero_is_slowest_index(self):
         space = LatticeSpace.uniform(2, 1)
         # |n0=1,q0=0; n1=0,q1=1⟩: site0 index 2, site1 index 1, dims 4 each
-        assert space.basis_index([(1, 0), (0, 1)]) == 2 * 4 + 1
+        assert oracles.basis_index(space, [(1, 0), (0, 1)]) == 2 * 4 + 1
 
     def test_photon_slow_qubit_fast_within_site(self):
         s = SiteSpace(2)
@@ -199,7 +199,7 @@ class TestExpectation:
     def test_excited_qubit_population(self):
         space = LatticeSpace.uniform(1, 1)
         vec = np.zeros(space.total_dim)
-        vec[space.basis_index([(0, 1)])] = 1.0
+        vec[oracles.basis_index(space, [(0, 1)])] = 1.0
         rho = DensityMatrix.pure(vec)
         excited = oracles.qubit_op_on(space, 0, oracles.qubit_number())
         assert expectation(excited, rho) == pytest.approx(1.0)
@@ -257,9 +257,20 @@ class TestValidation:
 class TestCutoffConvergence:
     def test_converged_observable(self):
         check = cutoff_convergence(lambda n: 1.0 + 2.0 ** (-n), 40, 1.0 + 2.0 ** (-40))
-        assert check.passed
+        assert check["passed"]
+        assert (check["n_max"], check["n_max_ref"]) == (40, 42)
 
     def test_unconverged_observable(self):
         check = cutoff_convergence(lambda n: float(n), 4, 4.0)
-        assert not check.passed
-        assert check.n_max_ref == 6
+        assert check == {"rel_shift": pytest.approx(1 / 3), "passed": False,
+                         "n_max": 4, "n_max_ref": 6}
+
+    def test_nan_at_both_cutoffs_passes(self):
+        # a g²(0) below the photon floor is NaN at every cutoff
+        check = cutoff_convergence(lambda n: float("nan"), 3, float("nan"))
+        assert check["passed"] is True
+        assert np.isnan(check["rel_shift"])
+
+    @pytest.mark.parametrize("value,reference", [(float("nan"), 1.0), (1.0, float("nan"))])
+    def test_nan_at_one_cutoff_fails(self, value, reference):
+        assert cutoff_convergence(lambda n: reference, 3, value)["passed"] is False

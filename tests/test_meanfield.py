@@ -311,7 +311,7 @@ class TestDrivenMeanField:
         assert strong > 0.5
         assert strong > weak
 
-    def test_bistability_from_seed_dependence(self):
+    def test_bistability_from_seed_dependence(self, monkeypatch):
         # pumping above the lower-polariton band bottom develops two stable
         # branches reachable from the empty and the bright seed
         de = 0.01 * G
@@ -320,33 +320,33 @@ class TestDrivenMeanField:
         jc = JCParams(WR, wq, G)
         rates = DissipationRates(gamma1=de, kappa_ports={0: de})
         drive = DriveSpec(xi=0.02 * G, omega_d=wq - G + 0.2 * G)
-        res = driven_mf_steady(jc, rates, drive, zj, seeds=(0.0, 1.5),
-                               space=SiteSpace(7), t_max=250 / de)
+        monkeypatch.setattr(meanfield, "HORIZON_RELAXATIONS", 250)
+        res = driven_mf_steady(jc, rates, drive, zj, seeds=(0.0, 1.5), space=SiteSpace(7))
         assert res.multistable
         assert len(res.branches) == 2
         psis = sorted(abs(b.psi) for b in res.branches)
         assert psis[1] - psis[0] > 1e-2
 
     @pytest.mark.parametrize("chunks", [1, CAPTURE_CONTRACTIONS])
-    def test_short_unconverged_run_is_not_a_limit_cycle(self, chunks):
+    def test_short_unconverged_run_is_not_a_limit_cycle(self, chunks, monkeypatch):
         # fewer than 40 ψ samples cannot show a sustained oscillation; capture
         # takes more than CAPTURE_CONTRACTIONS intervals, so a horizon of at
         # most that many leaves every run uncaptured whatever Newton finds
         jc = JCParams(20.0, 19.0, 1.0)
         rates = DissipationRates(gamma1=0.06, kappa_ports={0: 0.06})
         drive = DriveSpec(xi=0.12, omega_d=18.3)
+        monkeypatch.setattr(meanfield, "HORIZON_RELAXATIONS", chunks)
         with pytest.raises(MeanFieldConvergenceError, match=f"{chunks + 1} ψ samples"):
-            driven_mf_steady(jc, rates, drive, 1.0, seeds=(0.0,), space=SiteSpace(6),
-                             t_max=chunks / 0.06)
+            driven_mf_steady(jc, rates, drive, 1.0, seeds=(0.0,), space=SiteSpace(6))
 
-    def test_convergence_error_reports_the_last_step(self):
+    def test_convergence_error_reports_the_last_step(self, monkeypatch):
         # a horizon of CAPTURE_CONTRACTIONS intervals is too short for capture
         jc = JCParams(20.0, 19.0, 1.0)
         rates = DissipationRates(gamma1=0.06, kappa_ports={0: 0.06})
         drive = DriveSpec(xi=0.12, omega_d=18.3)
+        monkeypatch.setattr(meanfield, "HORIZON_RELAXATIONS", CAPTURE_CONTRACTIONS)
         with pytest.raises(MeanFieldConvergenceError) as info:
-            driven_mf_steady(jc, rates, drive, 1.0, seeds=(0.0,), space=SiteSpace(6),
-                             t_max=CAPTURE_CONTRACTIONS / 0.06)
+            driven_mf_steady(jc, rates, drive, 1.0, seeds=(0.0,), space=SiteSpace(6))
         last_step = float(str(info.value).split("last |Δψ| = ")[1].rstrip(")"))
         assert last_step > 1e-8
 
@@ -528,12 +528,13 @@ class TestDrivenRootFinding:
             return m
 
         monkeypatch.setattr(_DrivenSite, "bordered", singular)
+        monkeypatch.setattr(meanfield, "HORIZON_RELAXATIONS", 2)
         site = _DrivenSite(**DRIVEN_POINT)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert site.newton(0.17 - 0.03j, 1e-8, []) is None
             with pytest.raises(MeanFieldConvergenceError):
-                driven_mf_steady(**DRIVEN_POINT, seeds=(0.0,), t_max=2 / 0.06)
+                driven_mf_steady(**DRIVEN_POINT, seeds=(0.0,))
 
     def test_real_form_margin_matches_the_complex_spectrum(self):
         # T†MT is the bordered linearization in an orthonormal Hermitian basis,

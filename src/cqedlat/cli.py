@@ -18,8 +18,10 @@ configuration, library versions and the verdict of every check; the summary
 validates against the schema shipped in ``cqedlat/schemas`` and is strict JSON,
 a non-finite number being written as ``null``.  An unreadable config or
 netlist file is an input error, like a malformed one.  Runs are
-deterministic: identical configs produce byte-identical CSVs, and the scan
-points of ``blockade-scan`` keep their grid order on any ``workers`` count.
+deterministic: identical configs produce byte-identical CSVs.  The scan of
+``blockade-scan`` solves its ω_d points in batches that ``workers`` does not
+change, so its CSV keeps the grid order and the same bytes on any ``workers``
+count.
 
 The three commands that report g²(0) (``blockade-scan``, ``dimer-g2`` and
 ``driven-mf``) carry a ``g2_check``: g²(0) is a ratio of non-negative moments,
@@ -79,6 +81,7 @@ from .lindblad import (
     CutoffWindowError,
     DissipationRates,
     DriveSpec,
+    KrylovStats,
     MeanFieldConvergenceError,
     StiffnessError,
     g2_zero,
@@ -330,6 +333,20 @@ def _g2_check(values: list[float]) -> dict[str, Any]:
     return {"min_g2": low, "passed": not low < 0}
 
 
+def _krylov_summary(stats: list[KrylovStats]) -> dict[str, float]:
+    """The Krylov steps of the first and of the refinement GMRES solve of every
+    steady state a run solves, its cutoff check's included, and the largest
+    refinement residual.  Informational: a residual above
+    ``STEADY_REFINE_RTOL`` shows a stalled refinement, which the
+    generator-residual bound of the steady state judges, so there is no
+    ``passed`` key."""
+    first = [s.steps for s in stats]
+    refine = [s.refine_steps for s in stats]
+    return {"max_steps": max(first), "mean_steps": sum(first) / len(first),
+            "max_refine_steps": max(refine), "mean_refine_steps": sum(refine) / len(refine),
+            "max_refine_residual": max(s.refine_residual for s in stats)}
+
+
 def _cmd_jc_spectrum(config: dict[str, Any]):
     p = JCParams(config["omega_r"], config["omega_q"], config["g"])
     space = SiteSpace(config["n_max"])
@@ -374,6 +391,7 @@ def _cmd_blockade_scan(config: dict[str, Any]):
             for q in points]
     conv = {"steady_state_method": "preconditioned_gmres", "points": len(rows),
             "g2_check": _g2_check([q.g2 for q in points])}
+    krylov = [q.krylov for q in points]
     if config["cutoff_check"]:
         # the grid midpoint at the first drive amplitude, repeated at n_max + 2
         k = len(grid) // 2
@@ -382,14 +400,17 @@ def _cmd_blockade_scan(config: dict[str, Any]):
         def observable(n_max: int) -> complex:
             sp_ = LatticeSpace.uniform(1, n_max)
             pt = transmission_scan(params, sp_, rates, [xi0], [grid[k]])[0]
+            krylov.append(pt.krylov)
             return pt.abs_a
 
         conv["cutoff_check"] = cutoff_convergence(observable, config["n_max"], rows[k]["abs_a"])
+    conv["krylov"] = _krylov_summary(krylov)
     return rows, conv
 
 
 def _cmd_dimer_g2(config: dict[str, Any]):
     rows = []
+    krylov = []           # of every row's solve and of the cutoff check's
     rates = _rates_from(config)
 
     def point(j_val: float, n_max: int):
@@ -401,6 +422,7 @@ def _cmd_dimer_g2(config: dict[str, Any]):
         liouv = build_liouvillian(h, rates, DriveSpec(xi=config["xi"], omega_d=omega_d,
                                                       driven_sites=(0, 1)), space)
         rho = steady_state(liouv)
+        krylov.append(rho.krylov)
         a0 = photon_op_on(space, 0, annihilation(space.sites[0]))
         n0 = expectation(a0.getH() @ a0, rho).real
         return {"J": j_val, "omega_d": omega_d, "g2": g2_zero(rho, 0, space),
@@ -413,6 +435,7 @@ def _cmd_dimer_g2(config: dict[str, Any]):
         j0 = float(config["j_values"][0])
         conv["cutoff_check"] = cutoff_convergence(lambda nm: point(j0, nm)["g2"],
                                                   config["n_max"], rows[0]["g2"])
+    conv["krylov"] = _krylov_summary(krylov)
     return rows, conv
 
 

@@ -25,7 +25,11 @@ copies) is built once per jump set and shared by every generator that
 :meth:`Liouvillian.with_hamiltonian` derives from it: a scan builds it once,
 not once per point.  The steady state is a matrix-free solve by the package's
 own restarted GMRES, preconditioned by the exact inverse of the no-jump part
-(see :func:`steady_state`).  The d²×d² superoperator, in
+(see :func:`steady_states`).  It solves a batch of generators with one jump
+set at once: every member keeps its own Krylov iteration and its own checks,
+while each step costs one batched call for all of them, so a scan pays the
+interpreter cost of a step once per batch of ω_d points and not once per
+point.  :func:`steady_state` is the batch of one.  The d²×d² superoperator, in
 row-major (C-order) vectorization vec(AρB) = (A ⊗ Bᵀ)vec(ρ), is assembled
 only on demand (:attr:`Liouvillian.matrix`): the driven mean field integrates
 and factors it, and the tests use it as an oracle.  ``blockade-scan``,
@@ -64,13 +68,16 @@ __all__ = [
     "DissipationRates",
     "DriveSpec",
     "Liouvillian",
+    "KrylovStats",
     "ScanPoint",
+    "SteadyState",
     "StiffnessError",
     "ConvergenceError",
     "CutoffWindowError",
     "MeanFieldConvergenceError",
     "build_liouvillian",
     "steady_state",
+    "steady_states",
     "g2_zero",
     "transmission_scan",
 ]
@@ -86,7 +93,20 @@ STEADY_GMRES_RTOL = 1e-10
 STEADY_REFINE_RTOL = 1e-6
 STEADY_GMRES_RESTART = 50
 STEADY_GMRES_MAXITER = 20     # restart cycles
-SYLVESTER_BLOCK = 64          # largest block handed to LAPACK trsyl whole
+# Largest B·d² of one batched steady-state solve (B generators of dimension d).
+# Memory sets it: the Krylov basis of a batch grows by B·d² complex entries per
+# step.  At 2048 the seed-0 scan (d = 14) solves each row of 51 points in six
+# batches of 8 or 9, and its peak RSS is 0.7 MiB above that of one point at a
+# time; batches of 17 (4096) add 1.7 MiB and one batch of 51 adds 6.5 MiB.
+# From d = 33 on every batch is a single generator.
+STEADY_BATCH_ENTRIES = 2048
+# Largest block handed to LAPACK trsyl whole.  _triangular_sylvester, µs per
+# solve at blocks 64 / 32 / 16 / 8 (2-core x86-64 VM, one OpenBLAS thread):
+# d = 14: 49 / 52 / 51 / 128; d = 64: 1440 / 1335 / 1578 / 2795; d = 512:
+# 122 189 / 114 374 / 135 593 / 191 410.  trsyl alone takes 3.3 µs at d = 2
+# and 43 µs at d = 14, so at d = 14 its cost is arithmetic, not call overhead,
+# and no smaller block saves more than 8%.
+SYLVESTER_BLOCK = 64
 
 
 class StiffnessError(RuntimeError):
@@ -155,29 +175,50 @@ class _JumpSet:
     """The parts of a generator that depend on its jumps alone, built once and
     shared by every generator of :meth:`Liouvillian.with_hamiltonian`.
 
-    ``stack`` is [C₁; …; C_k] (kd×d) and ``row`` is [C₁ … C_k] (d×kd), so that
-    Σ_c C_c ρ C_c† takes two sparse products and Σ_c C_c†C_c one, for any k.
+    ``stack_conj`` is the conjugate of [C₁; …; C_k] (kd×d) and ``row`` is
+    [C₁ … C_k] (d×kd), so that Σ_c C_c ρ C_c† takes two sparse products and
+    Σ_c C_c†C_c one, for any k.
     """
 
     def __init__(self, jumps: Sequence[sp.spmatrix], d: int):
         self.jumps = tuple(sp.csr_matrix(c, dtype=np.complex128) for c in jumps)
         self.k = len(self.jumps)
         empty = sp.csr_matrix((0, d), dtype=np.complex128)
-        self.stack = sp.vstack(self.jumps or (empty,), format="csr")
+        stack = sp.vstack(self.jumps or (empty,), format="csr")
+        self.stack_conj = stack.conj()
         self.row = sp.hstack(self.jumps or (empty.T,), format="csr")
-        self.loss = (self.stack.getH() @ self.stack).toarray()     # Σ_c C_c†C_c
+        self.loss = (stack.getH() @ stack).toarray()                 # Σ_c C_c†C_c
         diag = np.array([c.diagonal() for c in self.jumps]).reshape(self.k, d)
         self.diag = diag.T @ diag.conj()                             # Σ_c C_c,ii C̄_c,jj
 
     @cached_property
     def extended(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """``stack`` conjugated and ``row``, in extended precision (``np.clongdouble``)."""
-        return self.stack.conj().astype(np.clongdouble), self.row.astype(np.clongdouble)
+        """``stack_conj`` and ``row`` in extended precision (``np.clongdouble``)."""
+        return self.stack_conj.astype(np.clongdouble), self.row.astype(np.clongdouble)
 
-    def sandwich(self, stacked: np.ndarray, row: sp.csr_matrix) -> np.ndarray:
-        """Σ_c C_c Y_cᵀ from the kd×d stack [Y₁; …; Y_k] of the blocks Y_c."""
-        d = stacked.shape[1]
-        return row @ stacked.reshape(self.k, d, d).transpose(0, 2, 1).reshape(self.k * d, d)
+
+def _jump_sum(stack_conj: sp.csr_matrix, row: sp.csr_matrix, r: np.ndarray) -> np.ndarray:
+    """Σ_c C_c ρ C_c† for every ρ of the (m, d, d) stack ``r``, by two sparse
+    products for all m and all channels.
+
+    C ρ C† = C (C̄ρᵀ)ᵀ: the ρ_mᵀ stand side by side as the d×md right-hand side
+    of ``stack_conj``, and the blocks C̄_c ρ_mᵀ, transposed, as that of ``row``.
+    """
+    m, d, _ = r.shape
+    k = row.shape[1] // d
+    blocks = stack_conj @ r.transpose(2, 0, 1).reshape(d, m * d)
+    blocks = blocks.reshape(k, d, m, d).transpose(0, 3, 2, 1).reshape(k * d, m * d)
+    return (row @ blocks).reshape(d, m, d).transpose(1, 0, 2)
+
+
+def _apply(h_eff: np.ndarray, h_adj: np.ndarray, jumps: _JumpSet, r: np.ndarray) -> np.ndarray:
+    """Lρ = -i(H_eff ρ - ρ H_eff†) + Σ_c C_c ρ C_c† for every ρ of the (m, d, d)
+    stack ``r``; ``h_eff`` and ``h_adj`` = H_eff† are d×d or an (m, d, d) stack."""
+    out = h_eff @ r
+    out -= r @ h_adj
+    out *= -1j
+    out += _jump_sum(jumps.stack_conj, jumps.row, r)
+    return out
 
 
 class Liouvillian:
@@ -251,12 +292,8 @@ class Liouvillian:
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Lρ for a d×d (or vectorized) ρ, from d×d products only."""
-        r = rho.reshape(self.dim, self.dim)
-        out = -1j * (self.h_eff @ r - r @ self._h_eff_adj)
-        jumps = self._jump_set
-        # C ρ C† = C (C ρ†)†, so the blocks C_c ρ† are conjugated and transposed
-        out += jumps.sandwich((jumps.stack @ r.conj().T).conj(), jumps.row)
-        return out.reshape(rho.shape)
+        r = rho.reshape(1, self.dim, self.dim)
+        return _apply(self.h_eff, self._h_eff_adj, self._jump_set, r).reshape(rho.shape)
 
 
 def _square(h_rot: np.ndarray | sp.spmatrix) -> np.ndarray:
@@ -352,42 +389,91 @@ def _triangular_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.nda
     return np.hstack([x1, x2])
 
 
-def _no_jump_inverse(h_eff: np.ndarray, stationary_rate: float):
-    """Exact inverse of the no-jump generator Y ↦ -i(H_eff Y - Y H_eff†).
+def _no_jump_schur(h_eff: np.ndarray, stationary_rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """(T, Q) with H_eff = Q T Q† (Q unitary, T upper triangular), its
+    stationary modes shifted to decay at ``stationary_rate``.
 
-    Bartels-Stewart: with the Schur form H_eff = Q T Q† (Q unitary, T upper
-    triangular, eigenvalues λ on its diagonal), -i(H_eff Y - Y H_eff†) = Z
-    becomes the triangular Sylvester equation T W - W T† = i Q†ZQ for
-    W = Q†YQ, solved in O(d³).  The unitary basis keeps the solve accurate
-    where H_eff is far from normal, e.g. at an exceptional point, where an
-    eigenbasis V makes V⁻¹ZV⁻† lose digits.  A mode the
-    no-jump evolution leaves stationary (Im λ = 0; the vacuum of an undriven
-    lattice has λ = 0) would make the equation singular; its λ is moved by
-    -i·``stationary_rate``/2, so that it decays at that rate instead.
+    The inverse of the no-jump generator Y ↦ -i(H_eff Y - Y H_eff†) then is
+    Bartels-Stewart: -i(H_eff Y - Y H_eff†) = Z becomes the triangular
+    Sylvester equation T W - W T† = i Q†ZQ for W = Q†YQ, solved in O(d³).  The
+    unitary basis keeps the solve accurate where H_eff is far from normal,
+    e.g. at an exceptional point, where an eigenbasis V makes V⁻¹ZV⁻† lose
+    digits.  A mode the no-jump evolution leaves stationary (Im λ = 0 for an
+    eigenvalue λ on T's diagonal; the vacuum of an undriven lattice has λ = 0)
+    would make the equation singular; its λ is moved by -i·``stationary_rate``/2,
+    so that it decays at that rate instead.
     """
     t, q = scipy.linalg.schur(h_eff, output="complex")
     stationary = np.abs(np.diag(t).imag) <= 1e-8 * stationary_rate
     t[np.diag_indices_from(t)] -= 0.5j * stationary_rate * stationary
-    q_h = q.conj().T
-
-    def solve(z: np.ndarray) -> np.ndarray:
-        return q @ _triangular_sylvester(t, t, 1j * (q_h @ z @ q)) @ q_h
-
-    return solve
+    return t, q
 
 
-def _apply_extended(liouv: Liouvillian, rho: np.ndarray) -> np.ndarray:
-    """Lρ accumulated in extended precision (``np.clongdouble``; 80-bit on x86).
+class _BorderedBatch:
+    """The right-preconditioned bordered operators u ↦ (L_m - s_m|I/d⟩⟨tr|) P_m u
+    of a batch of generators L_m with one dimension and one jump set.
 
-    Sparse products keep this cheap; ρH† = (H̄ρᵀ)ᵀ and CρC† = C(C̄ρᵀ)ᵀ.  The
-    jumps are converted once per jump set, H_eff once per call.
+    s_m is :meth:`Liouvillian.scale` and P_m the exact inverse of L_m's no-jump
+    part (:func:`_no_jump_schur`).  Called as ``op(members, u)``, with
+    ``members`` an int array of batch positions and u one vec(ρ) row per
+    member, it is the ``matvec`` of :func:`_gmres`.  Every product is batched
+    over the members, the jump sum included; only the triangular Sylvester
+    solve of P_m runs member by member.
     """
-    r = rho.astype(np.clongdouble)
-    h = sp.csr_matrix(liouv.h_eff).astype(np.clongdouble)
-    out = -1j * (h @ r - (h.conj() @ r.T).T)
-    jumps = liouv._jump_set
-    stack_conj, row = jumps.extended
-    out += jumps.sandwich(stack_conj @ r.T, row)
+
+    def __init__(self, generators: Sequence[Liouvillian]):
+        self.jumps = generators[0]._jump_set
+        if any(g._jump_set is not self.jumps for g in generators):
+            raise ValueError("a batch of generators must share one jump set")
+        self.dim = d = generators[0].dim
+        self.scale = np.array([g.scale() for g in generators])
+        self.h_eff = np.stack([g.h_eff for g in generators])
+        self.h_adj = self.h_eff.conj().transpose(0, 2, 1)
+        t, q = zip(*(_no_jump_schur(g.h_eff, s) for g, s in zip(generators, self.scale)))
+        self.t, self.q = np.stack(t), np.stack(q)
+        self.q_h = self.q.conj().transpose(0, 2, 1)
+        self.diagonal = slice(None, None, d + 1)              # the ρ_ii of vec(ρ)
+
+    def precondition(self, members: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """P_m u_m as an (m, d, d) stack: W solves T W - W T† = i Q†UQ, and P_m u = Q W Q†."""
+        q, q_h, t = self.q[members], self.q_h[members], self.t[members]
+        w = q_h @ u.reshape(-1, self.dim, self.dim) @ q
+        w *= 1j
+        for k, t_k in enumerate(t):
+            w[k] = _triangular_sylvester(t_k, t_k, w[k])
+        return q @ w @ q_h
+
+    def apply(self, members: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """L_m x_m as an (m, d, d) stack."""
+        return _apply(self.h_eff[members], self.h_adj[members], self.jumps, x)
+
+    def __call__(self, members: np.ndarray, u: np.ndarray) -> np.ndarray:
+        x = self.precondition(members, u)
+        y = self.apply(members, x).reshape(len(x), -1)
+        y[:, self.diagonal] -= (self.scale[members] / self.dim
+                                * np.trace(x, axis1=1, axis2=2))[:, None]
+        return y
+
+
+def _apply_extended(generators: Sequence[Liouvillian], x: np.ndarray) -> np.ndarray:
+    """L_m ρ_m for the generators L_m of one jump set and the (m, d, d) stack
+    ``x`` of the ρ_m, accumulated in extended precision (``np.clongdouble``;
+    80-bit on x86).
+
+    Sparse products keep this cheap: the H_eff of all members form one
+    block-diagonal matrix, ρH† = (H̄ρᵀ)ᵀ, and the jumps, converted once per jump
+    set, act as in :func:`_jump_sum`.
+    """
+    m, d, _ = x.shape
+    h_eff = np.stack([g.h_eff for g in generators])
+    member, i, j = np.nonzero(h_eff)
+    h = sp.csr_matrix((h_eff[member, i, j].astype(np.clongdouble),
+                       (member * d + i, member * d + j)), shape=(m * d, m * d))
+    r = x.astype(np.clongdouble)
+    out = (h @ r.reshape(m * d, d)).reshape(m, d, d)
+    out -= (h.conj() @ r.transpose(0, 2, 1).reshape(m * d, d)).reshape(m, d, d).transpose(0, 2, 1)
+    out *= -1j
+    out += _jump_sum(*generators[0]._jump_set.extended, r)
     return out
 
 
@@ -402,139 +488,204 @@ def _givens(f: complex, g: float) -> tuple[float, complex, complex]:
     return abs(f) / norm, phase * g / norm, phase * norm
 
 
-def _norm(v: np.ndarray) -> float:
-    """‖v‖₂ of a complex vector: ``np.linalg.norm``'s own formula, bit for bit,
-    without its dispatch, which costs more than the two dot products at d = 14."""
-    re, im = v.real, v.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+def _norms(v: np.ndarray) -> np.ndarray:
+    """‖v_m‖₂ of every row of a complex (m, n) array."""
+    return np.sqrt(np.vecdot(v, v).real)
 
 
-def _gmres(matvec, b: np.ndarray, rtol: float) -> tuple[np.ndarray, float]:
-    """x with ‖b - Ax‖ ≤ rtol·‖b‖ by restarted GMRES, and its true relative residual.
+def _gmres(matvec, b: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Restarted GMRES on a batch of systems A_m x_m = b_m, one per row of ``b``.
 
-    GMRES(``STEADY_GMRES_RESTART``) of Saad and Schultz (1986), at most
-    ``STEADY_GMRES_MAXITER`` cycles, each from the previous cycle's iterate.
-    The Arnoldi basis is orthogonalized by modified Gram-Schmidt and the
-    Hessenberg matrix reduced by Givens rotations on Python scalars.  A cycle
-    stops once the rotated residual estimate reaches rtol·‖b‖, or at an exact
-    (lucky) breakdown; the true residual b - Ax then decides whether another
-    cycle runs.  This is SciPy's ``gmres`` rule with ``atol = 0``.  A system
-    that misses the tolerance, e.g. a singular one with b outside the range,
-    returns its last iterate and a residual above ``rtol``; it never raises.
+    Returns the x_m with ‖b_m - A_m x_m‖ ≤ rtol·‖b_m‖ as rows, their true
+    relative residuals and the Krylov (Arnoldi) steps each took.
+    ``matvec(members, v)`` returns the rows A_m v_m for the int array
+    ``members`` of batch positions and the rows v_m of ``v``; the batch steps
+    together, one call for all the members still iterating.
+
+    Each member runs GMRES(``STEADY_GMRES_RESTART``) of Saad and Schultz (1986)
+    on its own, for at most ``STEADY_GMRES_MAXITER`` cycles, each from its
+    previous cycle's iterate.  Its Arnoldi basis is orthogonalized by modified
+    Gram-Schmidt, batched over the members, and its Hessenberg matrix reduced
+    by Givens rotations on Python scalars.  A member's cycle stops once its
+    rotated residual estimate reaches rtol·‖b_m‖, or at an exact (lucky)
+    breakdown; once every member's cycle has stopped, the true residual
+    b_m - A_m x_m decides whether the member runs another.  This is SciPy's
+    ``gmres`` rule with ``atol = 0``.  A member that misses the tolerance,
+    e.g. a singular system with b_m outside the range, returns its last
+    iterate and a residual above ``rtol``; nothing raises.
     """
-    n = b.size
+    n_sys, n = b.shape
     restart = min(STEADY_GMRES_RESTART, n)
-    b_norm = _norm(b)
-    x = np.zeros_like(b)
-    if b_norm == 0:
-        return x, 0.0
     eps = np.finfo(b.dtype).eps
+    b_norm = _norms(b)
     tol = rtol * b_norm
-    basis = np.empty((restart + 1, n), dtype=b.dtype)
-    r, r_norm = b, b_norm
+    x = np.zeros_like(b)
+    r, r_norm = b.copy(), b_norm.copy()
+    steps = np.zeros(n_sys, dtype=int)
+    todo = np.flatnonzero(b_norm > 0)           # a zero right-hand side has x = 0
     for _ in range(STEADY_GMRES_MAXITER):
-        basis[0] = r / r_norm
-        rhs = [complex(r_norm)]             # rotated right-hand side of the least squares
-        cols: list[list[complex]] = []      # columns of the rotated (triangular) Hessenberg
-        rotations: list[tuple[float, complex]] = []
-        for j in range(restart):
-            w = matvec(basis[j])
-            w_norm = _norm(w)
-            col = []
-            for v in basis[:j + 1]:
-                h = np.vdot(v, w)
-                w -= h * v
-                col.append(complex(h))
-            h_next = _norm(w)
-            breakdown = h_next <= eps * w_norm
-            if breakdown:
-                h_next = 0.0
-            else:
-                basis[j + 1] = w / h_next
-            for i, (c, s) in enumerate(rotations):
-                col[i], col[i + 1] = (c * col[i] + s * col[i + 1],
-                                      c * col[i + 1] - s.conjugate() * col[i])
-            c, s, col[j] = _givens(col[j], h_next)
-            rotations.append((c, s))
-            rhs.append(-s.conjugate() * rhs[j])
-            rhs[j] *= c
-            cols.append(col)
-            if abs(rhs[j + 1]) <= tol or breakdown:
-                break
-        # back substitution; a zero pivot (A singular on the Krylov space) drops its direction
-        m = len(cols)
-        y = [0j] * m
-        for i in range(m - 1, -1, -1):
-            if cols[i][i] != 0:
-                y[i] = (rhs[i] - sum(cols[k][i] * y[k] for k in range(i + 1, m))) / cols[i][i]
-        x = x + np.asarray(y) @ basis[:m]
-        r = b - matvec(x)
-        r_norm = _norm(r)
-        if r_norm <= tol:
+        if not todo.size:
             break
-    return x, r_norm / b_norm
+        m = todo.size
+        basis = [r[todo] / r_norm[todo, None]]  # one (m, n) array per Arnoldi vector
+        rhs = [[complex(beta)] for beta in r_norm[todo]]   # rotated least-squares right-hand sides
+        tols = tol[todo].tolist()
+        cols: list[list[list[complex]]] = [[] for _ in range(m)]   # rotated Hessenberg columns
+        rotations: list[list[tuple[float, complex]]] = [[] for _ in range(m)]
+        active = list(range(m))                 # members whose cycle still runs
+        rows = todo
+        for j in range(restart):
+            if len(active) == m:
+                w = matvec(todo, basis[j])
+            else:                               # rows of stopped members stay zero
+                w = np.zeros_like(basis[j])
+                w[active] = matvec(rows, basis[j][active])
+            w_norm = _norms(w).tolist()
+            h = []
+            for v in basis:
+                h_i = np.vecdot(v, w, keepdims=True)
+                w -= h_i * v
+                h.append(h_i)
+            h_next = _norms(w).tolist()
+            breakdown = [h_p <= eps * w_p for h_p, w_p in zip(h_next, w_norm)]
+            # a member that broke down stops here, and its next vector is never used
+            w *= np.array([0.0 if stop else 1.0 / h_p
+                           for h_p, stop in zip(h_next, breakdown)])[:, None]
+            basis.append(w)
+            h_cols = np.concatenate(h, axis=1).tolist()
+            running = []
+            for p in active:
+                col, rot, g = h_cols[p], rotations[p], rhs[p]
+                for i, (c, s) in enumerate(rot):
+                    col[i], col[i + 1] = (c * col[i] + s * col[i + 1],
+                                          c * col[i + 1] - s.conjugate() * col[i])
+                c, s, col[j] = _givens(col[j], 0.0 if breakdown[p] else h_next[p])
+                rot.append((c, s))
+                g.append(-s.conjugate() * g[j])
+                g[j] *= c
+                cols[p].append(col)
+                if not (abs(g[j + 1]) <= tols[p] or breakdown[p]):
+                    running.append(p)
+            if not running:
+                break
+            if len(running) < len(active):
+                active, rows = running, todo[running]
+        steps[todo] += [len(col) for col in cols]
+        # back substitution; a zero pivot (A_m singular on the Krylov space) drops its direction
+        y = np.zeros((m, len(basis) - 1), dtype=b.dtype)
+        for p, (col, g) in enumerate(zip(cols, rhs)):
+            y_p = [0j] * len(col)
+            for i in range(len(col) - 1, -1, -1):
+                if col[i][i] != 0:
+                    y_p[i] = (g[i] - sum(col[k][i] * y_p[k] for k in range(i + 1, len(col)))) / col[i][i]
+            y[p, :len(col)] = y_p
+        update = np.zeros_like(basis[0])
+        for i, v in enumerate(basis[:-1]):
+            update += y[:, i, None] * v
+        del basis               # the residual product below then runs without it in memory
+        x[todo] += update
+        r[todo] = b[todo] - matvec(todo, x[todo])
+        r_norm[todo] = _norms(r[todo])
+        todo = todo[~(r_norm[todo] <= tol[todo])]
+    residual = np.divide(r_norm, b_norm, out=np.zeros_like(b_norm), where=b_norm > 0)
+    return x, residual, steps
 
 
-def steady_state(liouv: Liouvillian) -> DensityMatrix:
-    """Stationary state of a dissipative Liouvillian by a matrix-free Krylov solve.
+@dataclass(frozen=True)
+class KrylovStats:
+    """Krylov steps and final relative residuals of the two GMRES solves behind
+    one steady state: the first, to ``STEADY_GMRES_RTOL``, and the refinement,
+    to ``STEADY_REFINE_RTOL``."""
 
-    Solves the bordered system (L - s|I/d⟩⟨tr|) x = -s I/d, with s the
-    :meth:`Liouvillian.scale`: L preserves the trace, so tr x = 1 and Lx = 0.
-    The border makes the trace mode decay at rate s, on the same side of the
-    spectrum as every other mode of a Lindblad generator.
-    The package's own restarted GMRES (:func:`_gmres`: modified Gram-Schmidt,
-    Givens rotations, a numpy loop with no SciPy call per Krylov step) runs on
-    the right-preconditioned operator, the preconditioner being
-    the exact inverse of the no-jump part -i(H_eff ρ - ρ H_eff†), a Schur-basis
-    Sylvester solve of O(d³) per application; every operator is d×d, the jump
-    sum is two sparse products on the stacked jumps, and the
-    superoperator is never assembled.  The solve stops at a relative
-    residual of ``STEADY_GMRES_RTOL``, checked on the true residual that GMRES
-    returns with its iterate, and is then refined once: the residual
-    of the bordered system is accumulated in extended precision and a second
-    solve, to ``STEADY_REFINE_RTOL``, adds the correction.  This makes small
-    populations, such as the two-photon ones behind a weak-drive g²(0),
-    accurate to their own size rather than to 1e-16 of the trace.
+    steps: int
+    refine_steps: int
+    residual: float
+    refine_residual: float
 
-    Raises ``ValueError`` for a generator without jumps, and
-    :class:`ConvergenceError` when the state misses
-    max|Lρ| ≤ ``STEADY_RESIDUAL_RTOL`` · s.  Uniqueness is presumed, not
-    tested: on a degenerate steady space the bordered operator is singular,
-    and a state that meets the residual bound is one element of that space.
+
+class SteadyState(DensityMatrix):
+    """A steady state, with the :class:`KrylovStats` of the solve that found it."""
+
+    __slots__ = ("krylov",)
+
+    def __init__(self, rho: np.ndarray, krylov: KrylovStats):
+        super().__init__(rho)
+        self.krylov = krylov
+
+
+def steady_states(generators: Sequence[Liouvillian]) -> list[SteadyState]:
+    """Stationary states of dissipative generators with one dimension and one
+    jump set, in their order, by one batched matrix-free Krylov solve.
+
+    For every member L the solve is that of the bordered system
+    (L - s|I/d⟩⟨tr|) x = -s I/d, with s the :meth:`Liouvillian.scale`: L
+    preserves the trace, so tr x = 1 and Lx = 0.  The border makes the trace
+    mode decay at rate s, on the same side of the spectrum as every other mode
+    of a Lindblad generator.  The package's own restarted GMRES
+    (:func:`_gmres`: modified Gram-Schmidt, Givens rotations, a numpy loop
+    with no SciPy call per Krylov step) runs on the right-preconditioned
+    operator, the preconditioner being the exact inverse of the no-jump part
+    -i(H_eff ρ - ρ H_eff†), a Schur-basis Sylvester solve of O(d³) per
+    application (:class:`_BorderedBatch`).  Every operator is d×d, the jump
+    sum is two sparse products on the stacked jumps, and the superoperator is
+    never assembled.  The members step together: each Krylov step makes one
+    batched product for all of them, while each keeps its own basis, stopping
+    test and restarts, so it reaches the state it would reach alone.
+
+    Each solve stops at a relative residual of ``STEADY_GMRES_RTOL``, checked
+    on the true residual that GMRES returns with its iterate, and is then
+    refined once: the residual of the bordered system is accumulated in
+    extended precision and a second solve, to ``STEADY_REFINE_RTOL``, adds
+    the correction.  This makes small populations, such as the two-photon
+    ones behind a weak-drive g²(0), accurate to their own size rather than to
+    1e-16 of the trace.  Each state carries the steps and residuals of both
+    solves (:class:`KrylovStats`); a residual above its tolerance is reported
+    there, not raised.
+
+    Raises ``ValueError`` for generators without jumps or with different jump
+    sets, and :class:`ConvergenceError` when a state misses
+    max|Lρ| ≤ ``STEADY_RESIDUAL_RTOL`` · s; every state is also validated as
+    a :class:`DensityMatrix`.  Uniqueness is presumed, not tested: on a
+    degenerate steady space the bordered operator is singular, and a state
+    that meets the residual bound is one element of that space.
     """
-    if not liouv.jumps:
+    if not generators[0].jumps:
         raise ValueError("steady_state requires a dissipative Liouvillian (some rate > 0)")
-    d = liouv.dim
-    scale = liouv.scale()
-    precondition = _no_jump_inverse(liouv.h_eff, scale)
-    diagonal = np.arange(d) * (d + 1)           # positions of ρ_ii in vec(ρ)
-
-    def bordered(u: np.ndarray) -> np.ndarray:
-        x = precondition(u.reshape(d, d))
-        y = liouv.apply(x).reshape(-1)
-        y[diagonal] -= scale * np.trace(x) / d
-        return y
-
-    def solve(rhs: np.ndarray, rtol: float) -> np.ndarray:
-        u, _ = _gmres(bordered, rhs, rtol)
-        return precondition(u.reshape(d, d))
-
-    rhs = np.zeros(d * d, dtype=np.complex128)
-    rhs[diagonal] = -scale / d
-    x = solve(rhs, STEADY_GMRES_RTOL)
+    op = _BorderedBatch(generators)
+    n, d = len(generators), op.dim
+    everyone = np.arange(n)
+    rhs = np.zeros((n, d * d), dtype=np.complex128)
+    rhs[:, op.diagonal] = (-op.scale / d)[:, None]
+    u, residual, steps = _gmres(op, rhs, STEADY_GMRES_RTOL)
+    x = op.precondition(everyone, u)
     # one step of mixed-precision iterative refinement
-    bordered_x = _apply_extended(liouv, x)
-    bordered_x[np.diag_indices(d)] -= scale * np.trace(x.astype(np.clongdouble)) / d
-    residual_ext = rhs.astype(np.clongdouble) - bordered_x.reshape(-1)
-    x = x + solve(residual_ext.astype(np.complex128), STEADY_REFINE_RTOL)
-    rho = 0.5 * (x + x.conj().T)
-    rho = rho / np.trace(rho).real
-    residual = np.max(np.abs(liouv.apply(rho)))
-    if not residual <= STEADY_RESIDUAL_RTOL * scale:
-        raise ConvergenceError(
-            f"steady-state residual {residual:.3e} exceeds "
-            f"{STEADY_RESIDUAL_RTOL:.0e} * scale = {STEADY_RESIDUAL_RTOL * scale:.3e}")
-    return DensityMatrix(rho)
+    bordered_x = _apply_extended(generators, x).reshape(n, -1)
+    trace_ext = np.trace(x.astype(np.clongdouble), axis1=1, axis2=2)
+    bordered_x[:, op.diagonal] -= (op.scale * trace_ext / d)[:, None]
+    residual_ext = rhs.astype(np.clongdouble) - bordered_x
+    u, refine_residual, refine_steps = _gmres(op, residual_ext.astype(np.complex128),
+                                              STEADY_REFINE_RTOL)
+    x = x + op.precondition(everyone, u)
+    rho = 0.5 * (x + x.conj().transpose(0, 2, 1))
+    rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    generator_residual = np.max(np.abs(op.apply(everyone, rho)), axis=(1, 2))
+    states = []
+    for k in range(n):
+        bound = STEADY_RESIDUAL_RTOL * op.scale[k]
+        if not generator_residual[k] <= bound:
+            raise ConvergenceError(
+                f"steady-state residual {generator_residual[k]:.3e} exceeds "
+                f"{STEADY_RESIDUAL_RTOL:.0e} * scale = {bound:.3e}")
+        krylov = KrylovStats(int(steps[k]), int(refine_steps[k]),
+                             float(residual[k]), float(refine_residual[k]))
+        states.append(SteadyState(rho[k], krylov))
+    return states
+
+
+def steady_state(liouv: Liouvillian) -> SteadyState:
+    """Stationary state of a dissipative Liouvillian: the batch of one of
+    :func:`steady_states`, with its checks and errors."""
+    return steady_states([liouv])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +719,7 @@ class ScanPoint:
     t_norm: float         # abs_a normalized to the maximum within the same ξ
     n_photon: float       # Σ_ports ⟨a†a⟩
     g2: float             # g²(0) on the first port site, NaN below the photon floor
+    krylov: KrylovStats   # the steady-state solve's Krylov steps and residuals
 
 
 class _ScanModel:
@@ -575,7 +727,8 @@ class _ScanModel:
 
     H_rot = H - ω_d N + ξ X, with X = a + a† on site 0, is affine in (ω_d, ξ),
     so a point only adds three dense d×d arrays before its steady-state solve,
-    and its generator shares the jump data of the undriven one.
+    and its generator shares the jump data of the undriven one.  The points of
+    one ξ are solved in batches (:meth:`points`).
     """
 
     def __init__(self, params: LatticeParams, space: LatticeSpace, rates: DissipationRates,
@@ -595,14 +748,28 @@ class _ScanModel:
         """The generator of :func:`build_liouvillian` at drive (ξ, ω_d)."""
         return self.base.with_hamiltonian(self.h - omega_d * self.n_tot + xi * self.x_drive)
 
-    def point(self, xi: float, omega_d: float) -> ScanPoint:
-        rho = steady_state(self.generator(xi, omega_d)).rho
-        a_vals = np.sum(self.a_t * rho, axis=(1, 2))
-        n_vals = np.sum(self.n_t * rho, axis=(1, 2)).real
-        g2 = _g2_ratio(float(n_vals[0]), float(np.sum(self.num_t * rho).real))
-        return ScanPoint(xi=xi, omega_d=omega_d, a_sum=complex(a_vals.sum()),
-                         abs_a=float(np.abs(a_vals).sum()), t_norm=0.0,
-                         n_photon=float(n_vals.sum()), g2=g2)
+    def points(self, xi: float, omegas: Sequence[float]) -> list[ScanPoint]:
+        """The points at drive amplitude ξ and the drive frequencies ``omegas``,
+        solved as one batch of :func:`steady_states`."""
+        states = steady_states([self.generator(xi, w) for w in omegas])
+        out = []
+        for omega_d, state in zip(omegas, states):
+            rho = state.rho
+            a_vals = np.sum(self.a_t * rho, axis=(1, 2))
+            n_vals = np.sum(self.n_t * rho, axis=(1, 2)).real
+            g2 = _g2_ratio(float(n_vals[0]), float(np.sum(self.num_t * rho).real))
+            out.append(ScanPoint(xi=xi, omega_d=omega_d, a_sum=complex(a_vals.sum()),
+                                 abs_a=float(np.abs(a_vals).sum()), t_norm=0.0,
+                                 n_photon=float(n_vals.sum()), g2=g2, krylov=state.krylov))
+        return out
+
+
+def _batches(values: Sequence[float], size: int) -> list[list[float]]:
+    """``values`` cut into the fewest consecutive runs of at most ``size``,
+    their lengths differing by one at most."""
+    parts = -(-len(values) // size)
+    bounds = [len(values) * i // parts for i in range(parts + 1)] if parts else [0]
+    return [list(values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def transmission_scan(params: LatticeParams, space: LatticeSpace,
@@ -614,8 +781,12 @@ def transmission_scan(params: LatticeParams, space: LatticeSpace,
     The drive ξ(a + a†) acts on site 0.  Output ports are the sites with a
     declared port rate; when none are declared every site is reported.  The
     Hamiltonian, frame terms, jump operators and observables are built once
-    per scan, and a negative drive amplitude is refused before any of them.  Points are independent, so the
-    scan may run on a process pool; results keep the deterministic grid order.
+    per scan, and a negative drive amplitude is refused before any of them.
+    The ω_d row of each ξ is cut into batches of at most
+    ``STEADY_BATCH_ENTRIES`` / d² points, each solved by one call of
+    :func:`steady_states`; with ``max_workers`` > 1 a process pool solves
+    whole batches.  The batches do not depend on ``max_workers``, so neither
+    do the results, which keep the grid order.
     """
     if any(xi < 0 for xi in drive_amplitudes):
         raise ValueError("drive amplitude xi must be non-negative")
@@ -623,14 +794,17 @@ def transmission_scan(params: LatticeParams, space: LatticeSpace,
     if not port_sites:
         port_sites = tuple(range(space.n_sites))
     model = _ScanModel(params, space, rates, port_sites)
-    xis = [float(xi) for xi in drive_amplitudes for _ in omega_d_grid]
-    omegas = [float(w) for _ in drive_amplitudes for w in omega_d_grid]
+    size = max(1, STEADY_BATCH_ENTRIES // space.total_dim ** 2)
+    row = _batches([float(w) for w in omega_d_grid], size)
+    xis = [float(xi) for xi in drive_amplitudes for _ in row]
+    omegas = [batch for _ in drive_amplitudes for batch in row]
     if max_workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            points = list(pool.map(model.point, xis, omegas))
+            solved = list(pool.map(model.points, xis, omegas))
     else:
-        points = [model.point(xi, w) for xi, w in zip(xis, omegas)]
+        solved = [model.points(xi, batch) for xi, batch in zip(xis, omegas)]
+    points = [p for batch in solved for p in batch]
 
     # per-amplitude normalized column
     out: list[ScanPoint] = []
@@ -640,4 +814,3 @@ def transmission_scan(params: LatticeParams, space: LatticeSpace,
         peak = max((r.abs_a for r in rows), default=0.0)
         out += [replace(r, t_norm=r.abs_a / peak if peak > 0 else 0.0) for r in rows]
     return out
-

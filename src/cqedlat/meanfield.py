@@ -110,7 +110,8 @@ TRANSIENT_ATOL = 1e-9
 # stays because the benchmark harness counts steps by rebinding it to a counting
 # subclass (perfbench/run.py); it changes together with that counter.  That
 # rebinding needs the class itself here, so this module imports scipy.integrate
-# at load time, and it is the module that ``cqedlat`` and the CLI load lazily.
+# at load time; ``cqedlat/__init__`` does not import it, and the CLI imports it
+# only inside the two commands that run it.
 RK45 = DOP853
 
 

@@ -42,7 +42,7 @@ from cqedlat.hilbert import (
 )
 from cqedlat.jc import JCParams, mixing_angle
 from cqedlat.lattice import LatticeParams, sector_ground_energy
-from cqedlat.lindblad import Liouvillian, StiffnessError, _gmres, _no_jump_inverse
+from cqedlat.lindblad import Liouvillian, StiffnessError, _BorderedBatch, _gmres
 from cqedlat.meanfield import (
     PSI_FLOOR,
     PSI_GRID_POINTS,
@@ -394,19 +394,10 @@ def unique_probe_residual(liouv: Liouvillian) -> float:
     than one dimension, and a random b then has no solution: a residual above
     ``UNIQUE_PROBE_RTOL`` marks a degenerate steady space.
     """
-    d, scale = liouv.dim, liouv.scale()
-    precondition = _no_jump_inverse(liouv.h_eff, scale)
-    diagonal = np.arange(d) * (d + 1)
-
-    def bordered(u: np.ndarray) -> np.ndarray:
-        x = precondition(u.reshape(d, d))
-        y = liouv.apply(x).reshape(-1)
-        y[diagonal] -= scale * np.trace(x) / d
-        return y
-
+    d = liouv.dim
     rng = np.random.default_rng(7)
     probe = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
-    return _gmres(bordered, probe, UNIQUE_PROBE_RTOL)[1]
+    return float(_gmres(_BorderedBatch([liouv]), probe[None], UNIQUE_PROBE_RTOL)[1][0])
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from cqedlat import cli
+from cqedlat import cli, lindblad
 from cqedlat.resonator import Mode
 
 
@@ -76,6 +76,11 @@ class TestDimerG2:
         check = summary["convergence"]["cutoff_check"]
         assert check["rel_shift"] < 1e-5        # truncation shift, not solver noise
         assert summary["convergence"]["points"] == 1
+        # the statistics cover the row's solve (d = 64) and the check's (d = 144)
+        krylov = summary["convergence"]["krylov"]
+        assert 0 < krylov["mean_steps"] < krylov["max_steps"]
+        assert 0 < krylov["mean_refine_steps"] <= krylov["max_refine_steps"]
+        assert krylov["max_refine_residual"] <= lindblad.STEADY_REFINE_RTOL
 
     def test_g2_below_the_photon_floor_is_nan_and_passes(self, tmp_path):
         # ξ = 1e-6, far above the band bottom: ⟨a†a⟩ ≈ 1.3e-13 is below the
@@ -206,6 +211,24 @@ class TestBlockadeScan:
         assert summary["convergence"]["cutoff_check"]["passed"] is True
         assert summary["convergence"]["g2_check"] == {
             "min_g2": min(float(r["g2"]) for r in rows), "passed": True}
+
+    def test_krylov_statistics_are_reported_without_a_verdict(self, tmp_path, monkeypatch):
+        config = dict(self.CONFIG, cutoff_check=False)
+        _, summary = run(tmp_path, "blockade-scan", config)
+        krylov = summary["convergence"]["krylov"]
+        assert set(krylov) == {"max_steps", "mean_steps", "max_refine_steps",
+                               "mean_refine_steps", "max_refine_residual"}
+        assert 0 < krylov["mean_steps"] <= krylov["max_steps"]
+        assert 0 < krylov["mean_refine_steps"] <= krylov["max_refine_steps"]
+        assert 0 < krylov["max_refine_residual"] <= lindblad.STEADY_REFINE_RTOL
+        # a refinement that cannot reach its tolerance runs every restart cycle
+        # and is reported, while the status still follows the generator residual
+        monkeypatch.setattr(lindblad, "STEADY_REFINE_RTOL", 1e-30)
+        (tmp_path / "stalled").mkdir()
+        _, stalled = run(tmp_path / "stalled", "blockade-scan", config)
+        assert stalled["status"] == "ok"
+        assert stalled["convergence"]["krylov"]["max_refine_residual"] > 1e-30
+        assert stalled["convergence"]["krylov"]["max_refine_steps"] > krylov["max_refine_steps"]
 
     def test_negative_drive_amplitude_exits_one(self, tmp_path, capsys):
         config_path = tmp_path / "scan.json"

@@ -21,6 +21,7 @@ from cqedlat.lindblad import (
     collapse_operators,
     g2_zero,
     steady_state,
+    steady_states,
     transmission_scan,
 )
 
@@ -213,8 +214,8 @@ class TestLiouvillianStructure:
         assert np.max(np.abs(shared.apply(rho) - fresh.apply(rho))) <= 1e-14
         assert shared.scale() == fresh.scale()
         assert (shared.matrix != fresh.matrix).nnz == 0
-        extended = lindblad._apply_extended(shared, rho)
-        assert np.array_equal(extended, lindblad._apply_extended(fresh, rho))
+        extended = lindblad._apply_extended([shared], rho[None])[0]
+        assert np.array_equal(extended, lindblad._apply_extended([fresh], rho[None])[0])
         assert np.max(np.abs(extended - fresh.apply(rho))) <= 1e-14
         with pytest.raises(ValueError, match="trace"):
             base.with_hamiltonian(h + 0.1j * a.conj().T @ a)
@@ -371,64 +372,152 @@ class TestSteadyState:
             steady_state(liouv)
 
 
+def batched(*matrices):
+    """The ``matvec`` of ``lindblad._gmres`` for the systems A_m of ``matrices``,
+    and the list of its applications per member."""
+    applications = [0] * len(matrices)
+
+    def matvec(members, v):
+        for m in members:
+            applications[m] += 1
+        return np.stack([matrices[m] @ row for m, row in zip(members, v)])
+
+    return matvec, applications
+
+
+def padded(a, b, n):
+    """A ⊕ I and (b, 0) of size n: the same Krylov spaces, and x padded by zeros."""
+    k = a.shape[0]
+    a_pad = np.eye(n, dtype=complex)
+    a_pad[:k, :k] = a
+    return a_pad, np.concatenate([b, np.zeros(n - k, dtype=complex)])
+
+
+def non_normal_system():
+    # well conditioned but far from normal: a shifted random matrix plus a
+    # strictly upper-triangular part
+    n = 120
+    rng = np.random.default_rng(11)
+    noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = 2 * np.eye(n) + 0.5 * noise / np.sqrt(n) + np.triu(noise.conj(), 1) / n
+    return a, rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def eigenvector_system():
+    # e₀ is an eigenvector of an upper-triangular matrix, so the Krylov
+    # space is exhausted after one step
+    n = 30
+    rng = np.random.default_rng(12)
+    a = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) + 3 * np.eye(n)
+    b = np.zeros(n, dtype=complex)
+    b[0] = 2.0                   # A b is exactly a multiple of b
+    return a, b
+
+
+def singular_system():
+    # b has a component outside the range of A, so no x reaches the tolerance
+    n = 40
+    rng = np.random.default_rng(13)
+    u, s, vh = np.linalg.svd(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    s[-1] = 0.0
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return (u * s) @ vh, b, abs(np.vdot(u[:, -1], b)) / np.linalg.norm(b)
+
+
+def zero_pivot_system():
+    # b in the null space of a diagonal A: A b = 0 exactly leaves a zero
+    # pivot, whose direction is dropped
+    n = 40
+    return np.diag(np.arange(n, dtype=complex)), np.eye(n, dtype=complex)[0]
+
+
+def solve_alone(a, b, rtol):
+    """x, residual, Krylov steps and applications of ``_gmres`` on A x = b alone."""
+    matvec, applications = batched(a)
+    x, residual, steps = lindblad._gmres(matvec, b[None], rtol)
+    return x[0], residual[0], steps[0], applications[0]
+
+
 class TestGmres:
-    def test_restarted_solve_matches_a_dense_solve(self, monkeypatch):
-        monkeypatch.setattr(lindblad, "STEADY_GMRES_RESTART", 10)
-        n = 120
-        rng = np.random.default_rng(11)
-        noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        # well conditioned but far from normal: a shifted random matrix plus a
-        # strictly upper-triangular part
-        a = 2 * np.eye(n) + 0.5 * noise / np.sqrt(n) + np.triu(noise.conj(), 1) / n
-        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        calls = []
-
-        def matvec(v):
-            calls.append(1)
-            return a @ v
-
-        x, residual = lindblad._gmres(matvec, b, 1e-12)
+    def check_non_normal(self, a, b, x, residual, applications):
         # more than one restart cycle ran, and no more than the three that GMRES(10)
         # needs here (a wrong Hessenberg reduction takes seven)
-        assert 10 + 1 < len(calls) <= 3 * (10 + 1)
+        assert 10 + 1 < applications <= 3 * (10 + 1)
         assert residual <= 1e-12
         assert residual == pytest.approx(np.linalg.norm(b - a @ x) / np.linalg.norm(b), rel=1e-12)
         x_ref = np.linalg.solve(a, b)
         assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
-    def test_lucky_breakdown_returns_without_dividing_by_zero(self):
-        # e₀ is an eigenvector of an upper-triangular matrix, so the Krylov
-        # space is exhausted after one step
-        n = 30
-        rng = np.random.default_rng(12)
-        a = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) + 3 * np.eye(n)
-        b = np.zeros(n, dtype=complex)
-        b[0] = 2.0                   # A b is exactly a multiple of b
-        with np.errstate(all="raise"):
-            x, residual = lindblad._gmres(lambda v: a @ v, b, 1e-12)
+    def check_eigenvector(self, a, b, x, residual):
         assert residual <= 1e-12
         assert x[0] == pytest.approx(b[0] / a[0, 0], rel=1e-14)
 
-    def test_singular_system_reports_its_residual_and_does_not_raise(self):
-        # b has a component outside the range of A, so no x reaches the
-        # tolerance; the uniqueness probe of steady_state relies on this
-        n = 40
-        rng = np.random.default_rng(13)
-        u, s, vh = np.linalg.svd(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        s[-1] = 0.0
-        a = (u * s) @ vh
-        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        outside = abs(np.vdot(u[:, -1], b)) / np.linalg.norm(b)
-        x, residual = lindblad._gmres(lambda v: a @ v, b, 1e-8)
+    def check_singular(self, a, b, outside, x, residual):
+        # the uniqueness probe of tests/oracles.py relies on this
         assert residual > 1e-8
         assert residual >= outside * (1 - 1e-12)
         assert residual == pytest.approx(np.linalg.norm(b - a @ x) / np.linalg.norm(b), rel=1e-12)
-        # b in the null space of a diagonal A: A b = 0 exactly leaves a zero
-        # pivot, whose direction is dropped
-        diag = np.arange(n, dtype=complex)
-        x, residual = lindblad._gmres(lambda v: diag * v, np.eye(n, dtype=complex)[0], 1e-8)
+
+    def check_zero_pivot(self, x, residual):
         assert residual == 1.0
         assert not x.any()
+
+    def test_restarted_solve_matches_a_dense_solve(self, monkeypatch):
+        monkeypatch.setattr(lindblad, "STEADY_GMRES_RESTART", 10)
+        a, b = non_normal_system()
+        x, residual, steps, applications = solve_alone(a, b, 1e-12)
+        self.check_non_normal(a, b, x, residual, applications)
+        assert steps < applications          # one true-residual product per cycle
+
+    def test_lucky_breakdown_returns_without_dividing_by_zero(self):
+        a, b = eigenvector_system()
+        with np.errstate(all="raise"):
+            x, residual, steps, _ = solve_alone(a, b, 1e-12)
+        self.check_eigenvector(a, b, x, residual)
+        assert steps == 1
+
+    def test_singular_system_reports_its_residual_and_does_not_raise(self):
+        a, b, outside = singular_system()
+        x, residual, _, _ = solve_alone(a, b, 1e-8)
+        self.check_singular(a, b, outside, x, residual)
+        x, residual, _, _ = solve_alone(*zero_pivot_system(), 1e-8)
+        self.check_zero_pivot(x, residual)
+
+    def test_zero_right_hand_side_takes_no_step(self):
+        a, _ = eigenvector_system()
+        x, residual, steps, applications = solve_alone(a, np.zeros(30, dtype=complex), 1e-8)
+        assert not x.any()
+        assert residual == 0.0
+        assert steps == applications == 0
+
+    def test_mixed_batch_matches_each_member_alone(self, monkeypatch):
+        # the four systems above in one batch, padded to one size: each member
+        # stops, restarts, breaks down or drops its zero pivot on its own
+        monkeypatch.setattr(lindblad, "STEADY_GMRES_RESTART", 10)
+        non_normal = non_normal_system()
+        eigenvector = eigenvector_system()
+        singular_a, singular_b, outside = singular_system()
+        zero_pivot = zero_pivot_system()
+        systems = [non_normal, eigenvector, (singular_a, singular_b), zero_pivot]
+        n = 120
+        pads = [padded(a, b, n) for a, b in systems]
+        matvec, applications = batched(*(a for a, _ in pads))
+        rhs = np.stack([b for _, b in pads])
+        # one tolerance for the batch, the tightest of the four tests; the
+        # singular members miss any tolerance, so their assertions still hold
+        with np.errstate(all="raise"):
+            x, residual, steps = lindblad._gmres(matvec, rhs, 1e-12)
+        for m, (a, b) in enumerate(systems):
+            k = a.shape[0]
+            x_alone, residual_alone, steps_alone, applications_alone = solve_alone(a, b, 1e-12)
+            assert not x[m, k:].any()
+            assert np.linalg.norm(x[m, :k] - x_alone) <= 1e-12 * np.linalg.norm(x_alone)
+            assert residual[m] == pytest.approx(residual_alone, rel=1e-12)
+            assert (steps[m], applications[m]) == (steps_alone, applications_alone)
+        self.check_non_normal(*non_normal, x[0], residual[0], applications[0])
+        self.check_eigenvector(*eigenvector, x[1, :30], residual[1])
+        self.check_singular(singular_a, singular_b, outside, x[2, :40], residual[2])
+        self.check_zero_pivot(x[3], residual[3])
 
 
 class TestG2:
@@ -555,35 +644,83 @@ class TestTransmissionScan:
                 assert (c_scan != c_full).nnz == 0
 
     def test_worker_pool_preserves_order_and_values(self):
+        # a 9-point row is one batch at d = 10; two amplitudes give the pool two
         params, space, rates, g, wr, de = self.setup_blockade(n_max=4)
         grid = np.linspace(wr - g - 2 * de, wr - g + 2 * de, 9)
-        serial = transmission_scan(params, space, rates, [0.01 * de], grid, max_workers=1)
-        parallel = transmission_scan(params, space, rates, [0.01 * de], grid, max_workers=2)
-        for a, b in zip(serial, parallel):
-            assert a.omega_d == b.omega_d
-            assert abs(a.abs_a - b.abs_a) <= 1e-12
+        amplitudes = [0.01 * de, 0.05 * de]
+        serial = transmission_scan(params, space, rates, amplitudes, grid, max_workers=1)
+        parallel = transmission_scan(params, space, rates, amplitudes, grid, max_workers=2)
+        assert serial == parallel
+        assert [q.omega_d for q in serial] == [float(w) for w in grid] * 2
 
+    def test_rows_are_cut_into_batches_of_bounded_memory(self, monkeypatch):
+        params, space, rates, g, wr, de = self.setup_blockade()        # d = 14
+        sizes = []
+        solve = lindblad.steady_states
+
+        def recording(generators):
+            sizes.append(len(generators))
+            return solve(generators)
+
+        monkeypatch.setattr(lindblad, "steady_states", recording)
+        transmission_scan(params, space, rates, [0.005, 0.02], np.linspace(48.9, 51.1, 51))
+        # the fewest batches of at most STEADY_BATCH_ENTRIES / d² points per row,
+        # as even as the row allows
+        limit = lindblad.STEADY_BATCH_ENTRIES // space.total_dim ** 2
+        assert 1 < limit < 51
+        assert len(sizes) == 2 * math.ceil(51 / limit)
+        assert sum(sizes) == 102
+        assert limit >= max(sizes) >= min(sizes) >= max(sizes) - 1
+
+    def test_batched_members_match_batches_of_one(self):
+        params, space, rates, g, wr, de = self.setup_blockade()
+        model = _ScanModel(params, space, rates, (0,))
+        grid = np.linspace(48.9, 51.1, 17)
+        generators = [model.generator(0.02, w) for w in grid]
+        batch = steady_states(generators)
+        for gen, state in zip(generators, batch):
+            alone = steady_state(gen)
+            assert np.linalg.norm(state.rho - alone.rho) <= 1e-12 * np.linalg.norm(alone.rho)
+            assert state.krylov.steps == alone.krylov.steps
+            assert state.krylov.refine_steps == alone.krylov.refine_steps
+            assert state.krylov.refine_residual == pytest.approx(alone.krylov.refine_residual,
+                                                                 rel=1e-12)
+
+    def test_batch_refuses_generators_with_other_jumps(self):
+        params, space, rates, g, wr, de = self.setup_blockade(n_max=3)
+        model = _ScanModel(params, space, rates, (0,))
+        other = _ScanModel(params, space, DissipationRates(gamma1=de, gamma_kappa=de), (0,))
+        with pytest.raises(ValueError, match="jump set"):
+            steady_states([model.generator(0.01, wr - g), other.generator(0.01, wr - g)])
 
     def test_krylov_work_of_the_benchmark_scan(self, monkeypatch):
-        # the seed-0 blockade scan: 102 points take 2427 generator applications;
-        # a second residual product per GMRES solve would take 2631
+        # the seed-0 blockade scan: bordered applications summed over the 102
+        # members, the true-residual product of each restart cycle included
         params, space, rates, g, wr, de = self.setup_blockade()
-        calls = []
-        apply = Liouvillian.apply
+        applications = []
+        gmres = lindblad._gmres
 
-        def counting(self, rho):
-            calls.append(1)
-            return apply(self, rho)
+        def counting(matvec, b, rtol):
+            def counted(members, u):
+                applications.append(len(members))
+                return matvec(members, u)
 
-        monkeypatch.setattr(Liouvillian, "apply", counting)
-        transmission_scan(params, space, rates, [0.005, 0.02], np.linspace(48.9, 51.1, 51))
-        assert len(calls) <= 2450
+            return gmres(counted, b, rtol)
+
+        monkeypatch.setattr(lindblad, "_gmres", counting)
+        pts = transmission_scan(params, space, rates, [0.005, 0.02], np.linspace(48.9, 51.1, 51))
+        assert sum(applications) <= 2450
+        # the summary's statistics: every solve met its tolerance
+        assert all(q.krylov.residual <= lindblad.STEADY_GMRES_RTOL for q in pts)
+        assert all(q.krylov.refine_residual <= lindblad.STEADY_REFINE_RTOL for q in pts)
+        assert sum(q.krylov.steps + q.krylov.refine_steps for q in pts) < sum(applications)
 
     def test_scan_model_pickles_with_its_shared_jumps(self):
         params, space, rates, g, wr, de = self.setup_blockade(n_max=3)
         model = _ScanModel(params, space, rates, (0,))
         copy = pickle.loads(pickle.dumps(model))
-        assert copy.point(0.01, wr - g) == model.point(0.01, wr - g)
+        omegas = [wr - g - de, wr - g]
+        assert copy.points(0.01, omegas) == model.points(0.01, omegas)
 
 
 class TestLorentzianFit:

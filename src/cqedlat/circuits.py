@@ -384,7 +384,11 @@ class QuantizedCircuit:
         Shift-invert Lanczos (ARPACK) on H scaled to unit ∞-norm, with the
         shift below a Gershgorin lower bound of the spectrum so that H - σ is
         positive definite.  A fixed start vector makes repeat solves identical.
+        More levels than the basis holds are refused with a ValueError.
         """
+        if count > self.dim:
+            raise ValueError(f"levels = {count} exceeds the basis dimension {self.dim}; "
+                             "raise charge_cutoff or oscillator_levels")
         h = self.hamiltonian
         k = count + _GUARD_LEVELS
         if k >= self.dim - 1:

@@ -59,19 +59,11 @@ import scipy
 
 from . import __version__
 from .circuits import NetlistError, build_lagrangian, parse_netlist, quantize
-from .hilbert import (
-    LatticeSpace,
-    SiteSpace,
-    annihilation,
-    cutoff_convergence,
-    expectation,
-    photon_op_on,
-)
+from .hilbert import LatticeSpace, SiteSpace, cutoff_convergence
 from .jc import JCParams, jc_hamiltonian, mixing_angle, polariton_energy, chi as chi_n
 from .lattice import (
     LatticeParams,
     band_resonant_chain,
-    build_jchm,
     measured_nonlinearity,
     nonlinearity_closed_form,
     photon_band_minimum,
@@ -80,13 +72,12 @@ from .lindblad import (
     ConvergenceError,
     CutoffWindowError,
     DissipationRates,
+    DrivenLattice,
     DriveSpec,
     KrylovStats,
     MeanFieldConvergenceError,
     StiffnessError,
-    g2_zero,
     steady_state,
-    build_liouvillian,
     transmission_scan,
 )
 from .resonator import ResonatorSpec, solve_modes
@@ -207,6 +198,8 @@ SCHEMAS: dict[str, dict[str, Field]] = {
 
 
 def _finite(value: Any) -> float:
+    if isinstance(value, bool):     # bool is an int subclass: a JSON true would read as 1
+        raise ValueError(f"expected a number, got {value!r}")
     fv = float(value)
     if not math.isfinite(fv):
         raise ValueError(f"expected a finite number, got {value!r}")
@@ -231,7 +224,7 @@ def _coerce(key: str, field: Field, value: Any, errors: list[tuple[str, str]]) -
             return value
         if kind == "posint":
             iv = int(value)
-            if iv != float(value):
+            if isinstance(value, bool) or iv != float(value):
                 raise ValueError(f"expected an integer, got {value!r}")
             if iv < 1:
                 raise ValueError(f"must be >= 1, got {iv}")
@@ -318,10 +311,8 @@ def load_config(command: str, config_path: str | None,
 def _rates_from(config: dict[str, Any]) -> DissipationRates:
     """The rates of an open-system command, with ``kappa`` as the port rate of site 0;
     a run without dissipation has no unique steady state and is refused."""
-    kappa = config.get("kappa", 0.0)
     rates = DissipationRates(gamma1=config["gamma1"], gamma_phi=config["gamma_phi"],
-                             gamma_kappa=config["gamma_kappa"],
-                             kappa_ports={0: kappa} if kappa > 0 else {})
+                             gamma_kappa=config["gamma_kappa"], kappa=config.get("kappa", 0.0))
     if not rates.any_nonzero():
         raise ConfigError([("gamma_kappa", "at least one dissipation rate must be positive")])
     return rates
@@ -386,7 +377,7 @@ def _cmd_blockade_scan(config: dict[str, Any]):
     grid = np.linspace(config["omega_d_min"], config["omega_d_max"], config["omega_d_points"])
     points = transmission_scan(params, space, rates, config["drive_amplitudes"],
                                grid, max_workers=config["workers"])
-    rows = [{"xi": q.xi, "omega_d": q.omega_d, "re_a": q.a_sum.real, "im_a": q.a_sum.imag,
+    rows = [{"xi": q.xi, "omega_d": q.omega_d, "re_a": q.a.real, "im_a": q.a.imag,
              "abs_a": q.abs_a, "t_norm": q.t_norm, "n_photon": q.n_photon, "g2": q.g2}
             for q in points]
     conv = {"steady_state_method": "preconditioned_gmres", "points": len(rows),
@@ -409,31 +400,28 @@ def _cmd_blockade_scan(config: dict[str, Any]):
 
 
 def _cmd_dimer_g2(config: dict[str, Any]):
-    rows = []
-    krylov = []           # of every row's solve and of the cutoff check's
     rates = _rates_from(config)
+    xi = config["xi"]
+    krylov = []           # of every row's solve and of the cutoff check's
 
     def point(j_val: float, n_max: int):
+        """The steady state of both sites driven at ω_d, read at site 0."""
         params = band_resonant_chain(config["omega_r"], config["g"], j_val, 2)
-        space = LatticeSpace.uniform(2, n_max)
-        band_min = photon_band_minimum(params)
-        omega_d = band_min - config["g"] + config["drive_offset"]
-        h = build_jchm(params, space)
-        liouv = build_liouvillian(h, rates, DriveSpec(xi=config["xi"], omega_d=omega_d,
-                                                      driven_sites=(0, 1)), space)
-        rho = steady_state(liouv)
-        krylov.append(rho.krylov)
-        a0 = photon_op_on(space, 0, annihilation(space.sites[0]))
-        n0 = expectation(a0.getH() @ a0, rho).real
-        return {"J": j_val, "omega_d": omega_d, "g2": g2_zero(rho, 0, space),
-                "abs_a": abs(expectation(a0, rho)), "n_photon": n0}
+        omega_d = photon_band_minimum(params) - config["g"] + config["drive_offset"]
+        model = DrivenLattice(params, LatticeSpace.uniform(2, n_max), rates, driven_sites=(0, 1))
+        q = model.point(xi, omega_d, steady_state(model.generator(xi, omega_d)))
+        krylov.append(q.krylov)
+        return q
 
+    rows = []
     for j_val in config["j_values"]:
-        rows.append(point(float(j_val), config["n_max"]))
+        q = point(float(j_val), config["n_max"])
+        rows.append({"J": float(j_val), "omega_d": q.omega_d, "g2": q.g2, "abs_a": q.abs_a,
+                     "n_photon": q.n_photon})
     conv = {"points": len(rows), "g2_check": _g2_check([r["g2"] for r in rows])}
     if config["cutoff_check"]:
         j0 = float(config["j_values"][0])
-        conv["cutoff_check"] = cutoff_convergence(lambda nm: point(j0, nm)["g2"],
+        conv["cutoff_check"] = cutoff_convergence(lambda nm: point(j0, nm).g2,
                                                   config["n_max"], rows[0]["g2"])
     conv["krylov"] = _krylov_summary(krylov)
     return rows, conv

@@ -126,20 +126,19 @@ class DensityMatrix:
 
     __slots__ = ("rho", "dim")
 
-    def __init__(self, rho: np.ndarray, check: bool = True):
+    def __init__(self, rho: np.ndarray):
         rho = np.asarray(rho, dtype=np.complex128)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-        if check:
-            herm_defect = np.max(np.abs(rho - rho.conj().T))
-            if herm_defect > RHO_HERMITIAN_ATOL:
-                raise ValueError(f"density matrix not Hermitian: max|ρ - ρ†| = {herm_defect:.3e}")
-            tr = np.trace(rho)
-            if abs(tr - 1.0) > RHO_TRACE_ATOL:
-                raise ValueError(f"density matrix trace {tr:.12g} deviates from 1 by more than {RHO_TRACE_ATOL:.0e}")
-            lam_min = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
-            if lam_min < RHO_EIGENVALUE_FLOOR:
-                raise ValueError(f"density matrix has eigenvalue {lam_min:.3e} below {RHO_EIGENVALUE_FLOOR:.0e}")
+        herm_defect = np.max(np.abs(rho - rho.conj().T))
+        if herm_defect > RHO_HERMITIAN_ATOL:
+            raise ValueError(f"density matrix not Hermitian: max|ρ - ρ†| = {herm_defect:.3e}")
+        tr = np.trace(rho)
+        if abs(tr - 1.0) > RHO_TRACE_ATOL:
+            raise ValueError(f"density matrix trace {tr:.12g} deviates from 1 by more than {RHO_TRACE_ATOL:.0e}")
+        lam_min = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
+        if lam_min < RHO_EIGENVALUE_FLOOR:
+            raise ValueError(f"density matrix has eigenvalue {lam_min:.3e} below {RHO_EIGENVALUE_FLOOR:.0e}")
         self.rho = rho
         self.dim = rho.shape[0]
 
@@ -150,7 +149,7 @@ class DensityMatrix:
         if nrm == 0:
             raise ValueError("cannot build a state from the zero vector")
         v = v / nrm
-        return cls(np.outer(v, v.conj()), check=False)
+        return cls(np.outer(v, v.conj()))
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"

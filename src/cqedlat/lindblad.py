@@ -2,18 +2,18 @@
 
 The master equation whose generator this module builds is
 
-    ∂_t ρ = -i[H + H_drive, ρ] + γ₁ Σ_n D[σ⁻_n]ρ + γ_φ Σ_n D[σ^z_n]ρ
-            + γ_κ Σ_n D[a_n]ρ + Σ_{p ∈ ports} κ_p D[a_p]ρ,
+    ∂_t ρ = -i[H_rot, ρ] + γ₁ Σ_n D[σ⁻_n]ρ + γ_φ Σ_n D[σ^z_n]ρ
+            + γ_κ Σ_n D[a_n]ρ + κ D[a₀]ρ,
 
-with D[L]ρ = LρL† - (L†Lρ + ρL†L)/2.  Coherent drives are always handled in
-the frame rotating at the drive frequency ω_d: every site frequency is shifted
-by -ω_d (implemented as H → H - ω_d N with N the total polariton number) and
-the drive becomes the static term ξ Σ_m (a_m + a†_m) on the driven sites.
-This requires [H, N] = 0, i.e. the rotating-wave form of the lattice
-Hamiltonian.
-
-Port loss κ_p and the uniform unwanted loss γ_κ add on port sites; a port is
-not exempt from the background channel.
+with D[L]ρ = LρL† - (L†Lρ + ρL†L)/2.  The output port is site 0: its rate κ
+adds to the uniform unwanted loss γ_κ there, and the transmission and g²(0)
+that the commands report are read from a₀.  A coherent drive is handled in
+the frame rotating at the drive frequency ω_d, where every site frequency is
+shifted by -ω_d and the drive is static:
+H_rot = H - ω_d N + ξ Σ_m (a_m + a†_m) over the driven sites, with N the total
+polariton number.  That frame needs [H, N] = 0, which the rotating-wave
+lattice Hamiltonian of ``build_jchm`` has.  :class:`DrivenLattice` is the one
+place that builds it, together with the site-0 observables.
 
 The generator is held as d×d operators: the jump operators C_c (√rate
 included) and the non-Hermitian H_eff = H_rot - (i/2) Σ_c C_c†C_c, so that
@@ -33,8 +33,9 @@ point.  :func:`steady_state` is the batch of one.  The d²×d² superoperator, i
 row-major (C-order) vectorization vec(AρB) = (A ⊗ Bᵀ)vec(ρ), is assembled
 only on demand (:attr:`Liouvillian.matrix`): the driven mean field integrates
 and factors it, and the tests use it as an oracle.  ``blockade-scan``,
-``dimer-g2`` and ``driven-mf`` reach this module.  No command evolves a given
-initial state or fits a lineshape; those routes are test oracles.
+``dimer-g2`` and ``driven-mf`` all reach this module through
+:class:`DrivenLattice`.  No command evolves a given initial state or fits a
+lineshape; those routes are test oracles.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -67,6 +68,7 @@ from .lattice import LatticeParams, build_jchm
 __all__ = [
     "DissipationRates",
     "DriveSpec",
+    "DrivenLattice",
     "Liouvillian",
     "KrylovStats",
     "ScanPoint",
@@ -130,45 +132,33 @@ class MeanFieldConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class DissipationRates:
-    """Qubit relaxation γ₁, pure dephasing γ_φ, uniform photon loss γ_κ and
-    per-site port rates κ.
-
-    ``kappa_ports`` is given as a mapping site → κ (or as (site, κ) pairs) and
-    stored as a tuple of (site, κ) pairs sorted by site, so that a rate set is
-    immutable and hashable.
-    """
+    """Qubit relaxation γ₁, pure dephasing γ_φ and uniform photon loss γ_κ on
+    every site, and the rate κ of the output port on site 0."""
 
     gamma1: float = 0.0
     gamma_phi: float = 0.0
     gamma_kappa: float = 0.0
-    kappa_ports: Mapping[int, float] | tuple[tuple[int, float], ...] = ()
+    kappa: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.gamma1 < 0 or self.gamma_phi < 0 or self.gamma_kappa < 0:
+        if min(self.gamma1, self.gamma_phi, self.gamma_kappa, self.kappa) < 0:
             raise ValueError("dissipation rates must be non-negative")
-        ports = dict(self.kappa_ports)
-        for site, kappa in ports.items():
-            if kappa < 0:
-                raise ValueError(f"port rate on site {site} must be non-negative")
-        object.__setattr__(self, "kappa_ports", tuple(sorted(ports.items())))
 
     def any_nonzero(self) -> bool:
-        return (self.gamma1 > 0 or self.gamma_phi > 0 or self.gamma_kappa > 0
-                or any(k > 0 for _, k in self.kappa_ports))
+        return max(self.gamma1, self.gamma_phi, self.gamma_kappa, self.kappa) > 0
 
 
 @dataclass(frozen=True)
 class DriveSpec:
-    """Coherent drive ξ(a e^{iω_d t} + a† e^{-iω_d t}) on the listed sites."""
+    """Coherent drive ξ(a e^{iω_d t} + a† e^{-iω_d t}) of the one site of
+    :func:`cqedlat.meanfield.driven_mf_steady`."""
 
     xi: float
     omega_d: float
-    driven_sites: tuple[int, ...] = (0,)
 
     def __post_init__(self) -> None:
         if self.xi < 0:
             raise ValueError("drive amplitude xi must be non-negative")
-        object.__setattr__(self, "driven_sites", tuple(self.driven_sites))
 
 
 class _JumpSet:
@@ -305,60 +295,29 @@ def _square(h_rot: np.ndarray | sp.spmatrix) -> np.ndarray:
 
 
 def collapse_operators(rates: DissipationRates, space: LatticeSpace) -> list[sp.csr_matrix]:
-    """√rate-weighted jump operators of the master equation."""
-    for n, _ in rates.kappa_ports:
-        if not 0 <= n < space.n_sites:
-            raise ValueError(f"port site {n} outside lattice of {space.n_sites} sites")
+    """√rate-weighted jump operators of the master equation, the port on site 0 last."""
     a = [annihilation(site) for site in space.sites]
     channels = [(rate, site_factor(space, n, photon_op, qubit_op)) for n in range(space.n_sites)
                 for rate, photon_op, qubit_op in ((rates.gamma1, None, qubit_lower()),
                                                   (rates.gamma_phi, None, sigma_z()),
                                                   (rates.gamma_kappa, a[n], None))]
-    channels += [(kappa, site_factor(space, n, a[n])) for n, kappa in rates.kappa_ports]
+    channels.append((rates.kappa, site_factor(space, 0, a[0])))
     basis = occupation_basis(space)
     return [assemble([(math.sqrt(rate), (factor,))], basis) for rate, factor in channels if rate > 0]
 
 
-def _rotating_frame_terms(h: sp.csr_matrix, space: LatticeSpace,
-                          driven_sites: Sequence[int]) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """N and X = Σ_m (a_m + a†_m), so that H_rot = H - ω_d N + ξ X.
-
-    Raises ``ValueError`` unless [H, N] = 0, which the frame change presumes.
-    """
-    n_tot = total_excitation(space)
-    comm = h @ n_tot - n_tot @ h
-    scale = max(abs(h).max(), 1e-300)
-    if comm.nnz and abs(comm).max() > 1e-10 * scale:
-        raise ValueError(
-            "Hamiltonian does not conserve the total excitation number; "
-            "the rotating-frame drive transformation requires the RWA form")
-    terms = []
-    for m in driven_sites:
-        if not 0 <= m < space.n_sites:
-            raise ValueError(f"driven site {m} outside lattice of {space.n_sites} sites")
-        a = annihilation(space.sites[m])
-        terms += [(1.0, (site_factor(space, m, op),)) for op in (a, a.T)]
-    return n_tot, assemble(terms, occupation_basis(space))
-
-
-def build_liouvillian(h: sp.csr_matrix, rates: DissipationRates, drive: DriveSpec | None,
+def build_liouvillian(h: sp.csr_matrix, rates: DissipationRates,
                       space: LatticeSpace) -> Liouvillian:
-    """The master-equation generator.
+    """The undriven master-equation generator of the lattice Hamiltonian ``h``.
 
-    ``h`` is the lab-frame lattice Hamiltonian without the drive.  When a
-    drive is given the generator is built in the rotating frame:
-    H_rot = H - ω_d N + ξ Σ_m (a_m + a†_m), which presumes [H, N] = 0 (checked).
-    A non-Hermitian ``h`` is refused by the trace-preservation check of
-    :class:`Liouvillian`.
+    A drive enters through :meth:`DrivenLattice.generator`, which starts from
+    this generator.  A non-Hermitian ``h`` is refused by the
+    trace-preservation check of :class:`Liouvillian`.
     """
     d = space.total_dim
     if h.shape != (d, d):
         raise ValueError(f"Hamiltonian shape {h.shape} does not match space dim {d}")
-    h_rot = h
-    if drive is not None:
-        n_tot, x_drive = _rotating_frame_terms(h, space, drive.driven_sites)
-        h_rot = h_rot - drive.omega_d * n_tot + drive.xi * x_drive
-    return Liouvillian(h_rot, collapse_operators(rates, space))
+    return Liouvillian(h, collapse_operators(rates, space))
 
 
 # ---------------------------------------------------------------------------
@@ -710,58 +669,71 @@ def g2_zero(state: DensityMatrix, site: int, space: LatticeSpace) -> float:
 
 @dataclass(frozen=True)
 class ScanPoint:
-    """One steady-state point of a drive-frequency scan."""
+    """The site-0 observables of one driven steady state."""
 
     xi: float
     omega_d: float
-    a_sum: complex        # Σ_ports ⟨a_p⟩
-    abs_a: float          # Σ_ports |⟨a_p⟩|  (heterodyne transmission, arbitrary units)
-    t_norm: float         # abs_a normalized to the maximum within the same ξ
-    n_photon: float       # Σ_ports ⟨a†a⟩
-    g2: float             # g²(0) on the first port site, NaN below the photon floor
+    a: complex            # ⟨a₀⟩
+    abs_a: float          # |⟨a₀⟩|  (heterodyne transmission, arbitrary units)
+    t_norm: float         # abs_a normalized to the maximum within the same ξ of a scan
+    n_photon: float       # ⟨a₀†a₀⟩
+    g2: float             # g²(0) on site 0, NaN below the photon floor
     krylov: KrylovStats   # the steady-state solve's Krylov steps and residuals
 
 
-class _ScanModel:
-    """The parts of a scan that do not depend on (ξ, ω_d), built once per scan.
+class DrivenLattice:
+    """A lattice driven at the drive frequency ω_d and read at its output port,
+    site 0: the one place that knows the rotating frame, the drive and the
+    site-0 observables.
 
-    H_rot = H - ω_d N + ξ X, with X = a + a† on site 0, is affine in (ω_d, ξ),
-    so a point only adds three dense d×d arrays before its steady-state solve,
-    and its generator shares the jump data of the undriven one.  The points of
-    one ξ are solved in batches (:meth:`points`).
+    ``params`` and ``space`` give the lattice Hamiltonian H of
+    :func:`build_jchm`, ``rates`` the jumps, with the port rate κ on site 0.
+    The drive ξ(a_m + a_m†) acts on every site m of ``driven_sites``.  In the
+    frame rotating at ω_d the Hamiltonian H_rot = H - ω_d N + ξ X, with N the
+    total polariton number and X = Σ_m (a_m + a_m†), is affine in (ω_d, ξ), so
+    everything else is built once: the undriven generator of
+    :func:`build_liouvillian`, which holds H and whose jump data every driven
+    generator shares, N and X as dense d×d arrays, and the site-0
+    observables.  A point then only adds three d×d arrays before its
+    steady-state solve.  ``base`` is the undriven generator and ``a`` the
+    sparse a₀.
     """
 
     def __init__(self, params: LatticeParams, space: LatticeSpace, rates: DissipationRates,
-                 port_sites: tuple[int, ...]):
-        h = build_jchm(params, space)
-        n_tot, x_drive = _rotating_frame_terms(h, space, (0,))
-        self.h, self.n_tot, self.x_drive = h.toarray(), n_tot.toarray(), x_drive.toarray()
-        self.base = Liouvillian(self.h, collapse_operators(rates, space))   # undriven, lab frame
-        # tr(Aρ) = Σ_ij (Aᵀ)_ij ρ_ij for a, a†a on every port and a†²a² on the first
-        ports = [photon_op_on(space, s, annihilation(space.sites[s])) for s in port_sites]
-        self.a_t = np.stack([a.T.toarray() for a in ports])
-        self.n_t = np.stack([(a.getH() @ a).T.toarray() for a in ports])
-        a0 = ports[0]
-        self.num_t = (a0.getH() @ a0.getH() @ a0 @ a0).T.toarray()
+                 driven_sites: Sequence[int] = (0,)):
+        self.base = build_liouvillian(build_jchm(params, space), rates, space)   # undriven
+        self.n_tot = total_excitation(space).toarray()
+        terms = []
+        for m in driven_sites:
+            a = annihilation(space.sites[m])
+            terms += [(1.0, (site_factor(space, m, op),)) for op in (a, a.T)]
+        self.x_drive = assemble(terms, occupation_basis(space)).toarray()
+        self.a = photon_op_on(space, 0, annihilation(space.sites[0]))   # a₀
+        a_dag = self.a.getH()
+        # tr(Aρ) = Σ_ij (Aᵀ)_ij ρ_ij for A = a₀, a₀†a₀ and a₀†²a₀²
+        self._a_t, self._n_t, self._num_t = (
+            op.T.toarray() for op in (self.a, a_dag @ self.a, a_dag @ a_dag @ self.a @ self.a))
 
     def generator(self, xi: float, omega_d: float) -> Liouvillian:
-        """The generator of :func:`build_liouvillian` at drive (ξ, ω_d)."""
-        return self.base.with_hamiltonian(self.h - omega_d * self.n_tot + xi * self.x_drive)
+        """The generator at drive (ξ, ω_d), in the frame rotating at ω_d."""
+        return self.base.with_hamiltonian(self.base.h_rot - omega_d * self.n_tot
+                                          + xi * self.x_drive)
+
+    def point(self, xi: float, omega_d: float, state: SteadyState) -> ScanPoint:
+        """The site-0 observables of ``state``, the steady state at (ξ, ω_d)."""
+        rho = state.rho
+        a = np.sum(self._a_t * rho)
+        n_val = float(np.sum(self._n_t * rho).real)
+        return ScanPoint(xi=xi, omega_d=omega_d, a=complex(a), abs_a=float(np.abs(a)),
+                         t_norm=0.0, n_photon=n_val,
+                         g2=_g2_ratio(n_val, float(np.sum(self._num_t * rho).real)),
+                         krylov=state.krylov)
 
     def points(self, xi: float, omegas: Sequence[float]) -> list[ScanPoint]:
         """The points at drive amplitude ξ and the drive frequencies ``omegas``,
         solved as one batch of :func:`steady_states`."""
         states = steady_states([self.generator(xi, w) for w in omegas])
-        out = []
-        for omega_d, state in zip(omegas, states):
-            rho = state.rho
-            a_vals = np.sum(self.a_t * rho, axis=(1, 2))
-            n_vals = np.sum(self.n_t * rho, axis=(1, 2)).real
-            g2 = _g2_ratio(float(n_vals[0]), float(np.sum(self.num_t * rho).real))
-            out.append(ScanPoint(xi=xi, omega_d=omega_d, a_sum=complex(a_vals.sum()),
-                                 abs_a=float(np.abs(a_vals).sum()), t_norm=0.0,
-                                 n_photon=float(n_vals.sum()), g2=g2, krylov=state.krylov))
-        return out
+        return [self.point(xi, w, state) for w, state in zip(omegas, states)]
 
 
 def _batches(values: Sequence[float], size: int) -> list[list[float]]:
@@ -776,13 +748,12 @@ def transmission_scan(params: LatticeParams, space: LatticeSpace,
                       rates: DissipationRates, drive_amplitudes: Sequence[float],
                       omega_d_grid: Sequence[float],
                       max_workers: int = 1) -> list[ScanPoint]:
-    """Steady-state transmission T ~ Σ_ports |⟨a⟩| over a (ξ, ω_d) grid.
+    """Steady-state transmission T ~ |⟨a₀⟩| over a (ξ, ω_d) grid.
 
-    The drive ξ(a + a†) acts on site 0.  Output ports are the sites with a
-    declared port rate; when none are declared every site is reported.  The
-    Hamiltonian, frame terms, jump operators and observables are built once
-    per scan, and a negative drive amplitude is refused before any of them.
-    The ω_d row of each ξ is cut into batches of at most
+    The drive ξ(a₀ + a₀†) acts on site 0, and every point reports the site-0
+    observables of :meth:`DrivenLattice.point`.  One :class:`DrivenLattice`
+    serves the scan, and a negative drive amplitude is refused before it is
+    built.  The ω_d row of each ξ is cut into batches of at most
     ``STEADY_BATCH_ENTRIES`` / d² points, each solved by one call of
     :func:`steady_states`; with ``max_workers`` > 1 a process pool solves
     whole batches.  The batches do not depend on ``max_workers``, so neither
@@ -790,10 +761,7 @@ def transmission_scan(params: LatticeParams, space: LatticeSpace,
     """
     if any(xi < 0 for xi in drive_amplitudes):
         raise ValueError("drive amplitude xi must be non-negative")
-    port_sites = tuple(s for s, k in rates.kappa_ports if k > 0)
-    if not port_sites:
-        port_sites = tuple(range(space.n_sites))
-    model = _ScanModel(params, space, rates, port_sites)
+    model = DrivenLattice(params, space, rates)
     size = max(1, STEADY_BATCH_ENTRIES // space.total_dim ** 2)
     row = _batches([float(w) for w in omega_d_grid], size)
     xis = [float(xi) for xi in drive_amplitudes for _ in row]

@@ -23,9 +23,11 @@ gives a closed nonlinear master equation in the drive rotating frame,
 
     ∂_t ρ = L₀ρ - i[-zJ(ψ(t) a† + ψ(t)* a), ρ],   ψ(t) = tr(aρ),
 
-whose fixed points are the roots of F(ψ) = tr(a ρ_ss(ψ)) - ψ, with ρ_ss(ψ)
-the steady state of the linear Liouvillian L(ψ) at frozen ψ.  Each seed
-follows the dynamics (DOP853, at the loose pair ``TRANSIENT_RTOL`` /
+with L₀ the generator of the driven site alone, its drive and port included:
+``DrivenLattice(...).generator(ξ, ω_d)`` of a one-site lattice.  Its fixed
+points are the roots of F(ψ) = tr(a ρ_ss(ψ)) - ψ, with ρ_ss(ψ) the steady
+state of the linear Liouvillian L(ψ) at frozen ψ.  Each seed follows the
+dynamics (DOP853, at the loose pair ``TRANSIENT_RTOL`` /
 ``TRANSIENT_ATOL``: the trajectory only has to pick the seed's basin) only
 until it is captured: after every control interval Newton runs on F from the
 current ψ, and the run stops once the root it reaches is linearly stable and
@@ -63,14 +65,14 @@ from .hilbert import (
     total_excitation,
 )
 from .jc import JCParams, jc_hamiltonian, polariton_energy
-from .lattice import LatticeParams, build_jchm
+from .lattice import LatticeParams
 from .lindblad import (
     CutoffWindowError,
     DissipationRates,
+    DrivenLattice,
     DriveSpec,
     MeanFieldConvergenceError,
     StiffnessError,
-    build_liouvillian,
     g2_zero,
     steady_state,
 )
@@ -332,7 +334,9 @@ class _Root:
 class _DrivenSite:
     """One driven site under the mean field ψ.
 
-    The generator with ψ frozen is L(ψ) = L₀ + i zJ(ψ S_{a†} + ψ* S_a), with
+    ``liouv0`` is L₀, the driven site's generator from a one-site
+    :class:`DrivenLattice`, and ``a`` that lattice's a₀.  The generator with
+    ψ frozen is L(ψ) = L₀ + i zJ(ψ S_{a†} + ψ* S_a), with
     S_X ρ = [X, ρ], acting on the row-major vec(ρ).  Every term maps into
     traceless matrices, so the bordered generator M(ψ) = L(ψ) - s|I/d⟩⟨tr|,
     with the border and s = ``liouv0.scale()`` of :func:`steady_state`, only
@@ -343,12 +347,12 @@ class _DrivenSite:
     def __init__(self, jc: JCParams, rates: DissipationRates, drive: DriveSpec,
                  zj: float, space: SiteSpace):
         self.space = LatticeSpace((space,))
-        self.liouv0 = build_liouvillian(build_jchm(LatticeParams.single_site(jc), self.space),
-                                        rates, drive, self.space)
+        model = DrivenLattice(LatticeParams.single_site(jc), self.space, rates)
+        self.liouv0 = model.generator(drive.xi, drive.omega_d)
         self.zj = zj
         self.psi_bound = math.sqrt(space.photon_cutoff)   # |tr(aρ)|² ≤ tr(a†aρ) ≤ n_max
         d = space.dim
-        a = photon_op_on(self.space, 0, annihilation(space))
+        a = model.a
         self.a = a.toarray()
         eye = sp.identity(d, format="csr", dtype=np.complex128)
         self.s_adag = sp.kron(a.getH(), eye, format="csr") - sp.kron(eye, a.conj(), format="csr")
@@ -489,8 +493,8 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
     site = _DrivenSite(jc, rates, drive, zj, space)
     d = space.dim
 
-    slowest = min(r for r in (rates.gamma1, rates.gamma_phi, rates.gamma_kappa,
-                              *(k for _, k in rates.kappa_ports)) if r > 0)
+    slowest = min(r for r in (rates.gamma1, rates.gamma_phi, rates.gamma_kappa, rates.kappa)
+                  if r > 0)
     t_chunk = 1.0 / slowest
     horizon = HORIZON_RELAXATIONS / slowest
 

@@ -2,7 +2,8 @@
 
 These are the earlier operator builders, kept only as oracles: site operators
 lifted to the lattice by Kronecker products with identities, the JCHM summed
-from those lifts, and the N-excitation block assembled by a Python loop over
+from those lifts, the jump operators of the master equation (the output port
+on site 0 last), and the N-excitation block assembled by a Python loop over
 recursively enumerated occupation configurations.  Also the random-lattice
 strategy that the property tests share, and the earlier mean-field ψ search
 (a grid plus a bounded Brent refinement in every cell) with the lobe-boundary
@@ -169,9 +170,8 @@ def collapse_operators(rates, space: LatticeSpace) -> list[sp.csr_matrix]:
             ops.append(math.sqrt(rates.gamma_phi) * qubit_op_on(space, n, sigma_z()))
         if rates.gamma_kappa > 0:
             ops.append(math.sqrt(rates.gamma_kappa) * photon_op_on(space, n, annihilation(space.sites[n])))
-    for site, kappa in rates.kappa_ports:
-        if kappa > 0:
-            ops.append(math.sqrt(kappa) * photon_op_on(space, site, annihilation(space.sites[site])))
+    if rates.kappa > 0:           # the output port, on site 0
+        ops.append(math.sqrt(rates.kappa) * photon_op_on(space, 0, annihilation(space.sites[0])))
     return ops
 
 

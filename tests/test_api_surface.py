@@ -4,7 +4,9 @@ Every name in a module's ``__all__`` must be used somewhere in ``src/cqedlat``
 apart from its own definition, the ``__all__`` list and the re-exports of
 ``cqedlat/__init__``: imported by another module, or read by other code of its
 own module.  A name that only tests call belongs in ``tests/oracles.py`` or
-nowhere.  The scan reads the sources with ``ast`` and imports nothing.
+nowhere.  No module imports a ``_``-prefixed name of another: what one module
+needs from another is part of that module's interface.  The scan reads the
+sources with ``ast`` and imports nothing.
 """
 
 from __future__ import annotations
@@ -74,6 +76,22 @@ def unused_exports() -> list[tuple[str, str]]:
     modules = _modules()
     return [(stem, name) for stem, tree in modules.items() for name in _exports(tree)
             if not (_used_in_own_module(tree, name) or _imported_elsewhere(modules, stem, name))]
+
+
+def private_imports() -> list[str]:
+    """``module: owner.name`` for every ``_``-prefixed, non-dunder name that a
+    package module imports from another package module."""
+    found = []
+    for stem, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or "cqedlat" in (node.module or "")):
+                found += [f"{stem}: {node.module}.{a.name}" for a in node.names
+                          if a.name.startswith("_") and not a.name.endswith("__")]
+    return found
+
+
+def test_no_module_imports_a_private_name_of_another():
+    assert private_imports() == []
 
 
 def test_every_exported_name_is_used_by_the_package():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from cqedlat import cli, lindblad
+from cqedlat.hilbert import LatticeSpace, annihilation, expectation, photon_op_on
 from cqedlat.resonator import Mode
 
 
@@ -72,7 +74,7 @@ class TestDimerG2:
         assert 0 < g2 < 1                       # antibunched below the band bottom
         # the two-photon populations behind g2 are ~1e-11 of the trace; the
         # reference value comes from a solve refined with long-double residuals
-        assert g2 == pytest.approx(0.00452453367, rel=1e-6)
+        assert g2 == pytest.approx(0.00452453367, rel=2.5e-7)
         check = summary["convergence"]["cutoff_check"]
         assert check["rel_shift"] < 1e-5        # truncation shift, not solver noise
         assert summary["convergence"]["points"] == 1
@@ -98,7 +100,9 @@ class TestDimerG2:
         # a negative g2 is what a solve returns when the two-photon population
         # is below what its residual certifies; it is stubbed here, because
         # whether a given weak drive shows it depends on the solver's roundoff
-        monkeypatch.setattr(cli, "g2_zero", lambda rho, site, space: -0.25)
+        point = lindblad.DrivenLattice.point
+        monkeypatch.setattr(lindblad.DrivenLattice, "point",
+                            lambda *args: dataclasses.replace(point(*args), g2=-0.25))
         rows, summary = run(tmp_path, "dimer-g2",
                             {"omega_r": 50.0, "g": 1.0, "j_values": [0.5], "xi": 0.01,
                              "gamma1": 0.01, "gamma_kappa": 0.01, "n_max": 3,
@@ -109,6 +113,29 @@ class TestDimerG2:
         check = summary["convergence"]["g2_check"]
         assert check["passed"] is False
         assert check["min_g2"] == float(rows[0]["g2"]) < 0
+
+
+    def test_rows_are_the_sparse_observables_of_the_same_state(self, monkeypatch):
+        # the route the command took before its model: g2_zero and expectation
+        # of a₀ and a₀†a₀ on the steady state each row was read from
+        states = []
+
+        def recording(liouv):
+            states.append(lindblad.steady_state(liouv))
+            return states[-1]
+
+        monkeypatch.setattr(cli, "steady_state", recording)
+        config = cli.load_config("dimer-g2", None, {
+            "omega_r": 50.0, "g": 1.0, "j_values": [0.45, 0.5, 0.55], "xi": 0.01,
+            "gamma1": 0.01, "gamma_kappa": 0.01, "n_max": 3, "cutoff_check": False})
+        rows, _ = cli.COMMANDS["dimer-g2"](config)
+        space = LatticeSpace.uniform(2, 3)
+        a0 = photon_op_on(space, 0, annihilation(space.sites[0]))
+        for row, state in zip(rows, states, strict=True):
+            assert row["g2"] == pytest.approx(lindblad.g2_zero(state, 0, space), rel=1e-14)
+            assert row["abs_a"] == pytest.approx(abs(expectation(a0, state)), rel=1e-14)
+            assert row["n_photon"] == pytest.approx(expectation(a0.getH() @ a0, state).real,
+                                                    rel=1e-14)
 
 
 class TestRunStatus:
@@ -197,6 +224,18 @@ class TestQuantize:
                          "--output", str(tmp_path / "q.csv")])
         assert code == 1
         assert "file not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cutoff_check", ["true", "false"])
+    def test_more_levels_than_the_basis_exits_one(self, tmp_path, capsys, cutoff_check):
+        # a transmon at charge cutoff 1 has a basis of 3 charge states
+        netlist = str(Path(__file__).parent / "data" / "netlists" / "transmon.nl")
+        code = cli.main(["quantize", "--netlist", netlist, "--charge-cutoff", "1",
+                         "--levels", "6", "--cutoff-check", cutoff_check,
+                         "--output", str(tmp_path / "q.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "levels = 6" in err and "dimension 3" in err and "charge_cutoff" in err
+        assert not (tmp_path / "q.csv").exists()
 
 
 class TestBlockadeScan:
@@ -399,6 +438,30 @@ class TestConfigValues:
         assert code == 1
         assert f"config error at {key}:" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("command, config, key", [
+        pytest.param("jc-spectrum", {"omega_r": True, "omega_q": 5, "g": 0.1}, "omega_r",
+                     id="pos"),
+        pytest.param("jc-spectrum", {"omega_r": 5, "omega_q": 5, "g": True}, "g", id="nonneg"),
+        pytest.param("jc-spectrum", {"omega_r": 5, "omega_q": 5, "g": 0.1, "n_max": True},
+                     "n_max", id="posint"),
+        pytest.param("sector-nonlinearity", {"omega_r": 50, "g": 1, "J": False,
+                                             "n_sites_list": [2]}, "J", id="float"),
+        pytest.param("sector-nonlinearity", {"omega_r": 50, "g": 1, "J": -0.5,
+                                             "n_sites_list": [2, True]}, "n_sites_list",
+                     id="floats"),
+        pytest.param("driven-mf", {"omega_r": 20, "g": 1, "zj_values": [1], "xi": 0.1,
+                                   "gamma1": 0.1, "seeds": [0, True]}, "seeds", id="seeds"),
+        pytest.param("driven-mf", {"omega_r": 20, "g": 1, "zj_values": [1], "xi": 0.1,
+                                   "gamma1": 0.1, "seeds": [[0.5, False]]}, "seeds",
+                     id="seed_pair"),
+    ])
+    def test_json_boolean_is_not_a_number(self, tmp_path, command, config, key):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        with pytest.raises(cli.ConfigError) as info:
+            cli.load_config(command, str(config_path), {})
+        assert [k for k, _ in info.value.errors] == [key]
 
     def test_infinite_integer_in_a_config_file_exits_one(self, tmp_path, capsys):
         config_path = tmp_path / "jc.json"

@@ -198,8 +198,7 @@ class TestKernelAgainstOracles:
         for p, site in zip(params.site_params, space.sites):
             assert np.array_equal(jc_hamiltonian(p, site, rwa).toarray(),
                                   oracles.jc_hamiltonian(p, site, rwa).toarray())
-        rates = DissipationRates(gamma1=0.3, gamma_phi=0.02, gamma_kappa=0.11,
-                                 kappa_ports={space.n_sites - 1: 0.07})
+        rates = DissipationRates(gamma1=0.3, gamma_phi=0.02, gamma_kappa=0.11, kappa=0.07)
         new, old = collapse_operators(rates, space), oracles.collapse_operators(rates, space)
         assert len(new) == len(old) == 3 * space.n_sites + 1
         for c_new, c_old in zip(new, old):

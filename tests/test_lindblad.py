@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 
@@ -14,9 +15,8 @@ from cqedlat import lindblad
 from cqedlat.lindblad import (
     ConvergenceError,
     DissipationRates,
-    DriveSpec,
+    DrivenLattice,
     Liouvillian,
-    _ScanModel,
     build_liouvillian,
     collapse_operators,
     g2_zero,
@@ -62,71 +62,63 @@ def dense_nullspace_steady(liouv):
     return 0.5 * (rho + rho.conj().T)
 
 
-def single_site_liouvillian(jc, n_max, rates, drive):
-    space = LatticeSpace.uniform(1, n_max)
-    return build_liouvillian(build_jchm(LatticeParams.single_site(jc), space), rates, drive, space)
+def single_site_liouvillian(jc, n_max, rates, xi=0.0, omega_d=0.0):
+    """The generator of one JC site driven at (ξ, ω_d); undriven in the lab frame by default."""
+    model = DrivenLattice(LatticeParams.single_site(jc), LatticeSpace.uniform(1, n_max), rates)
+    return model.generator(xi, omega_d)
 
 
 def dimer_liouvillian(n_max):
     params = chain(JCParams(50.0, 50.0, 1.0), 2, 0.5, boundary="periodic")
-    space = LatticeSpace.uniform(2, n_max)
-    return build_liouvillian(build_jchm(params, space),
-                             DissipationRates(gamma1=0.01, gamma_kappa=0.01),
-                             DriveSpec(xi=0.01, omega_d=48.5, driven_sites=(0, 1)), space)
+    model = DrivenLattice(params, LatticeSpace.uniform(2, n_max),
+                          DissipationRates(gamma1=0.01, gamma_kappa=0.01), driven_sites=(0, 1))
+    return model.generator(0.01, 48.5)
 
 
 # the systems whose steady states the tests in this repository solve
 STEADY_SYSTEMS = {
     "undriven_jc": lambda: single_site_liouvillian(
-        JCParams(1.0, 0.98, 0.05), 3, DissipationRates(gamma1=0.05, gamma_kappa=0.1), None),
+        JCParams(1.0, 0.98, 0.05), 3, DissipationRates(gamma1=0.05, gamma_kappa=0.1)),
     **{f"driven_cavity_{xi}_{wd}": (lambda xi=xi, wd=wd: single_site_liouvillian(
         JCParams(1.0, 0.5, 0.0), 8,
-        DissipationRates(gamma1=0.01, gamma_kappa=0.02, kappa_ports={0: 0.03}),
-        DriveSpec(xi=xi, omega_d=wd)))
+        DissipationRates(gamma1=0.01, gamma_kappa=0.02, kappa=0.03), xi, wd))
        for xi, wd in [(0.003, 0.98), (0.005, 1.0), (0.002, 1.03)]},
     "detuned_jc": lambda: single_site_liouvillian(
-        JCParams(1.0, 1.0, 0.08), 4, DissipationRates(gamma1=0.02, gamma_kappa=0.03),
-        DriveSpec(xi=0.01, omega_d=0.93)),
+        JCParams(1.0, 1.0, 0.08), 4, DissipationRates(gamma1=0.02, gamma_kappa=0.03), 0.01, 0.93),
     "coherent_cavity": lambda: single_site_liouvillian(
-        JCParams(1.0, 0.5, 0.0), 8, DissipationRates(gamma1=0.01, gamma_kappa=0.05),
-        DriveSpec(xi=0.004, omega_d=1.0)),
+        JCParams(1.0, 0.5, 0.0), 8, DissipationRates(gamma1=0.01, gamma_kappa=0.05), 0.004, 1.0),
     "blockade_peak": lambda: single_site_liouvillian(
-        JCParams(50.0, 50.0, 1.0), 6, DissipationRates(gamma1=0.01, kappa_ports={0: 0.01}),
-        DriveSpec(xi=0.01, omega_d=49.0)),
+        JCParams(50.0, 50.0, 1.0), 6, DissipationRates(gamma1=0.01, kappa=0.01), 0.01, 49.0),
     "blockade_center": lambda: single_site_liouvillian(
-        JCParams(50.0, 50.0, 1.0), 5, DissipationRates(gamma1=0.01, gamma_kappa=0.01),
-        DriveSpec(xi=0.005, omega_d=50.0)),
+        JCParams(50.0, 50.0, 1.0), 5, DissipationRates(gamma1=0.01, gamma_kappa=0.01), 0.005, 50.0),
     "bright_linear_cavity": lambda: single_site_liouvillian(
-        JCParams(1.0, 0.5, 0.0), 6, DissipationRates(gamma1=0.01, kappa_ports={0: 0.04}),
-        DriveSpec(xi=0.02, omega_d=1.0)),
+        JCParams(1.0, 0.5, 0.0), 6, DissipationRates(gamma1=0.01, kappa=0.04), 0.02, 1.0),
     "meanfield_zero_hopping": lambda: single_site_liouvillian(
-        JCParams(20.0, 20.0, 1.0), 7, DissipationRates(gamma1=0.01, kappa_ports={0: 0.01}),
-        DriveSpec(xi=0.01, omega_d=19.0)),
+        JCParams(20.0, 20.0, 1.0), 7, DissipationRates(gamma1=0.01, kappa=0.01), 0.01, 19.0),
     "dimer": lambda: dimer_liouvillian(2),
     # g = κ/4 on resonance: H_eff is defective in the one-excitation sector
     # (an exceptional point), so an eigenbasis of H_eff is singular
     "exceptional_point_jc": lambda: single_site_liouvillian(
-        JCParams(1.0, 1.0, 0.01), 3, DissipationRates(kappa_ports={0: 0.04}), None),
+        JCParams(1.0, 1.0, 0.01), 3, DissipationRates(kappa=0.04)),
 }
 
 
 @st.composite
 def open_lattices(draw):
-    """Random 1-3 site chains (Hilbert dimension <= 216) with random rates and drive."""
+    """Random 1-3 site chains (Hilbert dimension <= 216) with random rates, driven
+    sites and drive."""
     n_sites = draw(st.integers(1, 3))
     n_max = draw(st.integers(1, 3 if n_sites < 3 else 2))
     freq, coupling, rate = st.floats(0.5, 1.5), st.floats(0.0, 0.3), st.floats(0.0, 0.3)
     sites = tuple(JCParams(draw(freq), draw(freq), draw(coupling)) for _ in range(n_sites))
     edges = tuple((i, i + 1, draw(st.floats(-0.3, 0.3))) for i in range(n_sites - 1))
-    ports = draw(st.dictionaries(st.integers(0, n_sites - 1), rate, max_size=n_sites))
     rates = DissipationRates(gamma1=draw(rate), gamma_phi=draw(rate),
-                             gamma_kappa=draw(rate), kappa_ports=ports)
-    drive = draw(st.none() | st.builds(
-        DriveSpec, xi=st.floats(0.0, 0.2), omega_d=freq,
-        driven_sites=st.lists(st.integers(0, n_sites - 1), min_size=1, unique=True).map(tuple)))
-    space = LatticeSpace.uniform(n_sites, n_max)
-    h = build_jchm(LatticeParams(sites, edges), space)
-    return build_liouvillian(h, rates, drive, space), draw(st.integers(0, 2**32 - 1))
+                             gamma_kappa=draw(rate), kappa=draw(rate))
+    driven = draw(st.lists(st.integers(0, n_sites - 1), min_size=1, unique=True))
+    model = DrivenLattice(LatticeParams(sites, edges), LatticeSpace.uniform(n_sites, n_max),
+                          rates, driven)
+    return (model.generator(draw(st.floats(0.0, 0.2)), draw(freq)),
+            draw(st.integers(0, 2**32 - 1)))
 
 
 class TestMatrixFreeGenerator:
@@ -149,14 +141,13 @@ class TestMatrixFreeGenerator:
 class TestLiouvillianStructure:
     def test_trace_preservation_defect(self):
         params, space, h = empty_cavity(4)
-        liouv = build_liouvillian(h, DissipationRates(gamma_kappa=0.1), None, space)
+        liouv = build_liouvillian(h, DissipationRates(gamma_kappa=0.1), space)
         assert liouv.trace_preservation_defect() <= 1e-12
 
     def test_trace_derivative_vanishes_on_random_state(self):
         params, space, h = empty_cavity(3)
-        liouv = build_liouvillian(
-            h, DissipationRates(gamma1=0.1, gamma_phi=0.05, gamma_kappa=0.2),
-            DriveSpec(xi=0.05, omega_d=0.97), space)
+        rates = DissipationRates(gamma1=0.1, gamma_phi=0.05, gamma_kappa=0.2)
+        liouv = DrivenLattice(params, space, rates).generator(0.05, 0.97)
         rng = np.random.default_rng(2)
         m = rng.standard_normal((space.total_dim,) * 2) + 1j * rng.standard_normal((space.total_dim,) * 2)
         rho = m @ m.conj().T
@@ -171,38 +162,37 @@ class TestLiouvillianStructure:
     def test_port_rates_add_to_uniform_loss(self):
         # Σ C†C holds (γ_κ + κ) a†a on the port site and γ_κ a†a elsewhere
         space = LatticeSpace.uniform(2, 2)
-        rates = DissipationRates(gamma_kappa=0.02, kappa_ports={0: 0.03})
+        rates = DissipationRates(gamma_kappa=0.02, kappa=0.03)
         loss = sum(c.getH() @ c for c in collapse_operators(rates, space))
         n0, n1 = (photon_op_on(space, i, oracles.number(space.sites[i])) for i in (0, 1))
         assert abs(loss - (0.05 * n0 + 0.02 * n1)).max() <= 1e-14
 
     def test_rates_are_hashable(self):
-        assert hash(DissipationRates()) == hash(DissipationRates(kappa_ports={}))
-        a = DissipationRates(gamma1=0.01, kappa_ports={2: 0.04, 0: 0.03})
-        b = DissipationRates(gamma1=0.01, kappa_ports=((0, 0.03), (2, 0.04)))
+        assert hash(DissipationRates()) == hash(DissipationRates(kappa=0.0))
+        a = DissipationRates(gamma1=0.01, kappa=0.03)
+        b = DissipationRates(gamma1=0.01, kappa=0.03)
         assert a == b and hash(a) == hash(b)
-        assert a.kappa_ports == ((0, 0.03), (2, 0.04))
+        assert a != DissipationRates(gamma1=0.01, kappa=0.04)
 
     def test_port_rates_cannot_be_changed_after_validation(self):
-        rates = DissipationRates(kappa_ports={0: 0.03})
-        with pytest.raises(TypeError):
-            rates.kappa_ports[0] = -1.0
-        assert rates.kappa_ports == ((0, 0.03),)
+        rates = DissipationRates(kappa=0.03)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rates.kappa = -1.0
+        assert rates.kappa == 0.03
+        with pytest.raises(ValueError, match="non-negative"):
+            DissipationRates(kappa=-0.03)
 
     def test_nonhermitian_hamiltonian_rejected(self):
         # the one Hermiticity check on a Hamiltonian: K = i(H† - H) breaks the trace
         params, space, h = empty_cavity(3)
         a = photon_op_on(space, 0, annihilation(space.sites[0]))
-        for drive in (None, DriveSpec(xi=0.01, omega_d=1.0)):
-            with pytest.raises(ValueError, match="trace"):
-                build_liouvillian(h + 0.1j * a.getH() @ a, DissipationRates(gamma_kappa=0.1),
-                                  drive, space)
+        with pytest.raises(ValueError, match="trace"):
+            build_liouvillian(h + 0.1j * a.getH() @ a, DissipationRates(gamma_kappa=0.1), space)
 
     def test_generator_with_shared_jumps_matches_a_fresh_one(self):
         params = chain(JCParams(1.0, 0.97, 0.08), 2, 0.04)
         space = LatticeSpace.uniform(2, 2)
-        rates = DissipationRates(gamma1=0.02, gamma_phi=0.01, gamma_kappa=0.01,
-                                 kappa_ports={1: 0.03})
+        rates = DissipationRates(gamma1=0.02, gamma_phi=0.01, gamma_kappa=0.01, kappa=0.03)
         jumps = collapse_operators(rates, space)
         base = Liouvillian(build_jchm(params, space), jumps)
         a = photon_op_on(space, 0, annihilation(space.sites[0])).toarray()
@@ -222,19 +212,11 @@ class TestLiouvillianStructure:
         with pytest.raises(ValueError, match="trace"):
             Liouvillian(h + 0.1j * a.conj().T @ a, jumps)
 
-    def test_rotating_frame_requires_rwa(self):
-        p = JCParams(1.0, 1.0, 0.05)
-        space = LatticeSpace.uniform(1, 3)
-        h = build_jchm(LatticeParams.single_site(p), space, rwa=False)
-        with pytest.raises(ValueError, match="conserve"):
-            build_liouvillian(h, DissipationRates(gamma_kappa=0.1),
-                              DriveSpec(xi=0.01, omega_d=1.0), space)
-
 
 class TestEvolve:
     def test_closed_diagonal_evolution_preserves_populations(self):
         params, space, h = empty_cavity(4)
-        liouv = build_liouvillian(h, DissipationRates(), None, space)
+        liouv = build_liouvillian(h, DissipationRates(), space)
         rng = np.random.default_rng(8)
         pop = rng.random(space.total_dim)
         pop /= pop.sum()
@@ -245,8 +227,7 @@ class TestEvolve:
     def test_cavity_decay_matches_exponential(self):
         params, space, h = empty_cavity(4)
         kappa_t = 0.5
-        liouv = build_liouvillian(
-            h, DissipationRates(gamma_kappa=0.3, kappa_ports={0: 0.2}), None, space)
+        liouv = build_liouvillian(h, DissipationRates(gamma_kappa=0.3, kappa=0.2), space)
         vec = np.zeros(space.total_dim)
         vec[oracles.basis_index(space, [(1, 0)])] = 1.0
         res = oracles.evolve(liouv, DensityMatrix.pure(vec), t_final=4.0, dt_control=0.25)
@@ -261,7 +242,7 @@ class TestEvolve:
         params = LatticeParams.single_site(JCParams(1.0, 1.0, g))
         space = LatticeSpace.uniform(1, 3)
         h = build_jchm(params, space)
-        liouv = build_liouvillian(h, DissipationRates(), None, space)
+        liouv = build_liouvillian(h, DissipationRates(), space)
         vec = np.zeros(space.total_dim)
         vec[oracles.basis_index(space, [(1, 0)])] = 1.0
         period = 2 * np.pi / (2 * g)
@@ -273,8 +254,7 @@ class TestEvolve:
 
     def test_trajectory_states_keep_unit_trace(self):
         params, space, h = empty_cavity(3)
-        liouv = build_liouvillian(h, DissipationRates(gamma_kappa=0.4),
-                                  DriveSpec(xi=0.02, omega_d=1.0), space)
+        liouv = DrivenLattice(params, space, DissipationRates(gamma_kappa=0.4)).generator(0.02, 1.0)
         res = oracles.evolve(liouv, oracles.vacuum(space), t_final=30.0, dt_control=3.0)
         assert res.trace_drift < 1e-8
 
@@ -284,8 +264,7 @@ class TestSteadyState:
         params = LatticeParams.single_site(JCParams(1.0, 0.98, 0.05))
         space = LatticeSpace.uniform(1, 3)
         h = build_jchm(params, space)
-        liouv = build_liouvillian(
-            h, DissipationRates(gamma1=0.05, gamma_kappa=0.1), None, space)
+        liouv = build_liouvillian(h, DissipationRates(gamma1=0.05, gamma_kappa=0.1), space)
         rho = steady_state(liouv)
         vac = oracles.vacuum(space)
         assert np.linalg.norm(rho.rho - vac.rho) < 1e-9
@@ -293,8 +272,8 @@ class TestSteadyState:
     @pytest.mark.parametrize("xi,omega_d", [(0.003, 0.98), (0.005, 1.0), (0.002, 1.03)])
     def test_driven_cavity_matches_closed_form(self, xi, omega_d):
         params, space, h = empty_cavity(8)
-        rates = DissipationRates(gamma1=0.01, gamma_kappa=0.02, kappa_ports={0: 0.03})
-        liouv = build_liouvillian(h, rates, DriveSpec(xi=xi, omega_d=omega_d), space)
+        rates = DissipationRates(gamma1=0.01, gamma_kappa=0.02, kappa=0.03)
+        liouv = DrivenLattice(params, space, rates).generator(xi, omega_d)
         rho = steady_state(liouv)
         a = photon_op_on(space, 0, annihilation(space.sites[0]))
         want = driven_cavity_closed_form(xi, 1.0 - omega_d, 0.05)
@@ -305,7 +284,7 @@ class TestSteadyState:
         space = LatticeSpace.uniform(1, 4)
         h = build_jchm(params, space)
         rates = DissipationRates(gamma1=0.02, gamma_kappa=0.03)
-        liouv = build_liouvillian(h, rates, DriveSpec(xi=0.01, omega_d=0.93), space)
+        liouv = DrivenLattice(params, space, rates).generator(0.01, 0.93)
         r1 = steady_state(liouv)
         # slowest decay rate 0.01: e^{-0.01 t} < 1e-8 well before t = 2000
         r2 = oracles.evolve(liouv, oracles.vacuum(space), t_final=2000.0).final
@@ -331,7 +310,7 @@ class TestSteadyState:
         params = chain(JCParams(1.0, 1.0, 0.1), 2, 0.2)
         space = LatticeSpace.uniform(2, 1)
         liouv = build_liouvillian(build_jchm(params, space),
-                                  DissipationRates(gamma1=0.1, gamma_kappa=0.05), None, space)
+                                  DissipationRates(gamma1=0.1, gamma_kappa=0.05), space)
         assert np.any(np.abs(np.linalg.eigvals(liouv.h_eff)) < 1e-12)
         rho = steady_state(liouv)
         assert np.linalg.norm(rho.rho - oracles.vacuum(space).rho) < 1e-12
@@ -341,20 +320,19 @@ class TestSteadyState:
         # so the stationary space is two-dimensional and the probe's random
         # right-hand side has no solution
         params, space, h = empty_cavity(4)
-        liouv = build_liouvillian(h, DissipationRates(gamma_kappa=0.05),
-                                  DriveSpec(xi=0.01, omega_d=1.0), space)
+        liouv = DrivenLattice(params, space, DissipationRates(gamma_kappa=0.05)).generator(0.01, 1.0)
         assert oracles.unique_probe_residual(liouv) > oracles.UNIQUE_PROBE_RTOL
 
     def test_unique_steady_space_passes_the_probe(self):
         # the same cavity with qubit relaxation has one steady state
         params, space, h = empty_cavity(4)
-        liouv = build_liouvillian(h, DissipationRates(gamma1=0.05, gamma_kappa=0.05),
-                                  DriveSpec(xi=0.01, omega_d=1.0), space)
+        rates = DissipationRates(gamma1=0.05, gamma_kappa=0.05)
+        liouv = DrivenLattice(params, space, rates).generator(0.01, 1.0)
         assert oracles.unique_probe_residual(liouv) <= oracles.UNIQUE_PROBE_RTOL
 
     def test_requires_dissipation(self):
         params, space, h = empty_cavity(3)
-        liouv = build_liouvillian(h, DissipationRates(), None, space)
+        liouv = build_liouvillian(h, DissipationRates(), space)
         with pytest.raises(ValueError, match="dissipative"):
             steady_state(liouv)
 
@@ -524,7 +502,7 @@ class TestG2:
     def coherent_steady(self, xi=0.004):
         params, space, h = empty_cavity(8)
         rates = DissipationRates(gamma1=0.01, gamma_kappa=0.05)
-        liouv = build_liouvillian(h, rates, DriveSpec(xi=xi, omega_d=1.0), space)
+        liouv = DrivenLattice(params, space, rates).generator(xi, 1.0)
         return space, steady_state(liouv)
 
     def test_coherent_state_is_poissonian(self):
@@ -546,9 +524,8 @@ class TestG2:
         de = 0.01 * g
         params = LatticeParams.single_site(JCParams(wr, wr, g))
         space = LatticeSpace.uniform(1, 6)
-        h = build_jchm(params, space)
-        rates = DissipationRates(gamma1=de, kappa_ports={0: de})
-        liouv = build_liouvillian(h, rates, DriveSpec(xi=0.01 * g, omega_d=wr - g), space)
+        rates = DissipationRates(gamma1=de, kappa=de)
+        liouv = DrivenLattice(params, space, rates).generator(0.01 * g, wr - g)
         rho = steady_state(liouv)
         assert g2_zero(rho, 0, space) < 0.1
 
@@ -564,7 +541,7 @@ class TestTransmissionScan:
         de = 0.01 * g
         params = LatticeParams.single_site(JCParams(wr, wr, g))
         space = LatticeSpace.uniform(1, n_max)
-        rates = DissipationRates(gamma1=de, kappa_ports={0: de})
+        rates = DissipationRates(gamma1=de, kappa=de)
         return params, space, rates, g, wr, de
 
     def test_weak_drive_vacuum_rabi_peaks(self):
@@ -591,7 +568,7 @@ class TestTransmissionScan:
 
     def test_linear_cavity_single_lorentzian(self):
         params, space, h = empty_cavity(6)
-        rates = DissipationRates(gamma1=0.01, gamma_kappa=0.0, kappa_ports={0: 0.04})
+        rates = DissipationRates(gamma1=0.01, gamma_kappa=0.0, kappa=0.04)
         grid = np.linspace(0.9, 1.1, 81)
         for xi in (0.001, 0.02):
             pts = transmission_scan(params, space, rates, [xi], grid)
@@ -630,18 +607,24 @@ class TestTransmissionScan:
             assert max(block) == pytest.approx(1.0)
 
     def test_scan_generator_matches_build_liouvillian(self):
+        # the generator of H - ω_d N + ξ Σ_m (a_m + a_m†), built here from the Kronecker lifts
         params = chain(JCParams(1.0, 0.97, 0.08), 2, 0.04)
         space = LatticeSpace.uniform(2, 2)
-        rates = DissipationRates(gamma1=0.02, gamma_kappa=0.01, kappa_ports={1: 0.03})
-        model = _ScanModel(params, space, rates, (1,))
-        h = build_jchm(params, space)
-        for xi, omega_d in ((0.0, 0.9), (0.02, 1.03), (0.3, 0.95)):
-            scan = model.generator(xi, omega_d)
-            full = build_liouvillian(h, rates, DriveSpec(xi, omega_d), space)
-            assert scan.dim == full.dim == space.total_dim
-            assert np.abs(scan.h_eff - full.h_eff).max() <= 1e-14 * np.abs(full.h_eff).max()
-            for c_scan, c_full in zip(scan.jumps, full.jumps, strict=True):
-                assert (c_scan != c_full).nnz == 0
+        rates = DissipationRates(gamma1=0.02, gamma_kappa=0.01, kappa=0.03)
+        h = oracles.build_jchm(params, space).toarray()
+        n_tot = oracles.total_excitation(space).toarray()
+        a = [oracles.photon_op_on(space, n, annihilation(site)).toarray()
+             for n, site in enumerate(space.sites)]
+        for driven_sites in ((0,), (1,), (0, 1)):
+            model = DrivenLattice(params, space, rates, driven_sites)
+            x_drive = sum(a[m] + a[m].conj().T for m in driven_sites)
+            for xi, omega_d in ((0.0, 0.9), (0.02, 1.03), (0.3, 0.95)):
+                scan = model.generator(xi, omega_d)
+                full = build_liouvillian(h - omega_d * n_tot + xi * x_drive, rates, space)
+                assert scan.dim == full.dim == space.total_dim
+                assert np.abs(scan.h_eff - full.h_eff).max() <= 1e-14 * np.abs(full.h_eff).max()
+                for c_scan, c_full in zip(scan.jumps, full.jumps, strict=True):
+                    assert (c_scan != c_full).nnz == 0
 
     def test_worker_pool_preserves_order_and_values(self):
         # a 9-point row is one batch at d = 10; two amplitudes give the pool two
@@ -674,7 +657,7 @@ class TestTransmissionScan:
 
     def test_batched_members_match_batches_of_one(self):
         params, space, rates, g, wr, de = self.setup_blockade()
-        model = _ScanModel(params, space, rates, (0,))
+        model = DrivenLattice(params, space, rates)
         grid = np.linspace(48.9, 51.1, 17)
         generators = [model.generator(0.02, w) for w in grid]
         batch = steady_states(generators)
@@ -688,8 +671,8 @@ class TestTransmissionScan:
 
     def test_batch_refuses_generators_with_other_jumps(self):
         params, space, rates, g, wr, de = self.setup_blockade(n_max=3)
-        model = _ScanModel(params, space, rates, (0,))
-        other = _ScanModel(params, space, DissipationRates(gamma1=de, gamma_kappa=de), (0,))
+        model = DrivenLattice(params, space, rates)
+        other = DrivenLattice(params, space, DissipationRates(gamma1=de, gamma_kappa=de))
         with pytest.raises(ValueError, match="jump set"):
             steady_states([model.generator(0.01, wr - g), other.generator(0.01, wr - g)])
 
@@ -717,7 +700,7 @@ class TestTransmissionScan:
 
     def test_scan_model_pickles_with_its_shared_jumps(self):
         params, space, rates, g, wr, de = self.setup_blockade(n_max=3)
-        model = _ScanModel(params, space, rates, (0,))
+        model = DrivenLattice(params, space, rates)
         copy = pickle.loads(pickle.dumps(model))
         omegas = [wr - g - de, wr - g]
         assert copy.points(0.01, omegas) == model.points(0.01, omegas)

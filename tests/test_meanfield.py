@@ -22,6 +22,7 @@ from cqedlat.jc import JCParams, polariton_energy
 from cqedlat.lattice import LatticeParams, build_jchm
 from cqedlat.lindblad import (
     DissipationRates,
+    DrivenLattice,
     DriveSpec,
     Liouvillian,
     build_liouvillian,
@@ -280,7 +281,7 @@ class TestDrivenMeanField:
     def run_point(self, zj, xi=0.01 * G, seeds=(0.0,), **kw):
         de = 0.01 * G
         wq = WR - zj
-        rates = DissipationRates(gamma1=de, kappa_ports={0: de})
+        rates = DissipationRates(gamma1=de, kappa=de)
         drive = DriveSpec(xi=xi, omega_d=wq - G)
         jc = JCParams(WR, wq, G)
         return driven_mf_steady(jc, rates, drive, zj, seeds=seeds,
@@ -289,14 +290,13 @@ class TestDrivenMeanField:
     def test_zero_hopping_reduces_to_single_site(self):
         de = 0.01 * G
         jc = JCParams(WR, WR, G)
-        rates = DissipationRates(gamma1=de, kappa_ports={0: de})
+        rates = DissipationRates(gamma1=de, kappa=de)
         drive = DriveSpec(xi=0.01 * G, omega_d=WR - G)
         res = driven_mf_steady(jc, rates, drive, 0.0, seeds=(0.0,),
                                space=SiteSpace(7), psi_tol=1e-10)
         space = LatticeSpace.uniform(1, 7)
-        h = build_jchm(LatticeParams.single_site(jc), space)
-        liouv = build_liouvillian(h, rates, drive, space)
-        rho = steady_state(liouv)
+        model = DrivenLattice(LatticeParams.single_site(jc), space, rates)
+        rho = steady_state(model.generator(drive.xi, drive.omega_d))
         a = photon_op_on(space, 0, annihilation(space.sites[0]))
         assert abs(res.per_seed[0].psi - expectation(a, rho)) < 1e-8
         assert res.per_seed[0].g2 == pytest.approx(g2_zero(rho, 0, space), abs=1e-8)
@@ -318,7 +318,7 @@ class TestDrivenMeanField:
         zj = 1.0 * G
         wq = WR - zj
         jc = JCParams(WR, wq, G)
-        rates = DissipationRates(gamma1=de, kappa_ports={0: de})
+        rates = DissipationRates(gamma1=de, kappa=de)
         drive = DriveSpec(xi=0.02 * G, omega_d=wq - G + 0.2 * G)
         monkeypatch.setattr(meanfield, "HORIZON_RELAXATIONS", 250)
         res = driven_mf_steady(jc, rates, drive, zj, seeds=(0.0, 1.5), space=SiteSpace(7))
@@ -333,7 +333,7 @@ class TestDrivenMeanField:
         # takes more than CAPTURE_CONTRACTIONS intervals, so a horizon of at
         # most that many leaves every run uncaptured whatever Newton finds
         jc = JCParams(20.0, 19.0, 1.0)
-        rates = DissipationRates(gamma1=0.06, kappa_ports={0: 0.06})
+        rates = DissipationRates(gamma1=0.06, kappa=0.06)
         drive = DriveSpec(xi=0.12, omega_d=18.3)
         monkeypatch.setattr(meanfield, "HORIZON_RELAXATIONS", chunks)
         with pytest.raises(MeanFieldConvergenceError, match=f"{chunks + 1} ψ samples"):
@@ -342,7 +342,7 @@ class TestDrivenMeanField:
     def test_convergence_error_reports_the_last_step(self, monkeypatch):
         # a horizon of CAPTURE_CONTRACTIONS intervals is too short for capture
         jc = JCParams(20.0, 19.0, 1.0)
-        rates = DissipationRates(gamma1=0.06, kappa_ports={0: 0.06})
+        rates = DissipationRates(gamma1=0.06, kappa=0.06)
         drive = DriveSpec(xi=0.12, omega_d=18.3)
         monkeypatch.setattr(meanfield, "HORIZON_RELAXATIONS", CAPTURE_CONTRACTIONS)
         with pytest.raises(MeanFieldConvergenceError) as info:
@@ -360,19 +360,24 @@ class TestDrivenMeanField:
 # bistable points: the driven-mf CLI workload (|ψ| ≈ 0.18 and 0.50) and the
 # point of test_bistability_from_seed_dependence (|ψ| ≈ 0.045 and 0.42)
 DRIVEN_POINT = dict(jc=JCParams(20.0, 19.0, 1.0),
-                    rates=DissipationRates(gamma1=0.06, kappa_ports={0: 0.06}),
+                    rates=DissipationRates(gamma1=0.06, kappa=0.06),
                     drive=DriveSpec(xi=0.12, omega_d=18.3), zj=1.0, space=SiteSpace(6))
 BISTABLE_POINT = dict(jc=JCParams(WR, WR - G, G),
-                      rates=DissipationRates(gamma1=0.01 * G, kappa_ports={0: 0.01 * G}),
+                      rates=DissipationRates(gamma1=0.01 * G, kappa=0.01 * G),
                       drive=DriveSpec(xi=0.02 * G, omega_d=WR - 2 * G + 0.2 * G), zj=G,
                       space=SiteSpace(7))
 
 
 def _nonlinear_rhs(jc, rates, drive, zj, space):
-    """∂_t vec(ρ) = L₀ vec(ρ) + i zJ(ψ[a†, ρ] + ψ*[a, ρ]) with ψ = tr(aρ); also returns vec(aᵀ)."""
+    """∂_t vec(ρ) = L₀ vec(ρ) + i zJ(ψ[a†, ρ] + ψ*[a, ρ]) with ψ = tr(aρ); also returns vec(aᵀ).
+
+    L₀ is the generator of H - ω_d N + ξ(a + a†), built here and not by ``DrivenLattice``.
+    """
     lat = LatticeSpace((space,))
-    liouv = build_liouvillian(build_jchm(LatticeParams.single_site(jc), lat), rates, drive, lat)
     a = photon_op_on(lat, 0, annihilation(space))
+    h_rot = (build_jchm(LatticeParams.single_site(jc), lat) - drive.omega_d * total_excitation(lat)
+             + drive.xi * (a + a.getH()))
+    liouv = build_liouvillian(h_rot, rates, lat)
     eye = sp.identity(space.dim, format="csr")
     terms = sp.vstack([liouv.matrix, sp.kron(a.getH(), eye) - sp.kron(eye, a.conj()),
                        sp.kron(a, eye) - sp.kron(eye, a.T)], format="csr")
@@ -392,7 +397,7 @@ def _settle_by_integration(point, seed, psi_tol=1e-8):
     rhs, a_trace = _nonlinear_rhs(**point)
     d = point["space"].dim
     rates = point["rates"]
-    interval = 1.0 / min(r for r in (rates.gamma1, *(k for _, k in rates.kappa_ports)) if r > 0)
+    interval = 1.0 / min(r for r in (rates.gamma1, rates.kappa) if r > 0)
     y = _coherent_site_state(point["space"], seed).rho.reshape(-1)
     psi_prev = a_trace @ y
     for _ in range(600):

@@ -40,7 +40,7 @@ PARTS = ("transient", "newton", "margins", "steady_state")
 def run() -> meanfield.DrivenMFResult:
     """The seed-0 ``driven-mf`` point, once."""
     return meanfield.driven_mf_steady(
-        JCParams(20.0, 19.0, 1.0), DissipationRates(gamma1=0.06, kappa_ports={0: 0.06}),
+        JCParams(20.0, 19.0, 1.0), DissipationRates(gamma1=0.06, kappa=0.06),
         DriveSpec(xi=0.12, omega_d=18.3), 1.0, seeds=SEEDS, space=SiteSpace(6))
 
 

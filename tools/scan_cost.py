@@ -38,7 +38,7 @@ OMEGA_D_GRID = [48.9 + k * (51.1 - 48.9) / 50 for k in range(51)]
 def scan() -> list[lindblad.ScanPoint]:
     """Run the scan once."""
     params = LatticeParams.single_site(JCParams(50.0, 50.0, 1.0))
-    rates = lindblad.DissipationRates(gamma1=0.01, kappa_ports={0: 0.01})
+    rates = lindblad.DissipationRates(gamma1=0.01, kappa=0.01)
     return lindblad.transmission_scan(params, LatticeSpace.uniform(1, 6), rates,
                                       DRIVE_AMPLITUDES, OMEGA_D_GRID)
 

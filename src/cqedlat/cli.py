@@ -29,7 +29,9 @@ so a negative value is a failed solve, while NaN marks a point below the
 photon floor and passes.  So does the cutoff check of ``dimer-g2`` when g²(0)
 is NaN at both cutoffs.  ``meanfield-lobes`` carries a ``cutoff_filling``
 check, which lists every Mott cell whose filling N reaches ``n_max``: such a
-lobe is made by the photon cutoff.
+lobe is made by the photon cutoff.  Each ``driven-mf`` fixed-point entry
+also carries ``dynamics``, the per-seed control intervals, right-hand-side
+calls and LU factorizations of the run: counts, not a check.
 
 Exit codes: 0 success, 1 input error, 2 numerical non-convergence.  A run
 whose summary reports a failed check (``passed`` or
@@ -519,7 +521,10 @@ def _cmd_driven_mf(config: dict[str, Any]):
                              "passed": (all(r <= config["psi_tol"] for r in residuals)
                                         and all(m < 0 for m in margins)),
                              "multistable": result.multistable,
-                             "limit_cycle": result.limit_cycle})
+                             "limit_cycle": result.limit_cycle,
+                             "dynamics": {"control_intervals": list(result.control_intervals),
+                                          "rhs_calls": list(result.rhs_calls),
+                                          "lu_factorizations": list(result.lu_factorizations)}})
     conv = {"fixed_points": fixed_points, "limit_cycle_seen": any_cycle,
             "g2_check": _g2_check([r["g2"] for r in rows])}
     return rows, conv

@@ -24,25 +24,28 @@ gives a closed nonlinear master equation in the drive rotating frame,
     ∂_t ρ = L₀ρ - i[-zJ(ψ(t) a† + ψ(t)* a), ρ],   ψ(t) = tr(aρ),
 
 with L₀ the generator of the driven site alone, its drive and port included:
-``DrivenLattice(...).generator(ξ, ω_d)`` of a one-site lattice.  Its fixed
-points are the roots of F(ψ) = tr(a ρ_ss(ψ)) - ψ, with ρ_ss(ψ) the steady
-state of the linear Liouvillian L(ψ) at frozen ψ.  Each seed follows the
-dynamics (DOP853, at the loose pair ``TRANSIENT_RTOL`` /
-``TRANSIENT_ATOL``: the trajectory only has to pick the seed's basin) only
-until it is captured: after every control interval Newton runs on F from the
-current ψ, and the run stops once the root it reaches is linearly stable and
-the state has moved closer to that same root over consecutive intervals.
-Each Newton iterate factors one dense bordered generator L(ψ) - s|I/d⟩⟨tr|,
-the border of ``steady_state``; its LU gives ρ_ss(ψ) and the linear responses
-to ψ and ψ*, so F and its Jacobian, and ``steady_state`` runs only to verify a
-new root and supply its ρ.  The stability margin is the largest real part in
-the spectrum of the linearized nonlinear generator at the root, bordered
-alike, which moves the trace mode to -s.  That generator preserves
-Hermiticity, so its spectrum is that of a real matrix, its form in an
-orthonormal basis of Hermitian matrices.  So only stable branches are
-reported, each with its residual |F(ψ*)| and its margin; distinct fixed points
-reached from different seeds signal bistability, and runs that are never
-captured are reported as limit cycles or raise.
+``DrivenLattice(...).generator(ξ, ω_d)`` of a one-site lattice.  Every term
+maps Hermitian matrices to Hermitian ones, so the whole driven solver runs on
+the real coordinates x of ρ in an orthonormal basis of Hermitian matrices,
+where the generator at frozen ψ is a real matrix R(ψ) = R₀ + Re ψ R_A +
+Im ψ R_B and ψ a fixed linear functional of x.  Its fixed points are the
+roots of F(ψ) = tr(a ρ_ss(ψ)) - ψ, with ρ_ss(ψ) the steady state at frozen ψ.
+Each seed follows the dynamics of x (DOP853, at the loose pair
+``TRANSIENT_RTOL`` / ``TRANSIENT_ATOL``: the trajectory only has to pick the
+seed's basin) only until it is captured: after every control interval Newton
+runs on F in (Re ψ, Im ψ) from the current ψ, and the run stops once the root
+it reaches is linearly stable and the state has moved closer to that same
+root over consecutive intervals.  Each evaluation of F factors one dense real
+bordered generator R(ψ) - s|I/d⟩⟨tr|, the border of ``steady_state``; its LU
+gives ρ_ss(ψ) and the responses to Re ψ and Im ψ, so F and its real 2×2
+Jacobian, and a line search halves a Newton step that does not decrease |F|.
+``steady_state`` runs only to verify a new root and supply its ρ.  The
+stability margin is the largest real part in the spectrum of the linearized
+nonlinear generator at the root, a real rank-2 update of R(ψ) bordered alike,
+which moves the trace mode to -s.  So only stable branches are reported,
+each with its residual |F(ψ*)| and its margin; distinct fixed points reached
+from different seeds signal bistability, and runs that are never captured are
+reported as limit cycles or raise.
 """
 
 from __future__ import annotations
@@ -99,6 +102,7 @@ GAP_RTOL = 1e-12          # a ground gap below this times the spectral radius is
 DISTINCT_TOL = 1e-4       # driven fixed points closer than this are one branch
 CYCLE_SAMPLES = 40        # ψ samples a limit-cycle verdict needs
 NEWTON_MAX_ITER = 8       # F evaluations of one Newton run before it counts as failed
+SUFFICIENT_DECREASE = 1e-4  # a Newton trial ψ + λδ must bring |F| below (1 - this λ)|F(ψ)|
 CAPTURE_CONTRACTIONS = 2  # consecutive intervals over which ‖ρ(t) - ρ_ss(ψ*)‖ must shrink
 HORIZON_RELAXATIONS = 600  # driven horizon per seed, in units of 1/γ_min
 # tolerances of each driven control interval.  The integration only decides a
@@ -306,6 +310,11 @@ class DrivenMFResult:
     per_seed: tuple[DrivenFixedPoint, ...]
     multistable: bool
     limit_cycle: bool
+    # per seed, in the order of ``per_seed``: the control intervals and right-hand
+    # side calls of its transient, and the LU factorizations of its Newton runs
+    control_intervals: tuple[int, ...]
+    rhs_calls: tuple[int, ...]
+    lu_factorizations: tuple[int, ...]
 
 
 def _coherent_site_state(space: SiteSpace, alpha: complex) -> DensityMatrix:
@@ -332,16 +341,24 @@ class _Root:
 
 
 class _DrivenSite:
-    """One driven site under the mean field ψ.
+    """One driven site under the mean field ψ, in real Hermitian coordinates.
 
     ``liouv0`` is L₀, the driven site's generator from a one-site
-    :class:`DrivenLattice`, and ``a`` that lattice's a₀.  The generator with
-    ψ frozen is L(ψ) = L₀ + i zJ(ψ S_{a†} + ψ* S_a), with
-    S_X ρ = [X, ρ], acting on the row-major vec(ρ).  Every term maps into
-    traceless matrices, so the bordered generator M(ψ) = L(ψ) - s|I/d⟩⟨tr|,
-    with the border and s = ``liouv0.scale()`` of :func:`steady_state`, only
-    moves the trace mode to -s: Mρ = -sI/d gives ρ_ss(ψ), and MX = b gives
-    L(ψ)X = b with tr X = 0 for every traceless b.
+    :class:`DrivenLattice`, and ``a`` that lattice's a₀.  With ψ = p + iq
+    frozen the generator is L(ψ) = L₀ + i zJ(ψ S_{a†} + ψ* S_a) = L₀ + pA + qB,
+    with A = i zJ(S_{a†} + S_a), B = -zJ(S_{a†} - S_a) and S_X ρ = [X, ρ], and
+    each term maps Hermitian matrices to Hermitian ones.  So a density matrix
+    is held as its real coordinates x = T†vec(ρ) (row-major vec) in the
+    orthonormal basis T of the Hermitian matrices: E_ii, then
+    (E_ij + E_ji)/√2 and i(E_ij - E_ji)/√2 for i < j.  Each term is held as its
+    real form T†LT, so R(ψ) = R₀ + pR_A + qR_B, and ψ = tr(aρ) = c·x for a
+    fixed complex row c.  In these coordinates tr ρ = e·x, with e the indicator
+    of the diagonal entries, and vec(I/d) is e/d.
+
+    Every term maps into traceless matrices, so the bordered generator
+    M(ψ) = R(ψ) - s|e/d⟩⟨e|, with the border and s = ``liouv0.scale()`` of
+    :func:`steady_state`, only moves the trace mode to -s: Mx = -se/d gives
+    ρ_ss(ψ), and MX = b gives R(ψ)X = b with e·X = 0 for every traceless b.
     """
 
     def __init__(self, jc: JCParams, rates: DissipationRates, drive: DriveSpec,
@@ -351,29 +368,51 @@ class _DrivenSite:
         self.liouv0 = model.generator(drive.xi, drive.omega_d)
         self.zj = zj
         self.psi_bound = math.sqrt(space.photon_cutoff)   # |tr(aρ)|² ≤ tr(a†aρ) ≤ n_max
+        self.lu_factorizations = 0                         # by every Newton run so far
         d = space.dim
         a = model.a
         self.a = a.toarray()
-        eye = sp.identity(d, format="csr", dtype=np.complex128)
-        self.s_adag = sp.kron(a.getH(), eye, format="csr") - sp.kron(eye, a.conj(), format="csr")
-        self.s_a = sp.kron(a, eye, format="csr") - sp.kron(eye, a.T, format="csr")
-        self.a_trace = self.a.T.reshape(-1)          # tr(aρ) = vec(aᵀ)·vec(ρ)
-        self.adag_trace = self.a.conj().reshape(-1)  # tr(a†ρ)
-        vec_eye, s = np.eye(d).reshape(-1), self.liouv0.scale()   # tr ρ = vec(I)·vec(ρ)
-        self.border = (s / d) * np.outer(vec_eye, vec_eye)      # s|I/d⟩⟨tr|
-        self.unit_source = (-s / d) * vec_eye                   # -s vec(I/d)
-        self.l0 = self.liouv0.matrix
-        self.rhs_terms = sp.vstack([self.l0, self.s_adag, self.s_a], format="csr")
-        # vec(ρ) indices of the diagonal and of the paired upper and lower
-        # triangles, which span the Hermitian basis of ``margin``
         iu, ju = np.triu_indices(d, 1)
-        self.herm_index = (np.arange(d) * (d + 1), iu * d + ju, ju * d + iu)
+        unit = sp.identity(d * d, format="csc")               # columns vec(E_ij)
+        upper, lower, h = unit[:, iu * d + ju], unit[:, ju * d + iu], math.sqrt(0.5)
+        self.basis = sp.hstack([unit[:, np.arange(d) * (d + 1)], h * (upper + lower),
+                                (1j * h) * (upper - lower)], format="csr")    # T
+        eye = sp.identity(d, format="csr", dtype=np.complex128)
+        s_adag = sp.kron(a.getH(), eye) - sp.kron(eye, a.conj())
+        s_a = sp.kron(a, eye) - sp.kron(eye, a.T)
+        r0, r_a, r_b = ((self.basis.getH() @ op @ self.basis).real
+                        for op in (self.liouv0.matrix, (1j * zj) * (s_adag + s_a),
+                                   -zj * (s_adag - s_a)))
+        c = self.a.T.reshape(-1) @ self.basis                 # tr(aρ) = vec(aᵀ)·vec(ρ) = c·x
+        self.psi_rows = np.stack([c.real, c.imag])            # (Re ψ, Im ψ) = psi_rows @ x
+        # [R₀; R_A; R_B; Re c; Im c]: the right-hand side and ψ from one product
+        self.rhs_terms = sp.vstack([r0, r_a, r_b, sp.csr_matrix(self.psi_rows)], format="csr")
+        e, s = self.coords(np.eye(d)), self.liouv0.scale()   # tr ρ = e·x
+        self.unit_source = (-s / d) * e                       # -s e/d
+        self.m0 = r0.toarray() - (s / d) * np.outer(e, e)     # M(0)
+        self.r_a, self.r_b = r_a.toarray(), r_b.toarray()
 
-    def rhs(self, _t: float, y: np.ndarray) -> np.ndarray:
-        """The nonlinear master equation, ψ = tr(aρ) refreshed at every call."""
-        psi = self.a_trace @ y
-        l0_y, s_adag_y, s_a_y = (self.rhs_terms @ y).reshape(3, -1)   # one sparse product
-        return l0_y + (1j * self.zj) * (psi * s_adag_y + np.conj(psi) * s_a_y)
+    def coords(self, rho: np.ndarray) -> np.ndarray:
+        """x = T†vec(ρ) of a Hermitian d×d matrix ρ."""
+        return (rho.reshape(-1) @ self.basis.conj()).real
+
+    def matrix(self, x: np.ndarray) -> np.ndarray:
+        """The Hermitian d×d matrix with coordinates x."""
+        return (self.basis @ x).reshape(self.a.shape)
+
+    def psi(self, x: np.ndarray) -> complex:
+        """ψ = tr(aρ) = c·x."""
+        return complex(*(self.psi_rows @ x))
+
+    def responses(self, x: np.ndarray) -> np.ndarray:
+        """The columns R_A x and R_B x."""
+        return (self.rhs_terms @ x)[x.size:-2].reshape(2, -1).T
+
+    def rhs(self, _t: float, x: np.ndarray) -> np.ndarray:
+        """The nonlinear master equation R(ψ)x, ψ = c·x refreshed at every call."""
+        n = x.size
+        terms = self.rhs_terms @ x                            # one sparse product
+        return terms[:n] + terms[-2] * terms[n:2 * n] + terms[-1] * terms[2 * n:-2]
 
     def steady(self, psi: complex) -> DensityMatrix:
         """ρ_ss(ψ) by :func:`steady_state`: H_rot - zJ(ψa† + ψ*a) with the same jumps."""
@@ -381,82 +420,82 @@ class _DrivenSite:
         h = base.h_rot - self.zj * (psi * self.a.conj().T + np.conj(psi) * self.a)
         return steady_state(base.with_hamiltonian(h))
 
-    def bordered(self, psi: complex, rho: DensityMatrix | None = None) -> np.ndarray:
-        """Dense M(ψ); with ρ, the linearization of the nonlinear generator at
-        (ψ, ρ), bordered alike.
-
-        For Hermitian δρ, δψ* = tr(a†δρ), so the linearization
-        δρ ↦ L(ψ)δρ + i zJ[tr(aδρ) S_{a†} + tr(a†δρ) S_a]ρ is complex-linear
-        and has the spectrum of the real-linear map on Hermitian matrices.  It
-        maps into traceless matrices too, so the bordered matrix has its
-        spectrum on traceless matrices plus the trace mode at -s.
-        """
-        m = (self.l0 + (1j * self.zj) * (psi * self.s_adag + np.conj(psi) * self.s_a)).toarray()
-        m -= self.border
-        if rho is not None:
-            r = rho.rho.reshape(-1)
-            m += (1j * self.zj) * (np.outer(self.s_adag @ r, self.a_trace)
-                                   + np.outer(self.s_a @ r, self.adag_trace))
+    def bordered(self, psi: complex) -> np.ndarray:
+        """Dense M(ψ) = M(0) + Re ψ R_A + Im ψ R_B, a new array."""
+        m = self.m0 + psi.real * self.r_a
+        m += psi.imag * self.r_b
         return m
 
-    def margin(self, psi: complex, rho: DensityMatrix) -> float:
-        """max Re λ of ``bordered(psi, rho)``, from the real matrix T†MT.
+    def margin(self, psi: complex, x: np.ndarray) -> float:
+        """max Re λ of the linearization of the nonlinear generator at (ψ, x),
+        bordered like M(ψ).
 
-        T is the orthonormal basis of the Hermitian matrices E_ii, then
-        (E_ij + E_ji)/√2 and i(E_ij - E_ji)/√2 for i < j.  M maps Hermitian
-        matrices to Hermitian ones, so T†MT is real and has the spectrum of M.
-        Each basis vector has two nonzeros at most, so MT and T†(MT) are sums
-        and differences of gathered columns, then rows.
+        The nonlinear generator is x ↦ R(c·x)x, so its Jacobian is
+        R(ψ) + (R_A x)(Re c)ᵀ + (R_B x)(Im c)ᵀ, a real rank-2 update of R(ψ).
+        It maps into traceless matrices too, so the bordered matrix has its
+        spectrum on traceless matrices plus the trace mode at -s.
         """
-        diag, upper, lower = self.herm_index
-        h = math.sqrt(0.5)
-        m = self.bordered(psi, rho)
-        mt = np.hstack([m[:, diag], h * (m[:, upper] + m[:, lower]),
-                        (1j * h) * (m[:, upper] - m[:, lower])])
-        del m     # so the peak memory stays that of ``bordered``
-        real = np.vstack([mt[diag].real, h * (mt[upper] + mt[lower]).real,
-                          h * (mt[upper] - mt[lower]).imag])
-        return float(np.max(np.linalg.eigvals(real).real))
+        m = self.bordered(psi)
+        m += self.responses(x) @ self.psi_rows
+        return float(np.max(np.linalg.eigvals(m).real))
 
     def newton(self, psi: complex, psi_tol: float, known: list[_Root]) -> _Root | None:
-        """Newton on F(ψ) = tr(aρ_ss(ψ)) - ψ from ψ, one LU of M(ψ) per iterate.
+        """Newton on F(ψ) = c·x_ss(ψ) - ψ from ψ in (Re ψ, Im ψ), with a line search on |F|.
 
-        The LU gives ρ_ss(ψ) and, by linear response, the Wirtinger derivatives:
-        MX = -i zJ[a†, ρ] for X = ∂ρ_ss/∂ψ and MX = -i zJ[a, ρ] for ∂ρ_ss/∂ψ*.
-        Returns a root of ``known`` as soon as an iterate comes within
-        ``DISTINCT_TOL`` of it.  Once |F| ≤ ``psi_tol``, :func:`steady_state`
-        verifies the new root and supplies its ρ; the root, with its stability
-        margin ``margin(ψ, ρ)``, is added to ``known``.  Returns None when
-        ``NEWTON_MAX_ITER`` iterates do not converge, an iterate leaves
-        |ψ| ≤ √n_max, where every tr(aρ) lies, M(ψ) is singular, or the
-        verification fails.
+        Each evaluation of F factors M(ψ) once (one real LU) and solves
+        Mx = -se/d for x_ss(ψ).  At an accepted iterate the same LU gives the
+        responses ∂x/∂Re ψ = -M⁻¹R_A x and ∂x/∂Im ψ = -M⁻¹R_B x, so the real
+        2×2 Jacobian of F and the Newton step δ.  The trial ψ + λδ, from λ = 1,
+        is accepted when |F| ≤ (1 - ``SUFFICIENT_DECREASE`` λ)|F(ψ)|; otherwise
+        λ halves.  Returns a root of ``known`` as soon as a trial comes within
+        ``DISTINCT_TOL`` of it.  Once a trial has |F| ≤ ``psi_tol``, one more
+        Newton step from its LU ends the run, so the root does not depend on
+        how far below ``psi_tol`` the path happened to stop; :func:`steady_state`
+        verifies the new root and supplies its ρ, and the root, with its
+        stability margin ``margin(ψ, x)``, is added to ``known``.  Returns None when
+        ``NEWTON_MAX_ITER`` evaluations of F do not converge, a trial leaves
+        |ψ| ≤ √n_max, where every tr(aρ) lies, F is not finite (M(ψ) is
+        singular), or the verification fails.
         """
-        for _ in range(NEWTON_MAX_ITER):
-            for root in known:
-                if abs(psi - root.psi) <= DISTINCT_TOL:
-                    return root
-            if not abs(psi) <= self.psi_bound:    # also true for a non-finite ψ
-                return None
-            # a singular M(ψ) warns and gives a non-finite F, so a non-finite
-            # step and ψ, which ends the run at the bound above
-            with warnings.catch_warnings(), np.errstate(all="ignore"):
-                warnings.simplefilter("ignore", LinAlgWarning)
-                lu = lu_factor(self.bordered(psi))
-                r = lu_solve(lu, self.unit_source)
-                f = self.a_trace @ r - psi
-                if abs(f) <= psi_tol:
+        base, step, lam, f_base = psi, 0.0, 1.0, math.inf
+        # a singular M(ψ) warns and gives a non-finite F, which ends the run; a
+        # singular Jacobian gives a non-finite step and ψ, which ends it at the bound
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore", LinAlgWarning)
+            for _ in range(NEWTON_MAX_ITER):
+                psi = base + lam * step
+                for root in known:
+                    if abs(psi - root.psi) <= DISTINCT_TOL:
+                        return root
+                if not abs(psi) <= self.psi_bound:    # also true for a non-finite ψ
+                    return None
+                self.lu_factorizations += 1
+                lu = lu_factor(self.bordered(psi), overwrite_a=True, check_finite=False)
+                x = lu_solve(lu, self.unit_source, check_finite=False)
+                f = self.psi(x) - psi
+                converged = abs(f) <= psi_tol
+                if not (converged or abs(f) <= (1.0 - SUFFICIENT_DECREASE * lam) * f_base):
+                    if not math.isfinite(abs(f)):
+                        return None
+                    lam *= 0.5
+                    continue
+                dx = lu_solve(lu, -self.responses(x), check_finite=False)   # ∂x/∂(Re ψ, Im ψ)
+                (jpp, jpq), (jqp, jqq) = self.psi_rows @ dx - np.eye(2)      # Jacobian of F
+                det = jpp * jqq - jpq * jqp
+                step = complex((jpq * f.imag - jqq * f.real) / det,
+                               (jqp * f.real - jpp * f.imag) / det)
+                if converged:
+                    psi = psi + step
                     break
-                source = (-1j * self.zj) * np.stack([self.s_adag @ r, self.s_a @ r], axis=1)
-                da, db = self.a_trace @ lu_solve(lu, source, check_finite=False)
-                da -= 1.0                             # ∂F/∂ψ = da - 1, ∂F/∂ψ* = db
-                psi = psi + (db * np.conj(f) - np.conj(da) * f) / (abs(da) ** 2 - abs(db) ** 2)
-        else:
-            return None
+                base, lam, f_base = psi, 1.0, abs(f)
+            else:
+                return None
         rho = self.steady(psi)
-        residual = abs(complex(self.a_trace @ rho.rho.reshape(-1)) - psi)
+        x = self.coords(rho.rho)
+        residual = abs(self.psi(x) - psi)
         if not residual <= psi_tol:
             return None
-        root = _Root(psi=complex(psi), rho=rho, residual=residual, margin=self.margin(psi, rho))
+        root = _Root(psi=complex(psi), rho=rho, residual=residual, margin=self.margin(psi, x))
         known.append(root)
         return root
 
@@ -471,11 +510,13 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
     slowest dissipation rate, each one SciPy DOP853 solve at ``TRANSIENT_RTOL``
     and ``TRANSIENT_ATOL``.  The pair is loose because the trajectory only
     picks the seed's basin and its capture interval; every reported number
-    comes from Newton and :func:`steady_state`.  After each interval, Newton
-    runs on F(ψ) = tr(aρ_ss(ψ)) - ψ from the current ψ, with one LU of the
-    dense bordered generator per iterate; roots are shared between seeds,
-    and :func:`steady_state` runs once per new root, to verify
-    |F(ψ*)| ≤ ``psi_tol`` and supply ρ_ss(ψ*).  The run is captured, and
+    comes from Newton and :func:`steady_state`.  The state is integrated as its
+    real coordinates in an orthonormal basis of Hermitian matrices, so it stays
+    Hermitian exactly.  After each interval, Newton runs on
+    F(ψ) = tr(aρ_ss(ψ)) - ψ from the current ψ, with one real LU of the dense
+    bordered generator per evaluation of F and a line search on |F|; roots are
+    shared between seeds, and :func:`steady_state` runs once per new root, to
+    verify |F(ψ*)| ≤ ``psi_tol`` and supply ρ_ss(ψ*).  The run is captured, and
     stops, when that Newton reaches a linearly stable root (stability margin
     < 0) and ‖ρ(t) - ρ_ss(ψ*)‖ has shrunk toward that same root over
     ``CAPTURE_CONTRACTIONS`` consecutive intervals.  The seed then reports ψ*,
@@ -486,12 +527,13 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
     limit cycle when its ψ swing over the last ``CYCLE_SAMPLES`` control
     intervals is not decaying, and returned with its last state and NaN
     residual and margin; otherwise it raises :class:`MeanFieldConvergenceError`.
-    A state below the photon floor reports a NaN g²(0).
+    A state below the photon floor reports a NaN g²(0).  The result also
+    carries, per seed, the control intervals and right-hand-side calls of its
+    transient and the LU factorizations of its Newton runs.
     """
     if not rates.any_nonzero():
         raise ValueError("driven mean field requires dissipative rates > 0")
     site = _DrivenSite(jc, rates, drive, zj, space)
-    d = space.dim
 
     slowest = min(r for r in (rates.gamma1, rates.gamma_phi, rates.gamma_kappa, rates.kappa)
                   if r > 0)
@@ -500,10 +542,12 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
 
     roots: list[_Root] = []     # every root Newton has found, from any seed
     results: list[DrivenFixedPoint] = []
+    control_intervals, rhs_calls, lu_factorizations = [], [], []
     for seed in seeds:
-        y = _coherent_site_state(space, seed).rho.reshape(-1).copy()
+        y = site.coords(_coherent_site_state(space, seed).rho)
         t = 0.0
-        psi_prev = complex(site.a_trace @ y)
+        calls, lu_start = 0, site.lu_factorizations
+        psi_prev = site.psi(y)
         history: list[complex] = [psi_prev]
         last_step = float("inf")
         root: _Root | None = None
@@ -515,11 +559,10 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
             if sol.status < 0:
                 raise StiffnessError(
                     f"driven mean-field step failed at t = {t + sol.t[-1]:.4g}: {sol.message}")
-            rho_m = sol.y[:, -1].reshape(d, d)
-            rho_m = 0.5 * (rho_m + rho_m.conj().T)
-            y = rho_m.reshape(-1)
+            calls += sol.nfev
+            y = sol.y[:, -1]
             t += t_chunk
-            psi_now = complex(site.a_trace @ y)
+            psi_now = site.psi(y)
             history.append(psi_now)
             last_step = abs(psi_now - psi_prev)
             psi_prev = psi_now
@@ -529,8 +572,9 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
                 root, distances = None, []
                 continue
             if found is not root:
-                root, distances = found, []
-            distances.append(float(np.linalg.norm(rho_m - root.rho.rho)))
+                root, root_x, distances = found, site.coords(found.rho.rho), []
+            # ‖ρ(t) - ρ_ss(ψ*)‖, in coordinates of an orthonormal basis
+            distances.append(float(np.linalg.norm(y - root_x)))
             if len(distances) > 1 and distances[-1] >= distances[-2]:
                 distances = distances[-1:]
             if len(distances) > CAPTURE_CONTRACTIONS:
@@ -553,11 +597,14 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
                 raise MeanFieldConvergenceError(
                     f"no fixed point or cycle within horizon {horizon:.3g} "
                     f"({len(history)} ψ samples, last |Δψ| = {last_step:.3e})")
-            state = DensityMatrix(rho_m)
+            state = DensityMatrix(site.matrix(y))
             psi, residual, margin = history[-1], math.nan, math.nan
         results.append(DrivenFixedPoint(
             psi=psi, rho=state, g2=g2_zero(state, 0, site.space), seed=complex(seed),
             limit_cycle=not captured, residual=residual, stability_margin=margin))
+        control_intervals.append(len(history) - 1)
+        rhs_calls.append(calls)
+        lu_factorizations.append(site.lu_factorizations - lu_start)
 
     branches: list[DrivenFixedPoint] = []
     for r in results:
@@ -567,4 +614,7 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
             branches.append(r)
     any_cycle = any(r.limit_cycle for r in results)
     return DrivenMFResult(branches=tuple(branches), per_seed=tuple(results),
-                          multistable=len(branches) > 1, limit_cycle=any_cycle)
+                          multistable=len(branches) > 1, limit_cycle=any_cycle,
+                          control_intervals=tuple(control_intervals),
+                          rhs_calls=tuple(rhs_calls),
+                          lu_factorizations=tuple(lu_factorizations))

@@ -14,9 +14,10 @@ The rest are independent routes to what the commands compute, which no command
 runs itself: the dressed JC eigenvectors, the J = 0 Mott window from sector
 ground energies, the canonical netlist text behind the parser round trip,
 time evolution of a state under the Lindblad generator (which must end at the
-steady state), the random-right-hand-side probe of steady-state uniqueness, a
-Lorentzian lineshape fit (whose width is the polariton linewidth) and the
-global index of a product configuration.
+steady state), the complex bordered generator of the driven mean field and its
+linearization on vec(ρ) from Kronecker products, the random-right-hand-side
+probe of steady-state uniqueness, a Lorentzian lineshape fit (whose width is
+the polariton linewidth) and the global index of a product configuration.
 """
 
 from __future__ import annotations
@@ -342,6 +343,33 @@ def serialize_netlist(netlist: CircuitNetlist) -> str:
         lines.append(f"JJ {j.node_a} {j.node_b} {j.ej_joules!r}{closure}")
     lines += [f"FLUX {loop} {phi!r}" for loop, phi in netlist.fluxes]
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# driven mean field, complex form
+
+def driven_bordered(liouv0: Liouvillian, a: np.ndarray, zj: float, psi: complex,
+                    rho: np.ndarray | None = None) -> np.ndarray:
+    """Dense complex bordered generator of the driven mean field on row-major vec(ρ).
+
+    L(ψ) = L₀ + i zJ(ψ S_{a†} + ψ* S_a), with S_X = X ⊗ I - I ⊗ Xᵀ the
+    commutator [X, ·], bordered by -s|I/d⟩⟨tr| with s = ``liouv0.scale()``.
+    With ρ it is the linearization of the nonlinear generator at (ψ, ρ)
+    instead, bordered alike: L(ψ)δρ + i zJ[tr(aδρ) S_{a†} + tr(a†δρ) S_a]ρ.
+    """
+    d = a.shape[0]
+    eye = np.eye(d)
+    s_adag = np.kron(a.conj().T, eye) - np.kron(eye, a.conj())
+    s_a = np.kron(a, eye) - np.kron(eye, a.T)
+    vec_eye = eye.reshape(-1)
+    m = (liouv0.matrix.toarray() + 1j * zj * (psi * s_adag + np.conj(psi) * s_a)
+         - (liouv0.scale() / d) * np.outer(vec_eye, vec_eye))
+    if rho is not None:
+        # tr(aδρ) = vec(aᵀ)·vec(δρ) and tr(a†δρ) = vec(a*)·vec(δρ)
+        r = rho.reshape(-1)
+        m += 1j * zj * (np.outer(s_adag @ r, a.T.reshape(-1))
+                        + np.outer(s_a @ r, a.conj().reshape(-1)))
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,10 @@ class TestDrivenMF:
             assert len(fp["residuals"]) == len(fp["stability_margins"]) == len(fp["branches"]) >= 1
             assert all(r <= summary["config"]["psi_tol"] for r in fp["residuals"])
             assert all(m < 0 for m in fp["stability_margins"])
+            dynamics = fp["dynamics"]
+            assert sorted(dynamics) == ["control_intervals", "lu_factorizations", "rhs_calls"]
+            assert all(len(counts) == len(config["seeds"]) for counts in dynamics.values())
+            assert min(dynamics["control_intervals"]) > 0 and min(dynamics["rhs_calls"]) > 0
 
     def test_non_convergence_exits_two(self, tmp_path, capsys, monkeypatch):
         from cqedlat import meanfield

@@ -462,9 +462,10 @@ class TestDrivenRootFinding:
             assert fp.stability_margin < 0
 
     def test_step_budget_at_the_benchmark_point(self, monkeypatch):
-        # DOP853 at TRANSIENT_RTOL / TRANSIENT_ATOL takes 598 steps over both
-        # seeds here, 1349 at rtol 1e-9 / atol 1e-12; the loop steps through
-        # meanfield.RK45
+        # DOP853 at TRANSIENT_RTOL / TRANSIENT_ATOL takes 530 steps over both
+        # seeds here; the loop steps through meanfield.RK45.  Seed 0 is captured
+        # after 4 control intervals; without the Newton line search a wandering
+        # run there resets the capture and costs 2 more
         steps = []
 
         class Counting(meanfield.RK45):
@@ -472,10 +473,27 @@ class TestDrivenRootFinding:
                 steps.append(1)
                 return super().step()
 
+        calls, factorizations = [], []
+        rhs, lu_factor = _DrivenSite.rhs, meanfield.lu_factor
+
+        def counting_rhs(self, t, x):
+            calls.append(1)
+            return rhs(self, t, x)
+
+        def counting_lu(*args, **kwargs):
+            factorizations.append(1)
+            return lu_factor(*args, **kwargs)
+
         monkeypatch.setattr(meanfield, "RK45", Counting)
+        monkeypatch.setattr(_DrivenSite, "rhs", counting_rhs)
+        monkeypatch.setattr(meanfield, "lu_factor", counting_lu)
         res = driven_mf_steady(**DRIVEN_POINT, seeds=(0.0, 1.5))
         assert res.multistable
         assert 0 < len(steps) <= 700
+        assert res.control_intervals[0] <= 4
+        # the counts the result carries are the calls made
+        assert sum(res.rhs_calls) == len(calls)
+        assert sum(res.lu_factorizations) == len(factorizations)
 
     @pytest.mark.parametrize("point, separatrix, low, high", [
         (DRIVEN_POINT, (0.76963, 0.76968), 0.174278 - 0.026888j, -0.462686 - 0.178930j),
@@ -508,6 +526,8 @@ class TestDrivenRootFinding:
         assert 0 < len(solves) <= 3
 
     def test_bordered_solution_is_the_steady_state(self):
+        # the real bordered system gives the steady state of the complex
+        # oracle and of steady_state at frozen ψ
         site = _DrivenSite(**DRIVEN_POINT)
         space, zj = DRIVEN_POINT["space"], DRIVEN_POINT["zj"]
         d = space.dim
@@ -516,9 +536,11 @@ class TestDrivenRootFinding:
         assert root is not None
         unit = -(site.liouv0.scale() / d) * np.eye(d).reshape(-1)    # -s vec(I/d)
         for psi in (0.0, root.psi, 0.3 - 0.2j):
-            rho = np.linalg.solve(site.bordered(psi), unit).reshape(d, d)
+            rho = site.matrix(np.linalg.solve(site.bordered(psi), site.unit_source))
+            oracle = np.linalg.solve(oracles.driven_bordered(site.liouv0, a, zj, psi), unit)
             frozen = Liouvillian(site.liouv0.h_rot - zj * (psi * a.conj().T + np.conj(psi) * a),
                                  site.liouv0.jumps)
+            assert np.linalg.norm(rho - oracle.reshape(d, d)) <= 1e-10
             assert np.linalg.norm(rho - steady_state(frozen).rho) <= 1e-10
             assert abs(np.trace(rho) - 1.0) <= 1e-12
 
@@ -527,8 +549,8 @@ class TestDrivenRootFinding:
         # lu_factor warns and returns, and Newton gives up without a warning
         bordered = _DrivenSite.bordered
 
-        def singular(self, psi, rho=None):
-            m = bordered(self, psi, rho)
+        def singular(self, psi):
+            m = bordered(self, psi)
             m[:, 0] = 0.0
             return m
 
@@ -542,15 +564,60 @@ class TestDrivenRootFinding:
                 driven_mf_steady(**DRIVEN_POINT, seeds=(0.0,))
 
     def test_real_form_margin_matches_the_complex_spectrum(self):
-        # T†MT is the bordered linearization in an orthonormal Hermitian basis,
-        # so the two spectra agree at any ψ and any density matrix
+        # the margin's matrix is the bordered linearization in an orthonormal
+        # Hermitian basis, so its spectrum is that of the complex oracle at any
+        # ψ and any density matrix
         site = _DrivenSite(**DRIVEN_POINT)
-        d = DRIVEN_POINT["space"].dim
+        space, zj = DRIVEN_POINT["space"], DRIVEN_POINT["zj"]
+        d = space.dim
+        a = photon_op_on(LatticeSpace((space,)), 0, annihilation(space)).toarray()
         x = np.random.default_rng(7).normal(size=(d, 2 * d)).view(complex)
         rho = DensityMatrix(x @ x.conj().T / np.trace(x @ x.conj().T))
+        assert np.linalg.norm(site.matrix(site.coords(rho.rho)) - rho.rho) <= 1e-14
         for psi in (0.0, 0.3 - 0.2j):
-            spectrum = np.linalg.eigvals(site.bordered(psi, rho))
-            assert site.margin(psi, rho) == pytest.approx(np.max(spectrum.real), abs=1e-12)
+            spectrum = np.linalg.eigvals(oracles.driven_bordered(site.liouv0, a, zj, psi, rho.rho))
+            assert site.margin(psi, site.coords(rho.rho)) == pytest.approx(
+                np.max(spectrum.real), abs=1e-12)
+
+    def test_line_search_reaches_the_low_root_from_a_wandering_start(self, monkeypatch):
+        # full Newton steps from here wander in |F| and spend all NEWTON_MAX_ITER
+        # evaluations; halving the step whenever |F| does not decrease reaches
+        # the stable low root.  |F| comes from the complex oracle at every ψ at
+        # which F was evaluated
+        evaluated = []
+        bordered = _DrivenSite.bordered
+
+        def recording(self, psi):
+            evaluated.append(complex(psi))
+            return bordered(self, psi)
+
+        monkeypatch.setattr(_DrivenSite, "bordered", recording)
+        site = _DrivenSite(**DRIVEN_POINT)
+        space, zj = DRIVEN_POINT["space"], DRIVEN_POINT["zj"]
+        d = space.dim
+        a = photon_op_on(LatticeSpace((space,)), 0, annihilation(space)).toarray()
+        root = site.newton(0.2127606739395293 - 0.01901825151267915j, 1e-8, [])
+        assert root is not None
+        assert abs(root.psi - (0.174278 - 0.026888j)) <= 1e-6
+        assert root.margin < 0
+        trials = evaluated[:site.lu_factorizations]      # the margin evaluates once more
+        unit = -(site.liouv0.scale() / d) * np.eye(d).reshape(-1)
+
+        def residual(psi):
+            rho = np.linalg.solve(oracles.driven_bordered(site.liouv0, a, zj, psi), unit)
+            return abs(np.trace(a @ rho.reshape(d, d)) - psi)
+
+        # a rejected trial is followed by the midpoint between the last accepted
+        # iterate and itself, the step halved
+        accepted = [0]
+        for k in range(1, len(trials)):
+            halved = 0.5 * (trials[accepted[-1]] + trials[k])
+            if k + 1 == len(trials) or abs(trials[k + 1] - halved) > 1e-12:
+                accepted.append(k)
+        assert len(accepted) < len(trials)
+        accepted_residuals = [residual(trials[k]) for k in accepted]
+        assert all(later <= earlier
+                   for earlier, later in zip(accepted_residuals, accepted_residuals[1:]))
 
     def test_stability_margins_match_finite_differences(self):
         site = _DrivenSite(**BISTABLE_POINT)

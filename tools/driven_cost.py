@@ -4,10 +4,12 @@ The point is the one of the benchmark's ``driven_mf`` workload at seed 0:
 ω_r = 20, ω_q = 19, g = 1, zJ = 1, ξ = 0.12 at ω_d = 18.3, γ₁ = κ = 0.06 (a
 port on site 0), n_max = 6, seeds 0 and 1.5, in one ``driven_mf_steady``
 call.  For each seed it prints the control intervals integrated before
-capture, the DOP853 steps and the right-hand-side calls, counted in a
-separate, untimed call.  It then prints the median over ``REPEATS`` calls of
-the wall time and of its split: the transient (``solve_ivp``), the Newton
-iterations (bordered assembly, LU and solves), the stability margins, the
+capture, the DOP853 steps, the right-hand-side calls and the LU
+factorizations of its Newton runs, counted in a separate, untimed call.  It
+then prints the median over ``REPEATS`` calls of the wall time and of its
+split: the transient (``solve_ivp`` on the real Hermitian coordinates), the
+Newton runs (real bordered assembly, LU and solves, the line search
+included), the stability margins (one real ``eigvals`` each), the
 ``steady_state`` checks, and the rest.
 
 Usage: python tools/driven_cost.py
@@ -56,12 +58,13 @@ def wrapped(owner, name: str, make):
 
 
 def per_seed_counts() -> list[dict[str, int]]:
-    """Control intervals, DOP853 steps and RHS calls of each seed of one call."""
+    """Control intervals, DOP853 steps, RHS calls and LU factorizations of each
+    seed of one call."""
     counts: list[dict[str, int]] = []
 
     def new_seed(original):
         def start(*args):
-            counts.append({"intervals": 0, "steps": 0, "rhs_calls": 0})
+            counts.append({"intervals": 0, "steps": 0, "rhs_calls": 0, "lu": 0})
             return original(*args)
         return start
 
@@ -82,9 +85,16 @@ def per_seed_counts() -> list[dict[str, int]]:
             return original(self, t, y)
         return rhs
 
+    def counting_lu(original):
+        def lu_factor(*args, **kwargs):
+            counts[-1]["lu"] += 1
+            return original(*args, **kwargs)
+        return lu_factor
+
     with (wrapped(meanfield, "_coherent_site_state", new_seed),
           wrapped(meanfield, "RK45", counting_solver),
-          wrapped(meanfield._DrivenSite, "rhs", counting_rhs)):
+          wrapped(meanfield._DrivenSite, "rhs", counting_rhs),
+          wrapped(meanfield, "lu_factor", counting_lu)):
         run()
     return counts
 
@@ -121,7 +131,8 @@ def main() -> int:
     counts = per_seed_counts()          # also the warm-up call
     for seed, c in zip(SEEDS, counts):
         print(f"driven mean field, seed-0 point, seed {seed}: {c['intervals']} control intervals, "
-              f"{c['steps']} DOP853 steps, {c['rhs_calls']} RHS calls")
+              f"{c['steps']} DOP853 steps, {c['rhs_calls']} RHS calls, "
+              f"{c['lu']} LU factorizations")
     splits = [time_split() for _ in range(REPEATS)]
     med = {key: statistics.median(s[key] for s in splits) for key in splits[0]}
     parts = ", ".join(f"{key} {med[key] * 1e3:.0f} ms" for key in PARTS + ("rest",))

@@ -65,6 +65,7 @@ from .hilbert import LatticeSpace, SiteSpace, cutoff_convergence
 from .jc import JCParams, jc_hamiltonian, mixing_angle, polariton_energy, chi as chi_n
 from .lattice import (
     LatticeParams,
+    band_degeneracy,
     band_resonant_chain,
     measured_nonlinearity,
     nonlinearity_closed_form,
@@ -435,16 +436,17 @@ def _cmd_sector_nonlinearity(config: dict[str, Any]):
         raise ConfigError([("n_sites_list",
                             f"chain sizes must be integers, got {config['n_sites_list']}")])
     rows = []
-    band_minima = {}
+    band_minima, degeneracy = {}, {}
     for ns in sizes:
         params = band_resonant_chain(config["omega_r"], config["g"], config["J"], ns)
         space = LatticeSpace.uniform(ns, config["n_max"])
         u = measured_nonlinearity(params, space)
         ucf = nonlinearity_closed_form(config["g"], ns)
         band_minima[str(ns)] = photon_band_minimum(params)
+        degeneracy[str(ns)] = band_degeneracy(params)
         rows.append({"n_sites": ns, "u_measured": u, "u_closed_form": ucf,
                      "rel_deviation": (u - ucf) / ucf if ucf else float("nan")})
-    conv = {"band_minima": band_minima}
+    conv = {"band_minima": band_minima, "band_degeneracy": degeneracy}
     if config["cutoff_check"]:
         ns = sizes[-1]
         params = band_resonant_chain(config["omega_r"], config["g"], config["J"], ns)

@@ -17,10 +17,13 @@ space, so row k is global index k, or for an excitation sector the rows with
 Σ(n + q) = N, enumerated site by site with pruning at N so that no full-space
 array or index (which can exceed int64) is formed.  Every lattice operator
 comes from one kernel, :func:`assemble`: a term is a coefficient times
-single-site factors (a, a†, σ⁻, σ⁺, a diagonal site function and their
-products on one site) that each map a site state to at most one site state,
-so a term is a vectorized gather over the basis rows, and one term list gives
-the full-space operator or a sector block depending only on the basis.
+single-site factors, each a map from a site state to at most one site state
+with an amplitude.  The factors come from their closed forms on s = 2n + q
+(:func:`site_factor`: a, a†, σ⁻, σ⁺, σ_z, the identity and their products on
+one site; :func:`diagonal_factor`: any diagonal site function), so no sparse
+matrix is built before :func:`assemble`.  A term is a vectorized gather over
+the basis rows, and one term list gives the full-space operator or a sector
+block depending only on the basis.
 
 Operators are plain complex ``scipy.sparse`` CSR matrices; a Hamiltonian's
 Hermiticity is checked once, where it enters the open-system engine (the
@@ -42,9 +45,6 @@ __all__ = [
     "SiteSpace",
     "LatticeSpace",
     "DensityMatrix",
-    "annihilation",
-    "qubit_lower",
-    "sigma_z",
     "Factor",
     "Term",
     "occupation_basis",
@@ -156,35 +156,23 @@ class DensityMatrix:
 
 
 # ---------------------------------------------------------------------------
-# elementary operators
-
-def _csr(m) -> sp.csr_matrix:
-    return sp.csr_matrix(m, dtype=np.complex128)
-
-
-def annihilation(space: SiteSpace) -> sp.csr_matrix:
-    """Photon annihilation on the truncated Fock factor: a[k-1, k] = sqrt(k)."""
-    n = space.photon_cutoff + 1
-    return _csr(sp.diags(np.sqrt(np.arange(1, n)), offsets=1, shape=(n, n)))
-
-
-def qubit_lower() -> sp.csr_matrix:
-    """σ⁻ = |g⟩⟨e| in the (g, e) ordering used throughout."""
-    return _csr(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def sigma_z() -> sp.csr_matrix:
-    """σ_z = σ⁺σ⁻ - σ⁻σ⁺ with eigenvalue +1 on |e⟩."""
-    return _csr(np.diag([-1.0, 1.0]))
-
-
-# ---------------------------------------------------------------------------
 # occupation bases and the term kernel
 
 # A factor (site, target, amp) sends site state s to target[s], -1 where it
 # annihilates s, with amplitude amp[s]; a term is a coefficient times factors.
 Factor = tuple[int, np.ndarray, np.ndarray]
 Term = tuple[complex, Sequence[Factor]]
+
+# The closed forms of the one-site factors: each sends the photon number n, or
+# the qubit state q (0 = ground), to its image and amplitude; None is the
+# identity.  An image outside the site annihilates the state.
+PHOTON_OPS = {None: lambda n: (n, 1.0),
+              "a": lambda n: (n - 1, math.sqrt(n)),            # a|n⟩ = √n |n-1⟩
+              "a_dag": lambda n: (n + 1, math.sqrt(n + 1))}    # a†|n⟩ = √(n+1) |n+1⟩
+QUBIT_OPS = {None: lambda q: (q, 1.0),
+             "sigma_m": lambda q: (q - 1, 1.0),                # σ⁻ = |g⟩⟨e|
+             "sigma_p": lambda q: (q + 1, 1.0),                # σ⁺ = |e⟩⟨g|
+             "sigma_z": lambda q: (q, 2.0 * q - 1.0)}          # +1 on |e⟩
 
 
 def occupation_basis(space: LatticeSpace, N: int | None = None) -> np.ndarray:
@@ -200,32 +188,32 @@ def occupation_basis(space: LatticeSpace, N: int | None = None) -> np.ndarray:
     return states if N is None else states[load == N]
 
 
-def _gather(op: sp.spmatrix | None, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    m = np.eye(dim) if op is None else op.toarray()
-    nonzero = m != 0
-    if m.shape != (dim, dim) or (nonzero.sum(axis=0) > 1).any():
-        raise ValueError(f"need a {dim}x{dim} operator with at most one entry per column, got {m.shape}")
-    target = nonzero.argmax(axis=0)
-    return np.where(nonzero.any(axis=0), target, -1), m[target, np.arange(dim)]
-
-
-def site_factor(space: LatticeSpace, site_index: int, photon_op: sp.spmatrix | None = None,
-                qubit_op: sp.spmatrix | None = None) -> Factor:
-    """photon_op ⊗ qubit_op on one site (identity where None); each operator may have
-    at most one entry per column (a, a†, σ⁻, σ⁺, diagonals), as a factor must."""
+def site_factor(space: LatticeSpace, site_index: int, photon: str | None = None,
+                qubit: str | None = None) -> Factor:
+    """photon ⊗ qubit on one site, from the closed forms of ``PHOTON_OPS`` ("a",
+    "a_dag") and ``QUBIT_OPS`` ("sigma_m", "sigma_p", "sigma_z"); None is the
+    identity.  The amplitude is the photon amplitude times the qubit one, and a†
+    drops the states at the photon cutoff.  Raises ``ValueError`` for another
+    operator name or a site index out of range."""
     if not 0 <= site_index < space.n_sites:
         raise ValueError(f"site index {site_index} out of range for {space.n_sites} sites")
-    site = space.sites[site_index]
-    tn, an = _gather(photon_op, site.photon_cutoff + 1)
-    tq, aq = _gather(qubit_op, QUBIT_DIM)
-    n, q = np.divmod(np.arange(site.dim), QUBIT_DIM)
-    target = np.where((tn[n] >= 0) & (tq[q] >= 0), tn[n] * QUBIT_DIM + tq[q], -1)
-    return site_index, target, an[n] * aq[q]
+    if photon not in PHOTON_OPS or qubit not in QUBIT_OPS:
+        raise ValueError(f"no closed form for photon {photon!r} ⊗ qubit {qubit!r}: photon is "
+                         f"one of {list(PHOTON_OPS)}, qubit one of {list(QUBIT_OPS)}")
+    cutoff = space.sites[site_index].photon_cutoff
+    photon_images = [PHOTON_OPS[photon](n) for n in range(cutoff + 1)]
+    qubit_images = [QUBIT_OPS[qubit](q) for q in range(QUBIT_DIM)]
+    target = [n * QUBIT_DIM + q if 0 <= n <= cutoff and 0 <= q < QUBIT_DIM else -1
+              for n, _ in photon_images for q, _ in qubit_images]
+    amp = [amp_n * amp_q for _, amp_n in photon_images for _, amp_q in qubit_images]
+    return site_index, np.array(target), np.array(amp)
 
 
 def diagonal_factor(space: LatticeSpace, site_index: int,
                     f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Factor:
-    """Diagonal factor with entry f(n, q) on site state |n, q⟩ of one site."""
+    """Diagonal factor with entry f(n, q) on site state |n, q⟩ of one site: the
+    closed form of any diagonal site operator, such as a†a (f = n) or the site
+    energy ω_r n + ω_q q.  Raises ``ValueError`` for a site index out of range."""
     _, s, _ = site_factor(space, site_index)
     return site_index, s, f(*np.divmod(s, QUBIT_DIM))
 
@@ -276,9 +264,10 @@ def assemble(terms: Iterable[Term], basis: np.ndarray) -> sp.csr_matrix:
     return h
 
 
-def photon_op_on(space: LatticeSpace, site_index: int, photon_op: sp.spmatrix) -> sp.csr_matrix:
-    """A photon-factor operator on one site, identity elsewhere and on the local qubit."""
-    return assemble([(1.0, (site_factor(space, site_index, photon_op),))], occupation_basis(space))
+def photon_op_on(space: LatticeSpace, site_index: int, photon: str) -> sp.csr_matrix:
+    """The photon operator ``photon`` ("a" or "a_dag") of :func:`site_factor` on one
+    site, identity elsewhere and on the local qubit, on the full basis."""
+    return assemble([(1.0, (site_factor(space, site_index, photon),))], occupation_basis(space))
 
 
 def total_excitation(space: LatticeSpace) -> sp.csr_matrix:

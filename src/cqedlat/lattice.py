@@ -36,11 +36,9 @@ import scipy.sparse.linalg as spla
 from .hilbert import (
     LatticeSpace,
     Term,
-    annihilation,
     assemble,
     diagonal_factor,
     occupation_basis,
-    qubit_lower,
     site_factor,
 )
 from .jc import JCParams
@@ -54,6 +52,7 @@ __all__ = [
     "sector_hamiltonian",
     "sector_ground_energy",
     "photon_band_minimum",
+    "band_degeneracy",
     "band_resonant_chain",
     "measured_nonlinearity",
     "nonlinearity_closed_form",
@@ -61,6 +60,9 @@ __all__ = [
 
 DENSE_SECTOR_LIMIT = 512  # above this the lowest eigenvalues come from ARPACK
 EIGSH_TOL = 1e-10
+BAND_DEGENERACY_RTOL = 1e-9   # band energies this close (relative) count as one level
+# g couples a†σ⁻ + aσ⁺ and, without the rotating-wave approximation, also a†σ⁺ + aσ⁻
+EXCHANGE = (("a_dag", "sigma_m"), ("a", "sigma_p"), ("a_dag", "sigma_p"), ("a", "sigma_m"))
 
 
 @dataclass(frozen=True)
@@ -121,7 +123,8 @@ def chain(p: JCParams, n_sites: int, J: float, boundary: str = "open") -> Lattic
 
 
 def jchm_terms(params: LatticeParams, space: LatticeSpace, rwa: bool = True) -> list[Term]:
-    """The lattice Hamiltonian as a term list for :func:`cqedlat.hilbert.assemble`.
+    """The lattice Hamiltonian as a term list for :func:`cqedlat.hilbert.assemble`,
+    every factor from its closed form (:func:`cqedlat.hilbert.site_factor`).
 
     Each site's ω_r n + ω_q q is one diagonal factor, so a diagonal entry sums
     over sites in site order.  ``rwa=False`` adds g(a†σ⁺ + aσ⁻) on every site.
@@ -129,16 +132,13 @@ def jchm_terms(params: LatticeParams, space: LatticeSpace, rwa: bool = True) -> 
     if params.n_sites != space.n_sites:
         raise ValueError(f"parameter set has {params.n_sites} sites, space has {space.n_sites}")
     terms: list[Term] = []
-    ladders = []
     for i, p in enumerate(params.site_params):
-        a, sm = annihilation(space.sites[i]), qubit_lower()
-        ladders.append((site_factor(space, i, a), site_factor(space, i, a.T)))
         terms.append((1.0, (diagonal_factor(space, i, lambda n, q: p.omega_r * n + p.omega_q * q),)))
-        exchange = [(a.T, sm), (a, sm.T)] + ([] if rwa else [(a.T, sm.T), (a, sm)])
-        terms += [(p.g, (site_factor(space, i, *ops),)) for ops in exchange]
+        terms += [(p.g, (site_factor(space, i, *ops),)) for ops in EXCHANGE[:2 if rwa else 4]]
+    a = [site_factor(space, i, "a") for i in range(space.n_sites)]
+    a_dag = [site_factor(space, i, "a_dag") for i in range(space.n_sites)]
     for (i, j, J) in params.edges:
-        (a_i, adag_i), (a_j, adag_j) = ladders[i], ladders[j]
-        terms += [(J, (adag_i, a_j)), (J, (adag_j, a_i))]
+        terms += [(J, (a_dag[i], a[j])), (J, (a_dag[j], a[i]))]
     return terms
 
 
@@ -175,21 +175,32 @@ def sector_ground_energy(params: LatticeParams, space: LatticeSpace, N: int) -> 
 # ---------------------------------------------------------------------------
 # finite-size nonlinearity of periodic chains
 
+def _photon_band(params: LatticeParams) -> np.ndarray:
+    """Eigenvalues of the one-photon hopping matrix (ω_r,i on the diagonal,
+    J_ij off-diagonal), ascending."""
+    m = np.diag([p.omega_r for p in params.site_params])
+    for (i, j, J) in params.edges:
+        m[i, j] += J
+        m[j, i] += J
+    return np.linalg.eigvalsh(m)
+
+
 def photon_band_minimum(params: LatticeParams) -> float:
     """Bottom of the bare photon band: lowest eigenvalue of the one-photon
-    hopping matrix (ω_r,i on the diagonal, J_ij off-diagonal).
+    hopping matrix.
 
     Computing the minimum instead of assuming ω_r - J or ω_r - 2J keeps the
     result correct for either sign of J and any coordination.
     """
-    n = params.n_sites
-    m = np.zeros((n, n))
-    for i, p in enumerate(params.site_params):
-        m[i, i] = p.omega_r
-    for (i, j, J) in params.edges:
-        m[i, j] += J
-        m[j, i] += J
-    return float(np.linalg.eigvalsh(m)[0])
+    return float(_photon_band(params)[0])
+
+
+def band_degeneracy(params: LatticeParams) -> int:
+    """Number of photon modes at the bottom of the band: the multiplicity of the
+    lowest eigenvalue of the hopping matrix, to BAND_DEGENERACY_RTOL of its
+    largest magnitude.  A ring with J > 0 and an odd number of sites has two."""
+    band = _photon_band(params)
+    return int(np.count_nonzero(band - band[0] <= BAND_DEGENERACY_RTOL * np.abs(band).max()))
 
 
 def band_resonant_chain(omega_r: float, g: float, J: float, n_sites: int) -> LatticeParams:

@@ -53,13 +53,10 @@ from scipy.linalg.lapack import ztrsyl
 from .hilbert import (
     DensityMatrix,
     LatticeSpace,
-    annihilation,
     assemble,
     expectation,
     occupation_basis,
     photon_op_on,
-    qubit_lower,
-    sigma_z,
     site_factor,
     total_excitation,
 )
@@ -296,14 +293,13 @@ def _square(h_rot: np.ndarray | sp.spmatrix) -> np.ndarray:
 
 def collapse_operators(rates: DissipationRates, space: LatticeSpace) -> list[sp.csr_matrix]:
     """√rate-weighted jump operators of the master equation, the port on site 0 last."""
-    a = [annihilation(site) for site in space.sites]
-    channels = [(rate, site_factor(space, n, photon_op, qubit_op)) for n in range(space.n_sites)
-                for rate, photon_op, qubit_op in ((rates.gamma1, None, qubit_lower()),
-                                                  (rates.gamma_phi, None, sigma_z()),
-                                                  (rates.gamma_kappa, a[n], None))]
-    channels.append((rates.kappa, site_factor(space, 0, a[0])))
+    per_site = ((rates.gamma1, (None, "sigma_m")), (rates.gamma_phi, (None, "sigma_z")),
+                (rates.gamma_kappa, ("a",)))
+    channels = [(rate, n, ops) for n in range(space.n_sites) for rate, ops in per_site]
+    channels.append((rates.kappa, 0, ("a",)))
     basis = occupation_basis(space)
-    return [assemble([(math.sqrt(rate), (factor,))], basis) for rate, factor in channels if rate > 0]
+    return [assemble([(math.sqrt(rate), (site_factor(space, n, *ops),))], basis)
+            for rate, n, ops in channels if rate > 0]
 
 
 def build_liouvillian(h: sp.csr_matrix, rates: DissipationRates,
@@ -660,7 +656,7 @@ def _g2_ratio(n_val: float, num: float) -> float:
 def g2_zero(state: DensityMatrix, site: int, space: LatticeSpace) -> float:
     """Zero-delay second-order coherence g²(0) = ⟨a†a†aa⟩ / ⟨a†a⟩² on one site,
     NaN below the photon floor."""
-    a = photon_op_on(space, site, annihilation(space.sites[site]))
+    a = photon_op_on(space, site, "a")
     adag = a.getH()
     n_val = expectation(adag @ a, state).real
     num = expectation(adag @ adag @ a @ a, state).real
@@ -703,12 +699,10 @@ class DrivenLattice:
                  driven_sites: Sequence[int] = (0,)):
         self.base = build_liouvillian(build_jchm(params, space), rates, space)   # undriven
         self.n_tot = total_excitation(space).toarray()
-        terms = []
-        for m in driven_sites:
-            a = annihilation(space.sites[m])
-            terms += [(1.0, (site_factor(space, m, op),)) for op in (a, a.T)]
+        terms = [(1.0, (site_factor(space, m, op),))
+                 for m in driven_sites for op in ("a", "a_dag")]
         self.x_drive = assemble(terms, occupation_basis(space)).toarray()
-        self.a = photon_op_on(space, 0, annihilation(space.sites[0]))   # a₀
+        self.a = photon_op_on(space, 0, "a")   # a₀
         a_dag = self.a.getH()
         # tr(Aρ) = Σ_ij (Aᵀ)_ij ρ_ij for A = a₀, a₀†a₀ and a₀†²a₀²
         self._a_t, self._n_t, self._num_t = (

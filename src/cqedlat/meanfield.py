@@ -63,7 +63,6 @@ from .hilbert import (
     DensityMatrix,
     LatticeSpace,
     SiteSpace,
-    annihilation,
     photon_op_on,
     total_excitation,
 )
@@ -161,7 +160,7 @@ class _SiteCore:
     def __init__(self, jc: JCParams, space: SiteSpace):
         site = LatticeSpace((space,))
         ops = (jc_hamiltonian(jc, space), total_excitation(site),
-               photon_op_on(site, 0, annihilation(space)))
+               photon_op_on(site, 0, "a"))
         # the RWA site matrices are real in the occupation basis
         h, n_tot, a = (m.toarray().real for m in ops)
         self.h_jc, self.n_diag, self.x = h, n_tot.diagonal(), a + a.T

@@ -1,10 +1,11 @@
 """Reference implementations that the package is tested against.
 
-These are the earlier operator builders, kept only as oracles: site operators
-lifted to the lattice by Kronecker products with identities, the JCHM summed
-from those lifts, the jump operators of the master equation (the output port
-on site 0 last), and the N-excitation block assembled by a Python loop over
-recursively enumerated occupation configurations.  Also the random-lattice
+These are the earlier operator builders, kept only as oracles: the sparse site
+matrices a, σ⁻ and σ_z, site operators lifted to the lattice by Kronecker
+products with identities, the JCHM summed from those lifts, the jump
+operators of the master equation (the output port on site 0 last), and the
+N-excitation block assembled by a Python loop over recursively enumerated
+occupation configurations.  Also the random-lattice
 strategy that the property tests share, and the earlier mean-field ψ search
 (a grid plus a bounded Brent refinement in every cell) with the lobe-boundary
 bisection built on it, both on the single-site H(ψ) assembled from the
@@ -38,9 +39,6 @@ from cqedlat.hilbert import (
     DensityMatrix,
     LatticeSpace,
     SiteSpace,
-    annihilation,
-    qubit_lower,
-    sigma_z,
 )
 from cqedlat.jc import JCParams, mixing_angle
 from cqedlat.lattice import LatticeParams, sector_ground_energy
@@ -77,6 +75,23 @@ def random_lattices(draw):
 
 # ---------------------------------------------------------------------------
 # Kronecker-product lifts
+
+def annihilation(space: SiteSpace) -> sp.csr_matrix:
+    """Photon annihilation on the truncated Fock factor: a[k-1, k] = sqrt(k)."""
+    n = space.photon_cutoff + 1
+    return sp.csr_matrix(sp.diags(np.sqrt(np.arange(1, n)), offsets=1, shape=(n, n)),
+                         dtype=np.complex128)
+
+
+def qubit_lower() -> sp.csr_matrix:
+    """σ⁻ = |g⟩⟨e| in the (g, e) ordering used throughout."""
+    return sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]), dtype=np.complex128)
+
+
+def sigma_z() -> sp.csr_matrix:
+    """σ_z = σ⁺σ⁻ - σ⁻σ⁺ with eigenvalue +1 on |e⟩."""
+    return sp.csr_matrix(np.diag([-1.0, 1.0]), dtype=np.complex128)
+
 
 def number(space: SiteSpace) -> sp.csr_matrix:
     """a†a on the Fock factor, as the exact diagonal 0, 1, ..., n_max."""

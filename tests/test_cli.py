@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cqedlat import cli, lindblad
-from cqedlat.hilbert import LatticeSpace, annihilation, expectation, photon_op_on
+from cqedlat.hilbert import LatticeSpace, expectation, photon_op_on
 from cqedlat.resonator import Mode
 
 
@@ -56,6 +56,18 @@ class TestCsvCells:
             text = cli._format_cell(value)
             assert "np" not in text
             assert repr(float(text)) == repr(float(value))
+
+
+class TestSectorNonlinearity:
+    def test_band_degeneracy_is_reported_per_size(self, tmp_path):
+        config = {"omega_r": 50.0, "g": 1.0, "n_max": 2, "cutoff_check": False}
+        _, summary = run(tmp_path, "sector-nonlinearity",
+                         {**config, "J": 0.5, "n_sites_list": [3, 4]})
+        assert summary["convergence"]["band_degeneracy"] == {"3": 2, "4": 1}
+        (tmp_path / "neg").mkdir()
+        _, summary = run(tmp_path / "neg", "sector-nonlinearity",
+                         {**config, "J": -0.5, "n_sites_list": [1, 2, 3, 4, 5]})
+        assert summary["convergence"]["band_degeneracy"] == {str(n): 1 for n in range(1, 6)}
 
 
 class TestDimerG2:
@@ -130,7 +142,7 @@ class TestDimerG2:
             "gamma1": 0.01, "gamma_kappa": 0.01, "n_max": 3, "cutoff_check": False})
         rows, _ = cli.COMMANDS["dimer-g2"](config)
         space = LatticeSpace.uniform(2, 3)
-        a0 = photon_op_on(space, 0, annihilation(space.sites[0]))
+        a0 = photon_op_on(space, 0, "a")
         for row, state in zip(rows, states, strict=True):
             assert row["g2"] == pytest.approx(lindblad.g2_zero(state, 0, space), rel=1e-14)
             assert row["abs_a"] == pytest.approx(abs(expectation(a0, state)), rel=1e-14)

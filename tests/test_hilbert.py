@@ -8,17 +8,16 @@ from cqedlat.hilbert import (
     DensityMatrix,
     LatticeSpace,
     SiteSpace,
-    annihilation,
     assemble,
     cutoff_convergence,
+    diagonal_factor,
     expectation,
     photon_op_on,
-    qubit_lower,
     occupation_basis,
-    sigma_z,
     site_factor,
     total_excitation,
 )
+from oracles import annihilation, qubit_lower, sigma_z
 
 
 def random_density(dim, seed):
@@ -104,8 +103,8 @@ class TestEmbed:
 
     def test_distinct_site_operators_commute(self):
         space = LatticeSpace.uniform(2, 2)
-        a0 = photon_op_on(space, 0, annihilation(space.sites[0]))
-        adag1 = photon_op_on(space, 1, annihilation(space.sites[1]).getH())
+        a0 = photon_op_on(space, 0, "a")
+        adag1 = photon_op_on(space, 1, "a_dag")
         comm = a0 @ adag1 - adag1 @ a0
         assert comm.nnz == 0
 
@@ -117,33 +116,39 @@ class TestEmbed:
 
 class TestSiteLift:
     def test_rejects_wrong_factor_dimension(self):
+        # a two-level qubit operator where the photon factor is asked for
         space = LatticeSpace.uniform(2, 2)
-        with pytest.raises(ValueError, match="3x3 operator"):
-            photon_op_on(space, 0, sp.identity(4))
+        with pytest.raises(ValueError, match="no closed form"):
+            photon_op_on(space, 0, "sigma_m")
 
-    def test_rejects_operator_that_splits_a_state(self):
+    def test_rejects_unknown_operator_and_site(self):
+        # σ_x would split a state in two; a†a is a diagonal factor, not a closed form
         space = LatticeSpace.uniform(1, 2)
-        with pytest.raises(ValueError, match="at most one entry per column"):
-            site_factor(space, 0, qubit_op=sp.csr_matrix(np.ones((2, 2))))
+        for photon, qubit in (("a", "sigma_x"), ("n", None), (None, "a")):
+            with pytest.raises(ValueError, match="no closed form"):
+                site_factor(space, 0, photon, qubit)
+        for site_index in (1, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                site_factor(space, site_index, "a", "sigma_p")
+            with pytest.raises(ValueError, match="out of range"):
+                diagonal_factor(space, site_index, lambda n, q: n)
 
     def test_rejects_bad_site_index(self):
         space = LatticeSpace.uniform(2, 2)
-        a = annihilation(space.sites[0])
-        _, target, amp = site_factor(space, 0, a)
+        _, target, amp = site_factor(space, 0, "a")
         for site_index in (2, -1):
             with pytest.raises(ValueError, match="out of range"):
                 assemble([(1.0, ((site_index, target, amp),))], occupation_basis(space))
             with pytest.raises(ValueError, match="out of range"):
-                site_factor(space, site_index, a)
+                site_factor(space, site_index, "a")
             with pytest.raises(ValueError, match="out of range"):
-                photon_op_on(space, site_index, a)
+                photon_op_on(space, site_index, "a")
 
     def test_lifted_product_is_product_of_lifts(self):
         # a σ⁻ and a† σ⁺ on site 0, as two factors of one term and as two operators
         space = LatticeSpace.uniform(2, 2)
-        a, sm = annihilation(space.sites[0]), qubit_lower()
-        x = site_factor(space, 0, a, sm)
-        y = site_factor(space, 0, a.getH(), sm.getH())
+        x = site_factor(space, 0, "a", "sigma_m")
+        y = site_factor(space, 0, "a_dag", "sigma_p")
         basis = occupation_basis(space)
         lhs = assemble([(1.0, (x, y))], basis).toarray()
         rhs = (assemble([(1.0, (x,))], basis) @ assemble([(1.0, (y,))], basis)).toarray()
@@ -153,7 +158,7 @@ class TestSiteLift:
     def test_term_leaving_the_basis_is_rejected(self):
         # a† maps the one-excitation sector into the two-excitation one
         space = LatticeSpace.uniform(2, 2)
-        adag = site_factor(space, 0, annihilation(space.sites[0]).getH())
+        adag = site_factor(space, 0, "a_dag")
         with pytest.raises(ValueError, match="outside the basis"):
             assemble([(1.0, (adag,))], occupation_basis(space, 1))
 
@@ -174,14 +179,42 @@ class TestKernelAgainstKronOracle:
         _, space = case
         pairs = [(total_excitation(space), oracles.total_excitation(space))]
         for i, site in enumerate(space.sites):
-            for op in (annihilation(site), oracles.number(site)):
-                pairs.append((photon_op_on(space, i, op), oracles.photon_op_on(space, i, op)))
-            for op in (qubit_lower(), sigma_z()):
-                kernel = assemble([(1.0, (site_factor(space, i, qubit_op=op),))],
-                                  occupation_basis(space))
-                pairs.append((kernel, oracles.qubit_op_on(space, i, op)))
+            a = annihilation(site)
+            pairs.append((photon_op_on(space, i, "a"), oracles.photon_op_on(space, i, a)))
+            pairs.append((photon_op_on(space, i, "a_dag"), oracles.photon_op_on(space, i, a.getH())))
         for new, old in pairs:
             assert np.array_equal(new.toarray(), old.toarray())
+
+    @settings(max_examples=30)
+    @given(oracles.random_lattices())
+    def test_closed_form_factors_are_the_kronecker_products(self, case):
+        # each factor on the full basis against the product of the Kronecker lifts
+        _, space = case
+        basis = occupation_basis(space)
+        for i, site in enumerate(space.sites):
+            a, sm = annihilation(site), qubit_lower()
+            photon = {"a": oracles.photon_op_on(space, i, a),
+                      "a_dag": oracles.photon_op_on(space, i, a.getH())}
+            qubit = {"sigma_m": oracles.qubit_op_on(space, i, sm),
+                     "sigma_p": oracles.qubit_op_on(space, i, sm.getH()),
+                     "sigma_z": oracles.qubit_op_on(space, i, sigma_z())}
+            cases = [((p, None), photon[p]) for p in ("a", "a_dag")]
+            cases += [((None, q), qubit[q]) for q in ("sigma_m", "sigma_p", "sigma_z")]
+            cases += [((p, q), photon[p] @ qubit[q]) for p, q in (
+                ("a_dag", "sigma_m"), ("a", "sigma_p"),       # the RWA exchange
+                ("a_dag", "sigma_p"), ("a", "sigma_m"))]      # the counter-rotating pair
+            for ops, oracle in cases:
+                kernel = assemble([(1.0, (site_factor(space, i, *ops),))], basis)
+                assert np.array_equal(kernel.toarray(), oracle.toarray()), ops
+            number = assemble([(1.0, (diagonal_factor(space, i, lambda n, q: n),))], basis)
+            assert np.array_equal(number.toarray(),
+                                  oracles.photon_op_on(space, i, oracles.number(site)).toarray())
+            # a† drops the states at the cutoff instead of leaving the basis
+            _, target, _ = site_factor(space, i, "a_dag")
+            assert np.array_equal(target[-2:], [-1, -1])
+            top = basis[:, i] // 2 == site.photon_cutoff
+            adag = assemble([(1.0, (site_factor(space, i, "a_dag"),))], basis)
+            assert adag.tocsc()[:, np.nonzero(top)[0]].nnz == 0
 
 
 class TestExpectation:
@@ -193,7 +226,7 @@ class TestExpectation:
     def test_vacuum_photon_number(self):
         space = LatticeSpace.uniform(1, 3)
         rho = oracles.vacuum(space)
-        n = photon_op_on(space, 0, oracles.number(space.sites[0]))
+        n = assemble([(1.0, (diagonal_factor(space, 0, lambda n, q: n),))], occupation_basis(space))
         assert expectation(n, rho) == 0
 
     def test_excited_qubit_population(self):

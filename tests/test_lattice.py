@@ -11,6 +11,7 @@ from cqedlat.jc import JCParams, jc_hamiltonian
 from cqedlat.lindblad import DissipationRates, collapse_operators
 from cqedlat.lattice import (
     LatticeParams,
+    band_degeneracy,
     band_resonant_chain,
     build_jchm,
     chain,
@@ -274,6 +275,12 @@ class TestFiniteSizeNonlinearity:
         params = chain(JCParams(1.0, 1.0, 0.01), 4, -0.1, "periodic")
         # uniform mode of the 4-ring with negative J sits at omega_r - 2|J|
         assert photon_band_minimum(params) == pytest.approx(0.8, abs=1e-12)
+
+    def test_band_degeneracy_counts_the_band_bottom_modes(self):
+        # J > 0 frustrates odd rings: the 3-ring's bottom is the k = ±2π/3 pair
+        ring = lambda J, n: band_resonant_chain(50.0, 1.0, J, n)
+        assert [band_degeneracy(ring(0.5, n)) for n in (3, 4)] == [2, 1]
+        assert [band_degeneracy(ring(-0.5, n)) for n in range(1, 6)] == [1] * 5
 
     def test_trimer_matches_closed_form_at_strong_hopping(self):
         # sector ED oracle; hopping sign chosen so the band bottom is the

@@ -8,7 +8,8 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from cqedlat.hilbert import DensityMatrix, LatticeSpace, annihilation, expectation, photon_op_on
+from cqedlat.hilbert import (DensityMatrix, LatticeSpace, assemble, diagonal_factor, expectation,
+                             occupation_basis, photon_op_on)
 from cqedlat.jc import JCParams
 from cqedlat.lattice import LatticeParams, build_jchm, chain
 from cqedlat import lindblad
@@ -41,7 +42,7 @@ def driven_cavity_closed_form(xi, delta, kappa_t):
 
 
 def photon_number_op(space, site=0):
-    a = photon_op_on(space, site, annihilation(space.sites[site]))
+    a = photon_op_on(space, site, "a")
     return a.getH() @ a
 
 
@@ -164,7 +165,8 @@ class TestLiouvillianStructure:
         space = LatticeSpace.uniform(2, 2)
         rates = DissipationRates(gamma_kappa=0.02, kappa=0.03)
         loss = sum(c.getH() @ c for c in collapse_operators(rates, space))
-        n0, n1 = (photon_op_on(space, i, oracles.number(space.sites[i])) for i in (0, 1))
+        n0, n1 = (assemble([(1.0, (diagonal_factor(space, i, lambda n, q: n),))],
+                           occupation_basis(space)) for i in (0, 1))
         assert abs(loss - (0.05 * n0 + 0.02 * n1)).max() <= 1e-14
 
     def test_rates_are_hashable(self):
@@ -185,7 +187,7 @@ class TestLiouvillianStructure:
     def test_nonhermitian_hamiltonian_rejected(self):
         # the one Hermiticity check on a Hamiltonian: K = i(H† - H) breaks the trace
         params, space, h = empty_cavity(3)
-        a = photon_op_on(space, 0, annihilation(space.sites[0]))
+        a = photon_op_on(space, 0, "a")
         with pytest.raises(ValueError, match="trace"):
             build_liouvillian(h + 0.1j * a.getH() @ a, DissipationRates(gamma_kappa=0.1), space)
 
@@ -195,7 +197,7 @@ class TestLiouvillianStructure:
         rates = DissipationRates(gamma1=0.02, gamma_phi=0.01, gamma_kappa=0.01, kappa=0.03)
         jumps = collapse_operators(rates, space)
         base = Liouvillian(build_jchm(params, space), jumps)
-        a = photon_op_on(space, 0, annihilation(space.sites[0])).toarray()
+        a = photon_op_on(space, 0, "a").toarray()
         h = build_jchm(params, space).toarray() - 0.95 * a.conj().T @ a + 0.02 * (a + a.conj().T)
         shared, fresh = base.with_hamiltonian(h), Liouvillian(h, jumps)
         assert shared.jumps is base.jumps
@@ -275,7 +277,7 @@ class TestSteadyState:
         rates = DissipationRates(gamma1=0.01, gamma_kappa=0.02, kappa=0.03)
         liouv = DrivenLattice(params, space, rates).generator(xi, omega_d)
         rho = steady_state(liouv)
-        a = photon_op_on(space, 0, annihilation(space.sites[0]))
+        a = photon_op_on(space, 0, "a")
         want = driven_cavity_closed_form(xi, 1.0 - omega_d, 0.05)
         assert abs(expectation(a, rho) - want) < 1e-8
 
@@ -288,7 +290,7 @@ class TestSteadyState:
         r1 = steady_state(liouv)
         # slowest decay rate 0.01: e^{-0.01 t} < 1e-8 well before t = 2000
         r2 = oracles.evolve(liouv, oracles.vacuum(space), t_final=2000.0).final
-        a = photon_op_on(space, 0, annihilation(space.sites[0]))
+        a = photon_op_on(space, 0, "a")
         assert abs(expectation(a, r1) - expectation(a, r2)) < 1e-6
 
     @pytest.mark.parametrize("name", sorted(STEADY_SYSTEMS))
@@ -613,7 +615,7 @@ class TestTransmissionScan:
         rates = DissipationRates(gamma1=0.02, gamma_kappa=0.01, kappa=0.03)
         h = oracles.build_jchm(params, space).toarray()
         n_tot = oracles.total_excitation(space).toarray()
-        a = [oracles.photon_op_on(space, n, annihilation(site)).toarray()
+        a = [oracles.photon_op_on(space, n, oracles.annihilation(site)).toarray()
              for n, site in enumerate(space.sites)]
         for driven_sites in ((0,), (1,), (0, 1)):
             model = DrivenLattice(params, space, rates, driven_sites)

@@ -13,7 +13,6 @@ from cqedlat.hilbert import (
     DensityMatrix,
     LatticeSpace,
     SiteSpace,
-    annihilation,
     expectation,
     photon_op_on,
     total_excitation,
@@ -51,7 +50,7 @@ MU_DEG = polariton_energy(JC0, 2, "-") - polariton_energy(JC0, 1, "-")
 
 def site_x(space):
     """X = a + a† on one site, from the Kronecker-product oracle operators."""
-    a = oracles.photon_op_on(LatticeSpace((space,)), 0, annihilation(space)).toarray()
+    a = oracles.photon_op_on(LatticeSpace((space,)), 0, oracles.annihilation(space)).toarray()
     return a + a.conj().T
 
 
@@ -297,7 +296,7 @@ class TestDrivenMeanField:
         space = LatticeSpace.uniform(1, 7)
         model = DrivenLattice(LatticeParams.single_site(jc), space, rates)
         rho = steady_state(model.generator(drive.xi, drive.omega_d))
-        a = photon_op_on(space, 0, annihilation(space.sites[0]))
+        a = photon_op_on(space, 0, "a")
         assert abs(res.per_seed[0].psi - expectation(a, rho)) < 1e-8
         assert res.per_seed[0].g2 == pytest.approx(g2_zero(rho, 0, space), abs=1e-8)
 
@@ -374,7 +373,7 @@ def _nonlinear_rhs(jc, rates, drive, zj, space):
     L₀ is the generator of H - ω_d N + ξ(a + a†), built here and not by ``DrivenLattice``.
     """
     lat = LatticeSpace((space,))
-    a = photon_op_on(lat, 0, annihilation(space))
+    a = photon_op_on(lat, 0, "a")
     h_rot = (build_jchm(LatticeParams.single_site(jc), lat) - drive.omega_d * total_excitation(lat)
              + drive.xi * (a + a.getH()))
     liouv = build_liouvillian(h_rot, rates, lat)
@@ -531,7 +530,7 @@ class TestDrivenRootFinding:
         site = _DrivenSite(**DRIVEN_POINT)
         space, zj = DRIVEN_POINT["space"], DRIVEN_POINT["zj"]
         d = space.dim
-        a = photon_op_on(LatticeSpace((space,)), 0, annihilation(space)).toarray()
+        a = photon_op_on(LatticeSpace((space,)), 0, "a").toarray()
         root = site.newton(0.17 - 0.03j, 1e-10, [])
         assert root is not None
         unit = -(site.liouv0.scale() / d) * np.eye(d).reshape(-1)    # -s vec(I/d)
@@ -570,7 +569,7 @@ class TestDrivenRootFinding:
         site = _DrivenSite(**DRIVEN_POINT)
         space, zj = DRIVEN_POINT["space"], DRIVEN_POINT["zj"]
         d = space.dim
-        a = photon_op_on(LatticeSpace((space,)), 0, annihilation(space)).toarray()
+        a = photon_op_on(LatticeSpace((space,)), 0, "a").toarray()
         x = np.random.default_rng(7).normal(size=(d, 2 * d)).view(complex)
         rho = DensityMatrix(x @ x.conj().T / np.trace(x @ x.conj().T))
         assert np.linalg.norm(site.matrix(site.coords(rho.rho)) - rho.rho) <= 1e-14
@@ -595,7 +594,7 @@ class TestDrivenRootFinding:
         site = _DrivenSite(**DRIVEN_POINT)
         space, zj = DRIVEN_POINT["space"], DRIVEN_POINT["zj"]
         d = space.dim
-        a = photon_op_on(LatticeSpace((space,)), 0, annihilation(space)).toarray()
+        a = photon_op_on(LatticeSpace((space,)), 0, "a").toarray()
         root = site.newton(0.2127606739395293 - 0.01901825151267915j, 1e-8, [])
         assert root is not None
         assert abs(root.psi - (0.174278 - 0.026888j)) <= 1e-6

@@ -165,7 +165,12 @@ def sector_hamiltonian(params: LatticeParams, space: LatticeSpace, N: int) -> sp
 
 def sector_ground_energy(params: LatticeParams, space: LatticeSpace, N: int) -> float:
     """Lowest eigenvalue of the N-excitation block."""
-    h = sector_hamiltonian(params, space, N)
+    return _lowest_eigenvalue(sector_hamiltonian(params, space, N))
+
+
+def _lowest_eigenvalue(h: sp.csr_matrix) -> float:
+    """Lowest eigenvalue of a Hermitian sector block: dense up to
+    DENSE_SECTOR_LIMIT, ARPACK above."""
     if h.shape[0] <= DENSE_SECTOR_LIMIT:
         return float(np.linalg.eigvalsh(h.toarray())[0])
     vals = spla.eigsh(h, k=1, which="SA", tol=EIGSH_TOL, return_eigenvectors=False)
@@ -215,13 +220,17 @@ def band_resonant_chain(omega_r: float, g: float, J: float, n_sites: int) -> Lat
 
 def measured_nonlinearity(params: LatticeParams, space: LatticeSpace) -> float:
     """Two-excitation gap U = (E₀(2) - E₀(1)) - (E₀(1) - E₀(0)) from sector
-    ground energies."""
+    ground energies.
+
+    The N = 1 and N = 2 blocks are assembled from one term list, and
+    E₀(0) = 0 is the energy of the vacuum, the one state of the N = 0 sector
+    of the rotating-wave Hamiltonian.
+    """
     if any(s.photon_cutoff < 2 for s in space.sites):
         raise ValueError("photon cutoff must be >= 2 to resolve the two-excitation sector")
-    e0 = sector_ground_energy(params, space, 0)
-    e1 = sector_ground_energy(params, space, 1)
-    e2 = sector_ground_energy(params, space, 2)
-    return (e2 - e1) - (e1 - e0)
+    terms = jchm_terms(params, space)
+    e1, e2 = (_lowest_eigenvalue(assemble(terms, sector_basis(space, n))) for n in (1, 2))
+    return (e2 - e1) - e1
 
 
 def nonlinearity_closed_form(g: float, n_sites: int) -> float:

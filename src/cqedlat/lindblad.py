@@ -24,15 +24,16 @@ the jumps alone (the stacks, Σ_c C_c†C_c and their extended-precision
 copies) is built once per jump set and shared by every generator that
 :meth:`Liouvillian.with_hamiltonian` derives from it: a scan builds it once,
 not once per point.  The steady state is a matrix-free solve by the package's
-own restarted GMRES, preconditioned by the exact inverse of the no-jump part
-(see :func:`steady_states`).  It solves a batch of generators with one jump
-set at once: every member keeps its own Krylov iteration and its own checks,
-while each step costs one batched call for all of them, so a scan pays the
-interpreter cost of a step once per batch of ω_d points and not once per
-point.  :func:`steady_state` is the batch of one.  The d²×d² superoperator, in
-row-major (C-order) vectorization vec(AρB) = (A ⊗ Bᵀ)vec(ρ), is assembled
-only on demand (:attr:`Liouvillian.matrix`): the driven mean field integrates
-and factors it, and the tests use it as an oracle.  ``blockade-scan``,
+own restarted GMRES, preconditioned by a two-sweep approximate inverse of the
+no-jump part in its Schur basis (see :func:`steady_states`).  It solves a
+batch of generators with one jump set at once: every member keeps its own
+Krylov iteration and its own checks, while each step costs one batched call
+for all of them, so a scan pays the interpreter cost of a step once per batch
+of ω_d points and not once per point.  :func:`steady_state` is the batch of
+one.  The d²×d² superoperator, in row-major (C-order) vectorization
+vec(AρB) = (A ⊗ Bᵀ)vec(ρ), is assembled only on demand
+(:attr:`Liouvillian.matrix`): the driven mean field integrates and factors it,
+and the tests use it as an oracle.  ``blockade-scan``,
 ``dimer-g2`` and ``driven-mf`` all reach this module through
 :class:`DrivenLattice`.  No command evolves a given initial state or fits a
 lineshape; those routes are test oracles.
@@ -48,7 +49,6 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.linalg.lapack import ztrsyl
 
 from .hilbert import (
     DensityMatrix,
@@ -99,13 +99,6 @@ STEADY_GMRES_MAXITER = 20     # restart cycles
 # time; batches of 17 (4096) add 1.7 MiB and one batch of 51 adds 6.5 MiB.
 # From d = 33 on every batch is a single generator.
 STEADY_BATCH_ENTRIES = 2048
-# Largest block handed to LAPACK trsyl whole.  _triangular_sylvester, µs per
-# solve at blocks 64 / 32 / 16 / 8 (2-core x86-64 VM, one OpenBLAS thread):
-# d = 14: 49 / 52 / 51 / 128; d = 64: 1440 / 1335 / 1578 / 2795; d = 512:
-# 122 189 / 114 374 / 135 593 / 191 410.  trsyl alone takes 3.3 µs at d = 2
-# and 43 µs at d = 14, so at d = 14 its cost is arithmetic, not call overhead,
-# and no smaller block saves more than 8%.
-SYLVESTER_BLOCK = 64
 
 
 class StiffnessError(RuntimeError):
@@ -319,44 +312,21 @@ def build_liouvillian(h: sp.csr_matrix, rates: DissipationRates,
 # ---------------------------------------------------------------------------
 # steady states
 
-def _triangular_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """X with A X - X B† = C for upper-triangular A and B.
-
-    Recursive blocked Bartels-Stewart: halve the larger dimension, solve the
-    trailing block, fold it into the leading block's right-hand side with one
-    matrix product.  LAPACK ``trsyl``, which works element by element, only
-    sees blocks up to SYLVESTER_BLOCK; this keeps most of the O(d³) work in
-    matrix products (6x faster than a whole-matrix ``trsyl`` at d = 512 on
-    one BLAS thread).
-    """
-    m, n = c.shape
-    if max(m, n) <= SYLVESTER_BLOCK:
-        x, scale, _ = ztrsyl(a, b, c, tranb="C", isgn=-1)
-        return x / scale
-    if m >= n:
-        k = m // 2
-        x2 = _triangular_sylvester(a[k:, k:], b, c[k:])
-        x1 = _triangular_sylvester(a[:k, :k], b, c[:k] - a[:k, k:] @ x2)
-        return np.vstack([x1, x2])
-    k = n // 2
-    x2 = _triangular_sylvester(a, b[k:, k:], c[:, k:])
-    x1 = _triangular_sylvester(a, b[:k, :k], c[:, :k] + x2 @ b[:k, k:].conj().T)
-    return np.hstack([x1, x2])
-
-
 def _no_jump_schur(h_eff: np.ndarray, stationary_rate: float) -> tuple[np.ndarray, np.ndarray]:
     """(T, Q) with H_eff = Q T Q† (Q unitary, T upper triangular), its
     stationary modes shifted to decay at ``stationary_rate``.
 
-    The inverse of the no-jump generator Y ↦ -i(H_eff Y - Y H_eff†) then is
-    Bartels-Stewart: -i(H_eff Y - Y H_eff†) = Z becomes the triangular
-    Sylvester equation T W - W T† = i Q†ZQ for W = Q†YQ, solved in O(d³).  The
-    unitary basis keeps the solve accurate where H_eff is far from normal,
-    e.g. at an exceptional point, where an eigenbasis V makes V⁻¹ZV⁻† lose
+    For W = Q†YQ the no-jump generator Y ↦ -i(H_eff Y - Y H_eff†) becomes
+    W ↦ -i(T W - W T†), which :class:`_BorderedBatch` inverts approximately
+    from the diagonal and the strictly upper part of T.  The unitary basis
+    keeps that accurate where H_eff is far from normal, e.g. at an
+    exceptional point, where an eigenbasis V is singular and V⁻¹ZV⁻† loses
     digits.  A mode the no-jump evolution leaves stationary (Im λ = 0 for an
     eigenvalue λ on T's diagonal; the vacuum of an undriven lattice has λ = 0)
-    would make the equation singular; its λ is moved by -i·``stationary_rate``/2,
-    so that it decays at that rate instead.
+    would give a zero divisor λ - λ̄ = 0; its λ is moved by
+    -i·``stationary_rate``/2, so that it decays at that rate instead.  Every
+    other λ of a Lindblad H_eff has Im λ < 0, so every divisor
+    t_ii - t̄_jj then has a negative imaginary part.
     """
     t, q = scipy.linalg.schur(h_eff, output="complex")
     stationary = np.abs(np.diag(t).imag) <= 1e-8 * stationary_rate
@@ -368,12 +338,28 @@ class _BorderedBatch:
     """The right-preconditioned bordered operators u ↦ (L_m - s_m|I/d⟩⟨tr|) P_m u
     of a batch of generators L_m with one dimension and one jump set.
 
-    s_m is :meth:`Liouvillian.scale` and P_m the exact inverse of L_m's no-jump
-    part (:func:`_no_jump_schur`).  Called as ``op(members, u)``, with
-    ``members`` an int array of batch positions and u one vec(ρ) row per
-    member, it is the ``matvec`` of :func:`_gmres`.  Every product is batched
-    over the members, the jump sum included; only the triangular Sylvester
-    solve of P_m runs member by member.
+    s_m is :meth:`Liouvillian.scale` and P_m an approximate inverse of L_m's
+    no-jump part, taken in the Schur basis of :func:`_no_jump_schur`.  There
+    the no-jump part is W ↦ -i(S_D + S_N)W, with T = diag(T) + N, the divisor
+    D_ij = t_ii - t̄_jj, S_D W = D ∘ W and S_N W = N W - W N†.  P_m takes two
+    sweeps, the first two terms of (S_D + S_N)⁻¹ = S_D⁻¹(I + S_N S_D⁻¹)⁻¹:
+    W₀ = C ⊘ D and W = W₀ - S_N(W₀) ⊘ D, for C = i Q†UQ and P_m u = Q W Q†.
+    S_N maps an entry (k, l) only to entries (i, j) with i + j < k + l, so
+    S_N S_D⁻¹ is nilpotent: the no-jump part of the preconditioned operator is
+    I - (S_N S_D⁻¹)², a nilpotent defect of second order in N, and P_m is
+    nonsingular for every T, exceptional points included, because its
+    correction factor I - S_N S_D⁻¹ is unit-triangular and no divisor is zero.
+    GMRES absorbs the defect.  One correction sweep, not none or two: with
+    one, the seed-0 blockade scan takes 2344 bordered applications.  W₀
+    alone, whose defect is first order, took 2417 and moved the default
+    ``dimer-g2`` g²(0) by 4.0e-7 relative to its refined value (one sweep:
+    1.5e-8).  A second correction sweep took 2324, 1% fewer, for two more
+    d×d products per application.
+
+    Called as ``op(members, u)``, with ``members`` an int array of batch
+    positions and u one vec(ρ) row per member, it is the ``matvec`` of
+    :func:`_gmres`.  Every product is batched over the members, the
+    preconditioner and the jump sum included.
     """
 
     def __init__(self, generators: Sequence[Liouvillian]):
@@ -385,18 +371,23 @@ class _BorderedBatch:
         self.h_eff = np.stack([g.h_eff for g in generators])
         self.h_adj = self.h_eff.conj().transpose(0, 2, 1)
         t, q = zip(*(_no_jump_schur(g.h_eff, s) for g, s in zip(generators, self.scale)))
-        self.t, self.q = np.stack(t), np.stack(q)
+        t, self.q = np.stack(t), np.stack(q)
         self.q_h = self.q.conj().transpose(0, 2, 1)
+        lam = np.diagonal(t, axis1=1, axis2=2)
+        self.inv_divisor = 1.0 / (lam[:, :, None] - lam.conj()[:, None, :])   # 1 ⊘ D
+        self.upper = np.triu(t, 1)                                           # N
+        self.upper_h = self.upper.conj().transpose(0, 2, 1)                  # N†
         self.diagonal = slice(None, None, d + 1)              # the ρ_ii of vec(ρ)
 
     def precondition(self, members: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """P_m u_m as an (m, d, d) stack: W solves T W - W T† = i Q†UQ, and P_m u = Q W Q†."""
-        q, q_h, t = self.q[members], self.q_h[members], self.t[members]
-        w = q_h @ u.reshape(-1, self.dim, self.dim) @ q
+        """P_m u_m as an (m, d, d) stack: W₀ = C ⊘ D, W = W₀ - (N W₀ - W₀ N†) ⊘ D
+        with C = i Q†UQ, and P_m u = Q W Q†."""
+        q, inv_divisor = self.q[members], self.inv_divisor[members]
+        w = self.q_h[members] @ u.reshape(-1, self.dim, self.dim) @ q
         w *= 1j
-        for k, t_k in enumerate(t):
-            w[k] = _triangular_sylvester(t_k, t_k, w[k])
-        return q @ w @ q_h
+        w *= inv_divisor
+        w -= (self.upper[members] @ w - w @ self.upper_h[members]) * inv_divisor
+        return q @ w @ self.q_h[members]
 
     def apply(self, members: np.ndarray, x: np.ndarray) -> np.ndarray:
         """L_m x_m as an (m, d, d) stack."""
@@ -579,13 +570,17 @@ def steady_states(generators: Sequence[Liouvillian]) -> list[SteadyState]:
     of a Lindblad generator.  The package's own restarted GMRES
     (:func:`_gmres`: modified Gram-Schmidt, Givens rotations, a numpy loop
     with no SciPy call per Krylov step) runs on the right-preconditioned
-    operator, the preconditioner being the exact inverse of the no-jump part
-    -i(H_eff ρ - ρ H_eff†), a Schur-basis Sylvester solve of O(d³) per
-    application (:class:`_BorderedBatch`).  Every operator is d×d, the jump
-    sum is two sparse products on the stacked jumps, and the superoperator is
-    never assembled.  The members step together: each Krylov step makes one
-    batched product for all of them, while each keeps its own basis, stopping
-    test and restarts, so it reaches the state it would reach alone.
+    operator.  The preconditioner approximately inverts the no-jump part
+    -i(H_eff ρ - ρ H_eff†) in the Schur basis of H_eff, by two sweeps of
+    batched d×d products and elementwise divisions, O(d³) per application
+    (:class:`_BorderedBatch`).  It leaves a nilpotent defect of second order
+    in the non-normal part of H_eff, which GMRES absorbs, and it is
+    nonsingular for every H_eff, exceptional points included.  Every operator
+    is d×d, the jump sum is two sparse products on the stacked jumps, and the
+    superoperator is never assembled.  The members step together: each
+    Krylov step makes one batched product for all of them, while each keeps
+    its own basis, stopping test and restarts, so it reaches the state it
+    would reach alone.
 
     Each solve stops at a relative residual of ``STEADY_GMRES_RTOL``, checked
     on the true residual that GMRES returns with its iterate, and is then

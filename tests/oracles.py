@@ -17,8 +17,10 @@ ground energies, the canonical netlist text behind the parser round trip,
 time evolution of a state under the Lindblad generator (which must end at the
 steady state), the complex bordered generator of the driven mean field and its
 linearization on vec(ρ) from Kronecker products, the random-right-hand-side
-probe of steady-state uniqueness, a Lorentzian lineshape fit (whose width is
-the polariton linewidth) and the global index of a product configuration.
+probe of steady-state uniqueness, the exact inverse of the no-jump part of a
+generator (which the steady-state preconditioner approximates), a Lorentzian
+lineshape fit (whose width is the polariton linewidth) and the global index of
+a product configuration.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
@@ -441,6 +444,13 @@ def unique_probe_residual(liouv: Liouvillian) -> float:
     rng = np.random.default_rng(7)
     probe = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
     return float(_gmres(_BorderedBatch([liouv]), probe[None], UNIQUE_PROBE_RTOL)[1][0])
+
+
+def no_jump_inverse(h_eff: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Y with -i(H_eff Y - Y H_eff†) = Z: the exact inverse of the no-jump part
+    of a generator, from ``scipy.linalg.solve_sylvester`` on H_eff itself, with
+    no Schur factor of the package and no stationary shift."""
+    return scipy.linalg.solve_sylvester(h_eff, -h_eff.conj().T, 1j * z)
 
 
 @dataclass(frozen=True)

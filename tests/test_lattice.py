@@ -304,6 +304,14 @@ class TestFiniteSizeNonlinearity:
         with pytest.raises(ValueError, match="cutoff"):
             measured_nonlinearity(params, LatticeSpace.uniform(2, 1))
 
+    @pytest.mark.parametrize("J, ns", [(-0.5, 1), (0.5, 3), (-0.5, 4)])
+    def test_matches_the_three_sector_ground_energies_bitwise(self, J, ns):
+        # one term list for N = 1 and 2, and E₀(0) = 0 without its 1×1 solve
+        params = band_resonant_chain(50.0, 1.0, J, ns)
+        space = LatticeSpace.uniform(ns, 2)
+        e0, e1, e2 = (sector_ground_energy(params, space, n) for n in (0, 1, 2))
+        assert measured_nonlinearity(params, space) == (e2 - e1) - (e1 - e0)
+
     def test_sector_ground_energy_scalar_sector(self):
         params = chain(JCParams(1.0, 0.9, 0.02), 2, 0.01)
         assert sector_ground_energy(params, LatticeSpace.uniform(2, 2), 0) == 0.0

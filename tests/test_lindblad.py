@@ -4,6 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
@@ -102,6 +103,15 @@ STEADY_SYSTEMS = {
     "exceptional_point_jc": lambda: single_site_liouvillian(
         JCParams(1.0, 1.0, 0.01), 3, DissipationRates(kappa=0.04)),
 }
+
+
+def dark_vacuum():
+    """An undriven dimer, whose vacuum the no-jump evolution leaves stationary,
+    and its space."""
+    params = chain(JCParams(1.0, 1.0, 0.1), 2, 0.2)
+    space = LatticeSpace.uniform(2, 1)
+    return build_liouvillian(build_jchm(params, space),
+                             DissipationRates(gamma1=0.1, gamma_kappa=0.05), space), space
 
 
 @st.composite
@@ -309,10 +319,7 @@ class TestSteadyState:
     def test_undriven_dark_vacuum_keeps_preconditioner_finite(self):
         # the vacuum has H_eff eigenvalue 0, so the no-jump inverse has a zero
         # denominator that must be regularized, not divided by
-        params = chain(JCParams(1.0, 1.0, 0.1), 2, 0.2)
-        space = LatticeSpace.uniform(2, 1)
-        liouv = build_liouvillian(build_jchm(params, space),
-                                  DissipationRates(gamma1=0.1, gamma_kappa=0.05), space)
+        liouv, space = dark_vacuum()
         assert np.any(np.abs(np.linalg.eigvals(liouv.h_eff)) < 1e-12)
         rho = steady_state(liouv)
         assert np.linalg.norm(rho.rho - oracles.vacuum(space).rho) < 1e-12
@@ -350,6 +357,71 @@ class TestSteadyState:
         monkeypatch.setattr(lindblad, "STEADY_RESIDUAL_RTOL", 0.0)
         with pytest.raises(ConvergenceError, match="residual"):
             steady_state(liouv)
+
+
+def preconditioned(liouv, z):
+    """P z for the steady-state preconditioner P of ``liouv`` and a d×d z."""
+    return lindblad._BorderedBatch([liouv]).precondition(np.arange(1), z.reshape(1, -1))[0]
+
+
+def no_jump(liouv, y):
+    """The no-jump part of ``liouv`` on y: -i(H_eff y - y H_eff†)."""
+    return -1j * (liouv.h_eff @ y - y @ liouv.h_eff.conj().T)
+
+
+def schur_generator(d, upper_scale, seed):
+    """A generator whose H_eff = U (Λ + ε N) U†, for a random unitary U,
+    Im Λ in [-0.6, -0.2], a random strictly upper N of norm about 1, and
+    ε = ``upper_scale``: normal for ε = 0.  The jump is the square root of
+    i(H_eff - H_eff†), positive definite at the ε ≤ 0.05 of these tests."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    lam = rng.uniform(-1, 1, d) - 1j * rng.uniform(0.2, 0.6, d)
+    upper = np.triu(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)), 1) / d
+    h_eff = u @ (np.diag(lam) + upper_scale * upper) @ u.conj().T
+    loss_val, loss_vec = np.linalg.eigh(1j * (h_eff - h_eff.conj().T))
+    jump = (loss_vec * np.sqrt(loss_val)) @ loss_vec.conj().T
+    return Liouvillian(0.5 * (h_eff + h_eff.conj().T), [sp.csr_matrix(jump)])
+
+
+def random_matrix(d, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+class TestPreconditioner:
+    @settings(max_examples=30)
+    @given(st.integers(2, 12), st.integers(0, 2**32 - 1))
+    def test_inverts_a_normal_no_jump_part_exactly(self, d, seed):
+        # T is diagonal, so the correction sweep vanishes and W₀ = C ⊘ D is exact
+        liouv = schur_generator(d, 0.0, seed)
+        z = random_matrix(d, seed)
+        exact = oracles.no_jump_inverse(liouv.h_eff, z)
+        assert np.linalg.norm(preconditioned(liouv, z) - exact) <= 1e-12 * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_defect_is_second_order_in_the_non_normal_part(self, seed):
+        # S P = I - (S_N S_D⁻¹)²: halving N quarters the defect.  Without the
+        # correction sweep, or with its sign flipped, the defect is first
+        # order and only halves
+        d = 8
+        z = random_matrix(d, seed + 100)
+        defects, errors = [], []
+        for eps in (0.05, 0.025):
+            liouv = schur_generator(d, eps, seed)
+            y = preconditioned(liouv, z)
+            defects.append(np.linalg.norm(no_jump(liouv, y) - z))
+            errors.append(np.linalg.norm(y - oracles.no_jump_inverse(liouv.h_eff, z)))
+        assert defects[1] > 1e-8 * np.linalg.norm(z)          # far above roundoff
+        assert 3.5 < defects[0] / defects[1] < 4.5
+        assert 3.5 < errors[0] / errors[1] < 4.5
+
+    @pytest.mark.parametrize("name", sorted(STEADY_SYSTEMS) + ["dark_vacuum"])
+    def test_is_finite_on_every_solved_system(self, name):
+        # exceptional points and stationary modes included
+        liouv = dark_vacuum()[0] if name == "dark_vacuum" else STEADY_SYSTEMS[name]()
+        y = preconditioned(liouv, random_matrix(liouv.dim, 3))
+        assert np.all(np.isfinite(y)) and np.linalg.norm(y) > 0
 
 
 def batched(*matrices):

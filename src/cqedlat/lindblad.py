@@ -382,12 +382,12 @@ class _BorderedBatch:
     def precondition(self, members: np.ndarray, u: np.ndarray) -> np.ndarray:
         """P_m u_m as an (m, d, d) stack: W₀ = C ⊘ D, W = W₀ - (N W₀ - W₀ N†) ⊘ D
         with C = i Q†UQ, and P_m u = Q W Q†."""
-        q, inv_divisor = self.q[members], self.inv_divisor[members]
-        w = self.q_h[members] @ u.reshape(-1, self.dim, self.dim) @ q
+        q, q_h, inv_divisor = self.q[members], self.q_h[members], self.inv_divisor[members]
+        w = q_h @ u.reshape(-1, self.dim, self.dim) @ q
         w *= 1j
         w *= inv_divisor
         w -= (self.upper[members] @ w - w @ self.upper_h[members]) * inv_divisor
-        return q @ w @ self.q_h[members]
+        return q @ w @ q_h
 
     def apply(self, members: np.ndarray, x: np.ndarray) -> np.ndarray:
         """L_m x_m as an (m, d, d) stack."""

@@ -183,7 +183,7 @@ def _lowest_eigenvalue(h: sp.csr_matrix) -> float:
 def _photon_band(params: LatticeParams) -> np.ndarray:
     """Eigenvalues of the one-photon hopping matrix (ω_r,i on the diagonal,
     J_ij off-diagonal), ascending."""
-    m = np.diag([p.omega_r for p in params.site_params])
+    m = np.diag([float(p.omega_r) for p in params.site_params])
     for (i, j, J) in params.edges:
         m[i, j] += J
         m[j, i] += J

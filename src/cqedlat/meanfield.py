@@ -12,11 +12,16 @@ transition is continuous, so a cell is Mott exactly when zJχ(μ) < 1, with
 χ(μ) = Σ_m |⟨m|a + a†|0⟩|²/(E_m - E₀) the susceptibility of the J = 0 site
 ground state: Mott cells take ψ = 0 from that eigensystem without a search,
 the lobe boundary zJ_c(μ) = 1/χ(μ) comes in closed form (each cell's
-``zj_critical``), and only superfluid cells search ψ (a grid bracket, then
-Newton on dE/dψ = 0 with the curvature from second-order response).  The
-J = 0 lobe edges in μ also come in closed form from the dressed-level
-staircase.  The equilibrium functions take the site's :class:`JCParams`, μ
-and zJ as plain arguments.
+``zj_critical``), and only superfluid cells search ψ: a safeguarded Newton
+on dE/dψ = 0 inside [0, psi_max], with the curvature from second-order
+response and a bisection whenever a step leaves the bracket or fails to halve
+the last one, started from the ψ* of the previous superfluid cell of the same
+μ row.  With f(t) = ⟨X⟩ in the ground state of H_JC - μN - tX, the
+stationary points ψ > 0 solve f(zJψ)/(zJψ) = 2/zJ; f(t)/t is nonincreasing,
+the property that also makes the verdict zJχ < 1 exact, so there is at most
+one and the search is global from any start.  The J = 0 lobe edges in μ also
+come in closed form from the dressed-level staircase.  The equilibrium
+functions take the site's :class:`JCParams`, μ and zJ as plain arguments.
 
 Driven-dissipative: the same decoupling applied to the local density matrix
 gives a closed nonlinear master equation in the drive rotating frame,
@@ -94,9 +99,8 @@ __all__ = [
 
 PSI_FLOOR = 1e-5          # |ψ*| above this counts as superfluid
 PSI_MAX = 3.0             # default upper edge of the ψ search window
-PSI_GRID_POINTS = 49      # coarse ψ grid that brackets the minimum
-PSI_SEARCH_TOL = 1e-7     # the Newton refinement stops at a ψ step below this
-PSI_NEWTON_MAX_ITER = 50  # eigensolves of one refinement before it counts as failed
+PSI_SEARCH_TOL = 1e-7     # the Newton search stops at a ψ step below this
+PSI_NEWTON_MAX_ITER = 50  # eigensolves of one search before it counts as failed
 GAP_RTOL = 1e-12          # a ground gap below this times the spectral radius is a degeneracy
 DISTINCT_TOL = 1e-4       # driven fixed points closer than this are one branch
 CYCLE_SAMPLES = 40        # ψ samples a limit-cycle verdict needs
@@ -183,26 +187,25 @@ class _SiteCore:
                        x_mean=float(x_0m[0]), chi=chi)
 
     def order_parameter(self, h0: np.ndarray, at_zero: _Ground, zj: float,
-                        psi_max: float) -> OrderParameter:
+                        psi_max: float, start: float | None = None) -> OrderParameter:
         """Minimize the ground energy of H(ψ) = h0 - zJψX + zJψ² over ψ in [0, psi_max].
 
         ``at_zero`` is the ground state of h0.  E(ψ) = E₀ + zJ(1 - zJχ)ψ² + O(ψ⁴)
         and the transition is continuous, so zJχ < 1 is a Mott cell with ψ = 0.
-        Otherwise a ``PSI_GRID_POINTS`` grid, one batched ``eigvalsh``, brackets
-        the minimum between the neighbours of its lowest point, and Newton on
-        dE/dψ = 0 refines it; a step that leaves the bracket, or does not halve
-        the previous one, bisects instead.
+        Otherwise Newton on dE/dψ = 0 runs from ``start`` (psi_max/2 by default)
+        inside the bracket [0, psi_max], whose ends close on the sign of dE/dψ;
+        a step that leaves the bracket, or does not halve the previous one,
+        bisects instead.  The search is global: with t = zJψ and f(t) = ⟨X⟩ in
+        the ground state of h0 - tX, dE/dψ = zJ(2ψ - f(zJψ)), so a stationary
+        ψ > 0 solves f(t)/t = 2/zJ, and f(t)/t nonincreasing (the same property
+        that makes the verdict zJχ < 1 exact) leaves at most one.  When E still
+        decreases at psi_max, the bisection walks to the window edge and
+        :class:`CutoffWindowError` is raised.
         """
         if zj == 0 or zj * at_zero.chi < 1:
             return OrderParameter(psi=0.0, energy=at_zero.energy, n_polariton=at_zero.n_polariton)
-        grid = np.linspace(0.0, psi_max, PSI_GRID_POINTS)
-        s = grid[:, None, None]
-        k = int(np.argmin(np.linalg.eigvalsh(h0 + zj * s * (s * self.eye - self.x))[:, 0]))
-        if k == PSI_GRID_POINTS - 1:
-            raise CutoffWindowError(
-                f"energy still decreasing at ψ = {psi_max}; enlarge psi_max and the photon cutoff")
-        lo, hi = grid[max(k - 1, 0)], grid[k + 1]
-        psi, step = (grid[k] if k else 0.5 * hi), hi - lo
+        lo, hi = 0.0, psi_max
+        psi, step = (0.5 * psi_max if start is None else start), psi_max
         for _ in range(PSI_NEWTON_MAX_ITER):
             at = self.ground(h0 + zj * psi * (psi * self.eye - self.x))
             grad = 2.0 * psi - at.x_mean          # (dE/dψ) / zJ
@@ -223,7 +226,8 @@ class _SiteCore:
                 f"(bracket [{lo}, {hi}])")
         if psi > psi_max - 10 * PSI_SEARCH_TOL:
             raise CutoffWindowError(
-                f"minimizer ψ* = {psi} sits at the window edge psi_max = {psi_max}")
+                f"minimizer ψ* = {psi} sits at the window edge psi_max = {psi_max}; "
+                "enlarge psi_max and the photon cutoff")
         return OrderParameter(psi=float(psi), energy=at.energy, n_polariton=at.n_polariton)
 
 
@@ -234,9 +238,11 @@ def minimize_order_parameter(jc: JCParams, mu: float, zj: float, space: SiteSpac
 
     The one-cell case of :func:`phase_diagram`: a Mott cell (zJχ(μ) < 1) is
     answered from the ψ = 0 eigensystem with ψ = 0, a superfluid one by the
-    bracketed Newton search of the site core.  A negative zJ is refused.  A
-    minimum at the upper window edge means the search window (or the photon
-    cutoff behind it) is too small and raises :class:`CutoffWindowError`.
+    safeguarded Newton search of the site core, started at psi_max/2; the
+    energy has one stationary point with ψ > 0, so the search is global.  A
+    negative zJ is refused.  A minimum at the upper window edge means the
+    search window (or the photon cutoff behind it) is too small and raises
+    :class:`CutoffWindowError`.
     """
     if zj < 0:
         raise ValueError("equilibrium scans require J >= 0 (gauge away negative signs)")
@@ -267,8 +273,12 @@ def phase_diagram(jc: JCParams, mu_values: np.ndarray, zj_values: np.ndarray,
 
     One site core serves the whole grid, and each μ row shares one
     diagonalization of H_JC - μN: its χ(μ) decides every Mott cell without a
-    search, and each cell carries the row's lobe edge zJ_c = 1/χ(μ).  A
-    negative zJ is refused.
+    search, and each cell carries the row's lobe edge zJ_c = 1/χ(μ).  Each
+    superfluid cell starts its safeguarded Newton search from the ψ* of the
+    previous superfluid cell of its μ row (psi_max/2 when there is none).  The
+    start saves eigensolves only: E(ψ) has one stationary point with ψ > 0,
+    so every start reaches the same minimum, whatever the order of the zJ
+    values.  A negative zJ is refused.
     """
     if np.any(np.asarray(zj_values) < 0):
         raise ValueError("equilibrium scans require J >= 0 (gauge away negative signs)")
@@ -277,8 +287,11 @@ def phase_diagram(jc: JCParams, mu_values: np.ndarray, zj_values: np.ndarray,
     for mu in mu_values:
         h0 = core.h0(float(mu))
         at_zero = core.ground(h0)
+        start = None
         for zj in zj_values:
-            res = core.order_parameter(h0, at_zero, float(zj), psi_max)
+            res = core.order_parameter(h0, at_zero, float(zj), psi_max, start)
+            if res.psi > 0:
+                start = res.psi
             if res.psi <= PSI_FLOOR and abs(res.n_polariton - round(res.n_polariton)) <= 1e-6:
                 phase = f"Mott{int(round(res.n_polariton))}"
             else:

@@ -48,13 +48,13 @@ from cqedlat.lattice import LatticeParams, sector_ground_energy
 from cqedlat.lindblad import Liouvillian, StiffnessError, _BorderedBatch, _gmres
 from cqedlat.meanfield import (
     PSI_FLOOR,
-    PSI_GRID_POINTS,
     PSI_MAX,
     PSI_SEARCH_TOL,
     CutoffWindowError,
     OrderParameter,
 )
 
+PSI_GRID_POINTS = 49      # coarse ψ grid that brackets the minimum of the search oracle
 ZJ_RESOLUTION = 1e-4      # resolution and lower bracket end of the lobe-boundary bisection
 # tolerances of the ``evolve`` reference integration (DOP853); the driven mean
 # field integrates its transients at its own, looser pair

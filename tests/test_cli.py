@@ -367,6 +367,12 @@ class TestMeanfieldLobes:
         assert err.startswith("input error:") and "psi_max" in err
         assert "Traceback" not in err
 
+    def test_window_edge_message_names_the_remedy(self, tmp_path, capsys):
+        # E(ψ) still falls at psi_max: the search walks to the edge and says what to enlarge
+        assert self.lobes(tmp_path, zj_min=0.5, zj_max=2.0, psi_max=0.3) == 1
+        assert "enlarge psi_max and the photon cutoff" in capsys.readouterr().err
+        assert not (tmp_path / "l.csv").exists()
+
     def test_mott_probe_cell_passes_the_cutoff_check(self, tmp_path):
         # the probe cell in the middle of this grid (μ = 9.322, zJ = 0.111) is
         # Mott1, so ψ = 0 exactly at n_max and at n_max + 2

@@ -276,6 +276,12 @@ class TestFiniteSizeNonlinearity:
         # uniform mode of the 4-ring with negative J sits at omega_r - 2|J|
         assert photon_band_minimum(params) == pytest.approx(0.8, abs=1e-12)
 
+    def test_integer_frequencies_keep_the_fractional_hopping(self):
+        # an all-int diagonal must not truncate J = 0.5 when it is added in place
+        params = chain(JCParams(50, 50, 1), 2, 0.5, "periodic")
+        assert photon_band_minimum(params) == 49.5
+        assert band_resonant_chain(50, 1, 0.5, 2).site_params[0].omega_q == 49.5
+
     def test_band_degeneracy_counts_the_band_bottom_modes(self):
         # J > 0 frustrates odd rings: the 3-ring's bottom is the k = ±2π/3 pair
         ring = lambda J, n: band_resonant_chain(50.0, 1.0, J, n)

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import DOP853
 
 import oracles
@@ -274,6 +274,80 @@ class TestSusceptibilityVerdict:
         # very small zJ, its own error reaches 1e-5
         if 0.5 * curvature * 1e-12 >= 64 * np.finfo(float).eps * abs(ref.energy):
             assert abs(res.psi - ref.psi) <= 1e-6
+
+
+def oracle_phase(ref):
+    """The phase label ``phase_diagram`` gives a cell, from the search oracle's result."""
+    if ref.psi <= PSI_FLOOR and abs(ref.n_polariton - round(ref.n_polariton)) <= 1e-6:
+        return f"Mott{int(round(ref.n_polariton))}"
+    return "SF"
+
+
+def resolves_psi(jc, mu, zj, space, ref):
+    """Whether the search oracle resolves ψ to 1e-6: a 1e-6 shift must move its
+    energy by well above roundoff (the rule of ``test_agrees_with_the_search_oracle``)."""
+    h = oracles.local_mf_hamiltonian(jc, mu, zj, ref.psi, space).toarray()
+    curvature = 2 * zj * (1 - zj * ground_response(h, site_x(space))[2])
+    return 0.5 * curvature * 1e-12 >= 64 * np.finfo(float).eps * abs(ref.energy)
+
+
+class TestGlobalSearch:
+    """The superfluid search is a safeguarded Newton on dE/dψ = 0 from one start
+    per cell; it is global because E(ψ) has one stationary point with ψ > 0."""
+
+    @settings(max_examples=60)
+    @given(omega_r=st.floats(5.0, 15.0), g=st.floats(0.5, 1.5), detuning=st.floats(-1.0, 1.0),
+           mu_offset=st.floats(-2.0, 0.5), n_max=st.integers(4, 11))
+    def test_response_ratio_is_nonincreasing(self, omega_r, g, detuning, mu_offset, n_max):
+        # f(t) = ⟨X⟩ in the ground state of H_JC - μN - tX; dE/dψ = zJ(2ψ - f(zJψ)),
+        # so f(t)/t nonincreasing leaves at most one stationary ψ > 0.  t runs up to
+        # zJ·psi_max with zJ ≤ g, the largest hopping the scans here reach
+        jc = JCParams(omega_r, omega_r - detuning * g, g)
+        mu, space = omega_r + mu_offset * g, SiteSpace(n_max)
+        h0, x = oracles.local_mf_hamiltonian(jc, mu, 0.0, 0.0, space).toarray(), site_x(space)
+        vals = np.linalg.eigvalsh(h0)
+        assume(vals[1] - vals[0] > 1e-6 * np.max(np.abs(vals)))     # nondegenerate ground state
+        t = np.linspace(0.0, g * meanfield.PSI_MAX, 61)[1:]
+        ratio = np.array([ground_response(h0 - s * x, x)[1] / s for s in t])
+        assert np.all(np.diff(ratio) <= 1e-10 * np.max(np.abs(ratio)))
+
+    @pytest.mark.parametrize("mu_lo, mu_hi, zj_hi, phases", [
+        (WR - 1.3 * G, WR - 0.45 * G, 0.4 * G, {"Mott0", "Mott1", "SF"}),
+        (WR - 0.45 * G, WR - 0.27 * G, 0.05 * G, {"Mott1", "Mott2", "Mott3", "SF"}),
+    ], ids=["lobes_0_1", "lobes_1_2_3"])
+    def test_windows_agree_with_the_search_oracle(self, mu_lo, mu_hi, zj_hi, phases):
+        # no cell lies within 2% of its lobe edge, where the oracle's ψ* < PSI_FLOOR
+        # could not tell the phases apart
+        space = SiteSpace(10)
+        cells = phase_diagram(JC0, np.linspace(mu_lo, mu_hi, 9), np.geomspace(1e-3, zj_hi, 7),
+                              space)
+        assert {c.phase for c in cells} == phases
+        for c in cells:
+            ref = oracles.search_order_parameter(JC0, c.mu, c.zj, space)
+            assert c.phase == oracle_phase(ref)
+            assert c.energy <= ref.energy + 1e-12
+            if c.phase == "SF" and resolves_psi(JC0, c.mu, c.zj, space, ref):
+                assert abs(c.psi - ref.psi) <= 1e-6
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_zj_order_changes_only_the_start(self, order):
+        space = SiteSpace(10)
+        jc, mus = JCParams(10.0, 10.0, 1.0), np.linspace(8.6, 9.9, 10)
+        zjs = np.linspace(0.0, 0.2, 10)[1:]
+        perm = (np.arange(zjs.size)[::-1] if order == "reversed"
+                else np.random.default_rng(3).permutation(zjs.size))
+        sorted_cells = phase_diagram(jc, mus, zjs, space)
+        permuted = phase_diagram(jc, mus, zjs[perm], space)
+        assert sum(c.phase == "SF" for c in sorted_cells) >= 20
+        for i, mu in enumerate(mus):
+            row = sorted_cells[i * zjs.size:(i + 1) * zjs.size]
+            for k, c in zip(perm, permuted[i * zjs.size:(i + 1) * zjs.size]):
+                assert c.phase == row[k].phase and c.zj == row[k].zj
+                assert abs(c.psi - row[k].psi) <= 2e-7
+            for c in row:
+                alone = minimize_order_parameter(jc, float(mu), c.zj, space)
+                assert abs(c.psi - alone.psi) <= 2e-7
+                assert c.energy == pytest.approx(alone.energy, abs=1e-12)
 
 
 class TestDrivenMeanField:

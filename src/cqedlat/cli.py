@@ -73,7 +73,6 @@ from .lattice import (
 )
 from .lindblad import (
     ConvergenceError,
-    CutoffWindowError,
     DissipationRates,
     DrivenLattice,
     DriveSpec,
@@ -165,7 +164,6 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "zj_max": Field("pos", REQUIRED, "zJ scan end"),
         "zj_points": Field("posint", 40, "grid points in zJ"),
         "n_max": Field("posint", 10, "photon cutoff"),
-        "psi_max": Field("pos", 3.0, "order-parameter search window"),
         "cutoff_check": Field("bool", True, "repeat one cell at n_max+2"),
     },
     "driven-mf": {
@@ -180,7 +178,6 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "drive_offset": Field("float", 0.0, "drive detuning from the lower-polariton band bottom"),
         "seeds": Field("seeds", [0.0], "initial order-parameter seeds (re or [re, im])"),
         "n_max": Field("posint", 7, "photon cutoff"),
-        "psi_tol": Field("pos", 1e-8, "bound on the fixed-point residual |tr(a rho) - psi|"),
     },
     "modes": {
         "ell": Field("pos", REQUIRED, "inductance per unit length [H/m]"),
@@ -466,7 +463,7 @@ def _cmd_meanfield_lobes(config: dict[str, Any]):
     zj = zj[zj > 0] if config["zj_min"] == 0 else zj
     if zj.size == 0:
         raise ConfigError([("zj_points", "zj_min = 0 is skipped, so at least 2 points are needed")])
-    cells = phase_diagram(jc, mu, zj, space, psi_max=config["psi_max"])
+    cells = phase_diagram(jc, mu, zj, space)
     rows = [{"mu": c.mu, "zJ": c.zj, "psi": c.psi, "energy": c.energy,
              "n_polariton": c.n_polariton, "phase": c.phase} for c in cells]
     windows = {f"N={n}": mott_window_analytic(jc, n) for n in (1, 2, 3)}
@@ -483,8 +480,7 @@ def _cmd_meanfield_lobes(config: dict[str, Any]):
         i_mu, i_zj = len(mu) // 2, len(zj) // 2
 
         def observable(nm: int) -> float:
-            cell, = phase_diagram(jc, mu[i_mu:i_mu + 1], zj[i_zj:i_zj + 1], SiteSpace(nm),
-                                  psi_max=config["psi_max"])
+            cell, = phase_diagram(jc, mu[i_mu:i_mu + 1], zj[i_zj:i_zj + 1], SiteSpace(nm))
             return cell.psi
 
         conv["cutoff_check"] = cutoff_convergence(
@@ -493,7 +489,7 @@ def _cmd_meanfield_lobes(config: dict[str, Any]):
 
 
 def _cmd_driven_mf(config: dict[str, Any]):
-    from .meanfield import driven_mf_steady
+    from .meanfield import PSI_TOL, driven_mf_steady
 
     rows = []
     fixed_points = []
@@ -506,8 +502,7 @@ def _cmd_driven_mf(config: dict[str, Any]):
         omega_d = omega_q - config["g"] + config["drive_offset"]
         jc = JCParams(config["omega_r"], omega_q, config["g"])
         result = driven_mf_steady(jc, rates, DriveSpec(xi=config["xi"], omega_d=omega_d),
-                                  zj, seeds=tuple(config["seeds"]), space=space,
-                                  psi_tol=config["psi_tol"])
+                                  zj, seeds=tuple(config["seeds"]), space=space)
         any_cycle = any_cycle or result.limit_cycle
         for fp in result.per_seed:
             rows.append({"zJ": zj, "seed_re": fp.seed.real, "seed_im": fp.seed.imag,
@@ -520,7 +515,7 @@ def _cmd_driven_mf(config: dict[str, Any]):
                              "branches": [[b.psi.real, b.psi.imag] for b in result.branches],
                              "residuals": residuals,
                              "stability_margins": margins,
-                             "passed": (all(r <= config["psi_tol"] for r in residuals)
+                             "passed": (all(r <= PSI_TOL for r in residuals)
                                         and all(m < 0 for m in margins)),
                              "multistable": result.multistable,
                              "limit_cycle": result.limit_cycle,
@@ -654,14 +649,12 @@ def build_summary(command: str, config: dict[str, Any], csv_path: str,
 
 @functools.lru_cache(maxsize=None)
 def _summary_validator():
-    """The validator of ``summary_schema()``, whose own check against the
-    metaschema runs once per process."""
+    """The validator of ``summary_schema()``.  The schema is a shipped file,
+    checked against its metaschema by the tests, not at run time."""
     import jsonschema
 
     schema = summary_schema()
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def run_command(command: str, config: dict[str, Any], csv_path: str,
@@ -699,7 +692,11 @@ def main(argv: list[str] | None = None) -> int:
         for key, field in schema.items():
             p.add_argument(f"--{key.replace('_', '-')}", dest=f"cfg_{key}",
                            default=None, help=field.help)
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        # argparse's own exit code 2 would read as an unconverged run
+        print(f"config error at {unknown[0]}: unknown option", file=sys.stderr)
+        return 1
 
     overrides = {k[len("cfg_"):]: v for k, v in vars(args).items() if k.startswith("cfg_")}
     csv_path = args.output or f"{args.command.replace('-', '_')}.csv"
@@ -711,7 +708,7 @@ def main(argv: list[str] | None = None) -> int:
         for key, msg in exc.errors:
             print(f"config error at {key}: {msg}", file=sys.stderr)
         return 1
-    except (NetlistError, ValueError, CutoffWindowError) as exc:
+    except (NetlistError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except (ConvergenceError, StiffnessError, MeanFieldConvergenceError) as exc:

@@ -72,7 +72,6 @@ __all__ = [
     "SteadyState",
     "StiffnessError",
     "ConvergenceError",
-    "CutoffWindowError",
     "MeanFieldConvergenceError",
     "build_liouvillian",
     "steady_state",
@@ -85,9 +84,12 @@ TRACE_PRESERVATION_RTOL = 1e-10
 STEADY_RESIDUAL_RTOL = 1e-10
 # GMRES stopping rules, relative to the right-hand side: the first solve,
 # then the correction from a residual accumulated in extended precision.
-# Without that correction the absolute error of ~1e-16 left by any
-# double-precision solve moves the tiny two-photon populations behind a
-# weak-drive g²(0) by 5e-5 (d = 64) to 5e-4 (d = 144) relative
+# The two-photon populations behind a weak-drive g²(0) are ~ξ⁴ of the trace,
+# below the ~1e-16 absolute error that any double-precision solve leaves.  A
+# correction can only remove an error its residual resolves, so the residual
+# is formed in extended precision: on the driven dimer (d = 64) g²(0) then
+# agrees with the weak-drive series to 1e-6 or better, and with a
+# double-precision residual it is off by 5e-5 to 3e-3 relative
 STEADY_GMRES_RTOL = 1e-10
 STEADY_REFINE_RTOL = 1e-6
 STEADY_GMRES_RESTART = 50
@@ -109,12 +111,8 @@ class ConvergenceError(RuntimeError):
     """A steady-state search did not reach its tolerance."""
 
 
-# The errors of ``meanfield`` live here so that the CLI can catch them without
-# loading ``meanfield`` (and with it ``scipy.integrate``); ``meanfield`` re-binds them.
-class CutoffWindowError(RuntimeError):
-    """The energy minimum sits at the edge of the ψ search window."""
-
-
+# The error of ``meanfield`` lives here so that the CLI can catch it without
+# loading ``meanfield`` (and with it ``scipy.integrate``); ``meanfield`` re-binds it.
 class MeanFieldConvergenceError(RuntimeError):
     """A mean-field search did not converge: the ψ refinement ran out of
     steps, or the driven self-consistency loop neither settled nor cycled."""

@@ -13,15 +13,18 @@ transition is continuous, so a cell is Mott exactly when zJχ(μ) < 1, with
 ground state: Mott cells take ψ = 0 from that eigensystem without a search,
 the lobe boundary zJ_c(μ) = 1/χ(μ) comes in closed form (each cell's
 ``zj_critical``), and only superfluid cells search ψ: a safeguarded Newton
-on dE/dψ = 0 inside [0, psi_max], with the curvature from second-order
+on dE/dψ = 0 inside [0, √n_max], with the curvature from second-order
 response and a bisection whenever a step leaves the bracket or fails to halve
 the last one, started from the ψ* of the previous superfluid cell of the same
 μ row.  With f(t) = ⟨X⟩ in the ground state of H_JC - μN - tX, the
 stationary points ψ > 0 solve f(zJψ)/(zJψ) = 2/zJ; f(t)/t is nonincreasing,
 the property that also makes the verdict zJχ < 1 exact, so there is at most
-one and the search is global from any start.  The J = 0 lobe edges in μ also
-come in closed form from the dressed-level staircase.  The equilibrium
-functions take the site's :class:`JCParams`, μ and zJ as plain arguments.
+one and the search is global from any start.  The window needs no setting:
+at photon cutoff n_max every state has |⟨a⟩|² ≤ ⟨a†a⟩ ≤ n_max, so
+⟨X⟩ < 2√n_max and E(ψ) rises at ψ = √n_max, the bound that also confines the
+driven fixed points below.  The J = 0 lobe edges in μ also come in closed
+form from the dressed-level staircase.  The equilibrium functions take the
+site's :class:`JCParams`, μ and zJ as plain arguments.
 
 Driven-dissipative: the same decoupling applied to the local density matrix
 gives a closed nonlinear master equation in the drive rotating frame,
@@ -74,7 +77,6 @@ from .hilbert import (
 from .jc import JCParams, jc_hamiltonian, polariton_energy
 from .lattice import LatticeParams
 from .lindblad import (
-    CutoffWindowError,
     DissipationRates,
     DrivenLattice,
     DriveSpec,
@@ -89,7 +91,6 @@ __all__ = [
     "PhaseDiagramCell",
     "DrivenFixedPoint",
     "DrivenMFResult",
-    "CutoffWindowError",
     "MeanFieldConvergenceError",
     "minimize_order_parameter",
     "mott_window_analytic",
@@ -98,12 +99,12 @@ __all__ = [
 ]
 
 PSI_FLOOR = 1e-5          # |ψ*| above this counts as superfluid
-PSI_MAX = 3.0             # default upper edge of the ψ search window
 PSI_SEARCH_TOL = 1e-7     # the Newton search stops at a ψ step below this
 PSI_NEWTON_MAX_ITER = 50  # eigensolves of one search before it counts as failed
 GAP_RTOL = 1e-12          # a ground gap below this times the spectral radius is a degeneracy
 DISTINCT_TOL = 1e-4       # driven fixed points closer than this are one branch
 CYCLE_SAMPLES = 40        # ψ samples a limit-cycle verdict needs
+PSI_TOL = 1e-8            # bound on the driven fixed-point residual |tr(aρ) - ψ|
 NEWTON_MAX_ITER = 8       # F evaluations of one Newton run before it counts as failed
 SUFFICIENT_DECREASE = 1e-4  # a Newton trial ψ + λδ must bring |F| below (1 - this λ)|F(ψ)|
 CAPTURE_CONTRACTIONS = 2  # consecutive intervals over which ‖ρ(t) - ρ_ss(ψ*)‖ must shrink
@@ -122,6 +123,12 @@ TRANSIENT_ATOL = 1e-9
 # at load time; ``cqedlat/__init__`` does not import it, and the CLI imports it
 # only inside the two commands that run it.
 RK45 = DOP853
+
+
+def _psi_bound(space: SiteSpace) -> float:
+    """√n_max, the bound on every order parameter at photon cutoff n_max:
+    |tr(aρ)|² ≤ tr(a†aρ) ≤ n_max for every state ρ of the site."""
+    return math.sqrt(space.photon_cutoff)
 
 
 @dataclass(frozen=True)
@@ -169,6 +176,7 @@ class _SiteCore:
         h, n_tot, a = (m.toarray().real for m in ops)
         self.h_jc, self.n_diag, self.x = h, n_tot.diagonal(), a + a.T
         self.eye = np.eye(space.dim)
+        self.psi_bound = _psi_bound(space)
 
     def h0(self, mu: float) -> np.ndarray:
         """H(ψ = 0) = H_JC - μN."""
@@ -187,25 +195,26 @@ class _SiteCore:
                        x_mean=float(x_0m[0]), chi=chi)
 
     def order_parameter(self, h0: np.ndarray, at_zero: _Ground, zj: float,
-                        psi_max: float, start: float | None = None) -> OrderParameter:
-        """Minimize the ground energy of H(ψ) = h0 - zJψX + zJψ² over ψ in [0, psi_max].
+                        start: float | None = None) -> OrderParameter:
+        """Minimize the ground energy of H(ψ) = h0 - zJψX + zJψ² over ψ in [0, √n_max].
 
         ``at_zero`` is the ground state of h0.  E(ψ) = E₀ + zJ(1 - zJχ)ψ² + O(ψ⁴)
         and the transition is continuous, so zJχ < 1 is a Mott cell with ψ = 0.
-        Otherwise Newton on dE/dψ = 0 runs from ``start`` (psi_max/2 by default)
-        inside the bracket [0, psi_max], whose ends close on the sign of dE/dψ;
+        Otherwise Newton on dE/dψ = 0 runs from ``start`` (√n_max/2 by default)
+        inside the bracket [0, √n_max], whose ends close on the sign of dE/dψ;
         a step that leaves the bracket, or does not halve the previous one,
         bisects instead.  The search is global: with t = zJψ and f(t) = ⟨X⟩ in
         the ground state of h0 - tX, dE/dψ = zJ(2ψ - f(zJψ)), so a stationary
         ψ > 0 solves f(t)/t = 2/zJ, and f(t)/t nonincreasing (the same property
-        that makes the verdict zJχ < 1 exact) leaves at most one.  When E still
-        decreases at psi_max, the bisection walks to the window edge and
-        :class:`CutoffWindowError` is raised.
+        that makes the verdict zJχ < 1 exact) leaves at most one.  It lies
+        inside the window: f < 2√n_max, since |⟨a⟩|² ≤ ⟨a†a⟩ ≤ n_max with
+        equality only in the photon-number state |n_max⟩, where ⟨a⟩ = 0; so
+        dE/dψ > 0 at ψ = √n_max.
         """
         if zj == 0 or zj * at_zero.chi < 1:
             return OrderParameter(psi=0.0, energy=at_zero.energy, n_polariton=at_zero.n_polariton)
-        lo, hi = 0.0, psi_max
-        psi, step = (0.5 * psi_max if start is None else start), psi_max
+        lo, hi = 0.0, self.psi_bound
+        psi, step = (0.5 * hi if start is None else start), hi
         for _ in range(PSI_NEWTON_MAX_ITER):
             at = self.ground(h0 + zj * psi * (psi * self.eye - self.x))
             grad = 2.0 * psi - at.x_mean          # (dE/dψ) / zJ
@@ -224,31 +233,26 @@ class _SiteCore:
             raise MeanFieldConvergenceError(
                 f"ψ refinement did not converge in {PSI_NEWTON_MAX_ITER} steps "
                 f"(bracket [{lo}, {hi}])")
-        if psi > psi_max - 10 * PSI_SEARCH_TOL:
-            raise CutoffWindowError(
-                f"minimizer ψ* = {psi} sits at the window edge psi_max = {psi_max}; "
-                "enlarge psi_max and the photon cutoff")
         return OrderParameter(psi=float(psi), energy=at.energy, n_polariton=at.n_polariton)
 
 
-def minimize_order_parameter(jc: JCParams, mu: float, zj: float, space: SiteSpace,
-                             psi_max: float = PSI_MAX) -> OrderParameter:
+def minimize_order_parameter(jc: JCParams, mu: float, zj: float,
+                             space: SiteSpace) -> OrderParameter:
     """Minimize the ground energy of H(ψ) on site ``jc`` at chemical potential
-    ``mu`` and hopping weight ``zj`` over real ψ in [0, psi_max].
+    ``mu`` and hopping weight ``zj`` over real ψ in [0, √n_max], with n_max the
+    photon cutoff of ``space``, which bounds every |⟨a⟩|.
 
     The one-cell case of :func:`phase_diagram`: a Mott cell (zJχ(μ) < 1) is
     answered from the ψ = 0 eigensystem with ψ = 0, a superfluid one by the
-    safeguarded Newton search of the site core, started at psi_max/2; the
+    safeguarded Newton search of the site core, started at √n_max/2; the
     energy has one stationary point with ψ > 0, so the search is global.  A
-    negative zJ is refused.  A minimum at the upper window edge means the
-    search window (or the photon cutoff behind it) is too small and raises
-    :class:`CutoffWindowError`.
+    negative zJ is refused.
     """
     if zj < 0:
         raise ValueError("equilibrium scans require J >= 0 (gauge away negative signs)")
     core = _SiteCore(jc, space)
     h0 = core.h0(mu)
-    return core.order_parameter(h0, core.ground(h0), zj, psi_max)
+    return core.order_parameter(h0, core.ground(h0), zj)
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +272,15 @@ def mott_window_analytic(jc: JCParams, N: int) -> tuple[float, float]:
 
 
 def phase_diagram(jc: JCParams, mu_values: np.ndarray, zj_values: np.ndarray,
-                  space: SiteSpace, psi_max: float = PSI_MAX) -> list[PhaseDiagramCell]:
+                  space: SiteSpace) -> list[PhaseDiagramCell]:
     """Grid scan of the order parameter over μ × zJ; cells are labeled Mott(N) or SF.
 
     One site core serves the whole grid, and each μ row shares one
     diagonalization of H_JC - μN: its χ(μ) decides every Mott cell without a
     search, and each cell carries the row's lobe edge zJ_c = 1/χ(μ).  Each
-    superfluid cell starts its safeguarded Newton search from the ψ* of the
-    previous superfluid cell of its μ row (psi_max/2 when there is none).  The
+    superfluid cell searches ψ in [0, √n_max], the bound on |⟨a⟩| at the
+    photon cutoff n_max of ``space``, starting from the ψ* of the previous
+    superfluid cell of its μ row (√n_max/2 when there is none).  The
     start saves eigensolves only: E(ψ) has one stationary point with ψ > 0,
     so every start reaches the same minimum, whatever the order of the zJ
     values.  A negative zJ is refused.
@@ -289,7 +294,7 @@ def phase_diagram(jc: JCParams, mu_values: np.ndarray, zj_values: np.ndarray,
         at_zero = core.ground(h0)
         start = None
         for zj in zj_values:
-            res = core.order_parameter(h0, at_zero, float(zj), psi_max, start)
+            res = core.order_parameter(h0, at_zero, float(zj), start)
             if res.psi > 0:
                 start = res.psi
             if res.psi <= PSI_FLOOR and abs(res.n_polariton - round(res.n_polariton)) <= 1e-6:
@@ -379,7 +384,7 @@ class _DrivenSite:
         model = DrivenLattice(LatticeParams.single_site(jc), self.space, rates)
         self.liouv0 = model.generator(drive.xi, drive.omega_d)
         self.zj = zj
-        self.psi_bound = math.sqrt(space.photon_cutoff)   # |tr(aρ)|² ≤ tr(a†aρ) ≤ n_max
+        self.psi_bound = _psi_bound(space)
         self.lu_factorizations = 0                         # by every Newton run so far
         d = space.dim
         a = model.a
@@ -451,7 +456,7 @@ class _DrivenSite:
         m += self.responses(x) @ self.psi_rows
         return float(np.max(np.linalg.eigvals(m).real))
 
-    def newton(self, psi: complex, psi_tol: float, known: list[_Root]) -> _Root | None:
+    def newton(self, psi: complex, known: list[_Root]) -> _Root | None:
         """Newton on F(ψ) = c·x_ss(ψ) - ψ from ψ in (Re ψ, Im ψ), with a line search on |F|.
 
         Each evaluation of F factors M(ψ) once (one real LU) and solves
@@ -460,9 +465,9 @@ class _DrivenSite:
         2×2 Jacobian of F and the Newton step δ.  The trial ψ + λδ, from λ = 1,
         is accepted when |F| ≤ (1 - ``SUFFICIENT_DECREASE`` λ)|F(ψ)|; otherwise
         λ halves.  Returns a root of ``known`` as soon as a trial comes within
-        ``DISTINCT_TOL`` of it.  Once a trial has |F| ≤ ``psi_tol``, one more
+        ``DISTINCT_TOL`` of it.  Once a trial has |F| ≤ ``PSI_TOL``, one more
         Newton step from its LU ends the run, so the root does not depend on
-        how far below ``psi_tol`` the path happened to stop; :func:`steady_state`
+        how far below ``PSI_TOL`` the path happened to stop; :func:`steady_state`
         verifies the new root and supplies its ρ, and the root, with its
         stability margin ``margin(ψ, x)``, is added to ``known``.  Returns None when
         ``NEWTON_MAX_ITER`` evaluations of F do not converge, a trial leaves
@@ -485,7 +490,7 @@ class _DrivenSite:
                 lu = lu_factor(self.bordered(psi), overwrite_a=True, check_finite=False)
                 x = lu_solve(lu, self.unit_source, check_finite=False)
                 f = self.psi(x) - psi
-                converged = abs(f) <= psi_tol
+                converged = abs(f) <= PSI_TOL
                 if not (converged or abs(f) <= (1.0 - SUFFICIENT_DECREASE * lam) * f_base):
                     if not math.isfinite(abs(f)):
                         return None
@@ -505,7 +510,7 @@ class _DrivenSite:
         rho = self.steady(psi)
         x = self.coords(rho.rho)
         residual = abs(self.psi(x) - psi)
-        if not residual <= psi_tol:
+        if not residual <= PSI_TOL:
             return None
         root = _Root(psi=complex(psi), rho=rho, residual=residual, margin=self.margin(psi, x))
         known.append(root)
@@ -514,7 +519,7 @@ class _DrivenSite:
 
 def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
                      zj: float, seeds: tuple[complex, ...] = (0.0,), *,
-                     space: SiteSpace, psi_tol: float = 1e-8) -> DrivenMFResult:
+                     space: SiteSpace) -> DrivenMFResult:
     """Self-consistent driven-dissipative mean field on one site.
 
     Runs the nonlinear master equation from every seed (a coherent state of
@@ -528,7 +533,7 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
     F(ψ) = tr(aρ_ss(ψ)) - ψ from the current ψ, with one real LU of the dense
     bordered generator per evaluation of F and a line search on |F|; roots are
     shared between seeds, and :func:`steady_state` runs once per new root, to
-    verify |F(ψ*)| ≤ ``psi_tol`` and supply ρ_ss(ψ*).  The run is captured, and
+    verify |F(ψ*)| ≤ ``PSI_TOL`` and supply ρ_ss(ψ*).  The run is captured, and
     stops, when that Newton reaches a linearly stable root (stability margin
     < 0) and ‖ρ(t) - ρ_ss(ψ*)‖ has shrunk toward that same root over
     ``CAPTURE_CONTRACTIONS`` consecutive intervals.  The seed then reports ψ*,
@@ -579,7 +584,7 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
             last_step = abs(psi_now - psi_prev)
             psi_prev = psi_now
 
-            found = site.newton(psi_now, psi_tol, roots)
+            found = site.newton(psi_now, roots)
             if found is None or not found.margin < 0:
                 root, distances = None, []
                 continue
@@ -604,7 +609,7 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
             half = CYCLE_SAMPLES // 2
             swing_late = np.ptp(np.abs(tail[-half:]))
             swing_early = np.ptp(np.abs(tail[:half]))
-            if not (len(tail) == CYCLE_SAMPLES and swing_late > 100 * psi_tol
+            if not (len(tail) == CYCLE_SAMPLES and swing_late > 100 * PSI_TOL
                     and swing_late > 0.5 * swing_early):
                 raise MeanFieldConvergenceError(
                     f"no fixed point or cycle within horizon {horizon:.3g} "

@@ -18,7 +18,8 @@ time evolution of a state under the Lindblad generator (which must end at the
 steady state), the complex bordered generator of the driven mean field and its
 linearization on vec(ρ) from Kronecker products, the random-right-hand-side
 probe of steady-state uniqueness, the exact inverse of the no-jump part of a
-generator (which the steady-state preconditioner approximates), a Lorentzian
+generator (which the steady-state preconditioner approximates), the weak-drive
+power series of a steady state (one sparse LU, no Krylov solve), a Lorentzian
 lineshape fit (whose width is the polariton linewidth) and the global index of
 a product configuration.
 """
@@ -32,6 +33,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import curve_fit, minimize_scalar
@@ -46,13 +48,7 @@ from cqedlat.hilbert import (
 from cqedlat.jc import JCParams, mixing_angle
 from cqedlat.lattice import LatticeParams, sector_ground_energy
 from cqedlat.lindblad import Liouvillian, StiffnessError, _BorderedBatch, _gmres
-from cqedlat.meanfield import (
-    PSI_FLOOR,
-    PSI_MAX,
-    PSI_SEARCH_TOL,
-    CutoffWindowError,
-    OrderParameter,
-)
+from cqedlat.meanfield import PSI_FLOOR, PSI_SEARCH_TOL, OrderParameter
 
 PSI_GRID_POINTS = 49      # coarse ψ grid that brackets the minimum of the search oracle
 ZJ_RESOLUTION = 1e-4      # resolution and lower bracket end of the lobe-boundary bisection
@@ -277,10 +273,11 @@ def local_mf_hamiltonian(jc: JCParams, mu: float, zj: float, psi: complex,
             + zj * abs(psi) ** 2 * sp.identity(space.dim, format="csr"))
 
 
-def search_order_parameter(jc: JCParams, mu: float, zj: float, space: SiteSpace,
-                           psi_max: float = PSI_MAX) -> OrderParameter:
-    """A ``PSI_GRID_POINTS`` grid brackets the minimum of the ground energy over
-    real ψ; SciPy's bounded Brent search refines it to ``PSI_SEARCH_TOL``."""
+def search_order_parameter(jc: JCParams, mu: float, zj: float,
+                           space: SiteSpace) -> OrderParameter:
+    """A ``PSI_GRID_POINTS`` grid on [0, √n_max], the package's window, brackets
+    the minimum of the ground energy over real ψ; SciPy's bounded Brent search
+    refines it to ``PSI_SEARCH_TOL``."""
     lat = LatticeSpace((space,))
     h0 = local_mf_hamiltonian(jc, mu, zj, 0.0, space).toarray()
     a = photon_op_on(lat, 0, annihilation(space)).toarray()
@@ -292,12 +289,11 @@ def search_order_parameter(jc: JCParams, mu: float, zj: float, space: SiteSpace,
     def energy(psi: float) -> float:
         return float(np.linalg.eigvalsh(matrix(psi))[0])
 
-    grid = np.linspace(0.0, psi_max, PSI_GRID_POINTS)
+    grid = np.linspace(0.0, math.sqrt(space.photon_cutoff), PSI_GRID_POINTS)
     k = int(np.argmin([energy(s) for s in grid]))
-    if k == PSI_GRID_POINTS - 1:
-        raise CutoffWindowError(f"energy still decreasing at ψ = {psi_max}")
-    res = minimize_scalar(energy, bounds=(grid[max(k - 1, 0)], grid[k + 1]),
-                          method="bounded", options={"xatol": PSI_SEARCH_TOL})
+    bounds = (grid[max(k - 1, 0)], grid[min(k + 1, PSI_GRID_POINTS - 1)])
+    res = minimize_scalar(energy, bounds=bounds, method="bounded",
+                          options={"xatol": PSI_SEARCH_TOL})
     vals, vecs = np.linalg.eigh(matrix(res.x))
     n_tot = total_excitation(lat).toarray()
     n_val = float(np.real(vecs[:, 0].conj() @ n_tot @ vecs[:, 0]))
@@ -451,6 +447,60 @@ def no_jump_inverse(h_eff: np.ndarray, z: np.ndarray) -> np.ndarray:
     of a generator, from ``scipy.linalg.solve_sylvester`` on H_eff itself, with
     no Schur factor of the package and no stationary shift."""
     return scipy.linalg.solve_sylvester(h_eff, -h_eff.conj().T, 1j * z)
+
+
+@dataclass(frozen=True)
+class WeakDriveSeries:
+    """Coefficients of ξ^k, k = 0 … order, of ⟨a†a⟩ and ⟨a†²a²⟩ on one site in
+    the steady state of a weakly driven generator."""
+
+    n_photon: np.ndarray
+    num: np.ndarray
+
+    def g2(self, xi: float) -> float:
+        """g²(0) = ⟨a†²a²⟩ / ⟨a†a⟩² at drive ξ, from the truncated series."""
+        powers = xi ** np.arange(self.n_photon.size)
+        return float(self.num @ powers / (self.n_photon @ powers) ** 2)
+
+
+def weak_drive_series(undriven: Liouvillian, unit_drive: Liouvillian, space: LatticeSpace,
+                      site: int, order: int) -> WeakDriveSeries:
+    """The steady state of L₀ + ξL₁ as a power series in ξ, with L₀ the
+    generator ``undriven`` (drive off) and L₁ = ``unit_drive`` - L₀, the drive
+    term at ξ = 1 (the same rotating frame).
+
+    The series ρ = Σ_k ξ^k ρ_k solves L₀ρ₀ = 0 with tr ρ₀ = 1 and
+    L₀ρ_k = -L₁ρ_{k-1} with tr ρ_k = 0.  Each is one solve with a single sparse
+    LU of the assembled L₀ bordered by -s|I/d⟩⟨tr| (``steady_state``'s border,
+    s = ``undriven.scale()``).  The drive flips sign under a → -a, so ⟨a†a⟩
+    has even orders only, from k = 2, and ⟨a†²a²⟩ even orders from k = 4.
+    Only those orders are summed: the others vanish exactly, and their
+    roundoff would swamp the ξ⁴ two-photon populations a weak-drive g²(0)
+    rests on.  No Krylov solve and no refinement are involved.
+    """
+    d = undriven.dim
+    l0 = undriven.matrix
+    l1 = unit_drive.matrix - l0
+    diag = np.arange(d) * (d + 1)                       # the ρ_ii of vec(ρ)
+    scale = undriven.scale()
+    border = sp.csr_matrix((np.full(d * d, scale / d), (np.repeat(diag, d), np.tile(diag, d))),
+                           shape=l0.shape)
+    lu = spla.splu((l0 - border).tocsc())
+    source = np.zeros(d * d, dtype=np.complex128)
+    source[diag] = -scale / d
+    rho = lu.solve(source)
+    a = photon_op_on(space, site, annihilation(space.sites[site]))
+    a_dag = a.getH()
+    # tr(Aρ) = vec(Aᵀ)·vec(ρ) for the row-major vec(ρ)
+    n_row, num_row = ((op.T.toarray().reshape(-1)) for op in (a_dag @ a, a_dag @ a_dag @ a @ a))
+    n_photon, num = np.zeros(order + 1), np.zeros(order + 1)
+    for k in range(1, order + 1):
+        rho = lu.solve(-(l1 @ rho))
+        if k % 2 == 0:
+            n_photon[k] = (n_row @ rho).real
+            if k >= 4:
+                num[k] = (num_row @ rho).real
+    return WeakDriveSeries(n_photon=n_photon, num=num)
 
 
 @dataclass(frozen=True)

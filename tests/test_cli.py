@@ -177,6 +177,11 @@ class TestRunStatus:
         assert [r["abs_err"] for r in rows] == ["nan"] * len(rows)
         assert capsys.readouterr().err == ""
 
+    def test_shipped_schema_is_valid_against_its_metaschema(self):
+        # the commands validate every summary against it, but never check it
+        schema = cli.summary_schema()
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
     def test_summary_outside_the_schema_is_refused(self, tmp_path, monkeypatch):
         build = cli.build_summary
         monkeypatch.setattr(cli, "build_summary", lambda *args: dict(build(*args), extra=1))
@@ -190,6 +195,8 @@ class TestRunStatus:
 
 class TestDrivenMF:
     def test_repeat_runs_are_identical_and_verified(self, tmp_path):
+        from cqedlat.meanfield import PSI_TOL
+
         config = {"omega_r": 20.0, "g": 1.0, "zj_values": [1.0], "xi": 0.12, "gamma1": 0.06,
                   "kappa": 0.06, "drive_offset": 0.3, "seeds": [0.0, 1.5], "n_max": 4}
         rows, summary = run_twice(tmp_path, "driven-mf", config)
@@ -200,7 +207,7 @@ class TestDrivenMF:
         for fp in summary["convergence"]["fixed_points"]:
             assert fp["passed"] is True
             assert len(fp["residuals"]) == len(fp["stability_margins"]) == len(fp["branches"]) >= 1
-            assert all(r <= summary["config"]["psi_tol"] for r in fp["residuals"])
+            assert all(r <= PSI_TOL for r in fp["residuals"])
             assert all(m < 0 for m in fp["stability_margins"])
             dynamics = fp["dynamics"]
             assert sorted(dynamics) == ["control_intervals", "lu_factorizations", "rhs_calls"]
@@ -361,17 +368,19 @@ class TestMeanfieldLobes:
         assert self.lobes(tmp_path, z=4) == 1
         assert "config error at z: unknown key" in capsys.readouterr().err
 
-    def test_minimum_at_the_window_edge_exits_one(self, tmp_path, capsys):
-        assert self.lobes(tmp_path, zj_min=0.5, zj_max=2.0, psi_max=0.3) == 1
+    @pytest.mark.parametrize("cutoff_check, exit_code", [(True, 2), (False, 0)])
+    def test_superfluid_beyond_psi_three_reaches_the_cutoff_verdict(self, tmp_path, capsys,
+                                                                    cutoff_check, exit_code):
+        # near μ = ω_r at n_max 14 every ψ* lies above 3 and inside √14; a larger
+        # cutoff moves it further out, which the cutoff check reports
+        assert self.lobes(tmp_path, mu_min=9.5, mu_max=9.9, mu_points=3, zj_min=0.5,
+                          zj_max=1.0, zj_points=2, n_max=14,
+                          cutoff_check=cutoff_check) == exit_code
         err = capsys.readouterr().err
-        assert err.startswith("input error:") and "psi_max" in err
-        assert "Traceback" not in err
-
-    def test_window_edge_message_names_the_remedy(self, tmp_path, capsys):
-        # E(ψ) still falls at psi_max: the search walks to the edge and says what to enlarge
-        assert self.lobes(tmp_path, zj_min=0.5, zj_max=2.0, psi_max=0.3) == 1
-        assert "enlarge psi_max and the photon cutoff" in capsys.readouterr().err
-        assert not (tmp_path / "l.csv").exists()
+        assert ("convergence.cutoff_check.passed" in err) == (exit_code == 2)
+        with open(tmp_path / "l.csv", encoding="utf-8", newline="") as fh:
+            psi = [float(row["psi"]) for row in csv.DictReader(fh)]
+        assert len(psi) == 6 and all(3.0 < p < np.sqrt(14) for p in psi)
 
     def test_mott_probe_cell_passes_the_cutoff_check(self, tmp_path):
         # the probe cell in the middle of this grid (μ = 9.322, zJ = 0.111) is
@@ -459,6 +468,29 @@ class TestConfigValues:
         code = cli.main(argv + ["--output", str(tmp_path / "out.csv")])
         assert code == 1
         assert f"config error at {key}:" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("command, config, key", [
+        ("meanfield-lobes", TestMeanfieldLobes.CONFIG, "psi_max"),
+        ("driven-mf", {"omega_r": 20.0, "g": 1.0, "zj_values": [1.0], "xi": 0.1,
+                       "gamma1": 0.1}, "psi_tol"),
+    ])
+    def test_mean_field_search_settings_are_not_keys(self, tmp_path, capsys, command, config,
+                                                     key):
+        # the ψ window is the cutoff's bound √n_max, the residual bound a constant
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(dict(config, **{key: 3.0})), encoding="utf-8")
+        code = cli.main([command, "--config", str(config_path),
+                         "--output", str(tmp_path / "out.csv")])
+        assert code == 1
+        assert f"config error at {key}: unknown key" in capsys.readouterr().err
+        # the same setting as a flag is refused alike, not with argparse's exit 2
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        flag = f"--{key.replace('_', '-')}"
+        code = cli.main([command, "--config", str(config_path), flag, "3",
+                         "--output", str(tmp_path / "out.csv")])
+        assert code == 1
+        assert f"config error at {flag}: unknown option" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("command, config, key", [
@@ -552,5 +584,5 @@ print(json.dumps(out))
     def test_mean_field_errors_are_one_class_in_every_module(self):
         from cqedlat import lindblad, meanfield
 
-        for name in ("CutoffWindowError", "MeanFieldConvergenceError"):
-            assert getattr(meanfield, name) is getattr(lindblad, name) is getattr(cli, name)
+        assert (meanfield.MeanFieldConvergenceError is lindblad.MeanFieldConvergenceError
+                is cli.MeanFieldConvergenceError)

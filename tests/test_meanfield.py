@@ -31,7 +31,6 @@ from cqedlat.lindblad import (
 from cqedlat.meanfield import (
     CAPTURE_CONTRACTIONS,
     PSI_FLOOR,
-    CutoffWindowError,
     MeanFieldConvergenceError,
     _coherent_site_state,
     _DrivenSite,
@@ -134,10 +133,6 @@ class TestMinimization:
         res = minimize_order_parameter(JC0, WR - 1.5 * G, 0.001 * G, SiteSpace(6))
         assert res.psi < 1e-6
         assert res.n_polariton == pytest.approx(0.0, abs=1e-8)
-
-    def test_window_edge_error(self):
-        with pytest.raises(CutoffWindowError):
-            minimize_order_parameter(JC0, WR - 0.7 * G, 0.5 * G, SiteSpace(8), psi_max=0.5)
 
 
 class TestMottWindows:
@@ -301,15 +296,28 @@ class TestGlobalSearch:
     def test_response_ratio_is_nonincreasing(self, omega_r, g, detuning, mu_offset, n_max):
         # f(t) = ⟨X⟩ in the ground state of H_JC - μN - tX; dE/dψ = zJ(2ψ - f(zJψ)),
         # so f(t)/t nonincreasing leaves at most one stationary ψ > 0.  t runs up to
-        # zJ·psi_max with zJ ≤ g, the largest hopping the scans here reach
+        # zJ·√n_max, the edge of the ψ window, with zJ ≤ g, the largest hopping the
+        # scans here reach
         jc = JCParams(omega_r, omega_r - detuning * g, g)
         mu, space = omega_r + mu_offset * g, SiteSpace(n_max)
         h0, x = oracles.local_mf_hamiltonian(jc, mu, 0.0, 0.0, space).toarray(), site_x(space)
         vals = np.linalg.eigvalsh(h0)
         assume(vals[1] - vals[0] > 1e-6 * np.max(np.abs(vals)))     # nondegenerate ground state
-        t = np.linspace(0.0, g * meanfield.PSI_MAX, 61)[1:]
+        t = np.linspace(0.0, g * np.sqrt(n_max), 61)[1:]
         ratio = np.array([ground_response(h0 - s * x, x)[1] / s for s in t])
         assert np.all(np.diff(ratio) <= 1e-10 * np.max(np.abs(ratio)))
+
+    @settings(max_examples=60)
+    @given(omega_r=st.floats(5.0, 15.0), g=st.floats(0.5, 1.5), detuning=st.floats(-1.0, 1.0),
+           mu_offset=st.floats(-2.0, 2.0), zj=st.floats(1e-3, 10.0), n_max=st.integers(1, 15))
+    def test_energy_rises_at_the_window_edge(self, omega_r, g, detuning, mu_offset, zj, n_max):
+        # the ψ window ends at √n_max because |⟨a⟩|² ≤ ⟨a†a⟩ ≤ n_max in every state
+        # of the site: ⟨X⟩ < 2√n_max, so dE/dψ = zJ(2ψ - ⟨X⟩) > 0 at ψ = √n_max
+        # and the minimizer lies inside the window
+        jc = JCParams(omega_r, omega_r - detuning * g, g)
+        space, edge = SiteSpace(n_max), np.sqrt(n_max)
+        h = oracles.local_mf_hamiltonian(jc, omega_r + mu_offset * g, zj, edge, space).toarray()
+        assert 2.0 * edge - ground_response(h, site_x(space))[1] > 0
 
     @pytest.mark.parametrize("mu_lo, mu_hi, zj_hi, phases", [
         (WR - 1.3 * G, WR - 0.45 * G, 0.4 * G, {"Mott0", "Mott1", "SF"}),
@@ -366,7 +374,7 @@ class TestDrivenMeanField:
         rates = DissipationRates(gamma1=de, kappa=de)
         drive = DriveSpec(xi=0.01 * G, omega_d=WR - G)
         res = driven_mf_steady(jc, rates, drive, 0.0, seeds=(0.0,),
-                               space=SiteSpace(7), psi_tol=1e-10)
+                               space=SiteSpace(7))
         space = LatticeSpace.uniform(1, 7)
         model = DrivenLattice(LatticeParams.single_site(jc), space, rates)
         rho = steady_state(model.generator(drive.xi, drive.omega_d))
@@ -605,7 +613,7 @@ class TestDrivenRootFinding:
         space, zj = DRIVEN_POINT["space"], DRIVEN_POINT["zj"]
         d = space.dim
         a = photon_op_on(LatticeSpace((space,)), 0, "a").toarray()
-        root = site.newton(0.17 - 0.03j, 1e-10, [])
+        root = site.newton(0.17 - 0.03j, [])
         assert root is not None
         unit = -(site.liouv0.scale() / d) * np.eye(d).reshape(-1)    # -s vec(I/d)
         for psi in (0.0, root.psi, 0.3 - 0.2j):
@@ -632,7 +640,7 @@ class TestDrivenRootFinding:
         site = _DrivenSite(**DRIVEN_POINT)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert site.newton(0.17 - 0.03j, 1e-8, []) is None
+            assert site.newton(0.17 - 0.03j, []) is None
             with pytest.raises(MeanFieldConvergenceError):
                 driven_mf_steady(**DRIVEN_POINT, seeds=(0.0,))
 
@@ -669,7 +677,7 @@ class TestDrivenRootFinding:
         space, zj = DRIVEN_POINT["space"], DRIVEN_POINT["zj"]
         d = space.dim
         a = photon_op_on(LatticeSpace((space,)), 0, "a").toarray()
-        root = site.newton(0.2127606739395293 - 0.01901825151267915j, 1e-8, [])
+        root = site.newton(0.2127606739395293 - 0.01901825151267915j, [])
         assert root is not None
         assert abs(root.psi - (0.174278 - 0.026888j)) <= 1e-6
         assert root.margin < 0
@@ -695,7 +703,7 @@ class TestDrivenRootFinding:
     def test_stability_margins_match_finite_differences(self):
         site = _DrivenSite(**BISTABLE_POINT)
         roots = []
-        low, middle, high = (site.newton(psi, 1e-10, roots)
+        low, middle, high = (site.newton(psi, roots)
                              for psi in (0.05, 0.37 - 0.1j, -0.4 - 0.13j))
         assert len(roots) == 3
         assert abs(low.psi) < 0.05 and 0.37 < abs(middle.psi) < 0.39 < abs(high.psi)

@@ -59,43 +59,30 @@ def wrapped(owner, name: str, make):
 
 def per_seed_counts() -> list[dict[str, int]]:
     """Control intervals, DOP853 steps, RHS calls and LU factorizations of each
-    seed of one call."""
-    counts: list[dict[str, int]] = []
-
-    def new_seed(original):
-        def start(*args):
-            counts.append({"intervals": 0, "steps": 0, "rhs_calls": 0, "lu": 0})
-            return original(*args)
-        return start
+    seed of one call.  The result records all but the steps; those are counted
+    per control interval through ``meanfield.RK45`` and summed over each seed's
+    ``control_intervals``."""
+    interval_steps: list[int] = []      # DOP853 steps of every control interval, in order
 
     def counting_solver(original):
         class Counting(original):
             def __init__(self, *args, **kwargs):
-                counts[-1]["intervals"] += 1
+                interval_steps.append(0)
                 super().__init__(*args, **kwargs)
 
             def step(self):
-                counts[-1]["steps"] += 1
+                interval_steps[-1] += 1
                 return super().step()
         return Counting
 
-    def counting_rhs(original):
-        def rhs(self, t, y):
-            counts[-1]["rhs_calls"] += 1
-            return original(self, t, y)
-        return rhs
-
-    def counting_lu(original):
-        def lu_factor(*args, **kwargs):
-            counts[-1]["lu"] += 1
-            return original(*args, **kwargs)
-        return lu_factor
-
-    with (wrapped(meanfield, "_coherent_site_state", new_seed),
-          wrapped(meanfield, "RK45", counting_solver),
-          wrapped(meanfield._DrivenSite, "rhs", counting_rhs),
-          wrapped(meanfield, "lu_factor", counting_lu)):
-        run()
+    with wrapped(meanfield, "RK45", counting_solver):
+        result = run()
+    counts, start = [], 0
+    for intervals, calls, lu in zip(result.control_intervals, result.rhs_calls,
+                                    result.lu_factorizations):
+        steps = sum(interval_steps[start:start + intervals])
+        counts.append({"intervals": intervals, "steps": steps, "rhs_calls": calls, "lu": lu})
+        start += intervals
     return counts
 
 

@@ -31,7 +31,12 @@ is NaN at both cutoffs.  ``meanfield-lobes`` carries a ``cutoff_filling``
 check, which lists every Mott cell whose filling N reaches ``n_max``: such a
 lobe is made by the photon cutoff.  Each ``driven-mf`` fixed-point entry
 also carries ``dynamics``, the per-seed control intervals, right-hand-side
-calls and LU factorizations of the run: counts, not a check.
+calls and LU factorizations of the run: counts, not a check.  So does the
+``krylov`` entry of ``blockade-scan`` and ``dimer-g2``: the Krylov steps of
+their steady-state solves, the largest refinement residual, and the
+dimensions of the diagonal blocks the solves ran on (``block_dims``: [[14]]
+for one JC site at n_max 6, [[36, 28]] for the mirror-symmetric dimer at
+n_max 3).
 
 Exit codes: 0 success, 1 input error, 2 numerical non-convergence.  A run
 whose summary reports a failed check (``passed`` or
@@ -324,18 +329,20 @@ def _g2_check(values: list[float]) -> dict[str, Any]:
     return {"min_g2": low, "passed": not low < 0}
 
 
-def _krylov_summary(stats: list[KrylovStats]) -> dict[str, float]:
+def _krylov_summary(stats: list[KrylovStats]) -> dict[str, Any]:
     """The Krylov steps of the first and of the refinement GMRES solve of every
-    steady state a run solves, its cutoff check's included, and the largest
-    refinement residual.  Informational: a residual above
-    ``STEADY_REFINE_RTOL`` shows a stalled refinement, which the
+    steady state a run solves, its cutoff check's included, the largest
+    refinement residual, and the block dimensions the solves ran on, each
+    distinct list once in order of first use.  Informational: a residual
+    above ``STEADY_REFINE_RTOL`` shows a stalled refinement, which the
     generator-residual bound of the steady state judges, so there is no
     ``passed`` key."""
     first = [s.steps for s in stats]
     refine = [s.refine_steps for s in stats]
     return {"max_steps": max(first), "mean_steps": sum(first) / len(first),
             "max_refine_steps": max(refine), "mean_refine_steps": sum(refine) / len(refine),
-            "max_refine_residual": max(s.refine_residual for s in stats)}
+            "max_refine_residual": max(s.refine_residual for s in stats),
+            "block_dims": [list(dims) for dims in dict.fromkeys(s.block_dims for s in stats)]}
 
 
 def _cmd_jc_spectrum(config: dict[str, Any]):

@@ -30,8 +30,14 @@ batch of generators with one jump set at once: every member keeps its own
 Krylov iteration and its own checks, while each step costs one batched call
 for all of them, so a scan pays the interpreter cost of a step once per batch
 of ω_d points and not once per point.  :func:`steady_state` is the batch of
-one.  The d²×d² superoperator, in row-major (C-order) vectorization
-vec(AρB) = (A ⊗ Bᵀ)vec(ρ), is assembled only on demand
+one.  The solver's state is a list of diagonal blocks.  When the site mirror
+π(i) = n - 1 - i maps the driven model to itself (:class:`DrivenLattice`),
+the generator commutes with ρ ↦ PρP for the permutation P of occupation
+states that π induces, and the steady state is solved on P's even and odd
+blocks: 36² + 28² unknowns in place of 64² for the driven dimer at
+n_max = 3.  Every other model, every single site among them, is one block,
+the occupation basis itself.  The d²×d² superoperator, in row-major (C-order)
+vectorization vec(AρB) = (A ⊗ Bᵀ)vec(ρ), is assembled only on demand
 (:attr:`Liouvillian.matrix`): the driven mean field integrates and factors it,
 and the tests use it as an oracle.  ``blockade-scan``,
 ``dimer-g2`` and ``driven-mf`` all reach this module through
@@ -41,6 +47,7 @@ lineshape; those routes are test oracles.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -155,10 +162,13 @@ class _JumpSet:
 
     ``stack_conj`` is the conjugate of [C₁; …; C_k] (kd×d) and ``row`` is
     [C₁ … C_k] (d×kd), so that Σ_c C_c ρ C_c† takes two sparse products and
-    Σ_c C_c†C_c one, for any k.
+    Σ_c C_c†C_c one, for any k.  ``mirror`` is the permutation P of the basis
+    states under which the jump sum is covariant, or None; ``blocks`` are the
+    diagonal blocks a steady state is solved on: P's even and odd blocks, or
+    the whole occupation basis as one block (``occupation``).
     """
 
-    def __init__(self, jumps: Sequence[sp.spmatrix], d: int):
+    def __init__(self, jumps: Sequence[sp.spmatrix], d: int, mirror: np.ndarray | None = None):
         self.jumps = tuple(sp.csr_matrix(c, dtype=np.complex128) for c in jumps)
         self.k = len(self.jumps)
         empty = sp.csr_matrix((0, d), dtype=np.complex128)
@@ -168,25 +178,147 @@ class _JumpSet:
         self.loss = (stack.getH() @ stack).toarray()                 # Σ_c C_c†C_c
         diag = np.array([c.diagonal() for c in self.jumps]).reshape(self.k, d)
         self.diag = diag.T @ diag.conj()                             # Σ_c C_c,ii C̄_c,jj
+        self.occupation = _Blocks(None, (d,), [[self.k]], [self.stack_conj], [self.row])
+        self.mirror = mirror
+        self.blocks = self.occupation
+        if mirror is not None:
+            self.blocks = _Blocks.mirror(self.jumps, mirror)
+
+
+class _Blocks:
+    """The diagonal blocks of the state a steady state is solved on.
+
+    Block a is spanned by ``dims[a]`` consecutive columns of the real
+    orthogonal ``basis`` U (None: the occupation basis itself, as the one
+    block of a model without a mirror); ``spans`` are their column ranges.
+    The jumps enter as their blocks C^ab_c, the rows of block a and the
+    columns of block b of Uᵀ C_c U, with the ones that vanish left out:
+    ``counts[a][b]`` of them go from block b to block a.  ``sources[b]`` is
+    the conjugate of the C^ab_c stacked over a and c, and ``targets[a]`` the
+    C^ab_c side by side over b and c, so that block a of the jump sum,
+    Σ_b Σ_c C^ab_c ρ_b C^ab_c†, takes one sparse product per block for the
+    sources and one for the targets (:func:`_jump_sum`).  For one block
+    these are the stacks of :class:`_JumpSet`.
+    """
+
+    def __init__(self, basis: np.ndarray | None, dims: tuple[int, ...],
+                 counts: list[list[int]], sources: list[sp.csr_matrix],
+                 targets: list[sp.csr_matrix]):
+        self.basis, self.dims, self.counts = basis, dims, counts
+        self.spans = [(int(hi - d), int(hi)) for d, hi in zip(dims, np.cumsum(dims))]
+        self.sources, self.targets = sources, targets
+
+    @classmethod
+    def mirror(cls, jumps: Sequence[sp.csr_matrix], mirror: np.ndarray) -> _Blocks:
+        """The even and odd blocks of the basis permutation ``mirror``: the
+        states it fixes and (|s⟩ + |πs⟩)/√2, then (|s⟩ - |πs⟩)/√2.
+
+        The mirror image P C P of a jump, (PCP)_ij = C_{πi,πj}, must be a jump
+        too.  Its blocks C^ab equal those of C on the diagonal and are their
+        negatives off it, so on a state with ρ = PρP the pair (C, PCP) adds
+        twice what C adds: only C enters, weighted by √2.  A jump that is its
+        own image enters alone and has no blocks off the diagonal.  For the
+        driven dimer at n_max = 3 that leaves 280 entries, against 160 in the
+        occupation basis and 560 for every jump.
+        """
+        d = len(mirror)
+        index = np.arange(d)
+        orbit = index[mirror >= index]              # the first state of each orbit {s, πs}
+        pair = orbit[mirror[orbit] != orbit]
+        dims = (orbit.size, pair.size)
+        # |s⟩ = Σ_a weight[a, s] |state place[a, s] of block a⟩
+        place, weight = np.zeros((2, d), dtype=int), np.zeros((2, d))
+        for a, states in enumerate((orbit, pair)):
+            place[a, states] = place[a, mirror[states]] = np.arange(states.size)
+        weight[0, orbit] = weight[0, mirror[orbit]] = np.where(mirror[orbit] == orbit, 1.0,
+                                                               math.sqrt(0.5))
+        weight[1, pair], weight[1, mirror[pair]] = math.sqrt(0.5), -math.sqrt(0.5)
+        basis = np.zeros((d, d))
+        basis[index, place[0]] = weight[0]
+        basis[index, dims[0] + place[1]] += weight[1]
+
+        def key(rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> bytes:
+            order = np.lexsort((cols, rows))
+            return b"".join(x[order].tobytes() for x in (rows.astype(int), cols.astype(int), values))
+
+        entries = [c.tocoo() for c in jumps]
+        position = {key(e.row, e.col, e.data): k for k, e in enumerate(entries)}
+        parts: list[list[list[sp.csr_matrix]]] = [[[], []], [[], []]]   # the nonzero C^ab_c
+        paired: set[int] = set()
+        for k, e in enumerate(entries):
+            if k in paired:
+                continue
+            image = position.get(key(mirror[e.row], mirror[e.col], e.data))
+            if image is None or image in paired:
+                raise ValueError("the jumps are not covariant under the mirror")
+            paired.update((k, image))
+            factor = 1.0 if image == k else math.sqrt(2.0)
+            for a, b in itertools.product(range(2), range(2)):
+                block = sp.csr_matrix((factor * weight[a, e.row] * e.data * weight[b, e.col],
+                                       (place[a, e.row], place[b, e.col])), shape=(dims[a], dims[b]))
+                block.eliminate_zeros()
+                if block.nnz:
+                    parts[a][b].append(block)
+        sources = [sp.vstack([p for row in parts for p in row[b]]
+                             or [sp.csr_matrix((0, dims[b]), dtype=np.complex128)],
+                             format="csr").conj() for b in range(2)]
+        targets = [sp.hstack([p for ps in parts[a] for p in ps]
+                             or [sp.csr_matrix((dims[a], 0), dtype=np.complex128)],
+                             format="csr") for a in range(2)]
+        counts = [[len(ps) for ps in row] for row in parts]
+        return cls(basis, dims, counts, sources, targets)
 
     @cached_property
-    def extended(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """``stack_conj`` and ``row`` in extended precision (``np.clongdouble``)."""
-        return self.stack_conj.astype(np.clongdouble), self.row.astype(np.clongdouble)
+    def extended(self) -> tuple[list[sp.csr_matrix], list[sp.csr_matrix]]:
+        """``sources`` and ``targets`` in extended precision (``np.clongdouble``)."""
+        return ([c.astype(np.clongdouble) for c in self.sources],
+                [c.astype(np.clongdouble) for c in self.targets])
+
+    def of(self, h: np.ndarray) -> list[np.ndarray]:
+        """The diagonal blocks U_aᵀ h U_a of an (m, d, d) stack h."""
+        if self.basis is None:
+            return [h]
+        return [self.basis[:, lo:hi].T @ h @ self.basis[:, lo:hi] for lo, hi in self.spans]
+
+    def join(self, x: Sequence[np.ndarray]) -> np.ndarray:
+        """The (m, d, d) stack Σ_a U_a x_a U_aᵀ of the block stacks x."""
+        if self.basis is None:
+            return x[0]
+        return sum(self.basis[:, lo:hi] @ x_a @ self.basis[:, lo:hi].T
+                   for (lo, hi), x_a in zip(self.spans, x))
+
+    def jump_sum(self, x: Sequence[np.ndarray], extended: bool = False) -> list[np.ndarray]:
+        """The blocks of Σ_c C_c ρ C_c† for the block stacks x of ρ, with the
+        jumps in extended precision if ``extended``.  The jump sum is
+        P-covariant, so the blocks off the diagonal, which are not formed,
+        vanish."""
+        sources, targets = self.extended if extended else (self.sources, self.targets)
+        return _jump_sum(sources, targets, self.counts, x)
 
 
-def _jump_sum(stack_conj: sp.csr_matrix, row: sp.csr_matrix, r: np.ndarray) -> np.ndarray:
-    """Σ_c C_c ρ C_c† for every ρ of the (m, d, d) stack ``r``, by two sparse
-    products for all m and all channels.
+def _jump_sum(sources: Sequence[sp.csr_matrix], targets: Sequence[sp.csr_matrix],
+              counts: Sequence[Sequence[int]], x: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Block a of Σ_c C_c ρ C_c†, Σ_b Σ_c C^ab_c ρ_b C^ab_c†, for every ρ of
+    the (m, d_b, d_b) block stacks x, with the jump stacks of :class:`_Blocks`:
+    two sparse products per block for all m and all channels.
 
-    C ρ C† = C (C̄ρᵀ)ᵀ: the ρ_mᵀ stand side by side as the d×md right-hand side
-    of ``stack_conj``, and the blocks C̄_c ρ_mᵀ, transposed, as that of ``row``.
+    C ρ C† = C (C̄ρᵀ)ᵀ: the ρ_mᵀ of block b stand side by side as the
+    d_b×md_b right-hand side of ``sources[b]``, and the blocks C̄ρ_mᵀ,
+    transposed and gathered over b, as that of ``targets[a]``.
     """
-    m, d, _ = r.shape
-    k = row.shape[1] // d
-    blocks = stack_conj @ r.transpose(2, 0, 1).reshape(d, m * d)
-    blocks = blocks.reshape(k, d, m, d).transpose(0, 3, 2, 1).reshape(k * d, m * d)
-    return (row @ blocks).reshape(d, m, d).transpose(1, 0, 2)
+    m = len(x[0])
+    dims = [x_b.shape[1] for x_b in x]
+    pieces: list[list[np.ndarray]] = [[] for _ in x]
+    for b, (stack_conj, x_b, d) in enumerate(zip(sources, x, dims)):
+        blocks = stack_conj @ x_b.transpose(2, 0, 1).reshape(d, m * d)
+        lo = 0
+        for a, d_out in enumerate(dims):
+            k = counts[a][b]
+            pieces[a].append(blocks[lo:lo + k * d_out].reshape(k, d_out, m, d)
+                             .transpose(0, 3, 2, 1).reshape(k * d, m * d_out))
+            lo += k * d_out
+    return [(row @ (p[0] if len(p) == 1 else np.concatenate(p))).reshape(d, m, d).transpose(1, 0, 2)
+            for row, p, d in zip(targets, pieces, dims)]
 
 
 def _apply(h_eff: np.ndarray, h_adj: np.ndarray, jumps: _JumpSet, r: np.ndarray) -> np.ndarray:
@@ -195,7 +327,7 @@ def _apply(h_eff: np.ndarray, h_adj: np.ndarray, jumps: _JumpSet, r: np.ndarray)
     out = h_eff @ r
     out -= r @ h_adj
     out *= -1j
-    out += _jump_sum(jumps.stack_conj, jumps.row, r)
+    out += jumps.occupation.jump_sum([r])[0]
     return out
 
 
@@ -212,11 +344,18 @@ class Liouvillian:
     Σ_c C_c†C_c and their extended-precision copies, so a scan builds them
     once.  A generator that does not preserve the trace, e.g. one with a
     non-Hermitian ``h_rot``, is refused.
+
+    ``mirror``, an involutive permutation π of the basis states (P|s⟩ = |πs⟩),
+    declares a symmetry: P H_rot P = H_rot, and P C P is one of the jumps for
+    every jump C.  Both are checked, the first for every ``h_rot`` of
+    :meth:`with_hamiltonian` too.  :func:`steady_states` then solves on P's
+    even and odd blocks.  :class:`DrivenLattice` finds its site mirror.
     """
 
-    def __init__(self, h_rot: np.ndarray | sp.spmatrix, jumps: Sequence[sp.spmatrix]):
+    def __init__(self, h_rot: np.ndarray | sp.spmatrix, jumps: Sequence[sp.spmatrix],
+                 mirror: np.ndarray | None = None):
         h = _square(h_rot)
-        self._init(h, _JumpSet(jumps, h.shape[0]))
+        self._init(h, _JumpSet(jumps, h.shape[0], mirror))
 
     def with_hamiltonian(self, h_rot: np.ndarray | sp.spmatrix) -> Liouvillian:
         """The generator of ``h_rot`` with the jumps of this one, sharing their data."""
@@ -235,6 +374,10 @@ class Liouvillian:
         defect = self.trace_preservation_defect()
         if defect > TRACE_PRESERVATION_RTOL:
             raise ValueError(f"generator does not preserve the trace: defect {defect:.3e}")
+        self.mirror = mirror = jump_set.mirror
+        if mirror is not None and (np.max(np.abs(self.h_rot[np.ix_(mirror, mirror)] - self.h_rot))
+                                   > TRACE_PRESERVATION_RTOL * self.scale()):
+            raise ValueError("Hamiltonian is not symmetric under the mirror of its jumps")
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
@@ -293,9 +436,10 @@ def collapse_operators(rates: DissipationRates, space: LatticeSpace) -> list[sp.
             for rate, n, ops in channels if rate > 0]
 
 
-def build_liouvillian(h: sp.csr_matrix, rates: DissipationRates,
-                      space: LatticeSpace) -> Liouvillian:
-    """The undriven master-equation generator of the lattice Hamiltonian ``h``.
+def build_liouvillian(h: sp.csr_matrix, rates: DissipationRates, space: LatticeSpace,
+                      mirror: np.ndarray | None = None) -> Liouvillian:
+    """The undriven master-equation generator of the lattice Hamiltonian ``h``,
+    with the basis ``mirror`` of :class:`Liouvillian`.
 
     A drive enters through :meth:`DrivenLattice.generator`, which starts from
     this generator.  A non-Hermitian ``h`` is refused by the
@@ -304,7 +448,7 @@ def build_liouvillian(h: sp.csr_matrix, rates: DissipationRates,
     d = space.total_dim
     if h.shape != (d, d):
         raise ValueError(f"Hamiltonian shape {h.shape} does not match space dim {d}")
-    return Liouvillian(h, collapse_operators(rates, space))
+    return Liouvillian(h, collapse_operators(rates, space), mirror)
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +476,26 @@ def _no_jump_schur(h_eff: np.ndarray, stationary_rate: float) -> tuple[np.ndarra
     return t, q
 
 
+def _sweeps(h_eff: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Q, Q†, 1 ⊘ D, N and N† of :class:`_BorderedBatch` for the (m, d, d)
+    stack ``h_eff`` of one block, from :func:`_no_jump_schur`."""
+    t, q = zip(*(_no_jump_schur(h, s) for h, s in zip(h_eff, scale)))
+    t, q = np.stack(t), np.stack(q)
+    lam = np.diagonal(t, axis1=1, axis2=2)
+    upper = np.triu(t, 1)
+    return (q, q.conj().transpose(0, 2, 1), 1.0 / (lam[:, :, None] - lam.conj()[:, None, :]),
+            upper, upper.conj().transpose(0, 2, 1))
+
+
 class _BorderedBatch:
     """The right-preconditioned bordered operators u ↦ (L_m - s_m|I/d⟩⟨tr|) P_m u
-    of a batch of generators L_m with one dimension and one jump set.
+    of a batch of generators L_m with one dimension and one jump set, on the
+    diagonal blocks ``blocks`` (by default the whole space as one block).
 
     s_m is :meth:`Liouvillian.scale` and P_m an approximate inverse of L_m's
-    no-jump part, taken in the Schur basis of :func:`_no_jump_schur`.  There
-    the no-jump part is W ↦ -i(S_D + S_N)W, with T = diag(T) + N, the divisor
+    no-jump part, taken block by block in the Schur basis of
+    :func:`_no_jump_schur`.  There the no-jump part of a block is
+    W ↦ -i(S_D + S_N)W, with T = diag(T) + N, the divisor
     D_ij = t_ii - t̄_jj, S_D W = D ∘ W and S_N W = N W - W N†.  P_m takes two
     sweeps, the first two terms of (S_D + S_N)⁻¹ = S_D⁻¹(I + S_N S_D⁻¹)⁻¹:
     W₀ = C ⊘ D and W = W₀ - S_N(W₀) ⊘ D, for C = i Q†UQ and P_m u = Q W Q†.
@@ -354,71 +511,104 @@ class _BorderedBatch:
     1.5e-8).  A second correction sweep took 2324, 1% fewer, for two more
     d×d products per application.
 
-    Called as ``op(members, u)``, with ``members`` an int array of batch
-    positions and u one vec(ρ) row per member, it is the ``matvec`` of
-    :func:`_gmres`.  Every product is batched over the members, the
-    preconditioner and the jump sum included.
+    A state is a list of block stacks, one (m, d_a, d_a) array per block, and
+    a vector u is the vec of every block in turn (``bounds``), ``size``
+    entries per member.  Called as ``op(members, u)``, with ``members`` an int
+    array of batch positions and u one vector per member, it is the
+    ``matvec`` of :func:`_gmres`.  Every product is batched over the members,
+    the preconditioner and the jump sum included.
     """
 
-    def __init__(self, generators: Sequence[Liouvillian]):
-        self.jumps = generators[0]._jump_set
-        if any(g._jump_set is not self.jumps for g in generators):
+    def __init__(self, generators: Sequence[Liouvillian], blocks: _Blocks | None = None):
+        jumps = generators[0]._jump_set
+        if any(g._jump_set is not jumps for g in generators):
             raise ValueError("a batch of generators must share one jump set")
-        self.dim = d = generators[0].dim
+        self.blocks = blocks or jumps.occupation
+        self.dim = generators[0].dim
+        self.dims = self.blocks.dims
         self.scale = np.array([g.scale() for g in generators])
-        self.h_eff = np.stack([g.h_eff for g in generators])
-        self.h_adj = self.h_eff.conj().transpose(0, 2, 1)
-        t, q = zip(*(_no_jump_schur(g.h_eff, s) for g, s in zip(generators, self.scale)))
-        t, self.q = np.stack(t), np.stack(q)
-        self.q_h = self.q.conj().transpose(0, 2, 1)
-        lam = np.diagonal(t, axis1=1, axis2=2)
-        self.inv_divisor = 1.0 / (lam[:, :, None] - lam.conj()[:, None, :])   # 1 ⊘ D
-        self.upper = np.triu(t, 1)                                           # N
-        self.upper_h = self.upper.conj().transpose(0, 2, 1)                  # N†
-        self.diagonal = slice(None, None, d + 1)              # the ρ_ii of vec(ρ)
+        self.h_eff = self.blocks.of(np.stack([g.h_eff for g in generators]))
+        self.h_adj = [h.conj().transpose(0, 2, 1) for h in self.h_eff]
+        self.sweeps = [_sweeps(h, self.scale) for h in self.h_eff]
+        ends = np.cumsum([d * d for d in self.dims])
+        self.bounds = [(int(lo), int(hi)) for lo, hi in zip(np.r_[0, ends[:-1]], ends)]
+        self.size = int(ends[-1])
+        # the ρ_ii of each block in the vector
+        self.diagonal = [slice(lo, hi, d + 1) for (lo, hi), d in zip(self.bounds, self.dims)]
 
-    def precondition(self, members: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """P_m u_m as an (m, d, d) stack: W₀ = C ⊘ D, W = W₀ - (N W₀ - W₀ N†) ⊘ D
-        with C = i Q†UQ, and P_m u = Q W Q†."""
-        q, q_h, inv_divisor = self.q[members], self.q_h[members], self.inv_divisor[members]
-        w = q_h @ u.reshape(-1, self.dim, self.dim) @ q
-        w *= 1j
-        w *= inv_divisor
-        w -= (self.upper[members] @ w - w @ self.upper_h[members]) * inv_divisor
-        return q @ w @ q_h
+    def precondition(self, members: np.ndarray, u: np.ndarray) -> list[np.ndarray]:
+        """The block stacks of P_m u_m: W₀ = C ⊘ D, W = W₀ - (N W₀ - W₀ N†) ⊘ D
+        with C = i Q†UQ, and P_m u = Q W Q†, block by block."""
+        out = []
+        for (lo, hi), d, sweeps in zip(self.bounds, self.dims, self.sweeps):
+            q, q_h, inv_divisor, upper, upper_h = _rows(sweeps, members)
+            w = q_h @ u[:, lo:hi].reshape(-1, d, d) @ q
+            w *= 1j
+            w *= inv_divisor
+            w -= (upper @ w - w @ upper_h) * inv_divisor
+            out.append(q @ w @ q_h)
+        return out
 
-    def apply(self, members: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """L_m x_m as an (m, d, d) stack."""
-        return _apply(self.h_eff[members], self.h_adj[members], self.jumps, x)
+    def apply(self, members: np.ndarray, x: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """The block stacks of L_m x_m for the block stacks x."""
+        out = []
+        for h, h_adj, x_a, jump_a in zip(self.h_eff, self.h_adj, x, self.blocks.jump_sum(x)):
+            h, h_adj = _rows((h, h_adj), members)
+            y = h @ x_a
+            y -= x_a @ h_adj
+            y *= -1j
+            y += jump_a
+            out.append(y)
+        return out
+
+    def apply_extended(self, x: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """The block stacks of L_m x_m for every member, accumulated in extended
+        precision (``np.clongdouble``; 80-bit on x86).
+
+        Sparse products keep this cheap: the H_eff blocks of all members form
+        one block-diagonal matrix per block, ρH† = (H̄ρᵀ)ᵀ, and the jumps,
+        converted once per jump set, act as in :func:`_jump_sum`.
+        """
+        r = [x_a.astype(np.clongdouble) for x_a in x]
+        out = []
+        for h_eff, r_a, jump_a in zip(self.h_eff, r, self.blocks.jump_sum(r, extended=True)):
+            m, d, _ = r_a.shape
+            member, i, j = np.nonzero(h_eff)
+            h = sp.csr_matrix((h_eff[member, i, j].astype(np.clongdouble),
+                               (member * d + i, member * d + j)), shape=(m * d, m * d))
+            y = (h @ r_a.reshape(m * d, d)).reshape(m, d, d)
+            y -= (h.conj() @ r_a.transpose(0, 2, 1).reshape(m * d, d)).reshape(m, d, d).transpose(0, 2, 1)
+            y *= -1j
+            y += jump_a
+            out.append(y)
+        return out
 
     def __call__(self, members: np.ndarray, u: np.ndarray) -> np.ndarray:
         x = self.precondition(members, u)
-        y = self.apply(members, x).reshape(len(x), -1)
-        y[:, self.diagonal] -= (self.scale[members] / self.dim
-                                * np.trace(x, axis1=1, axis2=2))[:, None]
+        y = _vec(self.apply(members, x))
+        border = (self.scale[members] / self.dim * _trace(x))[:, None]
+        for diagonal in self.diagonal:
+            y[:, diagonal] -= border
         return y
 
 
-def _apply_extended(generators: Sequence[Liouvillian], x: np.ndarray) -> np.ndarray:
-    """L_m ρ_m for the generators L_m of one jump set and the (m, d, d) stack
-    ``x`` of the ρ_m, accumulated in extended precision (``np.clongdouble``;
-    80-bit on x86).
+def _rows(arrays: Sequence[np.ndarray], members: np.ndarray) -> Sequence[np.ndarray]:
+    """The entries of each of the stacks ``arrays`` for the sorted batch
+    positions ``members``, with no copy when they are all of them."""
+    return arrays if len(members) == len(arrays[0]) else [a[members] for a in arrays]
 
-    Sparse products keep this cheap: the H_eff of all members form one
-    block-diagonal matrix, ρH† = (H̄ρᵀ)ᵀ, and the jumps, converted once per jump
-    set, act as in :func:`_jump_sum`.
-    """
-    m, d, _ = x.shape
-    h_eff = np.stack([g.h_eff for g in generators])
-    member, i, j = np.nonzero(h_eff)
-    h = sp.csr_matrix((h_eff[member, i, j].astype(np.clongdouble),
-                       (member * d + i, member * d + j)), shape=(m * d, m * d))
-    r = x.astype(np.clongdouble)
-    out = (h @ r.reshape(m * d, d)).reshape(m, d, d)
-    out -= (h.conj() @ r.transpose(0, 2, 1).reshape(m * d, d)).reshape(m, d, d).transpose(0, 2, 1)
-    out *= -1j
-    out += _jump_sum(*generators[0]._jump_set.extended, r)
-    return out
+
+def _vec(x: Sequence[np.ndarray]) -> np.ndarray:
+    """The vectors, one row per member, of the block stacks x (a view for one block)."""
+    if len(x) == 1:
+        return x[0].reshape(len(x[0]), -1)
+    return np.concatenate([x_a.reshape(len(x_a), -1) for x_a in x], axis=1)
+
+
+def _trace(x: Sequence[np.ndarray]) -> np.ndarray:
+    """tr x_m of every member, summed over the block stacks x."""
+    traces = [np.trace(x_a, axis1=1, axis2=2) for x_a in x]
+    return sum(traces[1:], traces[0])
 
 
 def _givens(f: complex, g: float) -> tuple[float, complex, complex]:
@@ -539,12 +729,14 @@ def _gmres(matvec, b: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray, 
 class KrylovStats:
     """Krylov steps and final relative residuals of the two GMRES solves behind
     one steady state: the first, to ``STEADY_GMRES_RTOL``, and the refinement,
-    to ``STEADY_REFINE_RTOL``."""
+    to ``STEADY_REFINE_RTOL``; and the dimensions of the diagonal blocks they
+    ran on (:func:`steady_states`)."""
 
     steps: int
     refine_steps: int
     residual: float
     refine_residual: float
+    block_dims: tuple[int, ...]
 
 
 class SteadyState(DensityMatrix):
@@ -580,6 +772,17 @@ def steady_states(generators: Sequence[Liouvillian]) -> list[SteadyState]:
     its own basis, stopping test and restarts, so it reaches the state it
     would reach alone.
 
+    The state is a list of diagonal blocks.  Generators with a ``mirror`` P
+    (:class:`Liouvillian`) commute with ρ ↦ PρP, so their unique steady state
+    has ρ = PρP: in the basis of P's even states (those it fixes, and
+    (|s⟩ + |πs⟩)/√2) and odd states ((|s⟩ - |πs⟩)/√2), H_eff = H_e ⊕ H_o and
+    ρ = ρ_e ⊕ ρ_o.  The solve then runs on those two blocks: the no-jump
+    part, its Schur preconditioner and the border act block by block, and of
+    the P-covariant jump sum only its two diagonal blocks are formed.  For a
+    dimer of site dimension D that is D(D+1)/2 and D(D-1)/2 in place of D², about
+    half the unknowns and a quarter of the dense work.  Any other generator
+    has one block, the whole occupation basis, and is solved there.
+
     Each solve stops at a relative residual of ``STEADY_GMRES_RTOL``, checked
     on the true residual that GMRES returns with its iterate, and is then
     refined once: the residual of the bordered system is accumulated in
@@ -587,36 +790,43 @@ def steady_states(generators: Sequence[Liouvillian]) -> list[SteadyState]:
     the correction.  This makes small populations, such as the two-photon
     ones behind a weak-drive g²(0), accurate to their own size rather than to
     1e-16 of the trace.  Each state carries the steps and residuals of both
-    solves (:class:`KrylovStats`); a residual above its tolerance is reported
-    there, not raised.
+    solves and its block dimensions (:class:`KrylovStats`); a residual above
+    its tolerance is reported there, not raised.
 
     Raises ``ValueError`` for generators without jumps or with different jump
     sets, and :class:`ConvergenceError` when a state misses
-    max|Lρ| ≤ ``STEADY_RESIDUAL_RTOL`` · s; every state is also validated as
-    a :class:`DensityMatrix`.  Uniqueness is presumed, not tested: on a
+    max|Lρ| ≤ ``STEADY_RESIDUAL_RTOL`` · s, with L applied in the occupation
+    basis to the whole state; every state is also validated there as a
+    :class:`DensityMatrix`.  Uniqueness is presumed, not tested: on a
     degenerate steady space the bordered operator is singular, and a state
     that meets the residual bound is one element of that space.
     """
     if not generators[0].jumps:
         raise ValueError("steady_state requires a dissipative Liouvillian (some rate > 0)")
-    op = _BorderedBatch(generators)
+    jumps = generators[0]._jump_set
+    op = _BorderedBatch(generators, jumps.blocks)
     n, d = len(generators), op.dim
     everyone = np.arange(n)
-    rhs = np.zeros((n, d * d), dtype=np.complex128)
-    rhs[:, op.diagonal] = (-op.scale / d)[:, None]
+    rhs = np.zeros((n, op.size), dtype=np.complex128)
+    for diagonal in op.diagonal:
+        rhs[:, diagonal] = (-op.scale / d)[:, None]
     u, residual, steps = _gmres(op, rhs, STEADY_GMRES_RTOL)
     x = op.precondition(everyone, u)
     # one step of mixed-precision iterative refinement
-    bordered_x = _apply_extended(generators, x).reshape(n, -1)
-    trace_ext = np.trace(x.astype(np.clongdouble), axis1=1, axis2=2)
-    bordered_x[:, op.diagonal] -= (op.scale * trace_ext / d)[:, None]
+    bordered_x = _vec(op.apply_extended(x))
+    trace_ext = _trace([x_a.astype(np.clongdouble) for x_a in x])
+    for diagonal in op.diagonal:
+        bordered_x[:, diagonal] -= (op.scale * trace_ext / d)[:, None]
     residual_ext = rhs.astype(np.clongdouble) - bordered_x
     u, refine_residual, refine_steps = _gmres(op, residual_ext.astype(np.complex128),
                                               STEADY_REFINE_RTOL)
-    x = x + op.precondition(everyone, u)
+    x = op.blocks.join([x_a + c_a for x_a, c_a in zip(x, op.precondition(everyone, u))])
     rho = 0.5 * (x + x.conj().transpose(0, 2, 1))
     rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
-    generator_residual = np.max(np.abs(op.apply(everyone, rho)), axis=(1, 2))
+    # the check does not trust the blocks: the whole generator on the whole state
+    h_eff = np.stack([g.h_eff for g in generators])
+    generator_residual = np.max(np.abs(_apply(h_eff, h_eff.conj().transpose(0, 2, 1),
+                                              jumps, rho)), axis=(1, 2))
     states = []
     for k in range(n):
         bound = STEADY_RESIDUAL_RTOL * op.scale[k]
@@ -625,7 +835,7 @@ def steady_states(generators: Sequence[Liouvillian]) -> list[SteadyState]:
                 f"steady-state residual {generator_residual[k]:.3e} exceeds "
                 f"{STEADY_RESIDUAL_RTOL:.0e} * scale = {bound:.3e}")
         krylov = KrylovStats(int(steps[k]), int(refine_steps[k]),
-                             float(residual[k]), float(refine_residual[k]))
+                             float(residual[k]), float(refine_residual[k]), op.dims)
         states.append(SteadyState(rho[k], krylov))
     return states
 
@@ -686,11 +896,22 @@ class DrivenLattice:
     observables.  A point then only adds three d×d arrays before its
     steady-state solve.  ``base`` is the undriven generator and ``a`` the
     sparse a₀.
+
+    The site mirror π(i) = n - 1 - i is a symmetry of the model when π maps
+    the site parameters and photon cutoffs, the edges with their J, and the
+    set of driven sites to themselves, and κ = 0, since π moves the port site
+    0 (the other rates are the same on every site).  Then every generator
+    carries the permutation P of occupation states that π induces as its
+    ``mirror``, and :func:`steady_states` solves it on P's even and odd
+    blocks: 36 and 28 states in place of 64 for the driven dimer at
+    n_max = 3.  Any other model, every single site among them, has one
+    block.
     """
 
     def __init__(self, params: LatticeParams, space: LatticeSpace, rates: DissipationRates,
                  driven_sites: Sequence[int] = (0,)):
-        self.base = build_liouvillian(build_jchm(params, space), rates, space)   # undriven
+        self.base = build_liouvillian(build_jchm(params, space), rates, space,   # undriven
+                                      _site_mirror(params, space, rates, driven_sites))
         self.n_tot = total_excitation(space).toarray()
         terms = [(1.0, (site_factor(space, m, op),))
                  for m in driven_sites for op in ("a", "a_dag")]
@@ -702,7 +923,8 @@ class DrivenLattice:
             op.T.toarray() for op in (self.a, a_dag @ self.a, a_dag @ a_dag @ self.a @ self.a))
 
     def generator(self, xi: float, omega_d: float) -> Liouvillian:
-        """The generator at drive (ξ, ω_d), in the frame rotating at ω_d."""
+        """The generator at drive (ξ, ω_d), in the frame rotating at ω_d, with
+        the site mirror of the model if it has one."""
         return self.base.with_hamiltonian(self.base.h_rot - omega_d * self.n_tot
                                           + xi * self.x_drive)
 
@@ -721,6 +943,25 @@ class DrivenLattice:
         solved as one batch of :func:`steady_states`."""
         states = steady_states([self.generator(xi, w) for w in omegas])
         return [self.point(xi, w, state) for w, state in zip(omegas, states)]
+
+
+def _site_mirror(params: LatticeParams, space: LatticeSpace, rates: DissipationRates,
+                 driven_sites: Sequence[int]) -> np.ndarray | None:
+    """The permutation of occupation states that the site mirror
+    π(i) = n - 1 - i induces, if π is a symmetry of the driven model (see
+    :class:`DrivenLattice`); None if it is not, or if n = 1.
+
+    With site 0 slowest, state (s₀, …, s_{n-1}) goes to (s_{n-1}, …, s₀).
+    """
+    n = params.n_sites
+    symmetric = (n > 1 and rates.kappa == 0
+                 and params.site_params == params.site_params[::-1]
+                 and space.sites == space.sites[::-1]
+                 and {(n - 1 - j, n - 1 - i, J) for i, j, J in params.edges} == set(params.edges)
+                 and {n - 1 - m for m in driven_sites} == set(driven_sites))
+    if not symmetric:
+        return None
+    return np.arange(space.total_dim).reshape(space.site_dims).transpose().reshape(-1)
 
 
 def _batches(values: Sequence[float], size: int) -> list[list[float]]:

@@ -9,6 +9,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cqedlat import cli, lindblad
 from cqedlat.hilbert import LatticeSpace, expectation, photon_op_on
@@ -90,11 +91,14 @@ class TestDimerG2:
         check = summary["convergence"]["cutoff_check"]
         assert check["rel_shift"] < 1e-5        # truncation shift, not solver noise
         assert summary["convergence"]["points"] == 1
-        # the statistics cover the row's solve (d = 64) and the check's (d = 144)
+        # the statistics cover the row's solve (d = 64) and the check's (d = 144),
+        # each on the even and odd blocks of the site mirror: D(D ± 1)/2 for
+        # the site dimension D = 8 and 12
         krylov = summary["convergence"]["krylov"]
         assert 0 < krylov["mean_steps"] < krylov["max_steps"]
         assert 0 < krylov["mean_refine_steps"] <= krylov["max_refine_steps"]
         assert krylov["max_refine_residual"] <= lindblad.STEADY_REFINE_RTOL
+        assert krylov["block_dims"] == [[36, 28], [78, 66]]
 
     def test_g2_below_the_photon_floor_is_nan_and_passes(self, tmp_path):
         # ξ = 1e-6, far above the band bottom: ⟨a†a⟩ ≈ 1.3e-13 is below the
@@ -167,6 +171,23 @@ class TestRunStatus:
         assert summary["convergence"]["cutoff_check"]["passed"] is False
         assert summary["status"] == "unconverged"
         assert "convergence.cutoff_check.passed" in capsys.readouterr().err
+
+    def test_jc_spectrum_numeric_shift_fails_the_comparison(self, tmp_path, capsys, monkeypatch):
+        # a numeric spectrum 1e-8 off the closed form, far above the roundoff of
+        # an eigensolve at these energies, must fail analytic_matches_numeric
+        hamiltonian = cli.jc_hamiltonian
+
+        def shifted(*args, **kwargs):
+            h = hamiltonian(*args, **kwargs)
+            return h + 1e-8 * sp.identity(h.shape[0], format="csr")
+
+        monkeypatch.setattr(cli, "jc_hamiltonian", shifted)
+        _, summary = run(tmp_path, "jc-spectrum",
+                         {"omega_r": 1.0, "omega_q": 0.9, "g": 0.05, "n_max": 4}, exit_code=2)
+        assert summary["convergence"]["analytic_matches_numeric"] is False
+        assert summary["convergence"]["max_abs_err_below_cutoff"] == pytest.approx(1e-8, rel=1e-3)
+        assert summary["status"] == "unconverged"
+        assert "convergence.analytic_matches_numeric" in capsys.readouterr().err
 
     def test_jc_spectrum_without_rwa_claims_no_comparison(self, tmp_path, capsys):
         # the closed form is the RWA spectrum: without the RWA no row is compared
@@ -242,6 +263,23 @@ class TestQuantize:
         assert conv["basis_check"]["passed"] is True
         assert conv["basis_check"]["dim"] == 61 ** 2
 
+    def test_too_small_charge_basis_fails_the_basis_check(self, tmp_path, capsys):
+        # the one-junction transmon of the CI run at charge cutoff 4: its three
+        # lowest levels move by 2.2e-2 relative at cutoff 14 (and by more than
+        # 1e-9 up to cutoff 8), so the basis check fails and the run exits 2
+        netlist = tmp_path / "transmon.nl"
+        netlist.write_text("NODE a\nGROUND g\nC a g 1e-13\nJJ a g 1e-23\n", encoding="utf-8")
+        code = cli.main(["quantize", "--netlist", str(netlist), "--charge-cutoff", "4",
+                         "--levels", "3", "--output", str(tmp_path / "q.csv"),
+                         "--summary", str(tmp_path / "q.json")])
+        assert code == 2
+        assert "convergence.basis_check.passed" in capsys.readouterr().err
+        summary = json.loads((tmp_path / "q.json").read_text(encoding="utf-8"))
+        assert summary["status"] == "unconverged"
+        check = summary["convergence"]["basis_check"]
+        assert check["passed"] is False
+        assert 1e-9 < check["rel_shift"] < 1
+
     def test_missing_netlist_exits_one(self, tmp_path, capsys):
         code = cli.main(["quantize", "--netlist", str(tmp_path / "absent.nl"),
                          "--output", str(tmp_path / "q.csv")])
@@ -279,7 +317,8 @@ class TestBlockadeScan:
         _, summary = run(tmp_path, "blockade-scan", config)
         krylov = summary["convergence"]["krylov"]
         assert set(krylov) == {"max_steps", "mean_steps", "max_refine_steps",
-                               "mean_refine_steps", "max_refine_residual"}
+                               "mean_refine_steps", "max_refine_residual", "block_dims"}
+        assert krylov["block_dims"] == [[8]]          # one JC site at n_max 3, one block
         assert 0 < krylov["mean_steps"] <= krylov["max_steps"]
         assert 0 < krylov["mean_refine_steps"] <= krylov["max_refine_steps"]
         assert 0 < krylov["max_refine_residual"] <= lindblad.STEADY_REFINE_RTOL
@@ -291,6 +330,12 @@ class TestBlockadeScan:
         assert stalled["status"] == "ok"
         assert stalled["convergence"]["krylov"]["max_refine_residual"] > 1e-30
         assert stalled["convergence"]["krylov"]["max_refine_steps"] > krylov["max_refine_steps"]
+
+    def test_benchmark_site_is_solved_on_one_block(self, tmp_path):
+        # one site has no mirror: its d = 14 states at n_max 6 are one block
+        _, summary = run(tmp_path, "blockade-scan",
+                         dict(self.CONFIG, n_max=6, omega_d_points=3, cutoff_check=False))
+        assert summary["convergence"]["krylov"]["block_dims"] == [[14]]
 
     def test_negative_drive_amplitude_exits_one(self, tmp_path, capsys):
         config_path = tmp_path / "scan.json"

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import pickle
 
@@ -217,8 +218,8 @@ class TestLiouvillianStructure:
         assert np.max(np.abs(shared.apply(rho) - fresh.apply(rho))) <= 1e-14
         assert shared.scale() == fresh.scale()
         assert (shared.matrix != fresh.matrix).nnz == 0
-        extended = lindblad._apply_extended([shared], rho[None])[0]
-        assert np.array_equal(extended, lindblad._apply_extended([fresh], rho[None])[0])
+        extended = lindblad._BorderedBatch([shared]).apply_extended([rho[None]])[0][0]
+        assert np.array_equal(extended, lindblad._BorderedBatch([fresh]).apply_extended([rho[None]])[0][0])
         assert np.max(np.abs(extended - fresh.apply(rho))) <= 1e-14
         with pytest.raises(ValueError, match="trace"):
             base.with_hamiltonian(h + 0.1j * a.conj().T @ a)
@@ -630,6 +631,131 @@ class TestG2:
         # below the photon floor g²(0) is undefined, and every command reports NaN
         space = LatticeSpace.uniform(1, 2)
         assert math.isnan(g2_zero(oracles.vacuum(space), 0, space))
+
+    def test_weak_photon_number_above_the_floor_gives_finite_g2(self):
+        # ⟨a†a⟩ = 1e-10 lies above the photon floor of 1e-12: DrivenLattice.point
+        # reports g²(0) = 2p₂/⟨a†a⟩² = 0.2 for the two-photon population p₂, not NaN
+        space = LatticeSpace.uniform(1, 3)
+        model = DrivenLattice(LatticeParams.single_site(JCParams(1.0, 1.0, 0.1)), space,
+                              DissipationRates(kappa=0.01))
+        p1, p2 = 1e-10 - 2e-21, 1e-21
+        rho = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+        for n, p in ((0, 1.0 - p1 - p2), (1, p1), (2, p2)):
+            k = oracles.basis_index(space, [(n, 0)])
+            rho[k, k] = p
+        stats = lindblad.KrylovStats(0, 0, 0.0, 0.0, (space.total_dim,))
+        point = model.point(0.0, 1.0, lindblad.SteadyState(rho, stats))
+        assert point.n_photon == pytest.approx(1e-10, rel=1e-12)
+        assert point.g2 == pytest.approx(0.2, rel=1e-9)
+
+
+def mirror_permutation(space):
+    """The occupation-state permutation of the site mirror, from the product
+    configurations: (c₀, …, c_{n-1}) ↦ (c_{n-1}, …, c₀)."""
+    configs = itertools.product(*[[(n, q) for n in range(site.photon_cutoff + 1) for q in (0, 1)]
+                                  for site in space.sites])
+    perm = np.zeros(space.total_dim, dtype=int)
+    for config in configs:
+        perm[oracles.basis_index(space, config)] = oracles.basis_index(space, config[::-1])
+    return perm
+
+
+@st.composite
+def mirror_lattices(draw):
+    """Random 2- and 3-site lattices (Hilbert dimension <= 64) that the site
+    mirror maps to themselves, with κ = 0, and qubit and photon loss on every
+    site (one steady state)."""
+    n_sites = draw(st.integers(2, 3))
+    n_max = draw(st.integers(1, 3 if n_sites == 2 else 1))
+    freq, coupling, hop = st.floats(0.5, 1.5), st.floats(0.0, 0.3), st.floats(-0.3, 0.3)
+    outer = JCParams(draw(freq), draw(freq), draw(coupling))
+    sites = (outer,) * 2 if n_sites == 2 else (outer, JCParams(draw(freq), draw(freq),
+                                                               draw(coupling)), outer)
+    hopping = draw(hop)
+    edges = [(i, i + 1, hopping) for i in range(n_sites - 1)]
+    if n_sites == 3 and draw(st.booleans()):
+        edges.append((0, 2, draw(hop)))
+    driven = draw(st.sampled_from([(0, 1)] if n_sites == 2 else [(1,), (0, 2), (0, 1, 2)]))
+    rates = DissipationRates(gamma1=draw(st.floats(0.05, 0.3)), gamma_phi=draw(st.floats(0.0, 0.3)),
+                             gamma_kappa=draw(st.floats(0.05, 0.3)))
+    space = LatticeSpace.uniform(n_sites, n_max)
+    model = DrivenLattice(LatticeParams(sites, tuple(edges)), space, rates, driven)
+    return model, space, draw(st.floats(0.0, 0.2)), draw(freq)
+
+
+MIRROR_RATES = DissipationRates(gamma1=0.01, gamma_kappa=0.01)
+
+
+class TestMirrorBlocks:
+    """A driven lattice that the site mirror π(i) = n - 1 - i maps to itself is
+    solved on the mirror's even and odd blocks; the state must be the one
+    solved in the occupation basis, as one block."""
+
+    CASES = {
+        # (params, n_max, rates, driven sites, ξ, ω_d, block dimensions)
+        "periodic_dimer_2": (band_resonant_chain(50.0, 1.0, 0.5, 2), 2, MIRROR_RATES, (0, 1),
+                             0.01, 48.5, (21, 15)),
+        "periodic_dimer_3": (band_resonant_chain(50.0, 1.0, 0.5, 2), 3, MIRROR_RATES, (0, 1),
+                             0.01, 48.5, (36, 28)),
+        "open_chain": (chain(JCParams(1.0, 0.95, 0.05), 2, 0.03), 3,
+                       DissipationRates(gamma1=0.01, gamma_phi=0.005, gamma_kappa=0.02), (0, 1),
+                       0.02, 0.96, (36, 28)),
+        "ring_3": (chain(JCParams(1.0, 1.0, 0.05), 3, 0.02, boundary="periodic"), 2,
+                   DissipationRates(gamma1=0.01, gamma_kappa=0.02), (1,), 0.02, 0.93, (126, 90)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_block_solve_matches_the_occupation_basis(self, name):
+        params, n_max, rates, driven, xi, omega_d, dims = self.CASES[name]
+        space = LatticeSpace.uniform(params.n_sites, n_max)
+        model = DrivenLattice(params, space, rates, driven)
+        gen = model.generator(xi, omega_d)
+        state = steady_state(gen)
+        whole = steady_state(Liouvillian(gen.h_rot, gen.jumps))
+        assert state.krylov.block_dims == dims
+        assert whole.krylov.block_dims == (space.total_dim,)
+        assert np.max(np.abs(state.rho - whole.rho)) <= 1e-10
+        assert g2_zero(state, 0, space) == pytest.approx(g2_zero(whole, 0, space), rel=1e-6)
+
+    @pytest.mark.parametrize("params, rates, driven", [
+        (band_resonant_chain(50.0, 1.0, 0.5, 2), DissipationRates(gamma1=0.01, kappa=0.01), (0, 1)),
+        (LatticeParams((JCParams(50.0, 50.0, 1.0), JCParams(50.2, 50.0, 1.0)), ((0, 1, 0.5),)),
+         MIRROR_RATES, (0, 1)),
+        (band_resonant_chain(50.0, 1.0, 0.5, 2), MIRROR_RATES, (0,)),
+    ], ids=["port", "unequal_omega_r", "one_driven_site"])
+    def test_broken_mirror_runs_on_one_block(self, params, rates, driven):
+        space = LatticeSpace.uniform(2, 2)
+        model = DrivenLattice(params, space, rates, driven)
+        gen = model.generator(0.01, 48.5)
+        state = steady_state(gen)
+        assert gen.mirror is None
+        assert state.krylov.block_dims == (36,)
+        assert np.array_equal(state.rho, steady_state(Liouvillian(gen.h_rot, gen.jumps)).rho)
+
+    def test_a_mirror_the_model_breaks_is_refused(self):
+        space = LatticeSpace.uniform(2, 2)
+        model = DrivenLattice(band_resonant_chain(50.0, 1.0, 0.5, 2), space, MIRROR_RATES, (0, 1))
+        gen = model.generator(0.01, 48.5)
+        assert np.array_equal(gen.mirror, mirror_permutation(space))
+        with pytest.raises(ValueError, match="not symmetric"):
+            gen.with_hamiltonian(gen.h_rot + 0.1 * photon_number_op(space, 0).toarray())
+        port = collapse_operators(DissipationRates(gamma1=0.01, kappa=0.01), space)
+        with pytest.raises(ValueError, match="not covariant"):
+            Liouvillian(gen.h_rot, port, gen.mirror)
+
+    @settings(max_examples=10)
+    @given(mirror_lattices())
+    def test_full_space_steady_state_is_mirror_symmetric(self, case):
+        # the premise of the block solve: L commutes with ρ ↦ PρP, so its one
+        # steady state, solved here in the occupation basis, has PρP = ρ
+        model, space, xi, omega_d = case
+        gen = model.generator(xi, omega_d)
+        rho = steady_state(Liouvillian(gen.h_rot, gen.jumps)).rho
+        perm = mirror_permutation(space)
+        assert np.max(np.abs(rho[np.ix_(perm, perm)] - rho)) <= 1e-10
+        state = steady_state(gen)
+        assert len(state.krylov.block_dims) == 2
+        assert np.max(np.abs(state.rho - rho)) <= 1e-10
 
 
 class TestTransmissionScan:

@@ -12,7 +12,9 @@ the number of batched steady-state solves.
 The dimer point is the one of the ``dimer_g2`` workload at seed 0: the
 periodic two-site ring with ω_r = 50, g = 1, J = 0.5, both sites driven at
 ξ = 0.01 on the lower-polariton band bottom, γ₁ = γ_κ = 0.01 and n_max = 3
-(d = 64).  It prints the median wall time of its steady-state solve over
+(d = 64).  The site mirror maps that dimer to itself, so its state is solved
+on the mirror's even and odd blocks, of 36 and 28 states.  It prints those
+block dimensions and the median wall time of its steady-state solve over
 ``REPEATS`` solves, and from a separate, untimed solve the bordered
 applications and the Krylov steps of the first and of the refinement solve.
 
@@ -109,7 +111,7 @@ def main() -> int:
     generator = dimer_generator()
     solve = partial(lindblad.steady_state, generator)
     state, applications, _ = counted(solve)             # also the warm-up solve
-    print(f"dimer g2, seed 0 (d = {generator.dim}): "
+    print(f"dimer g2, seed 0 (d = {generator.dim}, blocks {list(state.krylov.block_dims)}): "
           f"median {median_ms(solve):.2f} ms per solve over {REPEATS} solves, "
           f"{applications} bordered applications, "
           f"Krylov steps {state.krylov.steps} (first solve) and "

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cqedlat import cli, lindblad
+from cqedlat import cli, hilbert, lindblad
 from cqedlat.hilbert import LatticeSpace, expectation, photon_op_on
 from cqedlat.resonator import Mode
 
@@ -130,6 +130,17 @@ class TestDimerG2:
         assert check["passed"] is False
         assert check["min_g2"] == float(rows[0]["g2"]) < 0
 
+    def test_non_physical_steady_state_exits_two(self, tmp_path, capsys, monkeypatch):
+        # every solved state fails a positivity floor of 1, as one with a
+        # negative eigenvalue fails the real one: numerical non-convergence
+        monkeypatch.setattr(hilbert, "RHO_EIGENVALUE_FLOOR", 1.0)
+        csv_path = tmp_path / "out.csv"
+        code = cli.main(["dimer-g2", "--omega-r", "50", "--g", "1", "--j-values", "0.5",
+                         "--xi", "0.01", "--gamma1", "0.01", "--gamma-kappa", "0.01",
+                         "--n-max", "2", "--cutoff-check", "false", "--output", str(csv_path)])
+        assert code == 2
+        assert "numerical non-convergence: steady state 0" in capsys.readouterr().err
+        assert not csv_path.exists()
 
     def test_rows_are_the_sparse_observables_of_the_same_state(self, monkeypatch):
         # the route the command took before its model: g2_zero and expectation

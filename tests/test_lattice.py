@@ -10,6 +10,7 @@ from cqedlat.hilbert import LatticeSpace, assemble, total_excitation
 from cqedlat.jc import JCParams, jc_hamiltonian
 from cqedlat.lindblad import DissipationRates, collapse_operators
 from cqedlat.lattice import (
+    DENSE_SECTOR_LIMIT,
     LatticeParams,
     band_degeneracy,
     band_resonant_chain,
@@ -288,6 +289,14 @@ class TestFiniteSizeNonlinearity:
         assert [band_degeneracy(ring(0.5, n)) for n in (3, 4)] == [2, 1]
         assert [band_degeneracy(ring(-0.5, n)) for n in range(1, 6)] == [1] * 5
 
+    @pytest.mark.parametrize("stretch, count", [(1e-4, 1), (1e-12, 2)])
+    def test_band_degeneracy_resolves_a_split_band_bottom(self, stretch, count):
+        # a stronger (0, 2) hop splits the 3-ring's bottom pair by 1.3e-6 of
+        # the band's largest magnitude at 1e-4, and by roundoff at 1e-12
+        site = JCParams(50.0, 50.0, 1.0)
+        params = LatticeParams((site,) * 3, ((0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.5 * (1 + stretch))))
+        assert band_degeneracy(params) == count
+
     def test_trimer_matches_closed_form_at_strong_hopping(self):
         # sector ED oracle; hopping sign chosen so the band bottom is the
         # non-degenerate uniform mode (odd rings frustrate with +J)
@@ -317,6 +326,15 @@ class TestFiniteSizeNonlinearity:
         space = LatticeSpace.uniform(ns, 2)
         e0, e1, e2 = (sector_ground_energy(params, space, n) for n in (0, 1, 2))
         assert measured_nonlinearity(params, space) == (e2 - e1) - (e1 - e0)
+
+    def test_sector_ground_energy_above_the_dense_limit(self):
+        # 648 states: the lowest eigenvalue comes from ARPACK, not eigvalsh
+        params = band_resonant_chain(50.0, 1.0, -0.5, 18)
+        space = LatticeSpace.uniform(18, 2)
+        h = sector_hamiltonian(params, space, 2)
+        assert h.shape[0] == 648 > DENSE_SECTOR_LIMIT
+        dense = np.linalg.eigvalsh(h.toarray())[0]
+        assert sector_ground_energy(params, space, 2) == pytest.approx(dense, rel=1e-12)
 
     def test_sector_ground_energy_scalar_sector(self):
         params = chain(JCParams(1.0, 0.9, 0.02), 2, 0.01)

@@ -15,7 +15,7 @@ from cqedlat.hilbert import (DensityMatrix, LatticeSpace, assemble, diagonal_fac
 from cqedlat.jc import JCParams
 from cqedlat.lattice import (LatticeParams, band_resonant_chain, build_jchm, chain,
                               photon_band_minimum)
-from cqedlat import lindblad
+from cqedlat import hilbert, lindblad
 from cqedlat.lindblad import (
     ConvergenceError,
     DissipationRates,
@@ -380,6 +380,14 @@ class TestSteadyState:
         liouv = STEADY_SYSTEMS["detuned_jc"]()
         monkeypatch.setattr(lindblad, "STEADY_RESIDUAL_RTOL", 0.0)
         with pytest.raises(ConvergenceError, match="residual"):
+            steady_state(liouv)
+
+    def test_non_physical_state_is_not_converged(self, monkeypatch):
+        # a solved state that fails the DensityMatrix bounds is a failed solve,
+        # not an input error: every eigenvalue is below a floor of 1
+        liouv = STEADY_SYSTEMS["detuned_jc"]()
+        monkeypatch.setattr(hilbert, "RHO_EIGENVALUE_FLOOR", 1.0)
+        with pytest.raises(ConvergenceError, match="steady state 0 of the batch: .*eigenvalue"):
             steady_state(liouv)
 
 

@@ -9,9 +9,10 @@ The package holds what the eight CLI commands run; reference implementations
 that only tests use live in the test suite (``tests/oracles.py``).
 Operators are plain complex ``scipy.sparse`` CSR matrices.  The package
 namespace holds only ``__version__``; every name is imported from its module.
-Importing the package or its CLI loads neither ``scipy.integrate`` nor
-``scipy.optimize``: the CLI imports ``meanfield`` inside the two commands that
-run it.
+No command loads ``scipy.integrate`` or ``scipy.optimize``: ``meanfield``
+integrates with its own DOP853 stepper and ``resonator`` finds mode roots by
+its own Brent search.  The CLI imports ``meanfield`` inside the two commands
+that run it.
 """
 
 __version__ = "0.1.0"

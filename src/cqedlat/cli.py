@@ -44,8 +44,10 @@ whose summary reports a failed check (``passed`` or
 its CSV and summary, with ``status: "unconverged"``, names the check on stderr
 and exits with 2.
 
-Importing this module loads neither ``scipy.integrate`` nor ``scipy.optimize``:
-``meanfield`` loads on first use, inside the two commands that run it.
+No command loads ``scipy.integrate`` or ``scipy.optimize``: the driven
+transient runs on the package's own DOP853 stepper and coupled ``modes`` on its
+own Brent search.  ``meanfield`` loads on first use, inside the two commands
+that run it.
 """
 
 from __future__ import annotations

@@ -124,7 +124,8 @@ class ConvergenceError(RuntimeError):
 
 
 # The error of ``meanfield`` lives here so that the CLI can catch it without
-# loading ``meanfield`` (and with it ``scipy.integrate``); ``meanfield`` re-binds it.
+# loading ``meanfield``, which only the two mean-field commands import;
+# ``meanfield`` re-binds it.
 class MeanFieldConvergenceError(RuntimeError):
     """A mean-field search did not converge: the ψ refinement ran out of
     steps, or the driven self-consistency loop neither settled nor cycled."""

@@ -38,15 +38,16 @@ the real coordinates x of ρ in an orthonormal basis of Hermitian matrices,
 where the generator at frozen ψ is a real matrix R(ψ) = R₀ + Re ψ R_A +
 Im ψ R_B and ψ a fixed linear functional of x.  Its fixed points are the
 roots of F(ψ) = tr(a ρ_ss(ψ)) - ψ, with ρ_ss(ψ) the steady state at frozen ψ.
-Each seed follows the dynamics of x (DOP853, at the loose pair
-``TRANSIENT_RTOL`` / ``TRANSIENT_ATOL``: the trajectory only has to pick the
-seed's basin) only until it is captured: after every control interval Newton
-runs on F in (Re ψ, Im ψ) from the current ψ, and the run stops once the root
-it reaches is linearly stable and the state has moved closer to that same
-root over consecutive intervals.  Each evaluation of F factors one dense real
-bordered generator R(ψ) - s|I/d⟩⟨tr|, the border of ``steady_state``; its LU
-gives ρ_ss(ψ) and the responses to Re ψ and Im ψ, so F and its real 2×2
-Jacobian, and a line search halves a Newton step that does not decrease |F|.
+Each seed follows the dynamics of x (the module's DOP853 stepper, at the
+loose pair ``TRANSIENT_RTOL`` / ``TRANSIENT_ATOL``: the trajectory only has to
+pick the seed's basin) only until it is captured: after every control
+interval Newton runs on F in (Re ψ, Im ψ) from the current ψ, and the run
+stops once the root it reaches is linearly stable and the state has moved
+closer to that same root over consecutive intervals.  Each evaluation of F
+factors one dense real bordered generator R(ψ) - s|I/d⟩⟨tr|, the border of
+``steady_state``; its LU gives ρ_ss(ψ) and the responses to Re ψ and Im ψ,
+so F and its real 2×2 Jacobian, and a line search halves a Newton step that
+does not decrease |F|.
 ``steady_state`` runs only to verify a new root and supply its ρ.  The
 stability margin is the largest real part in the spectrum of the linearized
 nonlinear generator at the root, a real rank-2 update of R(ψ) bordered alike,
@@ -64,7 +65,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import DOP853, solve_ivp
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .hilbert import (
@@ -116,12 +116,129 @@ HORIZON_RELAXATIONS = 600  # driven horizon per seed, in units of 1/γ_min
 TRANSIENT_RTOL = 1e-6
 TRANSIENT_ATOL = 1e-9
 
-# The integrator of each driven control interval.  The name predates DOP853 and
-# stays because the benchmark harness counts steps by rebinding it to a counting
-# subclass (perfbench/run.py); it changes together with that counter.  That
-# rebinding needs the class itself here, so this module imports scipy.integrate
-# at load time; ``cqedlat/__init__`` does not import it, and the CLI imports it
-# only inside the two commands that run it.
+
+def _rms(x: np.ndarray) -> float:
+    """Root mean square of the entries of x."""
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+class DOP853:
+    """Hairer's explicit Runge-Kutta pair DOP853 on one interval [0, ``t_bound``].
+
+    The 12-stage method of order 8 with its combined error estimate of orders
+    5 and 3 (Hairer, Nørsett and Wanner, *Solving Ordinary Differential
+    Equations I*, §II.10), in the arithmetic of ``scipy.integrate.DOP853``, so
+    both take the same steps.  A step h from y to y_new is accepted when
+    |h|·‖e₅‖²/√((‖e₅‖² + ‖e₃‖²/100)·n) < 1, with e₅ and e₃ the two error
+    estimates divided by ``atol`` + ``rtol``·max(|y|, |y_new|) and ‖·‖ the
+    Euclidean norm.  The next step is h·min(10, 0.9·err^(-1/8)), and never
+    grows after a rejection; a rejected step shrinks by max(0.2, 0.9·err^(-1/8)).
+    The first step is Hairer's starting estimate (§II.4).  Each :meth:`step`
+    makes one accepted step, the last clamped to end on ``t_bound``, so no
+    dense output is needed.  ``nfev`` counts the calls of ``fun(t, y)``.
+    """
+
+    C = np.array([0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+                  0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+                  0.6512820512820513, 0.6, 0.8571428571428571, 1.0])
+    A = np.zeros((12, 12))
+    A[1, :1] = [0.05260015195876773]
+    A[2, :2] = [0.0197250569845379, 0.0591751709536137]
+    A[3, :3] = [0.02958758547680685, 0, 0.08876275643042054]
+    A[4, :4] = [0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792]
+    A[5, :5] = [0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242]
+    A[6, :6] = [0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596, -0.017578125]
+    A[7, :7] = [0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328,
+                -0.015319437748624402, 0.008273789163814023]
+    A[8, :8] = [0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726,
+                27.59209969944671, 20.154067550477894, -43.48988418106996]
+    A[9, :9] = [0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843,
+                21.230051448181193, 15.279233632882423, -33.28821096898486,
+                -0.020331201708508627]
+    A[10, :10] = [-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295,
+                  -8.149787010746927, -18.52006565999696, 22.739487099350505,
+                  2.4936055526796523, -3.0467644718982196]
+    A[11, :11] = [2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625,
+                  -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+                  -8.87285693353063, 12.360567175794303, 0.6433927460157636]
+    B = np.array([0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+                  -5.801203960010585, 0.3111643669578199, -0.1521609496625161,
+                  0.20136540080403034, 0.04471061572777259])
+    # weights of the error estimates on the stages and f(t + h, y_new)
+    E5 = np.array([0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502,
+                   1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
+                   0.08192320648511571, -0.022355307863886294, 0])
+    E3 = np.append(B, 0.0)
+    E3[[0, 8, 11]] -= [0.2440944881889764, 0.7338466882816118, 0.022058823529411766]
+
+    def __init__(self, fun, y0: np.ndarray, t_bound: float, rtol: float, atol: float):
+        self.fun, self.t_bound, self.rtol, self.atol = fun, t_bound, rtol, atol
+        self.t, self.y, self.nfev = 0.0, y0, 0
+        self.f = self._rhs(0.0, y0)
+        self.h_abs = self._initial_step()
+        self.K = np.empty((self.B.size + 1, y0.size))   # the stages, then f(t + h, y_new)
+
+    def _rhs(self, t: float, y: np.ndarray) -> np.ndarray:
+        self.nfev += 1
+        return self.fun(t, y)
+
+    def _initial_step(self) -> float:
+        """Hairer's starting step: an explicit Euler probe of size h₀ from the
+        scaled norms of y₀ and f₀, then the step at which the error of order
+        8 estimated from the change of f would be 1/100, at most 100h₀."""
+        y0, f0 = self.y, self.f
+        scale = self.atol + np.abs(y0) * self.rtol
+        d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, self.t_bound)
+        d2 = _rms((self._rhs(h0, y0 + h0 * f0) - f0) / scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+        return min(100 * h0, h1, self.t_bound)
+
+    def step(self) -> bool:
+        """Advance by one accepted step.  Returns False, with the state
+        unchanged, once the step size is below 10 spacings of t or not a number."""
+        t, y, K = self.t, self.y, self.K
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(self.h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                return False
+            t_new = min(t + h_abs, self.t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = self.f
+            for s in range(1, self.B.size):
+                dy = np.dot(K[:s].T, self.A[s, :s]) * h
+                K[s] = self._rhs(t + self.C[s] * h, y + dy)
+            y_new = y + h * np.dot(K[:-1].T, self.B)
+            f_new = self._rhs(t + h, y_new)
+            K[-1] = f_new
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            err5_2 = np.linalg.norm(np.dot(K.T, self.E5) / scale) ** 2
+            err3_2 = np.linalg.norm(np.dot(K.T, self.E3) / scale) ** 2
+            if err5_2 == 0 and err3_2 == 0:
+                error = 0.0
+            else:
+                error = h_abs * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * scale.size)
+            if error < 1:
+                factor = 10 if error == 0 else min(10, 0.9 * error ** -0.125)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error ** -0.125)
+            rejected = True
+        self.t, self.y, self.f, self.h_abs = t_new, y_new, f_new, h_abs
+        return True
+
+
+# The stepper of each driven control interval.  The name predates DOP853 and
+# stays because the benchmark harness counts steps by rebinding it to a
+# subclass whose ``step`` counts (perfbench/run.py); it changes together with
+# that counter.
 RK45 = DOP853
 
 
@@ -524,12 +641,12 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
 
     Runs the nonlinear master equation from every seed (a coherent state of
     amplitude equal to the seed value) in control intervals of 1/γ_min, the
-    slowest dissipation rate, each one SciPy DOP853 solve at ``TRANSIENT_RTOL``
-    and ``TRANSIENT_ATOL``.  The pair is loose because the trajectory only
-    picks the seed's basin and its capture interval; every reported number
-    comes from Newton and :func:`steady_state`.  The state is integrated as its
-    real coordinates in an orthonormal basis of Hermitian matrices, so it stays
-    Hermitian exactly.  After each interval, Newton runs on
+    slowest dissipation rate, each integrated by the module's DOP853 stepper
+    at ``TRANSIENT_RTOL`` and ``TRANSIENT_ATOL``.  The pair is loose because
+    the trajectory only picks the seed's basin and its capture interval; every
+    reported number comes from Newton and :func:`steady_state`.  The state is
+    integrated as its real coordinates in an orthonormal basis of Hermitian
+    matrices, so it stays Hermitian exactly.  After each interval, Newton runs on
     F(ψ) = tr(aρ_ss(ψ)) - ψ from the current ψ, with one real LU of the dense
     bordered generator per evaluation of F and a line search on |F|; roots are
     shared between seeds, and :func:`steady_state` runs once per new root, to
@@ -570,14 +687,15 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
         root: _Root | None = None
         distances: list[float] = []     # ‖ρ(t) - ρ_ss(ψ*)‖ while it keeps shrinking
         while t < horizon:
-            # the solver class bound in this module, so a subclass bound there steps instead
-            sol = solve_ivp(site.rhs, (0.0, t_chunk), y, method=RK45, t_eval=(t_chunk,),
-                            rtol=TRANSIENT_RTOL, atol=TRANSIENT_ATOL)
-            if sol.status < 0:
-                raise StiffnessError(
-                    f"driven mean-field step failed at t = {t + sol.t[-1]:.4g}: {sol.message}")
-            calls += sol.nfev
-            y = sol.y[:, -1]
+            # the stepper class bound in this module, so a subclass bound there steps instead
+            stepper = RK45(site.rhs, y, t_chunk, TRANSIENT_RTOL, TRANSIENT_ATOL)
+            while stepper.t < t_chunk:
+                if not stepper.step():
+                    raise StiffnessError(
+                        f"driven mean-field step failed at t = {t + stepper.t:.4g}: "
+                        "the step size fell below 10 spacings of t or is not a number")
+            calls += stepper.nfev
+            y = stepper.y
             t += t_chunk
             psi_now = site.psi(y)
             history.append(psi_now)

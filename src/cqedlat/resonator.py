@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 ROOT_RTOL = 1e-12
+ROOT_XTOL = 2e-12
+ROOT_MAX_ITER = 100   # iterations of one Brent search, one evaluation each, before it fails
 
 
 @dataclass(frozen=True)
@@ -127,6 +129,57 @@ def _branch_brackets(spec: ResonatorSpec, branch: int) -> list[tuple[float, floa
     return [(a, b) for a, b in brackets if _char(a, chi_m, chi_p) * _char(b, chi_m, chi_p) <= 0]
 
 
+def _brent(f, a: float, b: float) -> float:
+    """A root of f in the bracket [a, b], where f changes sign, by Brent's
+    method (Brent, *Algorithms for Minimization without Derivatives*, 1973,
+    ch. 4).
+
+    The search keeps a best point x_cur, the previous one x_pre and the other
+    end x_blk of a bracket, with |f(x_cur)| ≤ |f(x_blk)|.  It takes the secant
+    or inverse quadratic step when it stays well inside the bracket and is less
+    than half the step before last, and bisects otherwise.  It stops when
+    f(x_cur) = 0 or the bracket half-width is below
+    (``ROOT_XTOL`` + ``ROOT_RTOL``·|x_cur|)/2, the rule of
+    ``scipy.optimize.brentq``; an end where f vanishes is returned as is.
+    A bracket without a sign change is refused.
+    """
+    x_pre, x_cur = a, b
+    f_pre, f_cur = f(a), f(b)
+    if f_pre == 0:
+        return a
+    if f_cur == 0:
+        return b
+    if math.copysign(1.0, f_pre) == math.copysign(1.0, f_cur):
+        raise ValueError(f"no sign change on [{a}, {b}]")
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(ROOT_MAX_ITER):
+        if f_pre != 0 and f_cur != 0 and math.copysign(1.0, f_pre) != math.copysign(1.0, f_cur):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = (ROOT_XTOL + ROOT_RTOL * abs(x_cur)) / 2
+        s_bis = (x_blk - x_cur) / 2
+        if f_cur == 0 or abs(s_bis) < delta:
+            return x_cur
+        good = False
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:      # secant
+                trial = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:                   # inverse quadratic interpolation
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                trial = (-f_cur * (f_blk * d_blk - f_pre * d_pre)
+                         / (d_blk * d_pre * (f_blk - f_pre)))
+            good = 2 * abs(trial) < min(abs(s_pre), 3 * abs(s_bis) - delta)
+        s_pre, s_cur = (s_cur, trial) if good else (s_bis, s_bis)
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else (delta if s_bis > 0 else -delta)
+        f_cur = f(x_cur)
+    raise RuntimeError(f"Brent search on [{a}, {b}] did not converge in {ROOT_MAX_ITER} steps")
+
+
 def solve_modes(spec: ResonatorSpec, count: int) -> list[Mode]:
     """First ``count`` normal modes, normalized per the capacitive weight.
 
@@ -141,13 +194,11 @@ def solve_modes(spec: ResonatorSpec, count: int) -> list[Mode]:
     if spec.chi_minus == 0 and spec.chi_plus == 0:
         roots = [mu * math.pi for mu in range(1, count + 1)]
     else:
-        from scipy.optimize import brentq
-
         f = lambda w: _char(w, spec.chi_minus, spec.chi_plus)
         roots = []
         branch = 0
         while len(roots) < count:
-            roots.extend(brentq(f, a, b, rtol=ROOT_RTOL) for a, b in _branch_brackets(spec, branch))
+            roots.extend(_brent(f, a, b) for a, b in _branch_brackets(spec, branch))
             branch += 1
             if branch > 4 * count + 8:
                 raise ValueError(

@@ -261,6 +261,34 @@ class TestDrivenMF:
         assert "Traceback" not in err
         assert not (tmp_path / "d.csv").exists()
 
+    def test_integrator_failure_exits_two(self, tmp_path, capsys, monkeypatch):
+        # the right-hand side turns NaN once the first control interval has
+        # ended: the stepper cannot choose a step and raises StiffnessError
+        from cqedlat import meanfield
+
+        rhs, newton = meanfield._DrivenSite.rhs, meanfield._DrivenSite.newton
+        intervals_done = []
+
+        def counting_newton(self, psi, known):
+            intervals_done.append(1)
+            return newton(self, psi, known)
+
+        def breaking_rhs(self, t, x):
+            return np.full_like(x, np.nan) if intervals_done else rhs(self, t, x)
+
+        monkeypatch.setattr(meanfield._DrivenSite, "newton", counting_newton)
+        monkeypatch.setattr(meanfield._DrivenSite, "rhs", breaking_rhs)
+        code = cli.main(["driven-mf", "--omega-r", "20", "--g", "1", "--zj-values", "1",
+                         "--xi", "0.12", "--gamma1", "0.06", "--kappa", "0.06",
+                         "--drive-offset", "0.3", "--n-max", "4",
+                         "--output", str(tmp_path / "d.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical non-convergence:")
+        assert "step failed at t = 16.67" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "d.csv").exists()
+
 
 class TestQuantize:
     NETLIST = str(Path(__file__).parent / "data" / "netlists" / "transmon_pair.nl")
@@ -636,6 +664,30 @@ print(json.dumps(out))
         assert result.returncode == 0, result.stderr
         out = json.loads(result.stdout.splitlines()[-1])
         assert out == {"after_import": [], "exit_codes": [0, 0, 0], "after_runs": []}
+
+    def test_no_command_loads_the_ode_or_root_packages(self, tmp_path):
+        # the driven transient runs on the package's own stepper and coupled
+        # modes on its own Brent search
+        runs = [["driven-mf", "--omega-r", "20", "--g", "1", "--zj-values", "1", "--xi", "0.12",
+                 "--gamma1", "0.06", "--kappa", "0.06", "--drive-offset", "0.3",
+                 "--seeds", "0,1.5", "--n-max", "3", "--output", str(tmp_path / "dr.csv")],
+                ["meanfield-lobes", "--omega-r", "10", "--omega-q", "10", "--g", "1",
+                 "--mu-min", "8.6", "--mu-max", "9.9", "--mu-points", "10", "--zj-min", "0",
+                 "--zj-max", "0.2", "--zj-points", "10", "--n-max", "10",
+                 "--output", str(tmp_path / "l.csv")],
+                ["modes", "--ell", "4e-7", "--c", "1.6e-10", "--L-x", "0.01",
+                 "--C-minus", "1e-15", "--C-plus", "1e-15", "--count", "20",
+                 "--output", str(tmp_path / "m.csv")]]
+        packages = ["scipy.integrate", "scipy.optimize"]
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        result = subprocess.run([sys.executable, "-c", self.SCRIPT, src, json.dumps(packages),
+                                 json.dumps(runs)], cwd=tmp_path, capture_output=True,
+                                text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        out = json.loads(result.stdout.splitlines()[-1])
+        assert out == {"after_import": [], "exit_codes": [0, 0, 0], "after_runs": []}
+        with open(tmp_path / "m.csv", encoding="utf-8", newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == 20
 
     def test_mean_field_errors_are_one_class_in_every_module(self):
         from cqedlat import lindblad, meanfield

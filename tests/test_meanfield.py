@@ -24,6 +24,7 @@ from cqedlat.lindblad import (
     DrivenLattice,
     DriveSpec,
     Liouvillian,
+    StiffnessError,
     build_liouvillian,
     g2_zero,
     steady_state,
@@ -31,6 +32,8 @@ from cqedlat.lindblad import (
 from cqedlat.meanfield import (
     CAPTURE_CONTRACTIONS,
     PSI_FLOOR,
+    TRANSIENT_ATOL,
+    TRANSIENT_RTOL,
     MeanFieldConvergenceError,
     _coherent_site_state,
     _DrivenSite,
@@ -712,3 +715,54 @@ class TestDrivenRootFinding:
         for root in (low, middle, high):
             assert root.margin == pytest.approx(
                 _finite_difference_margin(BISTABLE_POINT, root.rho.rho), abs=1e-8)
+
+
+class TestTransientStepper:
+    @pytest.mark.parametrize("seed", [0.0, 1.5])
+    def test_steps_like_scipy_dop853(self, seed):
+        # three successive control intervals at the benchmark point and the
+        # transient pair, each integrator continuing from its own end state
+        site = _DrivenSite(**DRIVEN_POINT)
+        t_chunk = 1.0 / DRIVEN_POINT["rates"].gamma1
+        ours = theirs = site.coords(_coherent_site_state(DRIVEN_POINT["space"], seed).rho)
+        for _ in range(3):
+            stepper = meanfield.RK45(site.rhs, ours, t_chunk, TRANSIENT_RTOL, TRANSIENT_ATOL)
+            steps = 0
+            while stepper.t < t_chunk:
+                assert stepper.step()
+                steps += 1
+            oracle = DOP853(site.rhs, 0.0, theirs, t_chunk, rtol=TRANSIENT_RTOL,
+                            atol=TRANSIENT_ATOL)
+            oracle_steps = 0
+            while oracle.status == "running":
+                oracle.step()
+                oracle_steps += 1
+            assert oracle.status == "finished"
+            assert (steps, stepper.nfev) == (oracle_steps, oracle.nfev)
+            assert stepper.t == oracle.t == t_chunk
+            ours, theirs = stepper.y, oracle.y
+            assert np.linalg.norm(ours - theirs) <= 1e-12 * np.linalg.norm(theirs)
+
+    @pytest.mark.parametrize("where", ["everywhere", "inside_the_interval"])
+    def test_non_finite_right_hand_side_raises_a_stiffness_error(self, where, monkeypatch):
+        # from the second control interval on, the right-hand side is NaN at
+        # every t ("everywhere": no step size can be chosen) or at t > 0 only
+        # (every step is rejected until it falls below 10 spacings of t = 0);
+        # either way the run stops where that interval starts, t = 1/γ_min
+        rhs, newton = _DrivenSite.rhs, _DrivenSite.newton
+        intervals_done = []
+
+        def counting_newton(self, psi, known):     # runs after each interval
+            intervals_done.append(1)
+            return newton(self, psi, known)
+
+        def breaking_rhs(self, t, x):
+            if intervals_done and (where == "everywhere" or t > 0):
+                return np.full_like(x, np.nan)
+            return rhs(self, t, x)
+
+        monkeypatch.setattr(_DrivenSite, "newton", counting_newton)
+        monkeypatch.setattr(_DrivenSite, "rhs", breaking_rhs)
+        with pytest.raises(StiffnessError, match=r"failed at t = 16\.67: the step size"):
+            driven_mf_steady(**DRIVEN_POINT, seeds=(0.0,))
+        assert len(intervals_done) == 1

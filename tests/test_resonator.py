@@ -3,8 +3,18 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
-from cqedlat.resonator import Mode, ResonatorSpec, solve_modes
+from cqedlat import resonator
+from cqedlat.resonator import (
+    ROOT_RTOL,
+    Mode,
+    ResonatorSpec,
+    _branch_brackets,
+    _brent,
+    _char,
+    solve_modes,
+)
 
 ELL, CAP, LX = 4.1e-7, 1.7e-10, 0.01  # coplanar-waveguide-like numbers
 CTOT = CAP * LX
@@ -138,3 +148,33 @@ class TestNormalization:
             left, right = boundary_residuals(m)
             assert left <= 1e-8 and right <= 1e-8
 
+
+
+class TestBrentSearch:
+    @pytest.mark.parametrize("count", [20, 40])
+    @pytest.mark.parametrize("chi_m, chi_p", [(0.07, 0.07), (0.9, 0.9), (0.12, 0.03), (1.5, 0.2)])
+    def test_roots_match_brentq(self, chi_m, chi_p, count):
+        # brentq on the same brackets; (0.9, 0.9) and (1.5, 0.2) put the pole
+        # 1/sqrt(χ₋χ₊) inside a branch, which then carries two roots
+        spec = ResonatorSpec(ELL, CAP, LX, C_minus=chi_m * CTOT, C_plus=chi_p * CTOT)
+        chis = (spec.chi_minus, spec.chi_plus)
+        oracle = sorted(brentq(_char, a, b, args=chis, rtol=ROOT_RTOL)
+                        for branch in range(count + 2)
+                        for a, b in _branch_brackets(spec, branch))[:count]
+        modes = solve_modes(spec, count)
+        assert len(modes) == len(oracle) == count
+        for m, r in zip(modes, oracle):
+            assert abs(m.omega_bar - r) <= 4 * ROOT_RTOL * r
+
+    def test_bracket_without_sign_change_is_refused(self):
+        with pytest.raises(ValueError, match="no sign change"):
+            _brent(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    @pytest.mark.parametrize("root", [0.3, 2.0])
+    def test_exact_root_at_a_bracket_end_comes_back_exactly(self, root):
+        assert _brent(lambda x: (x - root) * (x + 1.0), 0.3, 2.0) == root
+
+    def test_search_that_runs_out_of_steps_raises(self, monkeypatch):
+        monkeypatch.setattr(resonator, "ROOT_MAX_ITER", 3)
+        with pytest.raises(RuntimeError, match="did not converge in 3 steps"):
+            _brent(math.tan, 3.0, 3.5)

@@ -7,7 +7,8 @@ call.  For each seed it prints the control intervals integrated before
 capture, the DOP853 steps, the right-hand-side calls and the LU
 factorizations of its Newton runs, counted in a separate, untimed call.  It
 then prints the median over ``REPEATS`` calls of the wall time and of its
-split: the transient (``solve_ivp`` on the real Hermitian coordinates), the
+split: the transient (the package's DOP853 stepper ``meanfield.RK45`` on the
+real Hermitian coordinates, its construction and every ``step``), the
 Newton runs (real bordered assembly, LU and solves, the line search
 included), the stability margins (one real ``eigvals`` each), the
 ``steady_state`` checks, and the rest.
@@ -102,7 +103,15 @@ def time_split() -> dict[str, float]:
             return timed
         return make
 
-    with (wrapped(meanfield, "solve_ivp", timer("transient")),
+    def timed_stepper(original):
+        timed = timer("transient")
+
+        class Timed(original):
+            __init__ = timed(original.__init__)
+            step = timed(original.step)
+        return Timed
+
+    with (wrapped(meanfield, "RK45", timed_stepper),
           wrapped(meanfield._DrivenSite, "newton", timer("newton_total")),
           wrapped(meanfield._DrivenSite, "margin", timer("margins")),
           wrapped(meanfield._DrivenSite, "steady", timer("steady_state"))):

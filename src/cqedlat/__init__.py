@@ -11,8 +11,7 @@ Operators are plain complex ``scipy.sparse`` CSR matrices.  The package
 namespace holds only ``__version__``; every name is imported from its module.
 No command loads ``scipy.integrate`` or ``scipy.optimize``: ``meanfield``
 integrates with its own DOP853 stepper and ``resonator`` finds mode roots by
-its own Brent search.  The CLI imports ``meanfield`` inside the two commands
-that run it.
+its own Brent search.
 """
 
 __version__ = "0.1.0"

@@ -38,16 +38,16 @@ dimensions of the diagonal blocks the solves ran on (``block_dims``: [[14]]
 for one JC site at n_max 6, [[36, 28]] for the mirror-symmetric dimer at
 n_max 3).
 
-Exit codes: 0 success, 1 input error, 2 numerical non-convergence.  A run
-whose summary reports a failed check (``passed`` or
-``analytic_matches_numeric`` false anywhere under ``convergence``) still writes
-its CSV and summary, with ``status: "unconverged"``, names the check on stderr
-and exits with 2.
+Exit codes: 0 success, 1 input error, 2 numerical non-convergence: a
+``ConvergenceError`` of ``lindblad``, or a ``MeanFieldConvergenceError`` or
+``StiffnessError`` of ``meanfield``.  A run whose summary reports a failed check
+(``passed`` false anywhere under ``convergence``) still writes its CSV and
+summary, with ``status: "unconverged"``, names the check on stderr and exits
+with 2.
 
 No command loads ``scipy.integrate`` or ``scipy.optimize``: the driven
 transient runs on the package's own DOP853 stepper and coupled ``modes`` on its
-own Brent search.  ``meanfield`` loads on first use, inside the two commands
-that run it.
+own Brent search.
 """
 
 from __future__ import annotations
@@ -82,20 +82,24 @@ from .lindblad import (
     ConvergenceError,
     DissipationRates,
     DrivenLattice,
-    DriveSpec,
     KrylovStats,
-    MeanFieldConvergenceError,
-    StiffnessError,
     steady_state,
     transmission_scan,
+)
+from .meanfield import (
+    PSI_TOL,
+    MeanFieldConvergenceError,
+    StiffnessError,
+    driven_mf_steady,
+    minimize_order_parameter,
+    mott_window_analytic,
+    phase_diagram,
 )
 from .resonator import ResonatorSpec, solve_modes
 
 __all__ = ["main", "run_command", "load_config", "ConfigError"]
 
 REQUIRED = object()
-# convergence flags whose False value makes a run "unconverged" (exit code 2)
-CHECK_FLAGS = ("passed", "analytic_matches_numeric")
 # largest |∫ normalization - 1| of a mode table that passes the modes check
 MODE_NORMALIZATION_ATOL = 1e-8
 
@@ -370,8 +374,8 @@ def _cmd_jc_spectrum(config: dict[str, Any]):
                          "abs_err": err})
     if not config["rwa"]:
         return rows, {}
-    conv = {"max_abs_err_below_cutoff": max_err, "analytic_matches_numeric": max_err < 1e-10}
-    return rows, conv
+    return rows, {"analytic_check": {"max_abs_err_below_cutoff": max_err,
+                                     "passed": max_err < 1e-10}}
 
 
 def _cmd_blockade_scan(config: dict[str, Any]):
@@ -463,8 +467,6 @@ def _cmd_sector_nonlinearity(config: dict[str, Any]):
 
 
 def _cmd_meanfield_lobes(config: dict[str, Any]):
-    from .meanfield import mott_window_analytic, phase_diagram
-
     jc = JCParams(config["omega_r"], config["omega_q"], config["g"])
     space = SiteSpace(config["n_max"])
     mu = np.linspace(config["mu_min"], config["mu_max"], config["mu_points"])
@@ -488,18 +490,13 @@ def _cmd_meanfield_lobes(config: dict[str, Any]):
     if config["cutoff_check"]:
         i_mu, i_zj = len(mu) // 2, len(zj) // 2
 
-        def observable(nm: int) -> float:
-            cell, = phase_diagram(jc, mu[i_mu:i_mu + 1], zj[i_zj:i_zj + 1], SiteSpace(nm))
-            return cell.psi
-
         conv["cutoff_check"] = cutoff_convergence(
-            observable, config["n_max"], cells[i_mu * len(zj) + i_zj].psi, rtol=1e-4)
+            lambda nm: minimize_order_parameter(jc, mu[i_mu], zj[i_zj], SiteSpace(nm)).psi,
+            config["n_max"], cells[i_mu * len(zj) + i_zj].psi, rtol=1e-4)
     return rows, conv
 
 
 def _cmd_driven_mf(config: dict[str, Any]):
-    from .meanfield import PSI_TOL, driven_mf_steady
-
     rows = []
     fixed_points = []
     any_cycle = False
@@ -510,8 +507,8 @@ def _cmd_driven_mf(config: dict[str, Any]):
         omega_q = config["omega_r"] - zj
         omega_d = omega_q - config["g"] + config["drive_offset"]
         jc = JCParams(config["omega_r"], omega_q, config["g"])
-        result = driven_mf_steady(jc, rates, DriveSpec(xi=config["xi"], omega_d=omega_d),
-                                  zj, seeds=tuple(config["seeds"]), space=space)
+        result = driven_mf_steady(jc, rates, config["xi"], omega_d, zj,
+                                  seeds=tuple(config["seeds"]), space=space)
         any_cycle = any_cycle or result.limit_cycle
         for fp in result.per_seed:
             rows.append({"zJ": zj, "seed_re": fp.seed.real, "seed_im": fp.seed.imag,
@@ -608,7 +605,8 @@ def summary_schema() -> dict:
 
 
 def _failed_checks(convergence: Any, path: str = "convergence") -> list[str]:
-    """Key path of every ``passed: false`` and ``analytic_matches_numeric: false``."""
+    """Key path of every ``passed: false``, the flag that makes a run
+    "unconverged" (exit code 2)."""
     if isinstance(convergence, dict):
         items = convergence.items()
     elif isinstance(convergence, (list, tuple)):
@@ -617,7 +615,7 @@ def _failed_checks(convergence: Any, path: str = "convergence") -> list[str]:
         return []
     failed = []
     for key, value in items:
-        if key in CHECK_FLAGS and not value:
+        if key == "passed" and not value:
             failed.append(f"{path}.{key}")
         else:
             failed += _failed_checks(value, f"{path}.{key}")

@@ -46,7 +46,9 @@ vec(AρB) = (A ⊗ Bᵀ)vec(ρ), is assembled only on demand
 (:attr:`Liouvillian.matrix`): the driven mean field integrates and factors
 it, and the tests use it as an oracle.  ``blockade-scan``, ``dimer-g2`` and
 ``driven-mf`` all reach this module through
-:class:`DrivenLattice`.  No command evolves a given initial state or fits a
+:class:`DrivenLattice`; ``meanfield`` hands it the drive as plain ξ and ω_d
+and defines its own errors, so the one error class here is
+:class:`ConvergenceError`.  No command evolves a given initial state or fits a
 lineshape; those routes are test oracles.
 """
 
@@ -76,15 +78,12 @@ from .lattice import LatticeParams, build_jchm
 
 __all__ = [
     "DissipationRates",
-    "DriveSpec",
     "DrivenLattice",
     "Liouvillian",
     "KrylovStats",
     "ScanPoint",
     "SteadyState",
-    "StiffnessError",
     "ConvergenceError",
-    "MeanFieldConvergenceError",
     "build_liouvillian",
     "steady_state",
     "steady_states",
@@ -115,20 +114,8 @@ STEADY_GMRES_MAXITER = 20     # restart cycles
 STEADY_BATCH_ENTRIES = 2048
 
 
-class StiffnessError(RuntimeError):
-    """Integrator step size underflow; carries time and step diagnostics."""
-
-
 class ConvergenceError(RuntimeError):
     """A steady-state search did not reach its tolerance."""
-
-
-# The error of ``meanfield`` lives here so that the CLI can catch it without
-# loading ``meanfield``, which only the two mean-field commands import;
-# ``meanfield`` re-binds it.
-class MeanFieldConvergenceError(RuntimeError):
-    """A mean-field search did not converge: the ψ refinement ran out of
-    steps, or the driven self-consistency loop neither settled nor cycled."""
 
 
 @dataclass(frozen=True)
@@ -147,19 +134,6 @@ class DissipationRates:
 
     def any_nonzero(self) -> bool:
         return max(self.gamma1, self.gamma_phi, self.gamma_kappa, self.kappa) > 0
-
-
-@dataclass(frozen=True)
-class DriveSpec:
-    """Coherent drive ξ(a e^{iω_d t} + a† e^{-iω_d t}) of the one site of
-    :func:`cqedlat.meanfield.driven_mf_steady`."""
-
-    xi: float
-    omega_d: float
-
-    def __post_init__(self) -> None:
-        if self.xi < 0:
-            raise ValueError("drive amplitude xi must be non-negative")
 
 
 class _JumpSet:

@@ -55,6 +55,11 @@ which moves the trace mode to -s.  So only stable branches are reported,
 each with its residual |F(ψ*)| and its margin; distinct fixed points reached
 from different seeds signal bistability, and runs that are never captured are
 reported as limit cycles or raise.
+
+The module's failures are its own: :class:`MeanFieldConvergenceError` when a
+ψ search or a driven run does not converge, :class:`StiffnessError` when a
+transient step fails.  ``cli`` imports the module when it loads, like every
+other module, and exits with 2 on either.
 """
 
 from __future__ import annotations
@@ -76,15 +81,7 @@ from .hilbert import (
 )
 from .jc import JCParams, jc_hamiltonian, polariton_energy
 from .lattice import LatticeParams
-from .lindblad import (
-    DissipationRates,
-    DrivenLattice,
-    DriveSpec,
-    MeanFieldConvergenceError,
-    StiffnessError,
-    g2_zero,
-    steady_state,
-)
+from .lindblad import DissipationRates, DrivenLattice, g2_zero, steady_state
 
 __all__ = [
     "OrderParameter",
@@ -92,6 +89,7 @@ __all__ = [
     "DrivenFixedPoint",
     "DrivenMFResult",
     "MeanFieldConvergenceError",
+    "StiffnessError",
     "minimize_order_parameter",
     "mott_window_analytic",
     "phase_diagram",
@@ -115,6 +113,16 @@ HORIZON_RELAXATIONS = 600  # driven horizon per seed, in units of 1/γ_min
 # pair can be far looser than an accurate trajectory would need.
 TRANSIENT_RTOL = 1e-6
 TRANSIENT_ATOL = 1e-9
+
+
+class MeanFieldConvergenceError(RuntimeError):
+    """A mean-field search did not converge: the ψ refinement ran out of
+    steps, or the driven self-consistency loop neither settled nor cycled."""
+
+
+class StiffnessError(RuntimeError):
+    """A driven transient step failed: its size fell below 10 spacings of t
+    or is not a number."""
 
 
 def _rms(x: np.ndarray) -> float:
@@ -495,11 +503,11 @@ class _DrivenSite:
     ρ_ss(ψ), and MX = b gives R(ψ)X = b with e·X = 0 for every traceless b.
     """
 
-    def __init__(self, jc: JCParams, rates: DissipationRates, drive: DriveSpec,
+    def __init__(self, jc: JCParams, rates: DissipationRates, xi: float, omega_d: float,
                  zj: float, space: SiteSpace):
         self.space = LatticeSpace((space,))
         model = DrivenLattice(LatticeParams.single_site(jc), self.space, rates)
-        self.liouv0 = model.generator(drive.xi, drive.omega_d)
+        self.liouv0 = model.generator(xi, omega_d)
         self.zj = zj
         self.psi_bound = _psi_bound(space)
         self.lu_factorizations = 0                         # by every Newton run so far
@@ -634,10 +642,11 @@ class _DrivenSite:
         return root
 
 
-def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
+def driven_mf_steady(jc: JCParams, rates: DissipationRates, xi: float, omega_d: float,
                      zj: float, seeds: tuple[complex, ...] = (0.0,), *,
                      space: SiteSpace) -> DrivenMFResult:
-    """Self-consistent driven-dissipative mean field on one site.
+    """Self-consistent driven-dissipative mean field on one site, under the
+    coherent drive ξ(a e^{iω_d t} + a† e^{-iω_d t}); a negative ξ is refused.
 
     Runs the nonlinear master equation from every seed (a coherent state of
     amplitude equal to the seed value) in control intervals of 1/γ_min, the
@@ -665,9 +674,11 @@ def driven_mf_steady(jc: JCParams, rates: DissipationRates, drive: DriveSpec,
     carries, per seed, the control intervals and right-hand-side calls of its
     transient and the LU factorizations of its Newton runs.
     """
+    if xi < 0:
+        raise ValueError("drive amplitude xi must be non-negative")
     if not rates.any_nonzero():
         raise ValueError("driven mean field requires dissipative rates > 0")
-    site = _DrivenSite(jc, rates, drive, zj, space)
+    site = _DrivenSite(jc, rates, xi, omega_d, zj, space)
 
     slowest = min(r for r in (rates.gamma1, rates.gamma_phi, rates.gamma_kappa, rates.kappa)
                   if r > 0)

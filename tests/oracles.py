@@ -47,8 +47,8 @@ from cqedlat.hilbert import (
 )
 from cqedlat.jc import JCParams, mixing_angle
 from cqedlat.lattice import LatticeParams, sector_ground_energy
-from cqedlat.lindblad import Liouvillian, StiffnessError, _BorderedBatch, _gmres
-from cqedlat.meanfield import PSI_FLOOR, PSI_SEARCH_TOL, OrderParameter
+from cqedlat.lindblad import Liouvillian, _BorderedBatch, _gmres
+from cqedlat.meanfield import PSI_FLOOR, PSI_SEARCH_TOL, OrderParameter, StiffnessError
 
 PSI_GRID_POINTS = 49      # coarse ψ grid that brackets the minimum of the search oracle
 ZJ_RESOLUTION = 1e-4      # resolution and lower bracket end of the lobe-boundary bisection

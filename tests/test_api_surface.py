@@ -18,8 +18,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cqedlat"
 
 # names exported although no package module uses them, each with its reason
 ALLOWED = {
-    ("meanfield", "minimize_order_parameter"):
-        "traced by perfbench/run.py, which the benchmark runs; goes with the benchmark change",
     ("lattice", "sector_ground_energy"):
         "traced by perfbench/run.py, which the benchmark runs; goes with the benchmark change",
 }

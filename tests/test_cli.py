@@ -169,7 +169,7 @@ class TestRunStatus:
     def test_passing_checks_give_ok_and_exit_zero(self, tmp_path, capsys):
         _, summary = run(tmp_path, "jc-spectrum",
                          {"omega_r": 1.0, "omega_q": 0.9, "g": 0.05, "n_max": 4})
-        assert summary["convergence"]["analytic_matches_numeric"] is True
+        assert summary["convergence"]["analytic_check"]["passed"] is True
         assert summary["status"] == "ok"
         assert capsys.readouterr().err == ""
 
@@ -185,7 +185,7 @@ class TestRunStatus:
 
     def test_jc_spectrum_numeric_shift_fails_the_comparison(self, tmp_path, capsys, monkeypatch):
         # a numeric spectrum 1e-8 off the closed form, far above the roundoff of
-        # an eigensolve at these energies, must fail analytic_matches_numeric
+        # an eigensolve at these energies, must fail the analytic check
         hamiltonian = cli.jc_hamiltonian
 
         def shifted(*args, **kwargs):
@@ -195,10 +195,11 @@ class TestRunStatus:
         monkeypatch.setattr(cli, "jc_hamiltonian", shifted)
         _, summary = run(tmp_path, "jc-spectrum",
                          {"omega_r": 1.0, "omega_q": 0.9, "g": 0.05, "n_max": 4}, exit_code=2)
-        assert summary["convergence"]["analytic_matches_numeric"] is False
-        assert summary["convergence"]["max_abs_err_below_cutoff"] == pytest.approx(1e-8, rel=1e-3)
+        check = summary["convergence"]["analytic_check"]
+        assert check["passed"] is False
+        assert check["max_abs_err_below_cutoff"] == pytest.approx(1e-8, rel=1e-3)
         assert summary["status"] == "unconverged"
-        assert "convergence.analytic_matches_numeric" in capsys.readouterr().err
+        assert "convergence.analytic_check.passed" in capsys.readouterr().err
 
     def test_jc_spectrum_without_rwa_claims_no_comparison(self, tmp_path, capsys):
         # the closed form is the RWA spectrum: without the RWA no row is compared
@@ -252,7 +253,7 @@ class TestDrivenMF:
         def unconverged(*args, **kwargs):
             raise meanfield.MeanFieldConvergenceError("neither settled nor cycled")
 
-        monkeypatch.setattr(meanfield, "driven_mf_steady", unconverged)
+        monkeypatch.setattr(cli, "driven_mf_steady", unconverged)
         code = cli.main(["driven-mf", "--omega-r", "20", "--g", "1", "--zj-values", "1",
                          "--xi", "0.12", "--gamma1", "0.06", "--output", str(tmp_path / "d.csv")])
         assert code == 2
@@ -632,19 +633,20 @@ class TestConfigValues:
 
 
 class TestColdStart:
-    LAZY = ("scipy.integrate", "scipy.optimize", "cqedlat.meanfield")
     SCRIPT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 from cqedlat import cli
-lazy = json.loads(sys.argv[2])
-out = {"after_import": [m for m in lazy if m in sys.modules]}
+packages = json.loads(sys.argv[2])
+out = {"after_import": [m for m in packages if m in sys.modules]}
 out["exit_codes"] = [cli.main(argv) for argv in json.loads(sys.argv[3])]
-out["after_runs"] = [m for m in lazy if m in sys.modules]
+out["after_runs"] = [m for m in packages if m in sys.modules]
 print(json.dumps(out))
 """
 
-    def test_cli_loads_meanfield_and_the_ode_and_root_packages_only_when_run(self, tmp_path):
+    def test_no_command_loads_the_ode_or_root_packages(self, tmp_path):
+        # the driven transient runs on the package's own stepper and coupled
+        # modes on its own Brent search
         scan = tmp_path / "scan.json"
         scan.write_text(json.dumps(dict(TestBlockadeScan.CONFIG, omega_d_points=3,
                                         cutoff_check=False)), encoding="utf-8")
@@ -652,32 +654,27 @@ print(json.dumps(out))
         dimer.write_text(json.dumps({"omega_r": 50.0, "g": 1.0, "j_values": [0.5], "xi": 0.01,
                                      "gamma1": 0.01, "gamma_kappa": 0.01, "n_max": 2,
                                      "cutoff_check": False}), encoding="utf-8")
-        # uncoupled ends give the modes in closed form, with no root search
-        runs = [["blockade-scan", "--config", str(scan), "--output", str(tmp_path / "b.csv")],
+        modes = ["modes", "--ell", "4e-7", "--c", "1.6e-10", "--L-x", "0.01"]
+        runs = [["jc-spectrum", "--omega-r", "5", "--omega-q", "5", "--g", "0.1",
+                 "--output", str(tmp_path / "jc.csv")],
+                ["blockade-scan", "--config", str(scan), "--output", str(tmp_path / "b.csv")],
                 ["dimer-g2", "--config", str(dimer), "--output", str(tmp_path / "d.csv")],
-                ["modes", "--ell", "4e-7", "--c", "1.6e-10", "--L-x", "0.01",
-                 "--output", str(tmp_path / "m.csv")]]
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        result = subprocess.run([sys.executable, "-c", self.SCRIPT, src, json.dumps(self.LAZY),
-                                 json.dumps(runs)], cwd=tmp_path, capture_output=True,
-                                text=True, timeout=120)
-        assert result.returncode == 0, result.stderr
-        out = json.loads(result.stdout.splitlines()[-1])
-        assert out == {"after_import": [], "exit_codes": [0, 0, 0], "after_runs": []}
-
-    def test_no_command_loads_the_ode_or_root_packages(self, tmp_path):
-        # the driven transient runs on the package's own stepper and coupled
-        # modes on its own Brent search
-        runs = [["driven-mf", "--omega-r", "20", "--g", "1", "--zj-values", "1", "--xi", "0.12",
-                 "--gamma1", "0.06", "--kappa", "0.06", "--drive-offset", "0.3",
-                 "--seeds", "0,1.5", "--n-max", "3", "--output", str(tmp_path / "dr.csv")],
+                ["sector-nonlinearity", "--omega-r", "50", "--g", "1", "--J", "-0.5",
+                 "--n-sites-list", "1,2", "--n-max", "2", "--output", str(tmp_path / "s.csv")],
                 ["meanfield-lobes", "--omega-r", "10", "--omega-q", "10", "--g", "1",
                  "--mu-min", "8.6", "--mu-max", "9.9", "--mu-points", "10", "--zj-min", "0",
                  "--zj-max", "0.2", "--zj-points", "10", "--n-max", "10",
                  "--output", str(tmp_path / "l.csv")],
-                ["modes", "--ell", "4e-7", "--c", "1.6e-10", "--L-x", "0.01",
-                 "--C-minus", "1e-15", "--C-plus", "1e-15", "--count", "20",
-                 "--output", str(tmp_path / "m.csv")]]
+                ["driven-mf", "--omega-r", "20", "--g", "1", "--zj-values", "1", "--xi", "0.12",
+                 "--gamma1", "0.06", "--kappa", "0.06", "--drive-offset", "0.3",
+                 "--seeds", "0,1.5", "--n-max", "3", "--output", str(tmp_path / "dr.csv")],
+                # uncoupled ends give the modes in closed form, with no root search
+                modes + ["--output", str(tmp_path / "m0.csv")],
+                modes + ["--C-minus", "1e-15", "--C-plus", "1e-15", "--count", "20",
+                         "--output", str(tmp_path / "m.csv")],
+                ["quantize", "--netlist", TestQuantize.NETLIST, "--charge-cutoff", "4",
+                 "--levels", "3", "--cutoff-check", "false",
+                 "--output", str(tmp_path / "q.csv")]]
         packages = ["scipy.integrate", "scipy.optimize"]
         src = str(Path(cli.__file__).resolve().parent.parent)
         result = subprocess.run([sys.executable, "-c", self.SCRIPT, src, json.dumps(packages),
@@ -685,12 +682,7 @@ print(json.dumps(out))
                                 text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         out = json.loads(result.stdout.splitlines()[-1])
-        assert out == {"after_import": [], "exit_codes": [0, 0, 0], "after_runs": []}
+        assert out == {"after_import": [], "exit_codes": [0] * len(runs), "after_runs": []}
+        assert sorted({argv[0] for argv in runs}) == sorted(cli.COMMANDS)
         with open(tmp_path / "m.csv", encoding="utf-8", newline="") as fh:
             assert len(list(csv.DictReader(fh))) == 20
-
-    def test_mean_field_errors_are_one_class_in_every_module(self):
-        from cqedlat import lindblad, meanfield
-
-        assert (meanfield.MeanFieldConvergenceError is lindblad.MeanFieldConvergenceError
-                is cli.MeanFieldConvergenceError)

@@ -1,3 +1,5 @@
+import csv
+import json
 import warnings
 
 import numpy as np
@@ -8,7 +10,7 @@ from scipy.integrate import DOP853
 
 import oracles
 
-from cqedlat import meanfield
+from cqedlat import cli, meanfield
 from cqedlat.hilbert import (
     DensityMatrix,
     LatticeSpace,
@@ -22,19 +24,19 @@ from cqedlat.lattice import LatticeParams, build_jchm
 from cqedlat.lindblad import (
     DissipationRates,
     DrivenLattice,
-    DriveSpec,
     Liouvillian,
-    StiffnessError,
     build_liouvillian,
     g2_zero,
     steady_state,
 )
 from cqedlat.meanfield import (
     CAPTURE_CONTRACTIONS,
+    CYCLE_SAMPLES,
     PSI_FLOOR,
     TRANSIENT_ATOL,
     TRANSIENT_RTOL,
     MeanFieldConvergenceError,
+    StiffnessError,
     _coherent_site_state,
     _DrivenSite,
     driven_mf_steady,
@@ -366,21 +368,20 @@ class TestDrivenMeanField:
         de = 0.01 * G
         wq = WR - zj
         rates = DissipationRates(gamma1=de, kappa=de)
-        drive = DriveSpec(xi=xi, omega_d=wq - G)
         jc = JCParams(WR, wq, G)
-        return driven_mf_steady(jc, rates, drive, zj, seeds=seeds,
+        return driven_mf_steady(jc, rates, xi, wq - G, zj, seeds=seeds,
                                 space=SiteSpace(7), **kw)
 
     def test_zero_hopping_reduces_to_single_site(self):
         de = 0.01 * G
         jc = JCParams(WR, WR, G)
         rates = DissipationRates(gamma1=de, kappa=de)
-        drive = DriveSpec(xi=0.01 * G, omega_d=WR - G)
-        res = driven_mf_steady(jc, rates, drive, 0.0, seeds=(0.0,),
+        xi, omega_d = 0.01 * G, WR - G
+        res = driven_mf_steady(jc, rates, xi, omega_d, 0.0, seeds=(0.0,),
                                space=SiteSpace(7))
         space = LatticeSpace.uniform(1, 7)
         model = DrivenLattice(LatticeParams.single_site(jc), space, rates)
-        rho = steady_state(model.generator(drive.xi, drive.omega_d))
+        rho = steady_state(model.generator(xi, omega_d))
         a = photon_op_on(space, 0, "a")
         assert abs(res.per_seed[0].psi - expectation(a, rho)) < 1e-8
         assert res.per_seed[0].g2 == pytest.approx(g2_zero(rho, 0, space), abs=1e-8)
@@ -403,9 +404,9 @@ class TestDrivenMeanField:
         wq = WR - zj
         jc = JCParams(WR, wq, G)
         rates = DissipationRates(gamma1=de, kappa=de)
-        drive = DriveSpec(xi=0.02 * G, omega_d=wq - G + 0.2 * G)
         monkeypatch.setattr(meanfield, "HORIZON_RELAXATIONS", 250)
-        res = driven_mf_steady(jc, rates, drive, zj, seeds=(0.0, 1.5), space=SiteSpace(7))
+        res = driven_mf_steady(jc, rates, 0.02 * G, wq - G + 0.2 * G, zj, seeds=(0.0, 1.5),
+                               space=SiteSpace(7))
         assert res.multistable
         assert len(res.branches) == 2
         psis = sorted(abs(b.psi) for b in res.branches)
@@ -418,49 +419,52 @@ class TestDrivenMeanField:
         # most that many leaves every run uncaptured whatever Newton finds
         jc = JCParams(20.0, 19.0, 1.0)
         rates = DissipationRates(gamma1=0.06, kappa=0.06)
-        drive = DriveSpec(xi=0.12, omega_d=18.3)
         monkeypatch.setattr(meanfield, "HORIZON_RELAXATIONS", chunks)
         with pytest.raises(MeanFieldConvergenceError, match=f"{chunks + 1} ψ samples"):
-            driven_mf_steady(jc, rates, drive, 1.0, seeds=(0.0,), space=SiteSpace(6))
+            driven_mf_steady(jc, rates, 0.12, 18.3, 1.0, seeds=(0.0,), space=SiteSpace(6))
 
     def test_convergence_error_reports_the_last_step(self, monkeypatch):
         # a horizon of CAPTURE_CONTRACTIONS intervals is too short for capture
         jc = JCParams(20.0, 19.0, 1.0)
         rates = DissipationRates(gamma1=0.06, kappa=0.06)
-        drive = DriveSpec(xi=0.12, omega_d=18.3)
         monkeypatch.setattr(meanfield, "HORIZON_RELAXATIONS", CAPTURE_CONTRACTIONS)
         with pytest.raises(MeanFieldConvergenceError) as info:
-            driven_mf_steady(jc, rates, drive, 1.0, seeds=(0.0,), space=SiteSpace(6))
+            driven_mf_steady(jc, rates, 0.12, 18.3, 1.0, seeds=(0.0,), space=SiteSpace(6))
         last_step = float(str(info.value).split("last |Δψ| = ")[1].rstrip(")"))
         assert last_step > 1e-8
 
     def test_requires_dissipation(self):
         jc = JCParams(WR, WR, G)
         with pytest.raises(ValueError, match="dissipative"):
-            driven_mf_steady(jc, DissipationRates(), DriveSpec(xi=0.01, omega_d=WR),
-                             0.1, space=SiteSpace(4))
+            driven_mf_steady(jc, DissipationRates(), 0.01, WR, 0.1, space=SiteSpace(4))
+
+    def test_negative_drive_is_refused(self):
+        jc = JCParams(WR, WR, G)
+        rates = DissipationRates(gamma1=0.01, kappa=0.01)
+        with pytest.raises(ValueError, match="drive amplitude xi must be non-negative"):
+            driven_mf_steady(jc, rates, -0.01, WR, 0.1, space=SiteSpace(4))
 
 
 # bistable points: the driven-mf CLI workload (|ψ| ≈ 0.18 and 0.50) and the
 # point of test_bistability_from_seed_dependence (|ψ| ≈ 0.045 and 0.42)
 DRIVEN_POINT = dict(jc=JCParams(20.0, 19.0, 1.0),
                     rates=DissipationRates(gamma1=0.06, kappa=0.06),
-                    drive=DriveSpec(xi=0.12, omega_d=18.3), zj=1.0, space=SiteSpace(6))
+                    xi=0.12, omega_d=18.3, zj=1.0, space=SiteSpace(6))
 BISTABLE_POINT = dict(jc=JCParams(WR, WR - G, G),
                       rates=DissipationRates(gamma1=0.01 * G, kappa=0.01 * G),
-                      drive=DriveSpec(xi=0.02 * G, omega_d=WR - 2 * G + 0.2 * G), zj=G,
+                      xi=0.02 * G, omega_d=WR - 2 * G + 0.2 * G, zj=G,
                       space=SiteSpace(7))
 
 
-def _nonlinear_rhs(jc, rates, drive, zj, space):
+def _nonlinear_rhs(jc, rates, xi, omega_d, zj, space):
     """∂_t vec(ρ) = L₀ vec(ρ) + i zJ(ψ[a†, ρ] + ψ*[a, ρ]) with ψ = tr(aρ); also returns vec(aᵀ).
 
     L₀ is the generator of H - ω_d N + ξ(a + a†), built here and not by ``DrivenLattice``.
     """
     lat = LatticeSpace((space,))
     a = photon_op_on(lat, 0, "a")
-    h_rot = (build_jchm(LatticeParams.single_site(jc), lat) - drive.omega_d * total_excitation(lat)
-             + drive.xi * (a + a.getH()))
+    h_rot = (build_jchm(LatticeParams.single_site(jc), lat) - omega_d * total_excitation(lat)
+             + xi * (a + a.getH()))
     liouv = build_liouvillian(h_rot, rates, lat)
     eye = sp.identity(space.dim, format="csr")
     terms = sp.vstack([liouv.matrix, sp.kron(a.getH(), eye) - sp.kron(eye, a.conj()),
@@ -766,3 +770,80 @@ class TestTransientStepper:
         with pytest.raises(StiffnessError, match=r"failed at t = 16\.67: the step size"):
             driven_mf_steady(**DRIVEN_POINT, seeds=(0.0,))
         assert len(intervals_done) == 1
+
+
+class TestLimitCycle:
+    """The uncaptured branch of ``driven_mf_steady``, driven by a stand-in
+    stepper: Newton never finds a root, and every control interval ends in one
+    step on the mixture w ρ_high + (1 - w) ρ_low of two coherent states,
+    w = 1/2 ± decayᵏ/2 alternating over the intervals k, so ψ swings between
+    them and the swing shrinks by ``decay`` per interval."""
+
+    ALPHAS = (0.2, 0.4 + 0.4j)   # complex, so ρ is not real: ρᵀ ≠ ρ
+
+    def install(self, monkeypatch, decay):
+        site = _DrivenSite(**DRIVEN_POINT)
+        low, high = (site.coords(_coherent_site_state(DRIVEN_POINT["space"], a).rho)
+                     for a in self.ALPHAS)
+        weights = []            # w of each interval's end state, in order
+
+        class Swinging:
+            def __init__(self, fun, y0, t_bound, rtol, atol):
+                self.t, self.y, self.t_bound, self.nfev = 0.0, y0, t_bound, 0
+
+            def step(self):
+                k = len(weights)
+                weights.append(0.5 + 0.5 * (-decay) ** k)
+                self.t, self.y, self.nfev = self.t_bound, low + weights[-1] * (high - low), 1
+                return True
+
+        monkeypatch.setattr(meanfield, "RK45", Swinging)
+        monkeypatch.setattr(_DrivenSite, "newton", lambda self, psi, known: None)
+        monkeypatch.setattr(meanfield, "HORIZON_RELAXATIONS", CYCLE_SAMPLES)
+        return weights
+
+    def expected_state(self, w):
+        space = DRIVEN_POINT["space"]
+        low, high = (_coherent_site_state(space, a).rho for a in self.ALPHAS)
+        return w * high + (1 - w) * low
+
+    def test_undamped_swing_is_reported_as_a_limit_cycle(self, monkeypatch):
+        weights = self.install(monkeypatch, decay=1.0)
+        res = driven_mf_steady(**DRIVEN_POINT, seeds=(0.5,))
+        assert len(weights) >= CYCLE_SAMPLES
+        fp, = res.per_seed
+        assert fp.limit_cycle and res.limit_cycle
+        assert res.branches == () and not res.multistable
+        assert fp.seed == 0.5
+        assert np.isnan(fp.residual) and np.isnan(fp.stability_margin)
+        assert isinstance(fp.rho, DensityMatrix)
+        rho = self.expected_state(weights[-1])
+        assert np.max(np.abs(fp.rho.rho - rho)) <= 1e-12
+        a = photon_op_on(LatticeSpace((DRIVEN_POINT["space"],)), 0, "a")
+        assert abs(fp.psi - expectation(a, DensityMatrix(rho))) <= 1e-12
+        assert np.isfinite(fp.g2)
+        assert res.control_intervals == (len(weights),) and res.rhs_calls == (len(weights),)
+
+    def test_damped_swing_raises(self, monkeypatch):
+        # the swing of the late half of the last CYCLE_SAMPLES ψ samples is
+        # 0.9^20 of the early half's: a slow approach, not a cycle
+        self.install(monkeypatch, decay=0.9)
+        with pytest.raises(MeanFieldConvergenceError, match="no fixed point or cycle"):
+            driven_mf_steady(**DRIVEN_POINT, seeds=(0.5,))
+
+    def test_cli_reports_the_cycle_and_exits_zero(self, tmp_path, monkeypatch):
+        # the benchmark's driven-mf point at n_max 6 is DRIVEN_POINT
+        self.install(monkeypatch, decay=1.0)
+        csv_path, summary_path = tmp_path / "d.csv", tmp_path / "d_summary.json"
+        code = cli.main(["driven-mf", "--omega-r", "20", "--g", "1", "--zj-values", "1",
+                         "--xi", "0.12", "--gamma1", "0.06", "--kappa", "0.06",
+                         "--drive-offset", "0.3", "--seeds", "0.5", "--n-max", "6",
+                         "--output", str(csv_path), "--summary", str(summary_path)])
+        assert code == 0
+        with open(csv_path, encoding="utf-8", newline="") as fh:
+            row, = csv.DictReader(fh)
+        assert row["limit_cycle_flag"] == "1"
+        summary = json.loads(summary_path.read_text(encoding="utf-8"))
+        assert summary["convergence"]["limit_cycle_seen"] is True
+        assert summary["convergence"]["fixed_points"][0]["branches"] == []
+        assert summary["status"] == "ok"

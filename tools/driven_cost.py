@@ -33,7 +33,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from cqedlat import meanfield  # noqa: E402
 from cqedlat.hilbert import SiteSpace  # noqa: E402
 from cqedlat.jc import JCParams  # noqa: E402
-from cqedlat.lindblad import DissipationRates, DriveSpec  # noqa: E402
+from cqedlat.lindblad import DissipationRates  # noqa: E402
 
 REPEATS = 5
 SEEDS = (0.0, 1.5)
@@ -44,7 +44,7 @@ def run() -> meanfield.DrivenMFResult:
     """The seed-0 ``driven-mf`` point, once."""
     return meanfield.driven_mf_steady(
         JCParams(20.0, 19.0, 1.0), DissipationRates(gamma1=0.06, kappa=0.06),
-        DriveSpec(xi=0.12, omega_d=18.3), 1.0, seeds=SEEDS, space=SiteSpace(6))
+        0.12, 18.3, 1.0, seeds=SEEDS, space=SiteSpace(6))
 
 
 @contextmanager

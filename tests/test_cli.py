@@ -644,9 +644,20 @@ out["after_runs"] = [m for m in packages if m in sys.modules]
 print(json.dumps(out))
 """
 
-    def test_no_command_loads_the_ode_or_root_packages(self, tmp_path):
-        # the driven transient runs on the package's own stepper and coupled
-        # modes on its own Brent search
+    PACKAGES = ["scipy.integrate", "scipy.optimize"]
+    # the commands that test_cli_loads_meanfield_... runs; the other test runs the rest
+    OPEN_SYSTEM_COMMANDS = ("blockade-scan", "dimer-g2", "modes")
+
+    def _cold_start(self, tmp_path, modules, runs):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        result = subprocess.run([sys.executable, "-c", self.SCRIPT, src, json.dumps(modules),
+                                 json.dumps(runs)], cwd=tmp_path, capture_output=True,
+                                text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout.splitlines()[-1])
+
+    def test_cli_loads_meanfield_and_the_ode_and_root_packages_only_when_run(self, tmp_path):
+        # meanfield now loads with cli; the ODE and root packages load in no run
         scan = tmp_path / "scan.json"
         scan.write_text(json.dumps(dict(TestBlockadeScan.CONFIG, omega_d_points=3,
                                         cutoff_check=False)), encoding="utf-8")
@@ -654,11 +665,21 @@ print(json.dumps(out))
         dimer.write_text(json.dumps({"omega_r": 50.0, "g": 1.0, "j_values": [0.5], "xi": 0.01,
                                      "gamma1": 0.01, "gamma_kappa": 0.01, "n_max": 2,
                                      "cutoff_check": False}), encoding="utf-8")
-        modes = ["modes", "--ell", "4e-7", "--c", "1.6e-10", "--L-x", "0.01"]
+        # uncoupled ends give the modes in closed form, with no root search
+        runs = [["blockade-scan", "--config", str(scan), "--output", str(tmp_path / "b.csv")],
+                ["dimer-g2", "--config", str(dimer), "--output", str(tmp_path / "d.csv")],
+                ["modes", "--ell", "4e-7", "--c", "1.6e-10", "--L-x", "0.01",
+                 "--output", str(tmp_path / "m.csv")]]
+        out = self._cold_start(tmp_path, self.PACKAGES + ["cqedlat.meanfield"], runs)
+        assert out == {"after_import": ["cqedlat.meanfield"], "exit_codes": [0, 0, 0],
+                       "after_runs": ["cqedlat.meanfield"]}
+        assert tuple(argv[0] for argv in runs) == self.OPEN_SYSTEM_COMMANDS
+
+    def test_no_command_loads_the_ode_or_root_packages(self, tmp_path):
+        # the driven transient runs on the package's own stepper and coupled
+        # modes on its own Brent search
         runs = [["jc-spectrum", "--omega-r", "5", "--omega-q", "5", "--g", "0.1",
                  "--output", str(tmp_path / "jc.csv")],
-                ["blockade-scan", "--config", str(scan), "--output", str(tmp_path / "b.csv")],
-                ["dimer-g2", "--config", str(dimer), "--output", str(tmp_path / "d.csv")],
                 ["sector-nonlinearity", "--omega-r", "50", "--g", "1", "--J", "-0.5",
                  "--n-sites-list", "1,2", "--n-max", "2", "--output", str(tmp_path / "s.csv")],
                 ["meanfield-lobes", "--omega-r", "10", "--omega-q", "10", "--g", "1",
@@ -668,21 +689,16 @@ print(json.dumps(out))
                 ["driven-mf", "--omega-r", "20", "--g", "1", "--zj-values", "1", "--xi", "0.12",
                  "--gamma1", "0.06", "--kappa", "0.06", "--drive-offset", "0.3",
                  "--seeds", "0,1.5", "--n-max", "3", "--output", str(tmp_path / "dr.csv")],
-                # uncoupled ends give the modes in closed form, with no root search
-                modes + ["--output", str(tmp_path / "m0.csv")],
-                modes + ["--C-minus", "1e-15", "--C-plus", "1e-15", "--count", "20",
-                         "--output", str(tmp_path / "m.csv")],
+                ["modes", "--ell", "4e-7", "--c", "1.6e-10", "--L-x", "0.01",
+                 "--C-minus", "1e-15", "--C-plus", "1e-15", "--count", "20",
+                 "--output", str(tmp_path / "m.csv")],
                 ["quantize", "--netlist", TestQuantize.NETLIST, "--charge-cutoff", "4",
                  "--levels", "3", "--cutoff-check", "false",
                  "--output", str(tmp_path / "q.csv")]]
-        packages = ["scipy.integrate", "scipy.optimize"]
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        result = subprocess.run([sys.executable, "-c", self.SCRIPT, src, json.dumps(packages),
-                                 json.dumps(runs)], cwd=tmp_path, capture_output=True,
-                                text=True, timeout=120)
-        assert result.returncode == 0, result.stderr
-        out = json.loads(result.stdout.splitlines()[-1])
+        out = self._cold_start(tmp_path, self.PACKAGES, runs)
         assert out == {"after_import": [], "exit_codes": [0] * len(runs), "after_runs": []}
-        assert sorted({argv[0] for argv in runs}) == sorted(cli.COMMANDS)
+        # with the other test, every command runs cold
+        assert (sorted({argv[0] for argv in runs} | set(self.OPEN_SYSTEM_COMMANDS))
+                == sorted(cli.COMMANDS))
         with open(tmp_path / "m.csv", encoding="utf-8", newline="") as fh:
             assert len(list(csv.DictReader(fh))) == 20
